@@ -266,8 +266,16 @@ def cmd_resonance(args) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="flicforq", description=__doc__)
+    steps_flag = {"type": _positive_int, "default": StepPolicy().steps_per_period}
     sub = ap.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("compile", help="compile a named gate to a pulse sequence")
@@ -282,7 +290,7 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--frame", choices=["lab", "rotating"], default="lab")
     s.add_argument("--out", required=True, help="trajectory CSV path")
     s.add_argument("--full", action="store_true", help="emit all 15 coefficients")
-    s.add_argument("--steps-per-period", type=int, default=StepPolicy().steps_per_period)
+    s.add_argument("--steps-per-period", **steps_flag)
     s.set_defaults(func=cmd_simulate)
 
     f = sub.add_parser("fidelity", help="gate fidelity of a sequence vs a word")
@@ -291,16 +299,16 @@ def _build_parser() -> argparse.ArgumentParser:
     f.add_argument("--min", type=float)
     f.add_argument("--no-align", action="store_true")
     f.add_argument("--out")
-    f.add_argument("--steps-per-period", type=int, default=StepPolicy().steps_per_period)
+    f.add_argument("--steps-per-period", **steps_flag)
     f.set_defaults(func=cmd_fidelity)
 
     w = sub.add_parser("sweep", help="metric over a (delta, wxx) grid")
     w.add_argument("grid", help="JSON list of {delta, wxx} points")
     w.add_argument("--metric", required=True,
                    choices=["cnot_error", "one_qubit_error", "d_concurrence"])
-    w.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    w.add_argument("--jobs", type=_positive_int, default=os.cpu_count() or 1)
     w.add_argument("--out")
-    w.add_argument("--steps-per-period", type=int, default=StepPolicy().steps_per_period)
+    w.add_argument("--steps-per-period", **steps_flag)
     w.set_defaults(func=cmd_sweep)
 
     r = sub.add_parser("resonance", help="sideband frequencies and resonance gap")

@@ -1,12 +1,14 @@
-"""Exact numerical evolution of the two-qubit density operator.
+"""Exact numerical evolution of the two-qubit system in the lab frame.
 
-The primary state representation is the vector of 15 real coefficients
-c_a of the non-identity Pauli strings, rho = (1 + sum_a c_a P_a)/4, which
-makes trace and Hermiticity structural.  The von Neumann equation
-d rho/dt = -i[H, rho] becomes 15 coupled real ODEs dc/dt = A(t) c which
-are integrated with classic fixed-step 4th-order Runge-Kutta, with no
-rotating-wave approximation anywhere.  Envelope discontinuities (segment
-edges, refocusing flips) are always step boundaries.
+The production route integrates dU/dt = -i H(t) U for the 4x4 propagator
+with classic fixed-step 4th-order Runge-Kutta, with no rotating-wave
+approximation anywhere.  The equation is linear, so each RK4 step is a
+4x4 matrix; the steps of one breakpoint interval are built in one batched
+expression and multiplied in time order by a pairwise batched product.
+Envelope discontinuities (segment edges, refocusing flips) are always
+breakpoints.  ``evolve`` applies the running propagator to rho0 and
+records the 15 real Pauli coefficients c_a of rho = (1 + sum_a c_a P_a)/4
+at every breakpoint.
 
 An independent oracle route evolves the 4x4 density matrix with exact
 piecewise exponential propagators (4th-order commutator-free Magnus, two
@@ -17,22 +19,12 @@ own convergence by substep doubling.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
 
 import numpy as np
 
-from .model import PulseSequence, SystemParams
-from .pauli import TWO_QUBIT_LABELS, basis_matrices, pauli_multiply, PauliString
-
-try:
-    from numba import njit as _njit
-
-    def _jit(fn):
-        return _njit(cache=True)(fn)
-except ImportError:  # pragma: no cover - numba is a soft dependency
-    def _jit(fn):
-        return fn
+from .model import PulseSequence, SystemParams, drive_amplitudes_at
+from .pauli import TWO_QUBIT_LABELS, basis_matrices
 
 __all__ = [
     "DensityState",
@@ -41,7 +33,6 @@ __all__ = [
     "StepTooCoarse",
     "NoConvergence",
     "WrongFrame",
-    "structure_constants",
     "evolve",
     "evolve_oracle",
     "propagator_of_sequence",
@@ -171,75 +162,33 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class StepPolicy:
-    """Fixed-step policy: RK4 steps per smallest carrier period, sample
-    thinning interval (default t0_sync/8), and an optional Richardson
-    step-halving check against 1e-8 local error per unit time."""
+    """Fixed-step policy: RK4 steps per smallest carrier period."""
 
     steps_per_period: int = 1600
-    sample_spacing: float | None = None
-    richardson_check: bool = False
+
+    def __post_init__(self):
+        if self.steps_per_period < 1:
+            raise ValueError(
+                f"steps_per_period must be at least 1, got {self.steps_per_period}"
+            )
 
     def step_target(self, p: SystemParams) -> float:
         period = 2.0 * math.pi / max(p.w1z, p.w2z)
         return period / self.steps_per_period
 
-    def spacing(self, p: SystemParams) -> float:
-        return self.sample_spacing if self.sample_spacing else p.t0_sync / 8.0
 
-
-RICHARDSON_TOL = 1e-8
-
-
-# ---------------------------------------------------------------------------
-# Structure constants of the Pauli-basis von Neumann equation
-
-
-@lru_cache(maxsize=1)
-def _structure_table() -> np.ndarray:
-    """(15, 15, 15) table T with dc_a/dt = sum_b h_b sum_g T[a,b,g] c_g."""
-    t = np.zeros((15, 15, 15))
-    strings = [PauliString(1, lab[0], lab[1]) for lab in TWO_QUBIT_LABELS]
-    for b, pb in enumerate(strings):
-        for g, pg in enumerate(strings):
-            if pb.commutes_with(pg):
-                continue
-            prod = pauli_multiply(pb, pg)
-            a = IDX[prod.factor1 + prod.factor2]
-            # [P_b, P_g] = 2 P_b P_g for anticommuting strings; the phase
-            # is +-i there, so the coefficient -2i*phase is real.
-            t[a, b, g] = float(np.real(-2j * prod.phase))
-    return t
-
-
-def structure_constants() -> np.ndarray:
-    """Commutator table reproducing d rho/dt = -i[H, rho] in the Pauli basis."""
-    return _structure_table().copy()
-
-
-@lru_cache(maxsize=16)
-def _drift_and_drive_generators(p: SystemParams):
-    """15x15 real generators: dc/dt = (A0 + u1*M1 + u2*M2) c."""
-    t = _structure_table()
-    a0 = 0.5 * p.w1z * t[:, IDX["ZI"], :] \
-        + 0.5 * p.w2z * t[:, IDX["IZ"], :] \
-        + 0.5 * p.wxx * t[:, IDX["XX"], :]
-    m1 = t[:, IDX["XI"], :].copy()
-    m2 = t[:, IDX["IX"], :].copy()
-    return np.ascontiguousarray(a0), np.ascontiguousarray(m1), np.ascontiguousarray(m2)
-
-
-def _hamiltonian_4x4_parts(p: SystemParams):
-    drift = 0.5 * p.w1z * _BASIS[IDX["ZI"]] \
-        + 0.5 * p.w2z * _BASIS[IDX["IZ"]] \
-        + 0.5 * p.wxx * _BASIS[IDX["XX"]]
-    return drift, _BASIS[IDX["XI"]], _BASIS[IDX["IX"]]
+def _check_device(p: SystemParams, seq: PulseSequence) -> None:
+    if p != seq.params:
+        raise ValueError(f"{p} is not the device the sequence was built for, {seq.params}")
 
 
 # ---------------------------------------------------------------------------
-# Time grid helpers
+# Time grid and Hamiltonian sampling
 
 
-def _breakpoints(p: SystemParams, seq: PulseSequence, spacing: float) -> np.ndarray:
+def _breakpoints(p: SystemParams, seq: PulseSequence) -> np.ndarray:
+    """Segment edges, flips and a uniform grid of spacing t0_sync/8."""
+    spacing = p.t0_sync / 8.0
     pts = {0.0, seq.total_time}
     for seg in seq.segments:
         pts.add(seg.start)
@@ -256,85 +205,69 @@ def _breakpoints(p: SystemParams, seq: PulseSequence, spacing: float) -> np.ndar
     return np.asarray(dedup)
 
 
-def _interval_drive(seq: PulseSequence, a: float, b: float, tg: np.ndarray):
-    """In-phase/quadrature amplitudes on [a, b], where no envelope
-    discontinuity lies strictly inside the interval.  Segment activity and
-    flip signs are decided at the interval midpoint so that values at the
-    interval endpoints take the correct one-sided limit."""
-    mid = 0.5 * (a + b)
-    amps = [np.zeros_like(tg) for _ in range(4)]
-    for seg in seq.segments:
-        if not (seg.start <= mid <= seg.end):
-            continue
-        tau = np.clip(tg - seg.start, 0.0, seg.duration)
-        env = seg.envelope.scale(tau, seg.duration)
-        flip1 = flip2 = 1.0
-        if seg.flip_at is not None and mid >= seg.flip_at:
-            if seg.flip_qubit == 1:
-                flip1 = -1.0
-            else:
-                flip2 = -1.0
-        amps[0] += env * (flip1 * seg.amp_x_1)
-        amps[1] += env * (flip1 * seg.amp_y_1)
-        amps[2] += env * (flip2 * seg.amp_x_2)
-        amps[3] += env * (flip2 * seg.amp_y_2)
-    return amps
-
-
-def _carrier_mixed(p: SystemParams, seq: PulseSequence, a: float, b: float, tg: np.ndarray):
-    ax1, ay1, ax2, ay2 = _interval_drive(seq, a, b, tg)
-    u1 = ax1 * np.cos(p.w1z * tg) + ay1 * np.sin(p.w1z * tg)
-    u2 = ax2 * np.cos(p.w2z * tg) + ay2 * np.sin(p.w2z * tg)
-    return u1, u2
-
-
-# ---------------------------------------------------------------------------
-# RK4 kernels (numba-jitted when available; same source otherwise)
-
-
-def _rk4_real_kernel(c, a0, m1, m2, u1, u2, h, n):
-    for i in range(n):
-        j = 2 * i
-        fa = a0 + u1[j] * m1 + u2[j] * m2
-        fm = a0 + u1[j + 1] * m1 + u2[j + 1] * m2
-        fb = a0 + u1[j + 2] * m1 + u2[j + 2] * m2
-        k1 = fa @ c
-        k2 = fm @ (c + 0.5 * h * k1)
-        k3 = fm @ (c + 0.5 * h * k2)
-        k4 = fb @ (c + h * k3)
-        c = c + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return c
-
-
-def _rk4_complex_kernel(u, hd, x1, x2, u1, u2, h, n):
-    for i in range(n):
-        j = 2 * i
-        fa = hd + u1[j] * x1 + u2[j] * x2
-        fm = hd + u1[j + 1] * x1 + u2[j + 1] * x2
-        fb = hd + u1[j + 2] * x1 + u2[j + 2] * x2
-        k1 = -1j * (fa @ u)
-        k2 = -1j * (fm @ (u + 0.5 * h * k1))
-        k3 = -1j * (fm @ (u + 0.5 * h * k2))
-        k4 = -1j * (fb @ (u + h * k3))
-        u = u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return u
-
-
-def _conjugate_chain_kernel(rho, props):
-    for i in range(props.shape[0]):
-        u = props[i]
-        rho = u @ rho @ u.conj().T
-    return rho
-
-
-_rk4_real = _jit(_rk4_real_kernel)
-_rk4_complex = _jit(_rk4_complex_kernel)
-_conjugate_chain = _jit(_conjugate_chain_kernel)
-
-
 def _interval_steps(a: float, b: float, h_target: float) -> tuple[int, float]:
     n = max(1, int(math.ceil((b - a) / h_target - 1e-9)))
     return n, (b - a) / n
+
+
+def _hamiltonians(p: SystemParams, seq: PulseSequence, a: float, b: float,
+                  tg: np.ndarray) -> np.ndarray:
+    """H(t) for the times tg in [a, b], shape (tg.size, 4, 4).
+
+    No envelope discontinuity lies strictly inside [a, b], so segment
+    activity and flip signs are decided at the interval midpoint and the
+    samples at a and b take the one-sided limit from inside the interval.
+    """
+    ax1, ay1, ax2, ay2 = drive_amplitudes_at(seq, tg, mid=0.5 * (a + b))
+    u1 = ax1 * np.cos(p.w1z * tg) + ay1 * np.sin(p.w1z * tg)
+    u2 = ax2 * np.cos(p.w2z * tg) + ay2 * np.sin(p.w2z * tg)
+    drift = 0.5 * p.w1z * _BASIS[IDX["ZI"]] \
+        + 0.5 * p.w2z * _BASIS[IDX["IZ"]] \
+        + 0.5 * p.wxx * _BASIS[IDX["XX"]]
+    x1, x2 = _BASIS[IDX["XI"]], _BASIS[IDX["IX"]]
+    return drift + u1[:, None, None] * x1 + u2[:, None, None] * x2
+
+
+# ---------------------------------------------------------------------------
+# RK4 propagator route
+
+
+def _rk4_steps(f: np.ndarray, h: float) -> np.ndarray:
+    """RK4 step matrices S = I + h/6 (K1 + 2 K2 + 2 K3 + K4) of dU/dt = F U,
+    with K1 = F_a, K2 = F_m (I + h/2 K1), K3 = F_m (I + h/2 K2) and
+    K4 = F_b (I + h K3), from F = -iH on the half-step grid (2n + 1 times)."""
+    fa, fm, fb = f[0:-1:2], f[1::2], f[2::2]
+    k2 = fm + (0.5 * h) * (fm @ fa)
+    k3 = fm + (0.5 * h) * (fm @ k2)
+    k4 = fb + h * (fb @ k3)
+    return np.eye(4) + (h / 6.0) * (fa + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _time_ordered_product(mats: np.ndarray) -> np.ndarray:
+    """mats[-1] @ ... @ mats[0], by pairwise batched products."""
+    while len(mats) > 1:
+        n = len(mats)
+        paired = mats[1:n:2] @ mats[0:n - 1:2]
+        mats = np.concatenate([paired, mats[n - 1:]]) if n % 2 else paired
+    return mats[0]
+
+
+def _running_propagators(p: SystemParams, seq: PulseSequence,
+                         dt_policy: StepPolicy | None) -> tuple[np.ndarray, np.ndarray]:
+    """Breakpoints t_k and the propagators U(t_k) from time 0 to each.
+    One batch per interval bounds the memory by the longest interval."""
+    _check_device(p, seq)
+    h_target = (dt_policy or StepPolicy()).step_target(p)
+    bps = _breakpoints(p, seq)
+    us = np.empty((bps.size, 4, 4), dtype=complex)
+    us[0] = np.eye(4)
+    for k in range(bps.size - 1):
+        a, b = bps[k], bps[k + 1]
+        n, h = _interval_steps(a, b, h_target)
+        tg = a + 0.5 * h * np.arange(2 * n + 1)
+        steps = _rk4_steps(-1j * _hamiltonians(p, seq, a, b, tg), h)
+        us[k + 1] = _time_ordered_product(steps) @ us[k]
+    return bps, us
 
 
 # ---------------------------------------------------------------------------
@@ -347,43 +280,20 @@ def evolve(
     rho0: DensityState,
     dt_policy: StepPolicy | None = None,
 ) -> Trajectory:
-    """Fixed-step RK4 integration of the 15 Pauli-coefficient ODEs.
+    """Fixed-step RK4 evolution of rho0 through the propagator route.
 
-    Samples at every segment boundary and flip point plus a uniform
-    thinning grid.  Deterministic: identical inputs yield bit-identical
-    trajectories.
+    Samples at every segment boundary and flip point plus a uniform grid
+    of spacing t0_sync/8.  The state at time t is U rho0 U^dagger divided
+    by its trace, U = U(t), since RK4 is not exactly unitary.
+    Deterministic: identical inputs yield bit-identical trajectories.
+    Raises ValueError if ``p`` is not ``seq.params``.
     """
-    policy = dt_policy or StepPolicy()
     rho0.validate()
-    a0, m1, m2 = _drift_and_drive_generators(p)
-    h_target = policy.step_target(p)
-    bps = _breakpoints(p, seq, policy.spacing(p))
-    states = np.empty((bps.size, 15))
-    c = rho0.c.copy()
-    states[0] = c
-    for k in range(bps.size - 1):
-        a, b = bps[k], bps[k + 1]
-        n, h = _interval_steps(a, b, h_target)
-        tg = a + 0.5 * h * np.arange(2 * n + 1)
-        u1, u2 = _carrier_mixed(p, seq, a, b, tg)
-        if policy.richardson_check:
-            _richardson_probe(c, a0, m1, m2, p, seq, a, b, n, h)
-        c = _rk4_real(c, a0, m1, m2, u1, u2, h, n)
-        states[k + 1] = c
-    return Trajectory(times=bps, coeffs=states, frame="lab")
-
-
-def _richardson_probe(c, a0, m1, m2, p, seq, a, b, n, h):
-    k = min(n, 8)
-    tg = a + 0.25 * h * np.arange(4 * k + 1)
-    u1f, u2f = _carrier_mixed(p, seq, a, b, tg)
-    coarse = _rk4_real(c.copy(), a0, m1, m2, u1f[::2], u2f[::2], h, k)
-    fine = _rk4_real(c.copy(), a0, m1, m2, u1f, u2f, 0.5 * h, 2 * k)
-    err = float(np.max(np.abs(coarse - fine))) / (k * h)
-    if err > RICHARDSON_TOL:
-        raise StepTooCoarse(
-            f"local error estimate {err:.3e}/unit time exceeds {RICHARDSON_TOL}"
-        )
+    bps, us = _running_propagators(p, seq, dt_policy)
+    rhos = us @ rho0.to_matrix() @ us.conj().transpose(0, 2, 1)
+    rhos /= np.trace(rhos, axis1=1, axis2=2).real[:, None, None]
+    coeffs = np.real(np.einsum("aij,nji->na", _BASIS, rhos))
+    return Trajectory(times=bps, coeffs=coeffs, frame="lab")
 
 
 def propagator_of_sequence(
@@ -393,18 +303,8 @@ def propagator_of_sequence(
 ) -> np.ndarray:
     """Lab-frame unitary of the full sequence (RK4 on the Schrodinger
     equation for the propagator).  Raises StepTooCoarse if the unitarity
-    defect exceeds 1e-9."""
-    policy = dt_policy or StepPolicy()
-    hd, x1, x2 = _hamiltonian_4x4_parts(p)
-    h_target = policy.step_target(p)
-    bps = _breakpoints(p, seq, policy.spacing(p))
-    u = np.eye(4, dtype=complex)
-    for k in range(bps.size - 1):
-        a, b = bps[k], bps[k + 1]
-        n, h = _interval_steps(a, b, h_target)
-        tg = a + 0.5 * h * np.arange(2 * n + 1)
-        u1, u2 = _carrier_mixed(p, seq, a, b, tg)
-        u = _rk4_complex(u, hd, x1, x2, u1.astype(complex), u2.astype(complex), h, n)
+    defect exceeds 1e-9, and ValueError if ``p`` is not ``seq.params``."""
+    u = _running_propagators(p, seq, dt_policy)[1][-1]
     defect = float(np.max(np.abs(u @ u.conj().T - np.eye(4))))
     if defect > 1e-9:
         raise StepTooCoarse(f"unitarity defect {defect:.3e} exceeds 1e-9")
@@ -424,8 +324,14 @@ def _expm_batch(mats: np.ndarray, h: float) -> np.ndarray:
     return np.einsum("nij,nj,nkj->nik", vec, phases, vec.conj())
 
 
+def _conjugate_chain(rho: np.ndarray, props: np.ndarray) -> np.ndarray:
+    """rho conjugated by each substep propagator in turn."""
+    for u in props:
+        rho = u @ rho @ u.conj().T
+    return rho
+
+
 def _oracle_pass(p, seq, rho0_mat, bps, h_target):
-    hd, x1, x2 = _hamiltonian_4x4_parts(p)
     states = np.empty((bps.size, 15))
     states[0] = DensityState.from_matrix(rho0_mat).c
     rho = rho0_mat
@@ -433,16 +339,12 @@ def _oracle_pass(p, seq, rho0_mat, bps, h_target):
         a, b = bps[k], bps[k + 1]
         n, h = _interval_steps(a, b, h_target)
         base = a + h * np.arange(n)
-        t1 = base + (0.5 - _GAUSS_SHIFT) * h
-        t2 = base + (0.5 + _GAUSS_SHIFT) * h
-        u1a, u2a = _carrier_mixed(p, seq, a, b, t1)
-        u1b, u2b = _carrier_mixed(p, seq, a, b, t2)
-        h1 = hd + u1a[:, None, None] * x1 + u2a[:, None, None] * x2
-        h2 = hd + u1b[:, None, None] * x1 + u2b[:, None, None] * x2
+        h1 = _hamiltonians(p, seq, a, b, base + (0.5 - _GAUSS_SHIFT) * h)
+        h2 = _hamiltonians(p, seq, a, b, base + (0.5 + _GAUSS_SHIFT) * h)
         ea = _expm_batch(_CF4_PLUS * h1 + _CF4_MINUS * h2, h)
         eb = _expm_batch(_CF4_MINUS * h1 + _CF4_PLUS * h2, h)
         props = np.einsum("nij,njk->nik", eb, ea)  # eb acts after ea
-        rho = _conjugate_chain(rho, np.ascontiguousarray(props))
+        rho = _conjugate_chain(rho, props)
         states[k + 1] = np.real(np.einsum("aij,ji->a", _BASIS, rho))
     return states, rho
 
@@ -452,29 +354,29 @@ def evolve_oracle(
     seq: PulseSequence,
     rho0: DensityState,
     substeps: int = 64,
-    sample_spacing: float | None = None,
     max_doublings: int = 6,
 ) -> Trajectory:
     """Piecewise-exponential propagator oracle, independent of the RK4 route.
 
     ``substeps`` is the initial substep count per smallest carrier period;
     it is doubled until two successive final states agree to trace
-    distance < 1e-9, else NoConvergence is raised.
+    distance < 1e-9, else NoConvergence is raised.  Samples fall on the
+    same breakpoints as ``evolve``.  Raises ValueError if ``p`` is not
+    ``seq.params``.
     """
+    _check_device(p, seq)
     rho0.validate()
-    spacing = sample_spacing if sample_spacing else p.t0_sync / 8.0
-    bps = _breakpoints(p, seq, spacing)
+    bps = _breakpoints(p, seq)
     period = 2.0 * math.pi / max(p.w1z, p.w2z)
     rho0_mat = rho0.to_matrix()
     prev_final = None
-    prev_states = None
     n = substeps
     for _ in range(max_doublings + 1):
         states, final = _oracle_pass(p, seq, rho0_mat, bps, period / n)
         if prev_final is not None:
             if trace_distance_matrices(final, prev_final) < 1e-9:
                 return Trajectory(times=bps, coeffs=states, frame="lab")
-        prev_final, prev_states = final, states
+        prev_final = final
         n *= 2
     raise NoConvergence(
         f"oracle final state did not converge after {max_doublings} doublings"
@@ -492,23 +394,20 @@ def frame_unitary(p: SystemParams, t: float) -> np.ndarray:
     return np.diag(np.exp(1j * np.array([ph1 + ph2, ph1 - ph2, -ph1 + ph2, -ph1 - ph2])))
 
 
-_frame_unitary = frame_unitary
-
-
 def to_rotating_frame(obj, p: SystemParams, t: float | None = None):
     """Transform a DensityState (at explicit time t) or a lab-frame
     Trajectory into the frame rotating at (w1z, w2z)."""
     if isinstance(obj, DensityState):
         if t is None:
             raise ValueError("a bare state needs an explicit time")
-        v = _frame_unitary(p, t)
+        v = frame_unitary(p, t)
         return DensityState.from_matrix(v @ obj.to_matrix() @ v.conj().T)
     if isinstance(obj, Trajectory):
         if obj.frame != "lab":
             raise WrongFrame(f"expected a lab-frame trajectory, got {obj.frame!r}")
         coeffs = np.empty_like(obj.coeffs)
         for i, t_i in enumerate(obj.times):
-            v = _frame_unitary(p, float(t_i))
+            v = frame_unitary(p, float(t_i))
             rho = DensityState(obj.coeffs[i]).to_matrix()
             coeffs[i] = np.real(np.einsum("aij,ji->a", _BASIS, v @ rho @ v.conj().T))
         return Trajectory(times=obj.times, coeffs=coeffs, frame="rotating")

@@ -46,6 +46,18 @@ IDX = {lab: i for i, lab in enumerate(TWO_QUBIT_LABELS)}
 GRID_RTOL = 1e-9
 
 
+def _require_finite(**values) -> None:
+    for name, value in values.items():
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
+def _coupling_exceeds(p: SystemParams, ratio: float) -> bool:
+    """wxx > ratio*delta, with relative slack GRID_RTOL so that a nominal
+    ratio of exactly ``ratio`` does not count when w1z - w2z rounds down."""
+    return p.wxx > ratio * p.delta * (1.0 + GRID_RTOL)
+
+
 @dataclass(frozen=True)
 class SystemParams:
     """Fixed circuit frequencies; qubit 1 is the higher-frequency qubit."""
@@ -55,18 +67,17 @@ class SystemParams:
     wxx: float
 
     def __post_init__(self):
+        _require_finite(w1z=self.w1z, w2z=self.w2z, wxx=self.wxx)
         if self.delta <= 0:
             raise ValueError("require w1z > w2z (delta > 0)")
         if self.wxx < 0:
             raise ValueError("wxx must be non-negative")
-        if self.wxx > 0.5 * self.delta:
+        if _coupling_exceeds(self, 0.5):
             raise ValueError(
                 f"wxx={self.wxx} exceeds 0.5*delta={0.5 * self.delta}; "
                 "the coupling must stay well below the detuning"
             )
-        # relative slack so that a nominal ratio of exactly 0.2 does not warn
-        # when w1z - w2z happens to round down
-        if self.wxx > 0.2 * self.delta * (1.0 + GRID_RTOL):
+        if _coupling_exceeds(self, 0.2):
             warnings.warn(
                 f"wxx/delta = {self.wxx / self.delta:.3f} > 0.2; residual "
                 "entanglement at rest may be significant",
@@ -101,6 +112,7 @@ class Envelope:
     rise: float = 0.0
 
     def __post_init__(self):
+        _require_finite(rise=self.rise)
         if self.kind not in ("square", "raised-cosine-ramp"):
             raise ValueError(f"unknown envelope kind {self.kind!r}")
         if self.kind == "square" and self.rise != 0.0:
@@ -141,6 +153,11 @@ class PulseSegment:
     label: str = ""
 
     def __post_init__(self):
+        _require_finite(
+            start=self.start, duration=self.duration,
+            amp_x_1=self.amp_x_1, amp_y_1=self.amp_y_1,
+            amp_x_2=self.amp_x_2, amp_y_2=self.amp_y_2, flip_at=self.flip_at,
+        )
         if self.duration <= 0:
             raise ValueError("duration must be positive")
         if self.flip_at is not None:
@@ -177,6 +194,9 @@ class PulseSequence:
     total_time: float = 0.0
 
     def __post_init__(self):
+        _require_finite(total_time=self.total_time)
+        for _, angle, t in self.virtual_z:
+            _require_finite(angle=angle, t=t)
         starts = [seg.start for seg in self.segments]
         if starts != sorted(starts):
             raise ValueError("segments must be sorted by start time")
@@ -204,20 +224,29 @@ def on_sync_grid(p: SystemParams, t: float) -> bool:
     return abs(t - m * p.t0_sync) <= GRID_RTOL * max(abs(t), p.t0_sync)
 
 
-def drive_amplitudes_at(seq: PulseSequence, t):
+def drive_amplitudes_at(seq: PulseSequence, t, mid: float | None = None):
     """Envelope-scaled, flip-signed amplitudes (ax1, ay1, ax2, ay2) at time t.
 
     Vectorized over t.  Segments never overlap per channel, so summing the
-    per-segment contributions is exact.
+    per-segment contributions is exact.  Segment activity and flip signs
+    are decided at each t, or, when ``mid`` is given, at ``mid`` for every
+    t.  Sampling an interval with no envelope discontinuity strictly inside
+    it with ``mid`` at its midpoint gives its end points the one-sided
+    limit from inside the interval.
     """
     t = np.asarray(t, dtype=float)
+    ref = t if mid is None else mid
     amps = [np.zeros_like(t) for _ in range(4)]
     for seg in seq.segments:
         tau = t - seg.start
+        if mid is not None:
+            if not seg.start <= mid <= seg.end:
+                continue
+            tau = np.clip(tau, 0.0, seg.duration)
         env = seg.envelope.scale(tau, seg.duration)
         flip1 = flip2 = 1.0
         if seg.flip_at is not None:
-            post = np.where(t >= seg.flip_at, -1.0, 1.0)
+            post = np.where(ref >= seg.flip_at, -1.0, 1.0)
             if seg.flip_qubit == 1:
                 flip1 = post
             else:
@@ -272,7 +301,7 @@ def validate_sequence(p: SystemParams, seq: PulseSequence) -> list[Diagnostic]:
                     "error",
                     f"segments {i0} and {i1} overlap on qubit {q}",
                 ))
-    if p.wxx > 0.2 * p.delta:
+    if _coupling_exceeds(p, 0.2):
         out.append(Diagnostic(
             "warning",
             f"wxx/delta = {p.wxx / p.delta:.3f} exceeds 0.2",

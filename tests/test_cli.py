@@ -96,6 +96,32 @@ def test_simulate_bad_state_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+def test_simulate_non_finite_amplitude_exits_2(tmp_path, capsys):
+    _, seq_json, _ = run(capsys, "compile", "x90")
+    seq_file = tmp_path / "x90.json"
+    seq_file.write_text(seq_json.replace('"y": 0.0', '"y": NaN', 1))
+    assert "NaN" in seq_file.read_text()
+    code, _, err = run(
+        capsys, "simulate", str(seq_file), "--out", str(tmp_path / "t.csv"),
+    )
+    assert code == 2
+    assert "finite" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("simulate", "seq.json", "--out", "t.csv", "--steps-per-period", "0"),
+    ("simulate", "seq.json", "--out", "t.csv", "--steps-per-period", "-5"),
+    ("fidelity", "seq.json", "--word", "X1^1/2", "--steps-per-period", "0"),
+    ("sweep", "grid.json", "--metric", "d_concurrence", "--steps-per-period", "-5"),
+    ("sweep", "grid.json", "--metric", "d_concurrence", "--jobs", "0"),
+])
+def test_non_positive_counts_exit_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert "positive integer" in capsys.readouterr().err
+
+
 def test_simulate_bad_csv_path_exits_4(tmp_path, capsys):
     _, seq_json, _ = run(capsys, "compile", "x90")
     seq_file = tmp_path / "x90.json"

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from flicforq.integrator import (
     DensityState,
@@ -13,13 +14,18 @@ from flicforq.integrator import (
     evolve,
     evolve_oracle,
     propagator_of_sequence,
-    structure_constants,
     to_rotating_frame,
     trace_distance,
     write_trajectory_csv,
 )
-from flicforq.integrator import IDX, _BASIS
-from flicforq.model import DEFAULT_PARAMS, PulseSegment, PulseSequence, SystemParams
+from flicforq.integrator import IDX, _BASIS, _breakpoints, _expm_batch, _interval_steps
+from flicforq.model import (
+    DEFAULT_PARAMS,
+    PulseSegment,
+    PulseSequence,
+    SystemParams,
+    drive_amplitudes_at,
+)
 
 QUICK = StepPolicy(steps_per_period=300)
 
@@ -57,31 +63,6 @@ def test_product_bloch():
     assert np.vdot(psi, rho @ psi).real == pytest.approx(1.0)
 
 
-def test_structure_constants_single_spin():
-    t = structure_constants()
-    # sigma_z1-only Hamiltonian: c(X1) feeds only c(Y1) at rate |w1z|
-    col = t[:, IDX["ZI"], IDX["XI"]]
-    assert col[IDX["YI"]] == pytest.approx(2.0)
-    assert np.count_nonzero(col) == 1
-    # identity-only H has no generator row at all: T is the full table,
-    # the identity string is simply absent from the basis
-    assert t.shape == (15, 15, 15)
-
-
-def test_structure_constants_match_commutator():
-    rng = np.random.default_rng(5)
-    t = structure_constants()
-    for _ in range(10):
-        h = rng.normal(size=15)
-        c = rng.normal(size=15)
-        hmat = np.einsum("b,bij->ij", h, _BASIS)
-        rho = (np.eye(4) + np.einsum("g,gij->ij", c, _BASIS)) / 4.0
-        dc = np.einsum("abg,b,g->a", t, h, c)
-        drho = np.einsum("a,aij->ij", dc, _BASIS) / 4.0
-        oracle = -1j * (hmat @ rho - rho @ hmat)
-        assert np.max(np.abs(drho - oracle)) < 1e-13
-
-
 def test_diagonal_state_stationary_without_drive():
     p = SystemParams(w1z=1.05, w2z=0.95, wxx=0.0)
     seq = PulseSequence(params=p, total_time=50.0)
@@ -107,6 +88,7 @@ def test_pi_half_pulse_rotates_bloch():
 def test_evolve_matches_oracle_short():
     rng = np.random.default_rng(9)
     p = DEFAULT_PARAMS
+    cases = []
     for _ in range(3):
         seg = PulseSegment(
             start=0.0,
@@ -114,13 +96,81 @@ def test_evolve_matches_oracle_short():
             amp_y_1=float(rng.uniform(-0.05, 0.05)),
             amp_x_2=float(rng.uniform(-0.05, 0.05)),
         )
-        seq = PulseSequence(params=p, segments=(seg,))
-        rho0 = random_state(rng)
+        cases.append((PulseSequence(params=p, segments=(seg,)), random_state(rng)))
+    # a refocusing flip, then an abutting segment on the same channel: the
+    # samples at the flip and at the shared edge must take the one-sided
+    # limit from inside each interval
+    segs = (
+        PulseSegment(start=0.0, duration=20.0, amp_y_1=0.04, amp_x_2=0.03,
+                     flip_at=9.0, flip_qubit=1),
+        PulseSegment(start=20.0, duration=12.0, amp_x_1=-0.03),
+    )
+    cases.append((PulseSequence(params=p, segments=segs), random_state(rng)))
+    for seq, rho0 in cases:
         t1 = evolve(p, seq, rho0, StepPolicy(steps_per_period=800))
         t2 = evolve_oracle(p, seq, rho0)
         assert t1.times.shape == t2.times.shape
         for i in range(t1.times.size):
             assert trace_distance(t1.state(i), t2.state(i)) < 1e-7
+
+
+def test_step_product_matches_sequential_rk4():
+    # the batched step matrices and their pairwise product against the
+    # plain RK4 loop on the propagator, one step at a time
+    p = DEFAULT_PARAMS
+    seg = PulseSegment(start=0.0, duration=12.0, amp_y_1=0.04, amp_x_2=-0.03,
+                       flip_at=5.0, flip_qubit=2)
+    seq = PulseSequence(params=p, segments=(seg,), total_time=15.0)
+    hd = 0.5 * p.w1z * _BASIS[IDX["ZI"]] + 0.5 * p.w2z * _BASIS[IDX["IZ"]] \
+        + 0.5 * p.wxx * _BASIS[IDX["XX"]]
+
+    def f(t, mid):
+        ax1, ay1, ax2, ay2 = drive_amplitudes_at(seq, t, mid=mid)
+        u1 = ax1 * math.cos(p.w1z * t) + ay1 * math.sin(p.w1z * t)
+        u2 = ax2 * math.cos(p.w2z * t) + ay2 * math.sin(p.w2z * t)
+        return -1j * (hd + u1 * _BASIS[IDX["XI"]] + u2 * _BASIS[IDX["IX"]])
+
+    u = np.eye(4, dtype=complex)
+    bps = _breakpoints(p, seq)
+    for a, b in zip(bps[:-1], bps[1:]):
+        n, h = _interval_steps(a, b, QUICK.step_target(p))
+        mid = 0.5 * (a + b)
+        for j in range(n):
+            t = a + j * h
+            k1 = f(t, mid) @ u
+            k2 = f(t + 0.5 * h, mid) @ (u + 0.5 * h * k1)
+            k3 = f(t + 0.5 * h, mid) @ (u + 0.5 * h * k2)
+            k4 = f(t + h, mid) @ (u + h * k3)
+            u = u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    assert np.max(np.abs(propagator_of_sequence(p, seq, QUICK) - u)) < 1e-12
+
+
+def test_expm_batch_matches_scipy():
+    rng = np.random.default_rng(8)
+    a = rng.normal(size=(6, 4, 4)) + 1j * rng.normal(size=(6, 4, 4))
+    mats = a + a.conj().transpose(0, 2, 1)
+    got = _expm_batch(mats, 0.37)
+    for m, e in zip(mats, got):
+        assert np.max(np.abs(e - scipy.linalg.expm(-0.37j * m))) < 1e-12
+
+
+def test_wrong_device_rejected():
+    p = DEFAULT_PARAMS
+    other = SystemParams(w1z=1.05, w2z=0.95, wxx=0.005)
+    seq = PulseSequence(params=p, total_time=5.0)
+    rho0 = DensityState.computational("00")
+    with pytest.raises(ValueError, match="device"):
+        evolve(other, seq, rho0, QUICK)
+    with pytest.raises(ValueError, match="device"):
+        propagator_of_sequence(other, seq, QUICK)
+    with pytest.raises(ValueError, match="device"):
+        evolve_oracle(other, seq, rho0)
+
+
+def test_step_policy_rejects_non_positive():
+    for steps in (0, -5):
+        with pytest.raises(ValueError):
+            StepPolicy(steps_per_period=steps)
 
 
 def test_oracle_zero_duration():

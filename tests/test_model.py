@@ -48,6 +48,29 @@ def test_params_validation():
         warnings.simplefilter("error")
         SystemParams(w1z=1.025, w2z=0.975, wxx=0.01)
         SystemParams(w1z=1.05, w2z=0.95, wxx=0.02)
+    # likewise a nominal ratio of exactly 0.5 is accepted either way
+    with pytest.warns(UserWarning):
+        SystemParams(w1z=1.025, w2z=0.975, wxx=0.025)
+    with pytest.warns(UserWarning):
+        SystemParams(w1z=1.05, w2z=0.95, wxx=0.05)
+
+
+def test_non_finite_rejected():
+    bad = (math.nan, math.inf, -math.inf)
+    for x in bad:
+        for kw in ({"w1z": x}, {"w2z": x}, {"wxx": x}):
+            with pytest.raises(ValueError, match="finite"):
+                SystemParams(**{"w1z": 1.05, "w2z": 0.95, "wxx": 0.01, **kw})
+        for kw in ({"start": x}, {"duration": x}, {"amp_x_1": x}, {"amp_y_1": x},
+                   {"amp_x_2": x}, {"amp_y_2": x}, {"flip_at": x, "flip_qubit": 1}):
+            with pytest.raises(ValueError, match="finite"):
+                PulseSegment(**{"start": 0.0, "duration": 10.0, **kw})
+        with pytest.raises(ValueError, match="finite"):
+            Envelope(kind="raised-cosine-ramp", rise=x)
+        with pytest.raises(ValueError, match="finite"):
+            PulseSequence(params=DEFAULT_PARAMS, total_time=x)
+        with pytest.raises(ValueError, match="finite"):
+            PulseSequence(params=DEFAULT_PARAMS).with_virtual_z(1, x, 0.0)
 
 
 def test_sync_time_values():
@@ -164,8 +187,15 @@ def test_envelope_raised_cosine():
 
 
 def test_validate_empty_sequence():
-    p = DEFAULT_PARAMS
-    assert validate_sequence(p, PulseSequence(params=p)) == []
+    # the nominal-0.2 devices get no ratio warning, however delta rounds
+    for p in (DEFAULT_PARAMS, SystemParams(w1z=1.025, w2z=0.975, wxx=0.01),
+              SystemParams(w1z=1.05, w2z=0.95, wxx=0.02)):
+        assert validate_sequence(p, PulseSequence(params=p)) == []
+    with pytest.warns(UserWarning):
+        p = SystemParams(w1z=1.05, w2z=0.95, wxx=0.03)
+    diags = validate_sequence(p, PulseSequence(params=p))
+    assert [d.severity for d in diags] == ["warning"]
+    assert "exceeds 0.2" in diags[0].message
 
 
 def test_validate_off_grid_two_qubit_pulse():
