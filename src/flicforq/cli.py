@@ -69,7 +69,7 @@ def _load_params(path: str | None) -> SystemParams:
     try:
         with open(path) as fh:
             return params_from_json(fh.read())
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"cannot read params file {path}: {exc}") from exc
 
 

@@ -72,6 +72,8 @@ class DensityState:
         c = np.asarray(self.c, dtype=float)
         if c.shape != (15,):
             raise ValueError("need exactly 15 coefficients")
+        if not np.all(np.isfinite(c)):
+            raise ValueError("Pauli coefficients must be finite")
         object.__setattr__(self, "c", c)
 
     @classmethod

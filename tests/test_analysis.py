@@ -1,7 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flicforq.analysis import (
     FidelityReport,
@@ -17,6 +20,7 @@ from flicforq.analysis import (
     sideband_check,
     state_fidelity,
 )
+from flicforq.analysis import _align_phases
 from flicforq.integrator import DensityState, StepPolicy
 from flicforq.model import DEFAULT_PARAMS, PulseSequence, SystemParams
 from flicforq.pauli import PauliString, RotationWord, build_cnot_word, word_unitary
@@ -144,6 +148,127 @@ def test_gate_fidelity_aligns_inverse_xx_root():
 def test_gate_fidelity_not_unitary():
     with pytest.raises(NotUnitary):
         gate_fidelity(0.5 * np.eye(4), build_cnot_word())
+    for bad in (np.nan, np.inf):
+        u = np.eye(4, dtype=complex)
+        u[1, 2] = bad
+        with pytest.raises(NotUnitary):
+            gate_fidelity(u, build_cnot_word())
+
+
+def z_diag(phi1, phi2):
+    """Diagonal of exp(i*(phi1*Z1 + phi2*Z2)/2) on |00>, |01>, |10>, |11>."""
+    return np.exp(0.5j * np.array([phi1 + phi2, phi1 - phi2, -phi1 + phi2, -phi1 - phi2]))
+
+
+def sequential_align(u_ideal, u_sim):
+    # the phase search one start, one coordinate and one 4x4 trace at a time
+    uid = u_ideal.conj().T
+    halves = (
+        (np.diag([1.0, 1.0, 0.0, 0.0]), np.diag([0.0, 0.0, 1.0, 1.0])),
+        (np.diag([1.0, 0.0, 1.0, 0.0]), np.diag([0.0, 1.0, 0.0, 1.0])),
+    )
+
+    def trace_of(ph):
+        return np.trace(uid @ np.diag(z_diag(ph[0], ph[1])) @ u_sim
+                        @ np.diag(z_diag(ph[2], ph[3])))
+
+    best_ph = np.zeros(4)
+    best_f = -1.0
+    for start in itertools.product((0.0, math.pi), repeat=4):
+        ph = np.array(start)
+        prev = -1.0
+        for _ in range(200):
+            for k in range(4):
+                side, q = divmod(k, 2)
+                plus, minus = halves[q]
+                rest = ph.copy()
+                rest[k] = 0.0
+                zl = np.diag(z_diag(rest[0], rest[1]))
+                zr = np.diag(z_diag(rest[2], rest[3]))
+                if side == 0:
+                    a = np.trace(uid @ zl @ plus @ u_sim @ zr)
+                    b = np.trace(uid @ zl @ minus @ u_sim @ zr)
+                else:
+                    a = np.trace(uid @ zl @ u_sim @ zr @ plus)
+                    b = np.trace(uid @ zl @ u_sim @ zr @ minus)
+                if abs(a) > 1e-300 and abs(b) > 1e-300:
+                    ph[k] = float(np.angle(b) - np.angle(a))
+            f = abs(trace_of(ph)) ** 2 / 16.0
+            if abs(f - prev) < 1e-12:
+                break
+            prev = f
+        if f > best_f:
+            best_f = f
+            best_ph = ph.copy()
+    return best_ph, best_f
+
+
+def random_unitaries(seed, n):
+    rng = np.random.default_rng(seed)
+    z = rng.normal(size=(n, 4, 4)) + 1j * rng.normal(size=(n, 4, 4))
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r, axis1=1, axis2=2)
+    return q * (d / np.abs(d))[:, np.newaxis, :]
+
+
+def with_z_phases(u, ph):
+    return z_diag(ph[0], ph[1])[:, np.newaxis] * u * z_diag(ph[2], ph[3])
+
+
+def per_state(u_ideal, u_sim, ph):
+    # |<Ui e_b, Zl Us Zr e_b>|^2 for each basis state b; Zr only adds a phase
+    return np.abs(np.einsum("ib,i,ib->b", u_ideal.conj(), z_diag(ph[0], ph[1]), u_sim)) ** 2
+
+
+def layer_word(a1, k1, a2, k2):
+    # one-qubit rotations about a1 on qubit 1 and a2 on qubit 2 by k*pi/8
+    return word((a1 + "I", k1 / 8), ("I" + a2, k2 / 8))
+
+
+def test_align_phases_matches_sequential():
+    cnot = word_unitary(build_cnot_word())
+    rng = np.random.default_rng(21)
+    # random pairs; on seeds 252, 657 and 1349 the winning start stops on
+    # a flat ridge, where a start that kept moving after it converged
+    # would end outside the bounds below
+    pairs = [tuple(random_unitaries(seed, 2)) for seed in (0, 1, 252, 657, 1349)]
+    for u in random_unitaries(3, 3):
+        pairs.append((cnot, u))
+        pairs.append((cnot, with_z_phases(cnot, rng.uniform(-math.pi, math.pi, 4))))
+    for a1, k1, a2, k2 in (("X", 1, "Y", -3), ("Y", 4, "Y", 2), ("X", -2, "X", -4)):
+        ideal = word_unitary(layer_word(a1, k1, a2, k2))
+        off = word_unitary(layer_word(a1, k1 + 0.3, a2, k2 - 0.2))
+        pairs.append((ideal, ideal))
+        pairs.append((ideal, with_z_phases(off, rng.uniform(-math.pi, math.pi, 4))))
+    for u_ideal, u_sim in pairs:
+        ph, f = _align_phases(u_ideal, u_sim)
+        ref_ph, ref_f = sequential_align(u_ideal, u_sim)
+        assert f == pytest.approx(ref_f, abs=1e-12)
+        gap = per_state(u_ideal, u_sim, ph) - per_state(u_ideal, u_sim, ref_ph)
+        assert np.max(np.abs(gap)) <= 1e-6
+
+
+COMPILED_WORDS = [build_cnot_word(), word(("XX", 0.5)), word(("XX", -0.5))] + [
+    layer_word(a1, k1, a2, k2)
+    for a1, a2 in itertools.product("XY", repeat=2)
+    for k1, k2 in itertools.product((-4, -3, -2, -1, 1, 2, 3, 4), repeat=2)
+]
+PHASE = st.floats(-math.pi, math.pi)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(w=st.sampled_from(COMPILED_WORDS), ph=st.tuples(PHASE, PHASE, PHASE, PHASE))
+def test_gate_fidelity_quotients_z_phases_of_compiled_words(w, ph):
+    # the words flicforq compiles are recovered exactly from any local z
+    # frame; arbitrary Pauli words are not, since the coordinate ascent
+    # can stall below the maximum on them
+    assert gate_fidelity(with_z_phases(word_unitary(w), ph), w).process >= 1.0 - 1e-9
+
+
+def test_gate_fidelity_deterministic():
+    u = random_unitaries(5, 1)[0]
+    w = build_cnot_word()
+    assert gate_fidelity(u, w) == gate_fidelity(u, w)
 
 
 def test_compose_virtual_z():

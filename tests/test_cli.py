@@ -54,6 +54,15 @@ def test_compile_missing_params_exits_2(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("argv", [("compile", "d"), ("resonance", "--amps", "0.05,0.05")])
+def test_non_numeric_params_exits_2(argv, tmp_path, capsys):
+    pf = tmp_path / "params.json"
+    pf.write_text('{"w1z": "a", "w2z": 0.95, "wxx": 0.01}')
+    code, _, err = run(capsys, *argv, "--params", str(pf))
+    assert code == 2
+    assert "cannot read params file" in err
+
+
 def test_simulate_x90(tmp_path, capsys):
     code, seq_json, _ = run(capsys, "compile", "x90")
     seq_file = tmp_path / "x90.json"
@@ -83,6 +92,22 @@ def test_simulate_bloch_state_spec(tmp_path, capsys):
         "--out", str(tmp_path / "t.csv"), "--steps-per-period", "300",
     )
     assert code == 0
+
+
+@pytest.mark.parametrize("state", [
+    "bloch:nan,0,0;0,0,1",
+    "pauli:" + ",".join(["inf"] + ["0"] * 14),
+])
+def test_simulate_non_finite_state_exits_2(state, tmp_path, capsys):
+    _, seq_json, _ = run(capsys, "compile", "x90")
+    seq_file = tmp_path / "x90.json"
+    seq_file.write_text(seq_json)
+    code, _, err = run(
+        capsys, "simulate", str(seq_file), "--state", state,
+        "--out", str(tmp_path / "t.csv"),
+    )
+    assert code == 2
+    assert "finite" in err
 
 
 def test_simulate_bad_state_exits_2(tmp_path, capsys):

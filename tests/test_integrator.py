@@ -63,6 +63,15 @@ def test_product_bloch():
     assert np.vdot(psi, rho @ psi).real == pytest.approx(1.0)
 
 
+def test_density_state_rejects_non_finite():
+    c = np.zeros(15)
+    c[IDX["XX"]] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        DensityState(c)
+    with pytest.raises(ValueError, match="finite"):
+        DensityState.product_bloch([np.nan, 0, 0], [0, 0, 1])
+
+
 def test_diagonal_state_stationary_without_drive():
     p = SystemParams(w1z=1.05, w2z=0.95, wxx=0.0)
     seq = PulseSequence(params=p, total_time=50.0)
