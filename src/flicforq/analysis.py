@@ -136,7 +136,9 @@ def _align_phases(u_ideal: np.ndarray, u_sim: np.ndarray) -> tuple[np.ndarray, f
     by less than 1e-12, or for 200 sweeps, from each of the 16 starts on
     the 0/pi grid, which escape the sign structure's local maxima.  The
     starts run together as the rows of one phase array, and a row stops
-    moving once it has converged.  The first best start wins.
+    moving once it has converged.  The first best start wins.  Its phases
+    are returned wrapped into (-pi, pi]: a shift by 2 pi flips the sign of
+    one z matrix, which changes the trace by a global phase only.
     """
     t = (u_ideal.conj() * u_sim).reshape(2, 2, 2, 2)
     ph = _STARTS.copy()
@@ -158,7 +160,8 @@ def _align_phases(u_ideal: np.ndarray, u_sim: np.ndarray) -> tuple[np.ndarray, f
             break
         prev = f
     best = int(np.argmax(f))
-    return ph[best].copy(), float(f[best])
+    wrapped = np.pi - np.mod(np.pi - ph[best], 2.0 * np.pi)  # in [-pi, pi]
+    return np.where(wrapped <= -np.pi, np.pi, wrapped), float(f[best])
 
 
 def gate_fidelity(

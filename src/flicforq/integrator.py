@@ -2,18 +2,22 @@
 
 The production route integrates dU/dt = -i H(t) U for the 4x4 propagator
 with classic fixed-step 4th-order Runge-Kutta, with no rotating-wave
-approximation anywhere.  The equation is linear, so each RK4 step is a
-4x4 matrix; the steps of one breakpoint interval are built in one batched
-expression and multiplied in time order by a pairwise batched product.
-Envelope discontinuities (segment edges, refocusing flips) are always
-breakpoints.  ``evolve`` applies the running propagator to rho0 and
-records the 15 real Pauli coefficients c_a of rho = (1 + sum_a c_a P_a)/4
-at every breakpoint.
+approximation anywhere.  Both drives act through the sigma_x channels, so
+the lab-frame H(t) is a real symmetric 4x4 matrix at every t and all the
+arithmetic is real: a complex 4x4 matrix a + ib is carried as its real
+8x8 form [[a, -b], [b, a]], and the real form of a product is the product
+of the real forms.  The equation is linear, so each RK4 step is a matrix;
+the steps of one breakpoint interval are built in one batched expression
+and multiplied in time order by a pairwise batched product.  Envelope
+discontinuities (segment edges, refocusing flips) are always breakpoints.
+``evolve`` applies the running propagator to rho0 and records the 15 real
+Pauli coefficients c_a of rho = (1 + sum_a c_a P_a)/4 at every breakpoint.
 
 An independent oracle route evolves the 4x4 density matrix with exact
 piecewise exponential propagators (4th-order commutator-free Magnus, two
-Hermitian-eigendecomposition exponentials per substep) and verifies its
-own convergence by substep doubling.
+exponentials per substep from the real eigendecomposition of a real
+symmetric H, as real 8x8 forms) and verifies its own convergence by
+substep doubling.
 """
 
 from __future__ import annotations
@@ -214,7 +218,7 @@ def _interval_steps(a: float, b: float, h_target: float) -> tuple[int, float]:
 
 def _hamiltonians(p: SystemParams, seq: PulseSequence, a: float, b: float,
                   tg: np.ndarray) -> np.ndarray:
-    """H(t) for the times tg in [a, b], shape (tg.size, 4, 4).
+    """H(t) for the times tg in [a, b], real, shape (tg.size, 4, 4).
 
     No envelope discontinuity lies strictly inside [a, b], so segment
     activity and flip signs are decided at the interval midpoint and the
@@ -223,26 +227,47 @@ def _hamiltonians(p: SystemParams, seq: PulseSequence, a: float, b: float,
     ax1, ay1, ax2, ay2 = drive_amplitudes_at(seq, tg, mid=0.5 * (a + b))
     u1 = ax1 * np.cos(p.w1z * tg) + ay1 * np.sin(p.w1z * tg)
     u2 = ax2 * np.cos(p.w2z * tg) + ay2 * np.sin(p.w2z * tg)
-    drift = 0.5 * p.w1z * _BASIS[IDX["ZI"]] \
-        + 0.5 * p.w2z * _BASIS[IDX["IZ"]] \
-        + 0.5 * p.wxx * _BASIS[IDX["XX"]]
-    x1, x2 = _BASIS[IDX["XI"]], _BASIS[IDX["IX"]]
-    return drift + u1[:, None, None] * x1 + u2[:, None, None] * x2
+    zi, iz, xx, x1, x2 = (_BASIS[IDX[lab]].real for lab in ("ZI", "IZ", "XX", "XI", "IX"))
+    drift = 0.5 * p.w1z * zi + 0.5 * p.w2z * iz + 0.5 * p.wxx * xx
+    # x1 and x2 have no nonzero entry in common, so this product is exact
+    drives = np.stack([u1, u2], axis=-1) @ np.stack([x1, x2]).reshape(2, 16)
+    return drives.reshape(-1, 4, 4) + drift
 
 
 # ---------------------------------------------------------------------------
 # RK4 propagator route
 
 
-def _rk4_steps(f: np.ndarray, h: float) -> np.ndarray:
-    """RK4 step matrices S = I + h/6 (K1 + 2 K2 + 2 K3 + K4) of dU/dt = F U,
-    with K1 = F_a, K2 = F_m (I + h/2 K1), K3 = F_m (I + h/2 K2) and
-    K4 = F_b (I + h K3), from F = -iH on the half-step grid (2n + 1 times)."""
-    fa, fm, fb = f[0:-1:2], f[1::2], f[2::2]
-    k2 = fm + (0.5 * h) * (fm @ fa)
-    k3 = fm + (0.5 * h) * (fm @ k2)
-    k4 = fb + h * (fb @ k3)
-    return np.eye(4) + (h / 6.0) * (fa + 2.0 * k2 + 2.0 * k3 + k4)
+def _real_form(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """The real 8x8 forms [[re, -im], [im, re]] of a stack of 4x4 matrices."""
+    out = np.empty(re.shape[:-2] + (8, 8))
+    out[..., :4, :4] = re
+    out[..., :4, 4:] = -im
+    out[..., 4:, :4] = im
+    out[..., 4:, 4:] = re
+    return out
+
+
+def _complex_of(r: np.ndarray) -> np.ndarray:
+    """The complex 4x4 matrices whose real forms are r."""
+    return r[..., :4, :4] + 1j * r[..., 4:, :4]
+
+
+def _rk4_steps(hs: np.ndarray, h: float) -> np.ndarray:
+    """Real forms of the RK4 step matrices S = I + h/6 (K1 + 2 K2 + 2 K3 + K4)
+    of dU/dt = F U, with K1 = F_a, K2 = F_m (I + h/2 K1), K3 = F_m (I + h/2 K2)
+    and K4 = F_b (I + h K3), from F = -iH and the real H on the half-step
+    grid (2n + 1 times).  With A, M, B = H_a, H_m, H_b and x = h/2,
+    Re S = I + h/6 (-2x (MA + MM + BM) + 2x^3 BMMA) and
+    Im S = h/6 (2x^2 (MMA + BMM) - (A + 4M + B))."""
+    a, m, b = hs[0:-1:2], hs[1::2], hs[2::2]
+    x = 0.5 * h
+    ma, mm, bm = m @ a, m @ m, b @ m
+    mma, bmm = m @ ma, b @ mm
+    bmma = b @ mma
+    re = np.eye(4) + (h / 6.0) * (-2.0 * x * (ma + mm + bm) + 2.0 * x ** 3 * bmma)
+    im = (h / 6.0) * (2.0 * x ** 2 * (mma + bmm) - (a + 4.0 * m + b))
+    return _real_form(re, im)
 
 
 def _time_ordered_product(mats: np.ndarray) -> np.ndarray:
@@ -261,15 +286,15 @@ def _running_propagators(p: SystemParams, seq: PulseSequence,
     _check_device(p, seq)
     h_target = (dt_policy or StepPolicy()).step_target(p)
     bps = _breakpoints(p, seq)
-    us = np.empty((bps.size, 4, 4), dtype=complex)
-    us[0] = np.eye(4)
+    us = np.empty((bps.size, 8, 8))
+    us[0] = np.eye(8)
     for k in range(bps.size - 1):
         a, b = bps[k], bps[k + 1]
         n, h = _interval_steps(a, b, h_target)
         tg = a + 0.5 * h * np.arange(2 * n + 1)
-        steps = _rk4_steps(-1j * _hamiltonians(p, seq, a, b, tg), h)
+        steps = _rk4_steps(_hamiltonians(p, seq, a, b, tg), h)
         us[k + 1] = _time_ordered_product(steps) @ us[k]
-    return bps, us
+    return bps, _complex_of(us)
 
 
 # ---------------------------------------------------------------------------
@@ -320,17 +345,14 @@ _CF4_MINUS = (3.0 - 2.0 * math.sqrt(3.0)) / 12.0
 
 
 def _expm_batch(mats: np.ndarray, h: float) -> np.ndarray:
-    """exp(-i*h*M) for a stack of Hermitian matrices via eigendecomposition."""
+    """Real forms of exp(-i*h*M) for a stack of real symmetric matrices:
+    with M = V diag(lam) V^T, the real part is V cos(h lam) V^T and the
+    imaginary part -V sin(h lam) V^T."""
     lam, vec = np.linalg.eigh(mats)
-    phases = np.exp(-1j * h * lam)
-    return np.einsum("nij,nj,nkj->nik", vec, phases, vec.conj())
-
-
-def _conjugate_chain(rho: np.ndarray, props: np.ndarray) -> np.ndarray:
-    """rho conjugated by each substep propagator in turn."""
-    for u in props:
-        rho = u @ rho @ u.conj().T
-    return rho
+    vt = vec.transpose(0, 2, 1)
+    re = (vec * np.cos(h * lam)[:, None, :]) @ vt
+    im = (vec * -np.sin(h * lam)[:, None, :]) @ vt
+    return _real_form(re, im)
 
 
 def _oracle_pass(p, seq, rho0_mat, bps, h_target):
@@ -341,12 +363,12 @@ def _oracle_pass(p, seq, rho0_mat, bps, h_target):
         a, b = bps[k], bps[k + 1]
         n, h = _interval_steps(a, b, h_target)
         base = a + h * np.arange(n)
-        h1 = _hamiltonians(p, seq, a, b, base + (0.5 - _GAUSS_SHIFT) * h)
-        h2 = _hamiltonians(p, seq, a, b, base + (0.5 + _GAUSS_SHIFT) * h)
-        ea = _expm_batch(_CF4_PLUS * h1 + _CF4_MINUS * h2, h)
-        eb = _expm_batch(_CF4_MINUS * h1 + _CF4_PLUS * h2, h)
-        props = np.einsum("nij,njk->nik", eb, ea)  # eb acts after ea
-        rho = _conjugate_chain(rho, props)
+        nodes = base + np.array([[0.5 - _GAUSS_SHIFT], [0.5 + _GAUSS_SHIFT]]) * h
+        h1, h2 = _hamiltonians(p, seq, a, b, nodes.ravel()).reshape(2, n, 4, 4)
+        ea, eb = np.split(_expm_batch(np.concatenate(
+            [_CF4_PLUS * h1 + _CF4_MINUS * h2, _CF4_MINUS * h1 + _CF4_PLUS * h2]), h), 2)
+        u = _complex_of(_time_ordered_product(eb @ ea))  # eb acts after ea
+        rho = u @ rho @ u.conj().T
         states[k + 1] = np.real(np.einsum("aij,ji->a", _BASIS, rho))
     return states, rho
 
@@ -359,6 +381,11 @@ def evolve_oracle(
     max_doublings: int = 6,
 ) -> Trajectory:
     """Piecewise-exponential propagator oracle, independent of the RK4 route.
+
+    Each substep applies the two 4th-order commutator-free Magnus
+    exponentials of the real symmetric H at the Gauss nodes, exact from a
+    real eigendecomposition and carried as real 8x8 forms; rho is
+    conjugated once per breakpoint interval by their time-ordered product.
 
     ``substeps`` is the initial substep count per smallest carrier period;
     it is doubled until two successive final states agree to trace
@@ -389,11 +416,16 @@ def evolve_oracle(
 # Frames, distances, CSV
 
 
+def _frame_diagonal(p: SystemParams, t) -> np.ndarray:
+    """Diagonal of frame_unitary(p, t), vectorized over t along a new last axis."""
+    t = np.asarray(t, dtype=float)[..., np.newaxis]
+    ph1, ph2 = 0.5 * p.w1z * t, 0.5 * p.w2z * t
+    return np.exp(1j * (ph1 * np.array([1, 1, -1, -1]) + ph2 * np.array([1, -1, 1, -1])))
+
+
 def frame_unitary(p: SystemParams, t: float) -> np.ndarray:
     """V(t) = exp(i*t*(w1z*Z1 + w2z*Z2)/2), the lab-to-rotating-frame map."""
-    ph1 = 0.5 * p.w1z * t
-    ph2 = 0.5 * p.w2z * t
-    return np.diag(np.exp(1j * np.array([ph1 + ph2, ph1 - ph2, -ph1 + ph2, -ph1 - ph2])))
+    return np.diag(_frame_diagonal(p, t))
 
 
 def to_rotating_frame(obj, p: SystemParams, t: float | None = None):
@@ -407,11 +439,11 @@ def to_rotating_frame(obj, p: SystemParams, t: float | None = None):
     if isinstance(obj, Trajectory):
         if obj.frame != "lab":
             raise WrongFrame(f"expected a lab-frame trajectory, got {obj.frame!r}")
-        coeffs = np.empty_like(obj.coeffs)
-        for i, t_i in enumerate(obj.times):
-            v = frame_unitary(p, float(t_i))
-            rho = DensityState(obj.coeffs[i]).to_matrix()
-            coeffs[i] = np.real(np.einsum("aij,ji->a", _BASIS, v @ rho @ v.conj().T))
+        # V is diagonal, so V rho V^dagger = rho * (v v*^T) elementwise
+        v = _frame_diagonal(p, obj.times)
+        rhos = (np.eye(4) + np.einsum("na,aij->nij", obj.coeffs, _BASIS)) / 4.0
+        rhos *= v[:, :, np.newaxis] * v.conj()[:, np.newaxis, :]
+        coeffs = np.real(np.einsum("aij,nji->na", _BASIS, rhos))
         return Trajectory(times=obj.times, coeffs=coeffs, frame="rotating")
     raise TypeError(f"cannot frame-transform {type(obj).__name__}")
 

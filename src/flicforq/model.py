@@ -261,7 +261,9 @@ def drive_amplitudes_at(seq: PulseSequence, t, mid: float | None = None):
 def hamiltonian_at(p: SystemParams, seq: PulseSequence, t: float) -> np.ndarray:
     """Pauli coefficients h of H(t) = sum_a h[a] P_a, in TWO_QUBIT_LABELS order.
 
-    All coefficients are real, so H is Hermitian by construction.
+    All coefficients are real, so H is Hermitian by construction; only
+    ZI, IZ, XX, XI and IX appear, so H is also a real symmetric matrix,
+    which the integrators rely on.
     """
     if t < 0:
         raise ValueError("t must be non-negative")

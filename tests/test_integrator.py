@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flicforq.integrator import (
     DensityState,
@@ -18,13 +20,26 @@ from flicforq.integrator import (
     trace_distance,
     write_trajectory_csv,
 )
-from flicforq.integrator import IDX, _BASIS, _breakpoints, _expm_batch, _interval_steps
+from flicforq.integrator import (
+    IDX,
+    _BASIS,
+    _breakpoints,
+    _complex_of,
+    _expm_batch,
+    _hamiltonians,
+    _interval_steps,
+    _real_form,
+    trace_distance_matrices,
+)
 from flicforq.model import (
     DEFAULT_PARAMS,
+    Envelope,
     PulseSegment,
     PulseSequence,
     SystemParams,
     drive_amplitudes_at,
+    hamiltonian_at,
+    validate_sequence,
 )
 
 QUICK = StepPolicy(steps_per_period=300)
@@ -34,6 +49,18 @@ def random_state(rng):
     # random pure state
     psi = rng.normal(size=4) + 1j * rng.normal(size=4)
     return DensityState.from_ket(psi)
+
+
+def lab_hamiltonian(p, seq, t, mid):
+    """Complex H(t), vectorized over t, with segment activity and flip
+    signs decided at mid."""
+    ax1, ay1, ax2, ay2 = drive_amplitudes_at(seq, t, mid=mid)
+    u1 = ax1 * np.cos(p.w1z * t) + ay1 * np.sin(p.w1z * t)
+    u2 = ax2 * np.cos(p.w2z * t) + ay2 * np.sin(p.w2z * t)
+    hd = 0.5 * p.w1z * _BASIS[IDX["ZI"]] + 0.5 * p.w2z * _BASIS[IDX["IZ"]] \
+        + 0.5 * p.wxx * _BASIS[IDX["XX"]]
+    x1, x2 = _BASIS[IDX["XI"]], _BASIS[IDX["IX"]]
+    return hd + u1[..., None, None] * x1 + u2[..., None, None] * x2
 
 
 def test_density_state_basics():
@@ -130,14 +157,9 @@ def test_step_product_matches_sequential_rk4():
     seg = PulseSegment(start=0.0, duration=12.0, amp_y_1=0.04, amp_x_2=-0.03,
                        flip_at=5.0, flip_qubit=2)
     seq = PulseSequence(params=p, segments=(seg,), total_time=15.0)
-    hd = 0.5 * p.w1z * _BASIS[IDX["ZI"]] + 0.5 * p.w2z * _BASIS[IDX["IZ"]] \
-        + 0.5 * p.wxx * _BASIS[IDX["XX"]]
 
     def f(t, mid):
-        ax1, ay1, ax2, ay2 = drive_amplitudes_at(seq, t, mid=mid)
-        u1 = ax1 * math.cos(p.w1z * t) + ay1 * math.sin(p.w1z * t)
-        u2 = ax2 * math.cos(p.w2z * t) + ay2 * math.sin(p.w2z * t)
-        return -1j * (hd + u1 * _BASIS[IDX["XI"]] + u2 * _BASIS[IDX["IX"]])
+        return -1j * lab_hamiltonian(p, seq, t, mid)
 
     u = np.eye(4, dtype=complex)
     bps = _breakpoints(p, seq)
@@ -156,11 +178,135 @@ def test_step_product_matches_sequential_rk4():
 
 def test_expm_batch_matches_scipy():
     rng = np.random.default_rng(8)
-    a = rng.normal(size=(6, 4, 4)) + 1j * rng.normal(size=(6, 4, 4))
-    mats = a + a.conj().transpose(0, 2, 1)
-    got = _expm_batch(mats, 0.37)
+    a = rng.normal(size=(6, 4, 4))
+    mats = a + a.transpose(0, 2, 1)
+    got = _complex_of(_expm_batch(mats, 0.37))
     for m, e in zip(mats, got):
         assert np.max(np.abs(e - scipy.linalg.expm(-0.37j * m))) < 1e-12
+
+
+def test_hamiltonians_real_and_match_model():
+    # both integrators rely on H(t) being real; a drive through another
+    # channel would break this before it broke the physics
+    p = DEFAULT_PARAMS
+    segs = (
+        PulseSegment(start=0.0, duration=20.0, amp_x_1=0.03, amp_y_1=-0.02,
+                     envelope=Envelope("raised-cosine-ramp", 4.0), flip_at=9.0, flip_qubit=1),
+        PulseSegment(start=20.0, duration=12.0, amp_x_2=-0.03, amp_y_2=0.04),
+    )
+    seq = PulseSequence(params=p, segments=segs, total_time=35.0)
+    bps = _breakpoints(p, seq)
+    for a, b in zip(bps[:-1], bps[1:]):
+        tg = a + (b - a) * np.array([0.1, 0.5, 0.9])
+        hs = _hamiltonians(p, seq, a, b, tg)
+        assert hs.dtype == np.float64
+        for t, h in zip(tg, hs):
+            ref = np.einsum("a,aij->ij", hamiltonian_at(p, seq, float(t)), _BASIS)
+            assert np.max(np.abs(h - ref)) <= 1e-15
+
+
+def test_real_form_roundtrip_and_product():
+    rng = np.random.default_rng(12)
+    a_re, a_im, b_re, b_im = rng.normal(size=(4, 5, 4, 4))
+    assert np.array_equal(_complex_of(_real_form(a_re, a_im)), a_re + 1j * a_im)
+    ab = (a_re + 1j * a_im) @ (b_re + 1j * b_im)
+    got = _real_form(a_re, a_im) @ _real_form(b_re, b_im)
+    assert np.max(np.abs(got - _real_form(ab.real, ab.imag))) <= 1e-14
+
+
+def reference_oracle(p, seq, rho0, substeps=64, max_doublings=6):
+    # the oracle one substep at a time: complex Hermitian eigendecomposition
+    # exponentials, and rho conjugated by each substep propagator in turn
+    def expm(mats, h):
+        lam, vec = np.linalg.eigh(mats)
+        return np.einsum("nij,nj,nkj->nik", vec, np.exp(-1j * h * lam), vec.conj())
+
+    shift = math.sqrt(3.0) / 6.0
+    c_plus = (3.0 + 2.0 * math.sqrt(3.0)) / 12.0
+    c_minus = (3.0 - 2.0 * math.sqrt(3.0)) / 12.0
+    bps = _breakpoints(p, seq)
+    period = 2.0 * math.pi / max(p.w1z, p.w2z)
+    prev = None
+    n = substeps
+    for _ in range(max_doublings + 1):
+        rho = rho0.to_matrix()
+        states = [rho0.c]
+        for a, b in zip(bps[:-1], bps[1:]):
+            m, h = _interval_steps(a, b, period / n)
+            base = a + h * np.arange(m)
+            mid = 0.5 * (a + b)
+            h1 = lab_hamiltonian(p, seq, base + (0.5 - shift) * h, mid)
+            h2 = lab_hamiltonian(p, seq, base + (0.5 + shift) * h, mid)
+            ea = expm(c_plus * h1 + c_minus * h2, h)
+            eb = expm(c_minus * h1 + c_plus * h2, h)
+            for u in eb @ ea:
+                rho = u @ rho @ u.conj().T
+            states.append(np.real(np.einsum("aij,ji->a", _BASIS, rho)))
+        if prev is not None and trace_distance_matrices(rho, prev) < 1e-9:
+            return np.array(states)
+        prev = rho
+        n *= 2
+    raise NoConvergence("reference oracle did not converge")
+
+
+def test_oracle_matches_per_substep_reference():
+    # the interval products, shared with the RK4 route, against the
+    # substep-by-substep conjugation
+    p = DEFAULT_PARAMS
+    segs = (
+        PulseSegment(start=0.0, duration=20.0, amp_y_1=0.04, amp_x_2=0.03,
+                     flip_at=9.0, flip_qubit=1),
+        PulseSegment(start=20.0, duration=6.0, amp_x_1=-0.03),
+    )
+    seq = PulseSequence(params=p, segments=segs)
+    rho0 = random_state(np.random.default_rng(14))
+    got = evolve_oracle(p, seq, rho0).coeffs
+    assert np.max(np.abs(got - reference_oracle(p, seq, rho0))) <= 1e-12
+
+
+# a wide-detuning device keeps the sync grid (t0_sync = 4 pi) short
+WIDE = SystemParams(w1z=1.25, w2z=0.75, wxx=0.05)
+
+
+@st.composite
+def one_qubit_sequences(draw):
+    """1-3 one-qubit segments, one per slot of the sync grid."""
+    p = WIDE
+    amp = st.floats(-p.delta / 4, p.delta / 4)
+    segs = []
+    for slot in range(draw(st.integers(1, 3))):
+        qubit = draw(st.sampled_from((1, 2)))
+        start = slot * p.t0_sync
+        duration = draw(st.floats(0.125, 1.0)) * p.t0_sync
+        envelope = draw(st.sampled_from((None, "raised-cosine-ramp")))
+        if envelope is not None:
+            envelope = Envelope(envelope, draw(st.floats(0.05, 0.5)) * duration)
+        flip_at = None
+        if draw(st.booleans()):
+            flip_at = start + draw(st.floats(0.1, 0.9)) * duration
+        segs.append(PulseSegment(
+            start=start, duration=duration,
+            **{f"amp_x_{qubit}": draw(amp), f"amp_y_{qubit}": draw(amp)},
+            envelope=envelope or Envelope(),
+            flip_at=flip_at, flip_qubit=qubit if flip_at is not None else None,
+        ))
+    return PulseSequence(params=p, segments=tuple(segs))
+
+
+@settings(max_examples=20)
+@given(seq=one_qubit_sequences(), seed=st.integers(0, 2**16))
+def test_generated_sequences_unitary_and_match_oracle(seq, seed):
+    p = WIDE
+    policy = StepPolicy(steps_per_period=800)
+    assert not [d for d in validate_sequence(p, seq) if d.severity == "error"]
+    u = propagator_of_sequence(p, seq, policy)
+    assert np.max(np.abs(u @ u.conj().T - np.eye(4))) <= 1e-9
+    rho0 = random_state(np.random.default_rng(seed))
+    t1 = evolve(p, seq, rho0, policy)
+    t2 = evolve_oracle(p, seq, rho0)
+    assert np.array_equal(t1.times, t2.times)
+    for i in range(t1.times.size):
+        assert trace_distance(t1.state(i), t2.state(i)) <= 1e-7
 
 
 def test_wrong_device_rejected():
@@ -252,6 +398,17 @@ def test_rotating_frame_preserves_spectrum():
     e1 = np.linalg.eigvalsh(s.to_matrix())
     e2 = np.linalg.eigvalsh(rot.to_matrix())
     assert np.max(np.abs(e1 - e2)) < 1e-12
+
+
+def test_rotating_frame_trajectory_matches_single_states():
+    p = DEFAULT_PARAMS
+    seg = PulseSegment(start=0.0, duration=30.0, amp_y_1=0.04, amp_x_2=-0.03)
+    seq = PulseSequence(params=p, segments=(seg,))
+    traj = evolve(p, seq, random_state(np.random.default_rng(6)), QUICK)
+    rot = to_rotating_frame(traj, p)
+    for i, t in enumerate(traj.times):
+        single = to_rotating_frame(traj.state(i), p, t=float(t))
+        assert np.max(np.abs(rot.coeffs[i] - single.c)) <= 1e-14
 
 
 def test_rotating_frame_wrong_frame_raises():

@@ -1,5 +1,7 @@
+import json
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -255,3 +257,14 @@ def test_json_roundtrip():
     assert seg_doc["q1"] == {"x": 0.0, "y": 0.0125}
     assert seg_doc["flip"] is None
     assert doc["virtual_z"][0] == {"qubit": 1, "angle": math.pi / 2, "t": 1633.6281}
+
+
+def test_readme_schema_round_trips():
+    # the documented schema is the one the parser reads and the writer writes
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("### Sequence JSON schema", 1)[1]
+    block = section.split("```json\n", 1)[1].split("```", 1)[0]
+    seq = sequence_from_json(block)
+    assert json.loads(sequence_to_json(seq)) == json.loads(block)
+    assert seq.segments[0].flip_qubit == 2
+    assert seq.segments[1].envelope == Envelope("raised-cosine-ramp", 12.5)
