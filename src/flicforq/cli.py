@@ -201,8 +201,7 @@ def _params_for(delta: float, wxx: float) -> SystemParams:
 
 
 def _sweep_point(task) -> float:
-    delta, wxx, metric, steps = task
-    p = _params_for(delta, wxx)
+    p, metric, steps = task
     policy = StepPolicy(steps_per_period=steps)
     if metric == "one_qubit_error":
         return one_qubit_error_budget(p, policy=policy)["target_infidelity"]
@@ -225,28 +224,33 @@ def cmd_sweep(args) -> int:
         points = [(float(pt["delta"]), float(pt["wxx"])) for pt in doc]
     except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"cannot read grid file {args.grid}: {exc}") from exc
-    tasks = [(d, w, args.metric, args.steps_per_period) for d, w in points]
+    tasks = []
+    for d, w in points:
+        try:
+            tasks.append((_params_for(d, w), args.metric, args.steps_per_period))
+        except ValueError as exc:
+            raise SchemaError(f"bad grid point delta={d}, wxx={w}: {exc}") from exc
     failed = False
     if args.jobs == 1:
         results = []
-        for task in tasks:
+        for point, task in zip(points, tasks):
             try:
                 results.append(_sweep_point(task))
             except SchemaError:
                 raise
             except Exception as exc:  # per-point failure -> nan row
-                print(f"point {task[:2]} failed: {exc}", file=sys.stderr)
+                print(f"point {point} failed: {exc}", file=sys.stderr)
                 results.append(float("nan"))
                 failed = True
     else:
         results = []
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             futures = [pool.submit(_sweep_point, task) for task in tasks]
-            for task, fut in zip(tasks, futures):
+            for point, fut in zip(points, futures):
                 try:
                     results.append(fut.result())
                 except Exception as exc:
-                    print(f"point {task[:2]} failed: {exc}", file=sys.stderr)
+                    print(f"point {point} failed: {exc}", file=sys.stderr)
                     results.append(float("nan"))
                     failed = True
     lines = ["delta,wxx,metric"]

@@ -230,6 +230,21 @@ def test_sweep_bad_grid_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("point", [
+    '{"delta": -0.1, "wxx": 0.01}',
+    '{"delta": "nan", "wxx": 0.01}',
+    '{"delta": 0.1, "wxx": 0.06}',
+])
+def test_sweep_invalid_point_exits_2(point, tmp_path, capsys):
+    # rejected while the grid is read, before any point is integrated
+    grid = tmp_path / "grid.json"
+    grid.write_text(f'[{{"delta": 0.1, "wxx": 0.01}}, {point}]')
+    code, out, err = run(capsys, "sweep", str(grid), "--metric", "cnot_error", "--jobs", "1")
+    assert code == 2
+    assert out == ""
+    assert "bad grid point" in err
+
+
 def test_resonance_default(capsys):
     code, out, _ = run(capsys, "resonance", "--amps", "0.05,0.05")
     assert code == 0

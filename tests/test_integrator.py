@@ -7,6 +7,8 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import flicforq.integrator as integrator
+from flicforq.compiler import compile_cnot, compile_D, compile_one_qubit, compile_xx_half
 from flicforq.integrator import (
     DensityState,
     NoConvergence,
@@ -29,6 +31,8 @@ from flicforq.integrator import (
     _hamiltonians,
     _interval_steps,
     _real_form,
+    _rk4_steps,
+    _time_ordered_product,
     trace_distance_matrices,
 )
 from flicforq.model import (
@@ -264,43 +268,143 @@ def test_oracle_matches_per_substep_reference():
     assert np.max(np.abs(got - reference_oracle(p, seq, rho0))) <= 1e-12
 
 
+def plain_propagators(p, seq, policy):
+    """U(t_k) at every breakpoint, every interval stepped by RK4."""
+    us = [np.eye(8)]
+    bps = _breakpoints(p, seq)
+    for a, b in zip(bps[:-1], bps[1:]):
+        n, h = _interval_steps(a, b, policy.step_target(p))
+        tg = a + 0.5 * h * np.arange(2 * n + 1)
+        us.append(_time_ordered_product(_rk4_steps(_hamiltonians(p, seq, a, b, tg), h)) @ us[-1])
+    return _complex_of(np.array(us))
+
+
+# the benchmark device: the paper's with delta and wxx scaled by 2.5, w0/delta = 4
+BENCH = SystemParams(w1z=1.125, w2z=0.875, wxx=0.025)
+BENCH_POLICY = StepPolicy(steps_per_period=800)
+
+
+def gate_layer(p):
+    segs = (compile_one_qubit(p, 1, "x", math.pi / 4, 0.0),
+            compile_one_qubit(p, 2, "y", -math.pi / 2, 0.0))
+    return PulseSequence(params=p, segments=segs)
+
+
+@pytest.mark.parametrize("p, seq, policy", [
+    (DEFAULT_PARAMS, compile_cnot(DEFAULT_PARAMS), StepPolicy()),
+    (BENCH, compile_D(BENCH), BENCH_POLICY),
+    (BENCH, compile_xx_half(BENCH), BENCH_POLICY),
+    (BENCH, gate_layer(BENCH), BENCH_POLICY),
+], ids=["cnot", "D", "xx_half", "gate_layer"])
+def test_window_reuse_matches_plain_stepping(p, seq, policy):
+    # intervals one or more sync windows apart share a propagator up to
+    # Z1Z2 conjugation; reuse must agree with stepping each one to rounding
+    u = propagator_of_sequence(p, seq, policy)
+    assert np.max(np.abs(u - plain_propagators(p, seq, policy)[-1])) <= 1e-11
+
+
+def test_evolve_window_reuse_matches_plain_stepping():
+    seq = compile_D(BENCH)
+    rho0 = random_state(np.random.default_rng(15))
+    traj = evolve(BENCH, seq, rho0, BENCH_POLICY)
+    us = plain_propagators(BENCH, seq, BENCH_POLICY)
+    rhos = us @ rho0.to_matrix() @ us.conj().transpose(0, 2, 1)
+    rhos /= np.trace(rhos, axis1=1, axis2=2).real[:, None, None]
+    coeffs = np.real(np.einsum("aij,nji->na", _BASIS, rhos))
+    assert np.max(np.abs(traj.coeffs - coeffs)) <= 1e-11
+
+
+def device(ratio):
+    """w0 = 1 and w0/delta = ratio, with the benchmark device's wxx/delta."""
+    delta = 1.0 / ratio
+    return SystemParams(w1z=1.0 + 0.5 * delta, w2z=1.0 - 0.5 * delta, wxx=0.1 * delta)
+
+
+def square_pair(p, windows, envelope=None):
+    seg = PulseSegment(start=0.0, duration=windows * p.t0_sync, amp_y_1=p.delta / 2,
+                       amp_y_2=p.delta / 2, envelope=envelope or Envelope())
+    return PulseSequence(params=p, segments=(seg,))
+
+
+@pytest.mark.parametrize("p, seq, built, intervals", [
+    (BENCH, compile_D(BENCH), 8, 160),
+    (device(3.9), square_pair(device(3.9), 3), 24, 24),
+    (device(4 + 1e-9), square_pair(device(4 + 1e-9), 3), 24, 24),
+    (BENCH, square_pair(BENCH, 3, Envelope("raised-cosine-ramp", 10.0)), 24, 24),
+], ids=["D", "ratio-3.9", "ratio-4+1e-9", "ramped"])
+def test_window_reuse_and_fallback(p, seq, built, intervals, monkeypatch):
+    # the D pulse is flat for 20 windows, so only its first window is
+    # stepped; a device whose carriers do not flip over t0_sync, or a ramp,
+    # steps every interval
+    calls = []
+
+    def counting(hs, h):
+        calls.append(h)
+        return _rk4_steps(hs, h)
+
+    monkeypatch.setattr(integrator, "_rk4_steps", counting)
+    u = propagator_of_sequence(p, seq, BENCH_POLICY)
+    assert len(calls) == built
+    assert _breakpoints(p, seq).size - 1 == intervals
+    monkeypatch.undo()
+    assert np.max(np.abs(u - plain_propagators(p, seq, BENCH_POLICY)[-1])) <= 1e-13
+
+
 # a wide-detuning device keeps the sync grid (t0_sync = 4 pi) short
 WIDE = SystemParams(w1z=1.25, w2z=0.75, wxx=0.05)
 
 
 @st.composite
-def one_qubit_sequences(draw):
-    """1-3 one-qubit segments, one per slot of the sync grid."""
+def generated_sequences(draw):
+    """1-3 segments, each starting on the first sync-grid point after the
+    previous one: one-qubit segments of at most one window, square or
+    ramped, with an off-grid end; square one-qubit segments of 2-4 windows;
+    square two-qubit segments of 1-3 windows.  Any segment may flip, off
+    the t0_sync/8 grid, or on it when it lasts whole windows."""
     p = WIDE
     amp = st.floats(-p.delta / 4, p.delta / 4)
     segs = []
-    for slot in range(draw(st.integers(1, 3))):
-        qubit = draw(st.sampled_from((1, 2)))
-        start = slot * p.t0_sync
-        duration = draw(st.floats(0.125, 1.0)) * p.t0_sync
-        envelope = draw(st.sampled_from((None, "raised-cosine-ramp")))
-        if envelope is not None:
-            envelope = Envelope(envelope, draw(st.floats(0.05, 0.5)) * duration)
+    start = 0.0
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(("short", "long", "two-qubit")))
+        envelope = Envelope()
+        if kind == "short":
+            duration = draw(st.floats(0.125, 1.0)) * p.t0_sync
+            if draw(st.booleans()):
+                envelope = Envelope("raised-cosine-ramp", draw(st.floats(0.05, 0.5)) * duration)
+        else:
+            windows = {"long": (2, 4), "two-qubit": (1, 3)}[kind]
+            duration = draw(st.integers(*windows)) * p.t0_sync
+        qubit = draw(st.sampled_from((1, 2)))  # the driven qubit, and the flipped one
+        if kind == "two-qubit":
+            amps = {f"amp_{c}_{q}": draw(amp) for c in "xy" for q in (1, 2)}
+        else:
+            amps = {f"amp_x_{qubit}": draw(amp), f"amp_y_{qubit}": draw(amp)}
+        flip = draw(st.sampled_from((None, "off-grid") if kind == "short"
+                                    else (None, "off-grid", "on-grid")))
         flip_at = None
-        if draw(st.booleans()):
+        if flip == "off-grid":
             flip_at = start + draw(st.floats(0.1, 0.9)) * duration
+        elif flip == "on-grid":
+            eighths = round(8 * duration / p.t0_sync)
+            flip_at = start + draw(st.integers(1, eighths - 1)) * p.t0_sync / 8
         segs.append(PulseSegment(
-            start=start, duration=duration,
-            **{f"amp_x_{qubit}": draw(amp), f"amp_y_{qubit}": draw(amp)},
-            envelope=envelope or Envelope(),
+            start=start, duration=duration, **amps, envelope=envelope,
             flip_at=flip_at, flip_qubit=qubit if flip_at is not None else None,
         ))
+        start = math.ceil(segs[-1].end / p.t0_sync - 1e-9) * p.t0_sync
     return PulseSequence(params=p, segments=tuple(segs))
 
 
 @settings(max_examples=20)
-@given(seq=one_qubit_sequences(), seed=st.integers(0, 2**16))
+@given(seq=generated_sequences(), seed=st.integers(0, 2**16))
 def test_generated_sequences_unitary_and_match_oracle(seq, seed):
     p = WIDE
     policy = StepPolicy(steps_per_period=800)
     assert not [d for d in validate_sequence(p, seq) if d.severity == "error"]
     u = propagator_of_sequence(p, seq, policy)
     assert np.max(np.abs(u @ u.conj().T - np.eye(4))) <= 1e-9
+    assert np.max(np.abs(u - plain_propagators(p, seq, policy)[-1])) <= 1e-11
     rho0 = random_state(np.random.default_rng(seed))
     t1 = evolve(p, seq, rho0, policy)
     t2 = evolve_oracle(p, seq, rho0)
