@@ -25,9 +25,14 @@ w0/delta is not an integer are stepped every time.
 
 An independent oracle route evolves the 4x4 density matrix with exact
 piecewise exponential propagators (4th-order commutator-free Magnus, two
-exponentials per substep from the real eigendecomposition of a real
-symmetric H, as real 8x8 forms) and verifies its own convergence by
-substep doubling.
+exponentials per substep of a real symmetric H, as real 8x8 forms) and
+verifies its own convergence by substep doubling.  Each exponential
+exp(-iA) = cos A - i sin A is a Horner series in A^2 whose degree a
+runtime truncation bound sets below 1e-16 (with scaling and squaring for
+a large ||A||), so it is exact to rounding; the oracle's order comes from
+the Magnus scheme and the doubling test, not from the series.  The
+substeps of consecutive breakpoint intervals are sampled and
+exponentiated in batches of at most a fixed number of substeps.
 """
 
 from __future__ import annotations
@@ -228,7 +233,9 @@ def _interval_steps(a: float, b: float, h_target: float) -> tuple[int, float]:
 
 def _hamiltonians(p: SystemParams, seq: PulseSequence, a: float, b: float,
                   tg: np.ndarray) -> np.ndarray:
-    """H(t) for the times tg in [a, b], real, shape (tg.size, 4, 4).
+    """H(t) for the times tg in [a, b], real, shape (tg.size, 4, 4); a and b
+    are scalars or, for samples from several intervals, arrays that
+    broadcast against tg.
 
     No envelope discontinuity lies strictly inside [a, b], so segment
     activity and flip signs are decided at the interval midpoint and the
@@ -407,32 +414,84 @@ _CF4_PLUS = (3.0 + 2.0 * math.sqrt(3.0)) / 12.0
 _CF4_MINUS = (3.0 - 2.0 * math.sqrt(3.0)) / 12.0
 
 
-def _expm_batch(mats: np.ndarray, h: float) -> np.ndarray:
-    """Real forms of exp(-i*h*M) for a stack of real symmetric matrices:
-    with M = V diag(lam) V^T, the real part is V cos(h lam) V^T and the
-    imaginary part -V sin(h lam) V^T."""
-    lam, vec = np.linalg.eigh(mats)
-    vt = vec.transpose(0, 2, 1)
-    re = (vec * np.cos(h * lam)[:, None, :]) @ vt
-    im = (vec * -np.sin(h * lam)[:, None, :]) @ vt
-    return _real_form(re, im)
+# Largest number of substeps whose exponentials one oracle batch holds: the
+# intervals of a pass go through in chunks, so the batches' memory stays
+# bounded however long the sequence is (one batch per pass: +33% peak RSS)
+_ORACLE_CHUNK = 512
+# A = hM is scaled by 2^-s until max ||A||_1 <= _SERIES_NORM, and the series
+# truncated once its bound x^(2K+2)/(2K+2)! e^x is below _SERIES_TOL
+_SERIES_NORM = 1.0
+_SERIES_TOL = 1e-16
+_EYE_EYE = np.hstack([np.eye(4), np.eye(4)])  # [I | I]: both series' degree-0 term
+
+
+def _expm_batch(mats: np.ndarray, h) -> np.ndarray:
+    """Real forms of exp(-i*h*M) = cos(hM) - i sin(hM) for a stack of real
+    symmetric matrices M and a step h, scalar or an array that broadcasts
+    against the stack's leading axes.
+
+    With A = hM and X = A^2, cos A and sin A / A are Horner series in X,
+    side by side in one (..., 4, 8) stack so that each degree is one matmul.
+    The degree K is the least for which the truncation bound
+    x^(2K+2)/(2K+2)! e^x, x = max ||A||_1 over the batch, is below 1e-16,
+    so the result is exact to rounding.  A batch with x above 1 is scaled
+    by 2^-s first and its real forms squared s times."""
+    a = np.asarray(h, dtype=float)[..., None, None] * mats
+    x = float(np.einsum("...ij->...j", np.abs(a)).max(initial=0.0))
+    s = math.ceil(math.log2(x / _SERIES_NORM)) if x > _SERIES_NORM else 0
+    a, x = a / 2.0 ** s, x / 2.0 ** s
+    k, bound = 0, 0.5 * x * x * math.exp(x)
+    while bound > _SERIES_TOL:
+        k += 1
+        bound *= x * x / ((2 * k + 1) * (2 * k + 2))
+    xx = a @ a
+    acc = np.broadcast_to(_EYE_EYE, a.shape[:-1] + (8,))
+    for j in range(k, 0, -1):
+        acc = xx @ acc
+        acc *= np.repeat([-1.0 / ((2 * j - 1) * 2 * j), -1.0 / (2 * j * (2 * j + 1))], 4)
+        acc += _EYE_EYE
+    r = _real_form(acc[..., :4], -(a @ acc[..., 4:]))
+    for _ in range(s):
+        r = r @ r
+    return r
+
+
+def _oracle_chunks(counts: np.ndarray) -> list:
+    """Consecutive intervals grouped greedily into chunks of at most
+    _ORACLE_CHUNK substeps, each holding at least one whole interval, as
+    (first, stop) index pairs."""
+    chunks, first, total = [], 0, 0
+    for i, n in enumerate(counts):
+        if total and total + n > _ORACLE_CHUNK:
+            chunks.append((first, i))
+            first, total = i, 0
+        total += n
+    return chunks + [(first, len(counts))] if total else chunks
 
 
 def _oracle_pass(p, seq, rho0_mat, bps, h_target):
+    steps = [_interval_steps(a, b, h_target) for a, b in zip(bps[:-1], bps[1:])]
+    counts = np.array([n for n, _ in steps], dtype=int)
+    hs = np.array([h for _, h in steps])
     states = np.empty((bps.size, 15))
     states[0] = DensityState.from_matrix(rho0_mat).c
     rho = rho0_mat
-    for k in range(bps.size - 1):
-        a, b = bps[k], bps[k + 1]
-        n, h = _interval_steps(a, b, h_target)
-        base = a + h * np.arange(n)
+    for first, stop in _oracle_chunks(counts):
+        # every substep of the chunk, tagged with its interval's a, b and h
+        n = counts[first:stop]
+        a, b, h = (np.repeat(v, n) for v in (bps[first:stop], bps[first + 1:stop + 1],
+                                             hs[first:stop]))
+        offsets = np.cumsum(n) - n
+        base = a + h * (np.arange(n.sum()) - np.repeat(offsets, n))
         nodes = base + np.array([[0.5 - _GAUSS_SHIFT], [0.5 + _GAUSS_SHIFT]]) * h
-        h1, h2 = _hamiltonians(p, seq, a, b, nodes.ravel()).reshape(2, n, 4, 4)
-        ea, eb = np.split(_expm_batch(np.concatenate(
-            [_CF4_PLUS * h1 + _CF4_MINUS * h2, _CF4_MINUS * h1 + _CF4_PLUS * h2]), h), 2)
-        u = _complex_of(_time_ordered_product(eb @ ea))  # eb acts after ea
-        rho = u @ rho @ u.conj().T
-        states[k + 1] = np.real(np.einsum("aij,ji->a", _BASIS, rho))
+        h1, h2 = _hamiltonians(p, seq, a, b, nodes).reshape(2, -1, 4, 4)
+        ea, eb = _expm_batch(np.stack(
+            [_CF4_PLUS * h1 + _CF4_MINUS * h2, _CF4_MINUS * h1 + _CF4_PLUS * h2]), h)
+        prods = eb @ ea  # eb acts after ea
+        for k, off, m in zip(range(first, stop), offsets, n):
+            u = _complex_of(_time_ordered_product(prods[off:off + m]))
+            rho = u @ rho @ u.conj().T
+            states[k + 1] = np.real(np.einsum("aij,ji->a", _BASIS, rho))
     return states, rho
 
 
@@ -446,17 +505,24 @@ def evolve_oracle(
     """Piecewise-exponential propagator oracle, independent of the RK4 route.
 
     Each substep applies the two 4th-order commutator-free Magnus
-    exponentials of the real symmetric H at the Gauss nodes, exact from a
-    real eigendecomposition and carried as real 8x8 forms; rho is
-    conjugated once per breakpoint interval by their time-ordered product.
+    exponentials of the real symmetric H at the Gauss nodes, exact to
+    rounding from cos/sin series whose degree a truncation bound sets, and
+    carried as real 8x8 forms; the exponentials of consecutive intervals
+    are computed in batches of at most 512 substeps, and rho is conjugated
+    once per breakpoint interval by their time-ordered product.
 
     ``substeps`` is the initial substep count per smallest carrier period;
     it is doubled until two successive final states agree to trace
     distance < 1e-9, else NoConvergence is raised.  Samples fall on the
     same breakpoints as ``evolve``.  Raises ValueError if ``p`` is not
-    ``seq.params``.
+    ``seq.params``, if ``substeps`` is not a positive integer or if
+    ``max_doublings`` is less than 1.
     """
     _check_device(p, seq)
+    if not isinstance(substeps, (int, np.integer)) or substeps < 1:
+        raise ValueError(f"substeps must be a positive integer, got {substeps!r}")
+    if not isinstance(max_doublings, (int, np.integer)) or max_doublings < 1:
+        raise ValueError(f"max_doublings must be an integer >= 1, got {max_doublings!r}")
     rho0.validate()
     bps = _breakpoints(p, seq)
     period = 2.0 * math.pi / max(p.w1z, p.w2z)

@@ -68,6 +68,8 @@ class SystemParams:
 
     def __post_init__(self):
         _require_finite(w1z=self.w1z, w2z=self.w2z, wxx=self.wxx)
+        if self.w2z <= 0:
+            raise ValueError("Larmor frequencies must be positive (w2z > 0)")
         if self.delta <= 0:
             raise ValueError("require w1z > w2z (delta > 0)")
         if self.wxx < 0:
@@ -224,26 +226,29 @@ def on_sync_grid(p: SystemParams, t: float) -> bool:
     return abs(t - m * p.t0_sync) <= GRID_RTOL * max(abs(t), p.t0_sync)
 
 
-def drive_amplitudes_at(seq: PulseSequence, t, mid: float | None = None):
+def drive_amplitudes_at(seq: PulseSequence, t, mid: float | np.ndarray | None = None):
     """Envelope-scaled, flip-signed amplitudes (ax1, ay1, ax2, ay2) at time t.
 
     Vectorized over t.  Segments never overlap per channel, so summing the
     per-segment contributions is exact.  Segment activity and flip signs
-    are decided at each t, or, when ``mid`` is given, at ``mid`` for every
-    t.  Sampling an interval with no envelope discontinuity strictly inside
-    it with ``mid`` at its midpoint gives its end points the one-sided
-    limit from inside the interval.
+    are decided at each t, or, when ``mid`` is given, at ``mid``: one time
+    for every t, or one per sample, broadcast against t.  Sampling an
+    interval with no envelope discontinuity strictly inside it with ``mid``
+    at its midpoint gives its end points the one-sided limit from inside
+    the interval.
     """
     t = np.asarray(t, dtype=float)
     ref = t if mid is None else mid
     amps = [np.zeros_like(t) for _ in range(4)]
     for seg in seq.segments:
         tau = t - seg.start
+        active = True
         if mid is not None:
-            if not seg.start <= mid <= seg.end:
+            active = (seg.start <= mid) & (mid <= seg.end)
+            if not np.any(active):
                 continue
             tau = np.clip(tau, 0.0, seg.duration)
-        env = seg.envelope.scale(tau, seg.duration)
+        env = seg.envelope.scale(tau, seg.duration) * active
         flip1 = flip2 = 1.0
         if seg.flip_at is not None:
             post = np.where(ref >= seg.flip_at, -1.0, 1.0)

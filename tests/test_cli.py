@@ -54,6 +54,15 @@ def test_compile_missing_params_exits_2(capsys):
     assert "error" in err
 
 
+def test_compile_non_positive_larmor_exits_2(tmp_path, capsys):
+    pf = tmp_path / "params.json"
+    pf.write_text('{"w1z": 2.25, "w2z": -0.25, "wxx": 0.1}')
+    code, out, err = run(capsys, "compile", "x90", "--params", str(pf))
+    assert code == 2
+    assert out == ""
+    assert "w2z > 0" in err
+
+
 @pytest.mark.parametrize("argv", [("compile", "d"), ("resonance", "--amps", "0.05,0.05")])
 def test_non_numeric_params_exits_2(argv, tmp_path, capsys):
     pf = tmp_path / "params.json"
@@ -234,6 +243,7 @@ def test_sweep_bad_grid_exits_2(tmp_path, capsys):
     '{"delta": -0.1, "wxx": 0.01}',
     '{"delta": "nan", "wxx": 0.01}',
     '{"delta": 0.1, "wxx": 0.06}',
+    '{"delta": 2.5, "wxx": 0.1}',  # w2z = 1 - delta/2 < 0
 ])
 def test_sweep_invalid_point_exits_2(point, tmp_path, capsys):
     # rejected while the grid is read, before any point is integrated

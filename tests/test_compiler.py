@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flicforq.compiler import (
     AngleOutOfRange,
@@ -22,6 +24,7 @@ from flicforq.compiler import (
 from flicforq.integrator import StepPolicy, frame_unitary, propagator_of_sequence
 from flicforq.model import (
     DEFAULT_PARAMS,
+    PulseSegment,
     PulseSequence,
     drive_amplitudes_at,
     validate_sequence,
@@ -222,6 +225,57 @@ def test_insert_remove_roundtrip():
     for (qa, aa, ta), (qb, ab, tb) in zip(back.virtual_z, seq.virtual_z):
         assert (qa, aa) == (qb, ab)
         assert ta == pytest.approx(tb, abs=1e-9)
+
+
+@st.composite
+def decoupling_cases(draw):
+    """1-4 segments in time order and an index of a square one-qubit host
+    without a flip; the others may drive both qubits and flip.  Ledger
+    entries fall anywhere in the sequence."""
+    amp = st.floats(-0.05, 0.05).filter(lambda a: a != 0.0)
+    n = draw(st.integers(1, 4))
+    index = draw(st.integers(0, n - 1))
+    segs = []
+    start = 0.0
+    for i in range(n):
+        start += draw(st.floats(0.0, 100.0))
+        duration = draw(st.floats(1.0, 300.0))
+        qubits = [draw(st.sampled_from((1, 2)))] if i == index \
+            else draw(st.sampled_from(([1], [2], [1, 2])))
+        flip = i != index and draw(st.booleans())
+        segs.append(PulseSegment(
+            start=start, duration=duration,
+            **{f"amp_{c}_{q}": draw(amp) for c in "xy" for q in qubits},
+            flip_at=start + 0.5 * duration if flip else None,
+            flip_qubit=qubits[-1] if flip else None,
+        ))
+        start = segs[-1].end
+    seq = PulseSequence(params=P, segments=tuple(segs))
+    for _ in range(draw(st.integers(0, 3))):
+        t = draw(st.floats(0.0, 1.0)) * seq.total_time
+        seq = seq.with_virtual_z(draw(st.sampled_from((1, 2))), draw(st.floats(-3.0, 3.0)), t)
+    return seq, index
+
+
+@settings(max_examples=50)
+@given(case=decoupling_cases())
+def test_insert_remove_round_trip_property(case):
+    seq, index = case
+    inserted = insert_decoupling(P, seq, index)
+    assert len(inserted.segments) == len(seq.segments) + 3
+    back = remove_decoupling(P, inserted, index)
+    assert len(back.segments) == len(seq.segments)
+    for a, b in zip(back.segments, seq.segments):
+        assert a.start == pytest.approx(b.start, rel=1e-12, abs=1e-9)
+        assert a.duration == pytest.approx(b.duration, rel=1e-12)
+        assert a.flip_at == pytest.approx(b.flip_at, rel=1e-12, abs=1e-9)
+        assert (a.amp_x_1, a.amp_y_1, a.amp_x_2, a.amp_y_2, a.envelope, a.flip_qubit, a.label) \
+            == (b.amp_x_1, b.amp_y_1, b.amp_x_2, b.amp_y_2, b.envelope, b.flip_qubit, b.label)
+    assert back.total_time == pytest.approx(seq.total_time, rel=1e-12, abs=1e-9)
+    assert len(back.virtual_z) == len(seq.virtual_z)
+    for (qa, aa, ta), (qb, ab, tb) in zip(back.virtual_z, seq.virtual_z):
+        assert (qa, aa) == (qb, ab)
+        assert ta == pytest.approx(tb, rel=1e-12, abs=1e-9)
 
 
 def test_insert_decoupling_rejects_two_qubit():

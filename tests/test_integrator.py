@@ -189,6 +189,21 @@ def test_expm_batch_matches_scipy():
         assert np.max(np.abs(e - scipy.linalg.expm(-0.37j * m))) < 1e-12
 
 
+@pytest.mark.parametrize("norm", [1e-3, 0.05, 0.5, integrator._SERIES_NORM,
+                                  integrator._SERIES_NORM * (1.0 + 1e-9), 3.0, 10.0])
+def test_expm_batch_series_and_squaring_match_scipy(norm):
+    # ||hM||_1 = norm for every matrix, one step each as in an oracle chunk:
+    # the series alone up to _SERIES_NORM, where its degree is highest, and
+    # scaling and squaring above it
+    rng = np.random.default_rng(15)
+    a = rng.normal(size=(8, 4, 4))
+    mats = a + a.transpose(0, 2, 1)
+    h = norm / np.max(np.sum(np.abs(mats), axis=-2), axis=-1)
+    got = _complex_of(_expm_batch(mats, h))
+    for m, hk, e in zip(mats, h, got):
+        assert np.max(np.abs(e - scipy.linalg.expm(-1j * hk * m))) <= 1e-14
+
+
 def test_hamiltonians_real_and_match_model():
     # both integrators rely on H(t) being real; a drive through another
     # channel would break this before it broke the physics
@@ -266,6 +281,76 @@ def test_oracle_matches_per_substep_reference():
     rho0 = random_state(np.random.default_rng(14))
     got = evolve_oracle(p, seq, rho0).coeffs
     assert np.max(np.abs(got - reference_oracle(p, seq, rho0))) <= 1e-12
+
+
+def ramped_flip_sequence():
+    """A ramped segment with an off-grid flip and an overlapping square one
+    on the benchmark device; every oracle pass holds more substeps than one
+    chunk."""
+    segs = (
+        PulseSegment(start=0.0, duration=30.0, amp_x_1=0.05, amp_y_1=-0.02,
+                     envelope=Envelope("raised-cosine-ramp", 6.0), flip_at=13.3, flip_qubit=1),
+        PulseSegment(start=BENCH.t0_sync, duration=30.0, amp_y_2=0.04),
+    )
+    return PulseSequence(params=BENCH, segments=segs)
+
+
+def test_oracle_matches_reference_across_chunks():
+    p, seq = BENCH, ramped_flip_sequence()
+    period = 2.0 * math.pi / p.w1z
+    bps = _breakpoints(p, seq)
+    first_pass = sum(_interval_steps(a, b, period / 64)[0] for a, b in zip(bps[:-1], bps[1:]))
+    assert first_pass > integrator._ORACLE_CHUNK
+    rho0 = random_state(np.random.default_rng(16))
+    got = evolve_oracle(p, seq, rho0).coeffs
+    assert np.max(np.abs(got - reference_oracle(p, seq, rho0))) <= 1e-12
+
+
+def test_oracle_batches_chunks_without_eigh(monkeypatch):
+    # every exponential comes from the series, one batch per chunk of
+    # intervals: two consecutive chunks together exceed the cap, which a
+    # batch per interval would not
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("the oracle called np.linalg.eigh")
+
+    passes = []
+    real_pass, real_expm = integrator._oracle_pass, integrator._expm_batch
+
+    def spy_pass(p, seq, rho0_mat, bps, h_target):
+        counts = [_interval_steps(a, b, h_target)[0] for a, b in zip(bps[:-1], bps[1:])]
+        passes.append((counts, []))
+        return real_pass(p, seq, rho0_mat, bps, h_target)
+
+    def spy_expm(mats, h):
+        passes[-1][1].append(mats.size // 32)  # two 4x4 exponentials per substep
+        return real_expm(mats, h)
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    monkeypatch.setattr(integrator, "_oracle_pass", spy_pass)
+    monkeypatch.setattr(integrator, "_expm_batch", spy_expm)
+    seq = ramped_flip_sequence()
+    evolve_oracle(BENCH, seq, random_state(np.random.default_rng(17)))
+    cap = integrator._ORACLE_CHUNK
+    assert len(passes) >= 2
+    for counts, batches in passes:
+        assert sum(batches) == sum(counts)
+        assert len(batches) <= math.ceil(sum(counts) / cap) + len(counts)
+        assert len(batches) < len(counts)
+        assert all(b <= cap or b in counts for b in batches)
+        assert all(b1 + b2 > cap for b1, b2 in zip(batches, batches[1:]))
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"substeps": 0}, {"substeps": -4}, {"substeps": 2.5}, {"substeps": "64"},
+    {"max_doublings": 0}, {"max_doublings": -1},
+])
+def test_oracle_rejects_bad_substeps_and_doublings(kwargs):
+    # a negative substeps would give one substep per interval in every
+    # pass, so the doubling test would pass at once on a wrong trajectory
+    p = DEFAULT_PARAMS
+    seq = PulseSequence(params=p, segments=(PulseSegment(start=0.0, duration=10.0, amp_y_1=0.05),))
+    with pytest.raises(ValueError, match=next(iter(kwargs))):
+        evolve_oracle(p, seq, DensityState.computational("00"), **kwargs)
 
 
 def plain_propagators(p, seq, policy):

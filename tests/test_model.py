@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flicforq.model import (
     DEFAULT_PARAMS,
@@ -55,6 +57,30 @@ def test_params_validation():
         SystemParams(w1z=1.025, w2z=0.975, wxx=0.025)
     with pytest.warns(UserWarning):
         SystemParams(w1z=1.05, w2z=0.95, wxx=0.05)
+
+
+@pytest.mark.parametrize("w1z, w2z", [(2.25, -0.25), (1.5, 0.0)])
+def test_non_positive_larmor_rejected(w1z, w2z):
+    # delta > 0 and wxx < 0.2 delta hold, so only the sign of w2z is wrong
+    with pytest.raises(ValueError, match="w2z > 0"):
+        SystemParams(w1z=w1z, w2z=w2z, wxx=0.1)
+
+
+def test_drive_amplitudes_per_sample_mid_matches_scalar():
+    # one call over several intervals, each sample carrying its interval's
+    # midpoint, gives exactly the values of one call per interval
+    segs = (
+        PulseSegment(start=0.0, duration=20.0, amp_x_1=0.03, amp_y_1=-0.02,
+                     envelope=Envelope("raised-cosine-ramp", 4.0), flip_at=9.0, flip_qubit=1),
+        PulseSegment(start=20.0, duration=12.0, amp_x_2=-0.03, amp_y_2=0.04),
+    )
+    seq = PulseSequence(params=DEFAULT_PARAMS, segments=segs, total_time=35.0)
+    edges = [0.0, 3.0, 9.0, 14.0, 20.0, 26.0, 32.0, 35.0]
+    ts = [np.linspace(a, b, 5) for a, b in zip(edges[:-1], edges[1:])]
+    mids = [0.5 * (a + b) for a, b in zip(edges[:-1], edges[1:])]
+    per_interval = [np.array(drive_amplitudes_at(seq, t, mid=m)) for t, m in zip(ts, mids)]
+    got = drive_amplitudes_at(seq, np.concatenate(ts), mid=np.repeat(mids, 5))
+    assert np.array_equal(np.array(got), np.concatenate(per_interval, axis=1))
 
 
 def test_non_finite_rejected():
@@ -268,3 +294,43 @@ def test_readme_schema_round_trips():
     assert json.loads(sequence_to_json(seq)) == json.loads(block)
     assert seq.segments[0].flip_qubit == 2
     assert seq.segments[1].envelope == Envelope("raised-cosine-ramp", 12.5)
+
+
+@st.composite
+def json_sequences(draw):
+    """Devices below the coupling warning, and 0-3 segments of any envelope,
+    flip and label, with a virtual-z ledger."""
+    w2z = draw(st.floats(0.5, 1.0))
+    delta = draw(st.floats(0.05, 0.3))
+    p = SystemParams(w1z=w2z + delta, w2z=w2z, wxx=draw(st.floats(0.0, 0.15)) * delta)
+    amp = st.floats(-0.1, 0.1)
+    segs = []
+    start = 0.0
+    for _ in range(draw(st.integers(0, 3))):
+        start += draw(st.floats(0.0, 50.0))
+        duration = draw(st.floats(0.1, 200.0))
+        envelope = Envelope()
+        if draw(st.booleans()):
+            envelope = Envelope("raised-cosine-ramp", draw(st.floats(0.0, 1.0)) * duration)
+        flip_at = flip_qubit = None
+        if draw(st.booleans()):
+            flip_at = start + draw(st.floats(0.01, 0.99)) * duration
+            flip_qubit = draw(st.sampled_from((1, 2)))
+        segs.append(PulseSegment(
+            start=start, duration=duration, amp_x_1=draw(amp), amp_y_1=draw(amp),
+            amp_x_2=draw(amp), amp_y_2=draw(amp), envelope=envelope,
+            flip_at=flip_at, flip_qubit=flip_qubit,
+            label=draw(st.sampled_from(("", "echo", "x90"))),
+        ))
+    vz = tuple((draw(st.sampled_from((1, 2))), draw(st.floats(-10.0, 10.0)),
+                draw(st.floats(0.0, 1000.0))) for _ in range(draw(st.integers(0, 2))))
+    total = draw(st.floats(0.0, 1000.0))
+    return PulseSequence(params=p, segments=tuple(segs), virtual_z=vz, total_time=total)
+
+
+@settings(max_examples=50)
+@given(seq=json_sequences())
+def test_json_round_trip_property(seq):
+    text = sequence_to_json(seq)
+    assert sequence_from_json(text) == seq
+    assert sequence_to_json(sequence_from_json(text)) == text

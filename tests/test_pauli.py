@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flicforq.pauli import (
     PAULI_1Q,
@@ -212,6 +214,26 @@ def test_parse_format_roundtrip():
     w = parse_word(text)
     assert w == build_cnot_word()
     assert format_word(w) == text
+
+
+AXIS_TEXTS = [f + "1" for f in "XYZ"] + [f + "2" for f in "XYZ"] \
+    + [f1 + "1" + f2 + "2" for f1 in "XYZ" for f2 in "XYZ"]
+EXPONENT_TEXTS = st.one_of(
+    st.builds(lambda n, d: f"{n}/{d}", st.integers(-2000, 2000), st.integers(1, 2000)),
+    st.integers(-5, 5).map(str),
+    st.floats(-4.0, 4.0).map(repr),
+)
+
+
+@settings(max_examples=50)
+@given(tokens=st.lists(st.tuples(st.sampled_from(AXIS_TEXTS), EXPONENT_TEXTS), max_size=6))
+def test_parse_format_round_trip_property(tokens):
+    # reduced fractions of denominator <= 1000 print as fractions, every
+    # other exponent as its shortest repr; both parse back to the same float
+    w = parse_word(" ".join(f"{axis}^{expo}" for axis, expo in tokens))
+    text = format_word(w)
+    assert parse_word(text) == w
+    assert format_word(parse_word(text)) == text
 
 
 def test_parse_rejects_bad_tokens():
