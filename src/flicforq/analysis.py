@@ -1,13 +1,14 @@
-"""Metrics: reduced Bloch vectors, concurrence, fidelities, sideband
+"""Metrics: reduced Bloch vectors, concurrence, gate fidelities, sideband
 resonance arithmetic, and the one-qubit error budget.
 
 Gate fidelities are computed up to local z phases (which are free in an
 architecture with virtual z bookkeeping) and a global phase.  With
 M = conj(U_ideal) * U_sim elementwise, the trace Tr(U_ideal^dag Zl U_sim Zr)
-is the bilinear form zl . M . zr in the diagonals of the two z-phase
-matrices, so the maximization over the four z phases is exact per
-coordinate; it is iterated to convergence from all 16 starts of a 0/pi
-grid at once, one start per row of a phase array.
+is the sum of the 16 entries of M, each turned by a fixed +-1 combination
+of the four half-phases.  Its modulus is maximized from the 8 starts of a
+0/pi grid at once, one start per row of a phase array.  Each iteration
+maximizes it exactly along each phase in turn, then takes one damped
+Newton step on all four.
 """
 
 from __future__ import annotations
@@ -36,12 +37,10 @@ __all__ = [
     "FidelityReport",
     "reduced_bloch",
     "concurrence",
-    "state_fidelity",
     "gate_fidelity",
     "compose_virtual_z",
     "sideband_check",
     "one_qubit_error_budget",
-    "entanglement_flag",
     "report_to_json",
 ]
 
@@ -86,14 +85,6 @@ def concurrence(rho: DensityState) -> float:
     return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
 
 
-def state_fidelity(rho: DensityState, psi: np.ndarray) -> float:
-    """<psi|rho|psi> for a normalized pure target."""
-    psi = np.asarray(psi, dtype=complex)
-    if abs(np.linalg.norm(psi) - 1.0) > 1e-9:
-        raise ValueError("psi must be normalized")
-    return float(np.real(np.vdot(psi, rho.to_matrix() @ psi)))
-
-
 @dataclass
 class FidelityReport:
     process: float
@@ -108,57 +99,102 @@ def _z_phases(phi1: float, phi2: float) -> np.ndarray:
     return np.exp(1j * np.array([a + b, a - b, -a + b, -a - b]))
 
 
-# the 16 starts of the phase search, one per row: the 0/pi grid in (f1, f2, t1, t2)
-_STARTS = np.array(list(itertools.product((0.0, math.pi), repeat=4)))
-# the trace tensor contracted with the half-phase pairs of all phases but one
-_ALL_BUT = ("abcd,sb,sc,sd->sa", "abcd,sa,sc,sd->sb", "abcd,sa,sb,sd->sc", "abcd,sa,sb,sc->sd")
+# The sign of each half-phase (f1, f2, t1, t2) on entry 4i + j of M: + where
+# qubit 1 (f1, t1) or qubit 2 (f2, t2) is |0> in the row i (left phases) or
+# in the column j (right phases), - where it is |1>.
+_SIGNS = np.array(
+    [[1 - 2 * (i >> 1), 1 - 2 * (i & 1), 1 - 2 * (j >> 1), 1 - 2 * (j & 1)]
+     for i in range(4) for j in range(4)], dtype=float)
+# S_k S_l per entry, so that sum_m E_m S_mk S_ml = (E @ _SIGN_PAIRS)[4k + l]
+_SIGN_PAIRS = (_SIGNS[:, :, np.newaxis] * _SIGNS[:, np.newaxis, :]).reshape(16, 16)
+# per phase, the entries where its sign is + (first column) and - (second)
+_HALVES = (_SIGNS.T[:, :, np.newaxis] == np.array([1.0, -1.0])).astype(complex)
+# The starts, one per row: f1 = 0 and the 0/pi grid in (f2, t1, t2).  The
+# first update sets f1 without reading it, so f1 = pi would repeat each row.
+_STARTS = np.array([(0.0,) + s for s in itertools.product((0.0, math.pi), repeat=3)])
+_TRIALS = np.array([1.0, 0.5, 0.25, 0.125])  # fractions of the Newton step tried
+_MAX_ITER = 50
+_SHIFT_FLOOR = 1e-12  # least shift of the Newton matrix, whose entries reach ~16
+_DECREMENT_TOL = 1e-13  # a row has converged when its Newton decrement is below
+_RISE_TOL = 1e-15  # this and its last iteration raised f by less than this
+_EYE4 = np.eye(4)
+# the leading 1x1, 2x2, 3x3 and 4x4 blocks, padded by the identity
+_LEADING = np.array([np.maximum.outer(np.arange(4), np.arange(4)) <= n for n in range(4)])
 
 
-def _half_phases(p: np.ndarray) -> np.ndarray:
-    """(e^{i p/2}, e^{-i p/2}) along a new last axis."""
-    return np.exp(0.5j * p[..., np.newaxis] * np.array([1.0, -1.0]))
+def _shifted_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve (a_r + mu_r I) x_r = b_r for each row r, a_r = -Hessian.
+
+    Where a_r + floor I is positive definite (all leading minors positive),
+    mu_r is the floor and x_r is the Newton step.  Elsewhere mu_r also
+    lifts every Gershgorin disc of a_r to the right of zero, so
+    a_r + mu_r I is positive definite and x_r still points uphill.
+    """
+    a = a + _SHIFT_FLOOR * _EYE4
+    definite = np.all(np.linalg.det(np.where(_LEADING, a[:, np.newaxis], _EYE4)) > 0, axis=1)
+    margin = np.min(2.0 * np.diagonal(a, axis1=1, axis2=2) - np.abs(a).sum(2), axis=1)
+    mu = np.where(definite, 0.0, _SHIFT_FLOOR - np.minimum(margin, 0.0))
+    return np.linalg.solve(a + mu[:, np.newaxis, np.newaxis] * _EYE4, b[..., np.newaxis])[..., 0]
 
 
 def _align_phases(u_ideal: np.ndarray, u_sim: np.ndarray) -> tuple[np.ndarray, float]:
-    """Maximize |Tr(Ui^dag Zl(f1,f2) Us Zr(t1,t2))|^2/16 over the z phases.
+    """Maximize f = |Tr(Ui^dag Zl(f1,f2) Us Zr(t1,t2))|^2/16 over the z phases.
 
-    With M = conj(Ui) * Us elementwise, the trace is the bilinear form
-    zl . M . zr in the diagonals of Zl and Zr.  Each diagonal is the
-    Kronecker product of one pair (e^{i p/2}, e^{-i p/2}) per qubit, so
-    with M read as a tensor T[a,b,c,d] (row and column indices split into
-    qubit 1 and qubit 2) the trace is T contracted with the four pairs.
-    Contracting all pairs but the one of phase p leaves (A, B): the row
-    (left phase) or column (right phase) contributions of the form summed
-    over the half of the basis where that qubit is |0> and where it is
-    |1>.  The trace is A e^{i p/2} + B e^{-i p/2}, whose modulus is
-    maximized exactly at p = arg(B) - arg(A).  Coordinate sweeps in the
-    order f1, f2, t1, t2 iterate this until a sweep changes the fidelity
-    by less than 1e-12, or for 200 sweeps, from each of the 16 starts on
-    the 0/pi grid, which escape the sign structure's local maxima.  The
-    starts run together as the rows of one phase array, and a row stops
-    moving once it has converged.  The first best start wins.  Its phases
-    are returned wrapped into (-pi, pi]: a shift by 2 pi flips the sign of
-    one z matrix, which changes the trace by a global phase only.
+    With M = conj(Ui) * Us elementwise, flattened, and a row th of phases
+    (f1, f2, t1, t2), the trace is E.sum() for E = M * exp(i/2 th S^T),
+    S the fixed 16x4 sign matrix _SIGNS.  Its gradient in th is
+    (i/2) E S and its Hessian -(1/4) E (S (x) S); those of f follow.
+
+    Each iteration first sweeps the phases in the order f1, f2, t1, t2.
+    Along one phase p the trace is A e^{i p/2} + B e^{-i p/2}, A and B the
+    sums of E (taken at p = 0) over the entries where the sign of p is +
+    and -, so its modulus is largest at p = arg(B) - arg(A): a step of
+    arg(sum_- E) - arg(sum_+ E), applied to E by a phase factor.  The sweep
+    moves the rows off the flat zero-trace regions around the grid starts.
+    Then one Newton step on all four phases (_shifted_solve) is tried at
+    full, half, quarter and eighth length, and a row takes the best of
+    these unless it is lower than the sweep left it.  A row stops once its
+    Newton decrement is below 1e-13 and its last iteration raised f by
+    less than 1e-15, or after 50 iterations.  The first best start wins.
+    Its phases are returned wrapped into (-pi, pi]: a shift by 2 pi flips
+    the sign of one z matrix, which changes the trace by a global phase
+    only.
     """
-    t = (u_ideal.conj() * u_sim).reshape(2, 2, 2, 2)
+    m = (u_ideal.conj() * u_sim).ravel()
     ph = _STARTS.copy()
-    pairs = [_half_phases(ph[:, k]) for k in range(4)]
+    e = m * np.exp(0.5j * (ph @ _SIGNS.T))
+    f = np.abs(e.sum(1)) ** 2 / 16.0
+    rows = np.arange(len(ph))
     active = np.ones(len(ph), dtype=bool)
-    prev = np.full(len(ph), -1.0)
-    f = prev.copy()
-    for _ in range(200):
+    for _ in range(_MAX_ITER):
+        f_prev = f
         for k in range(4):
-            a, b = np.einsum(_ALL_BUT[k], t, *pairs[:k], *pairs[k + 1:]).T
-            move = active & (np.abs(a) > 1e-300) & (np.abs(b) > 1e-300)
-            ph[move, k] = np.angle(b[move]) - np.angle(a[move])
-            pairs[k] = _half_phases(ph[:, k])
-        # the last contraction, closed with the new t2, is the trace
-        trace = a * pairs[3][:, 0] + b * pairs[3][:, 1]
-        f = np.where(active, np.abs(trace) ** 2 / 16.0, f)
-        active &= ~(np.abs(f - prev) < 1e-12)
+            plus, minus = (e @ _HALVES[k]).T
+            step = np.where(active, np.angle(minus * plus.conj()), 0.0)
+            ph[:, k] += step
+            e *= np.exp(0.5j * step[:, np.newaxis] * _SIGNS[:, k])
+        # 32 times the gradient of f and minus its Hessian; the factor
+        # cancels in the Newton step
+        trace = e.sum(1)
+        es = e @ _SIGNS
+        grad = -2.0 * (trace.conj()[:, np.newaxis] * es).imag
+        neg_hess = ((trace.conj()[:, np.newaxis] * (e @ _SIGN_PAIRS)).real.reshape(-1, 4, 4)
+                    - (es.conj()[:, :, np.newaxis] * es[:, np.newaxis, :]).real)
+        delta = np.where(active[:, np.newaxis], _shifted_solve(neg_hess, grad), 0.0)
+        decrement = np.einsum("rk,rk->r", grad, delta) / 32.0
+        trial = ph[:, np.newaxis, :] + _TRIALS[:, np.newaxis] * delta[:, np.newaxis, :]
+        e_trial = m * np.exp(0.5j * (trial @ _SIGNS.T))
+        f_trial = np.abs(e_trial.sum(2)) ** 2 / 16.0
+        pick = np.argmax(f_trial, axis=1)
+        f_newton = f_trial[rows, pick]
+        f_sweep = np.abs(trace) ** 2 / 16.0
+        take = f_newton >= f_sweep
+        ph = np.where(take[:, np.newaxis], trial[rows, pick], ph)
+        e = np.where(take[:, np.newaxis], e_trial[rows, pick], e)
+        f = np.where(active, np.maximum(f_newton, f_sweep), f_prev)
+        active &= ~((decrement < _DECREMENT_TOL) & (f - f_prev < _RISE_TOL))
         if not active.any():
             break
-        prev = f
     best = int(np.argmax(f))
     wrapped = np.pi - np.mod(np.pi - ph[best], 2.0 * np.pi)  # in [-pi, pi]
     return np.where(wrapped <= -np.pi, np.pi, wrapped), float(f[best])
@@ -276,16 +312,6 @@ def one_qubit_error_budget(
         "echo": echo,
         "gate_time": seq.total_time,
     }
-
-
-def entanglement_flag(rho: DensityState, tol: float) -> bool:
-    """True when both reduced Bloch vectors vanish within tol while the
-    state stays (nearly) pure — the signature of full entanglement."""
-    if np.linalg.norm(reduced_bloch(rho, 1)) > tol:
-        return False
-    if np.linalg.norm(reduced_bloch(rho, 2)) > tol:
-        return False
-    return rho.purity >= 1.0 - 2.0 * tol
 
 
 def report_to_json(report: FidelityReport) -> str:

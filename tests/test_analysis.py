@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import minimize
 
 from flicforq.analysis import (
     FidelityReport,
@@ -12,24 +13,22 @@ from flicforq.analysis import (
     NotUnitary,
     compose_virtual_z,
     concurrence,
-    entanglement_flag,
     gate_fidelity,
     one_qubit_error_budget,
     reduced_bloch,
     report_to_json,
     sideband_check,
-    state_fidelity,
 )
+from flicforq import analysis
 from flicforq.analysis import _align_phases
-from flicforq.integrator import DensityState, StepPolicy
+from flicforq.compiler import compile_cnot, compile_one_qubit
+from flicforq.integrator import DensityState, StepPolicy, frame_unitary, propagator_of_sequence
 from flicforq.model import DEFAULT_PARAMS, PulseSequence, SystemParams
 from flicforq.pauli import PauliString, RotationWord, build_cnot_word, word_unitary
 
 P = DEFAULT_PARAMS
 QUICK = StepPolicy(steps_per_period=600)
 
-KET_00 = np.array([1, 0, 0, 0], dtype=complex)
-KET_01 = np.array([0, 1, 0, 0], dtype=complex)
 BELL_I = (np.array([1, 0, 0, 1j], dtype=complex)) / np.sqrt(2)  # (|00>+i|11>)/sqrt2
 BELLS = [
     np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2),
@@ -98,14 +97,6 @@ def test_concurrence_rejects_negative():
         concurrence(DensityState(c))
 
 
-def test_state_fidelity():
-    s = DensityState.from_ket(KET_00)
-    assert state_fidelity(s, KET_00) == pytest.approx(1.0)
-    assert state_fidelity(s, KET_01) == pytest.approx(0.0, abs=1e-14)
-    with pytest.raises(ValueError):
-        state_fidelity(s, 2.0 * KET_00)
-
-
 def test_gate_fidelity_exact_self():
     w = build_cnot_word()
     rep = gate_fidelity(word_unitary(w), w)
@@ -161,7 +152,9 @@ def z_diag(phi1, phi2):
 
 
 def sequential_align(u_ideal, u_sim):
-    # the phase search one start, one coordinate and one 4x4 trace at a time
+    # coordinate sweeps one start, one coordinate and one 4x4 trace at a
+    # time, then a BFGS polish of the best start: the sweeps alone can stop
+    # short of the maximum along a ridge (by 8e-12 on the random pairs below)
     uid = u_ideal.conj().T
     halves = (
         (np.diag([1.0, 1.0, 0.0, 0.0]), np.diag([0.0, 0.0, 1.0, 1.0])),
@@ -200,6 +193,10 @@ def sequential_align(u_ideal, u_sim):
         if f > best_f:
             best_f = f
             best_ph = ph.copy()
+    res = minimize(lambda ph: -abs(trace_of(ph)) ** 2 / 16.0, best_ph, method="BFGS",
+                   options={"gtol": 1e-12})
+    if -res.fun > best_f:
+        best_ph, best_f = res.x, -res.fun
     return best_ph, best_f
 
 
@@ -228,9 +225,8 @@ def layer_word(a1, k1, a2, k2):
 def align_cases():
     cnot = word_unitary(build_cnot_word())
     rng = np.random.default_rng(21)
-    # random pairs; on seeds 252, 657 and 1349 the winning start stops on
-    # a flat ridge, where a start that kept moving after it converged
-    # would end outside the bounds below
+    # random pairs; on seeds 252, 657 and 1349 coordinate sweeps alone
+    # stop 7.5e-12 to 8.2e-12 below the maximum, on a ridge
     pairs = [tuple(random_unitaries(seed, 2)) for seed in (0, 1, 252, 657, 1349)]
     for u in random_unitaries(3, 3):
         pairs.append((cnot, u))
@@ -272,12 +268,67 @@ PHASE = st.floats(-math.pi, math.pi)
 @settings(max_examples=150)
 @given(w=st.sampled_from(COMPILED_WORDS), ph=st.tuples(PHASE, PHASE, PHASE, PHASE))
 def test_gate_fidelity_quotients_z_phases_of_compiled_words(w, ph):
-    # the words flicforq compiles are recovered exactly from any local z
-    # frame; arbitrary Pauli words are not, since the coordinate ascent
-    # can stall below the maximum on them
+    # the words flicforq compiles are recovered exactly from any local z frame
     rep = gate_fidelity(with_z_phases(word_unitary(w), ph), w)
     assert rep.process >= 1.0 - 1e-9
     assert all(-math.pi < x <= math.pi for x in rep.alignment)
+
+
+PAULI_PAIRS = [a + b for a in "IXYZ" for b in "IXYZ" if a + b != "II"]
+
+
+@settings(max_examples=300)
+@given(
+    elems=st.lists(st.tuples(st.sampled_from(PAULI_PAIRS), st.floats(-1.0, 1.0)),
+                   min_size=1, max_size=3),
+    ph=st.tuples(PHASE, PHASE, PHASE, PHASE),
+)
+def test_gate_fidelity_quotients_z_phases_of_pauli_words(elems, ph):
+    # 1-3 rotations about arbitrary two-qubit Pauli strings: coordinate
+    # sweeps alone stall up to 1e-3 below the maximum on some of these
+    w = word(*elems)
+    rep = gate_fidelity(with_z_phases(word_unitary(w), ph), w)
+    assert rep.process >= 1.0 - 1e-12
+
+
+def test_gate_fidelity_disjoint_support():
+    # conj(U_ideal) * U_sim is zero, so every alignment gives a zero trace
+    xx = np.eye(4)[::-1]  # X1X2
+    rep = gate_fidelity(xx, RotationWord(()))
+    assert rep.process == 0.0
+    assert all(v == 0.0 for v in rep.per_state.values())
+
+
+BENCH = SystemParams(w1z=1.125, w2z=0.875, wxx=0.025)
+
+
+def compiled_unitary(seq, policy=StepPolicy(steps_per_period=800)):
+    u = propagator_of_sequence(BENCH, seq, policy)
+    return compose_virtual_z(frame_unitary(BENCH, seq.total_time) @ u, seq)
+
+
+def test_alignment_converges_in_few_newton_iterations(monkeypatch):
+    # one Newton solve per iteration, at most 8 starts; a coordinate search
+    # alone needs 134 sweeps on this layer
+    calls = []
+    real = analysis._shifted_solve
+
+    def spy(a, b):
+        calls.append(len(a))
+        return real(a, b)
+
+    monkeypatch.setattr(analysis, "_shifted_solve", spy)
+    layer = PulseSequence(params=BENCH, segments=(
+        compile_one_qubit(BENCH, 1, "x", math.pi / 8, 0.0),
+        compile_one_qubit(BENCH, 2, "y", -math.pi / 2, 0.0),
+    ))
+    cases = [(compile_cnot(BENCH), build_cnot_word()), (layer, layer_word("X", 1, "Y", -4))]
+    for seq, w in cases:
+        calls.clear()
+        rep = gate_fidelity(compiled_unitary(seq), w)
+        assert rep.process > 0.98
+        assert 1 <= len(calls) <= 20
+        assert max(calls) <= 8
 
 
 def test_gate_fidelity_deterministic():
@@ -337,12 +388,6 @@ def test_error_budget_echo_protects_spectator():
     rep = one_qubit_error_budget(P, policy=QUICK)
     rep_echo = one_qubit_error_budget(P, echo=True, policy=QUICK)
     assert rep_echo["spectator_infidelity"] <= rep["spectator_infidelity"]
-
-
-def test_entanglement_flag():
-    assert entanglement_flag(DensityState.from_ket(BELL_I), 1e-6)
-    assert not entanglement_flag(DensityState(np.zeros(15)), 1e-6)
-    assert not entanglement_flag(DensityState.computational("00"), 1e-6)
 
 
 def test_report_json_schema():
