@@ -24,8 +24,9 @@ from .compiler import compile_one_qubit, insert_decoupling
 from .integrator import (
     DensityState,
     StepPolicy,
+    _z_phases,
+    compose_virtual_z,
     evolve,
-    frame_unitary,
     to_rotating_frame,
 )
 from .model import PulseSequence, SystemParams
@@ -91,12 +92,6 @@ class FidelityReport:
     per_state: dict[str, float]
     alignment: tuple[float, float, float, float]
     notes: list[str] = field(default_factory=list)
-
-
-def _z_phases(phi1: float, phi2: float) -> np.ndarray:
-    a = 0.5 * phi1
-    b = 0.5 * phi2
-    return np.exp(1j * np.array([a + b, a - b, -a + b, -a - b]))
 
 
 # The sign of each half-phase (f1, f2, t1, t2) on entry 4i + j of M: + where
@@ -235,16 +230,6 @@ def gate_fidelity(
         alignment=tuple(float(x) for x in ph),
         notes=notes,
     )
-
-
-def compose_virtual_z(u: np.ndarray, seq: PulseSequence) -> np.ndarray:
-    """Apply the sequence's virtual-z ledger entries, exp(i*angle*Zq/2)
-    each, after the physical propagator."""
-    out = np.asarray(u, dtype=complex)
-    for qubit, angle, _t in seq.virtual_z:
-        phases = _z_phases(angle if qubit == 1 else 0.0, angle if qubit == 2 else 0.0)
-        out = phases[:, np.newaxis] * out
-    return out
 
 
 def sideband_check(

@@ -16,11 +16,11 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 
 import numpy as np
 
 from .analysis import (
-    compose_virtual_z,
     concurrence,
     gate_fidelity,
     one_qubit_error_budget,
@@ -31,12 +31,10 @@ from .analysis import (
 from .compiler import compile_cnot, compile_D, compile_one_qubit, compile_xx_half
 from .integrator import (
     DensityState,
-    NoConvergence,
     StepPolicy,
     StepTooCoarse,
     evolve,
-    frame_unitary,
-    propagator_of_sequence,
+    gate_unitary,
     to_rotating_frame,
     write_trajectory_csv,
 )
@@ -117,22 +115,23 @@ def _parse_state(spec: str) -> DensityState:
     )
 
 
-def _compile_gate(gate: str, p: SystemParams) -> PulseSequence:
-    if gate == "d":
-        return compile_D(p, 0.0)
-    if gate == "xx_half":
-        return compile_xx_half(p, 0.0)
-    if gate == "cnot":
-        return compile_cnot(p)
-    if gate in ("x90", "y90"):
-        seg = compile_one_qubit(p, 1, gate[0], math.pi / 2, 0.0)
-        return PulseSequence(params=p, segments=(seg,))
-    raise SchemaError(f"unknown gate {gate!r}")
+def _half_pi_on_qubit_1(p: SystemParams, axis: str) -> PulseSequence:
+    return PulseSequence(params=p, segments=(compile_one_qubit(p, 1, axis, math.pi / 2, 0.0),))
+
+
+# The gates ``compile`` knows, by name; the parser takes its choices from here.
+_GATES = {
+    "d": compile_D,
+    "xx_half": compile_xx_half,
+    "cnot": compile_cnot,
+    "x90": lambda p: _half_pi_on_qubit_1(p, "x"),
+    "y90": lambda p: _half_pi_on_qubit_1(p, "y"),
+}
 
 
 def cmd_compile(args) -> int:
     p = _load_params(args.params)
-    seq = _compile_gate(args.gate, p)
+    seq = _GATES[args.gate](p)
     diags = validate_sequence(p, seq)
     errors = [d for d in diags if d.severity == "error"]
     for d in diags:
@@ -154,7 +153,7 @@ def cmd_simulate(args) -> int:
             traj = to_rotating_frame(traj, p)
         with open(args.out, "w") as fh:
             write_trajectory_csv(traj, fh, full=args.full)
-    except (StepTooCoarse, NoConvergence, OSError) as exc:
+    except (StepTooCoarse, OSError) as exc:
         print(f"integrator failure: {exc}", file=sys.stderr)
         return EXIT_INTEGRATOR
     final = traj.final
@@ -176,15 +175,12 @@ def cmd_fidelity(args) -> int:
         word = parse_word(args.word)
     except ValueError as exc:
         raise SchemaError(f"bad target word: {exc}") from exc
-    p = seq.params
     policy = StepPolicy(steps_per_period=args.steps_per_period)
     try:
-        u = propagator_of_sequence(p, seq, policy)
-    except (StepTooCoarse, NoConvergence) as exc:
+        u = gate_unitary(seq, policy)
+    except StepTooCoarse as exc:
         print(f"integrator failure: {exc}", file=sys.stderr)
         return EXIT_INTEGRATOR
-    u = frame_unitary(p, seq.total_time) @ u
-    u = compose_virtual_z(u, seq)
     report = gate_fidelity(u, word, align_local_z=not args.no_align)
     _emit(report_to_json(report), args.out)
     if args.min is not None and report.process < args.min:
@@ -200,21 +196,24 @@ def _params_for(delta: float, wxx: float) -> SystemParams:
     return SystemParams(w1z=1.0 + 0.5 * delta, w2z=1.0 - 0.5 * delta, wxx=wxx)
 
 
-def _sweep_point(task) -> float:
+# The metrics ``sweep`` knows, as functions of the device and the step policy.
+_METRICS = {
+    "cnot_error": lambda p, policy:
+        1.0 - gate_fidelity(gate_unitary(compile_cnot(p), policy), build_cnot_word()).process,
+    "one_qubit_error": lambda p, policy:
+        one_qubit_error_budget(p, policy=policy)["target_infidelity"],
+    "d_concurrence": lambda p, policy:
+        concurrence(evolve(p, compile_D(p), DensityState.computational("00"), policy).final),
+}
+
+
+def _sweep_point(task) -> tuple[float, str | None]:
+    """The metric at one grid point, or nan and the reason it failed."""
     p, metric, steps = task
-    policy = StepPolicy(steps_per_period=steps)
-    if metric == "one_qubit_error":
-        return one_qubit_error_budget(p, policy=policy)["target_infidelity"]
-    if metric == "d_concurrence":
-        seq = compile_D(p, 0.0)
-        traj = evolve(p, seq, DensityState.computational("00"), policy)
-        return concurrence(traj.final)
-    if metric == "cnot_error":
-        seq = compile_cnot(p)
-        u = propagator_of_sequence(p, seq, policy)
-        u = compose_virtual_z(frame_unitary(p, seq.total_time) @ u, seq)
-        return 1.0 - gate_fidelity(u, build_cnot_word()).process
-    raise SchemaError(f"unknown metric {metric!r}")
+    try:
+        return _METRICS[metric](p, StepPolicy(steps_per_period=steps)), None
+    except Exception as exc:  # a failed point is a nan row, not a failed sweep
+        return float("nan"), str(exc)
 
 
 def cmd_sweep(args) -> int:
@@ -230,34 +229,15 @@ def cmd_sweep(args) -> int:
             tasks.append((_params_for(d, w), args.metric, args.steps_per_period))
         except ValueError as exc:
             raise SchemaError(f"bad grid point delta={d}, wxx={w}: {exc}") from exc
-    failed = False
-    if args.jobs == 1:
-        results = []
-        for point, task in zip(points, tasks):
-            try:
-                results.append(_sweep_point(task))
-            except SchemaError:
-                raise
-            except Exception as exc:  # per-point failure -> nan row
-                print(f"point {point} failed: {exc}", file=sys.stderr)
-                results.append(float("nan"))
-                failed = True
-    else:
-        results = []
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            futures = [pool.submit(_sweep_point, task) for task in tasks]
-            for point, fut in zip(points, futures):
-                try:
-                    results.append(fut.result())
-                except Exception as exc:
-                    print(f"point {point} failed: {exc}", file=sys.stderr)
-                    results.append(float("nan"))
-                    failed = True
+    with ProcessPoolExecutor(args.jobs) if args.jobs > 1 else nullcontext() as pool:
+        results = list((pool.map if pool else map)(_sweep_point, tasks))
     lines = ["delta,wxx,metric"]
-    for (d, w), r in zip(points, results):
+    for (d, w), (r, error) in zip(points, results):
+        if error is not None:
+            print(f"point {(d, w)} failed: {error}", file=sys.stderr)
         lines.append(f"{d:.12g},{w:.12g},{r:.12g}")
     _emit("\n".join(lines), args.out)
-    return EXIT_INTEGRATOR if failed else 0
+    return EXIT_INTEGRATOR if any(error is not None for _, error in results) else 0
 
 
 def cmd_resonance(args) -> int:
@@ -283,7 +263,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("compile", help="compile a named gate to a pulse sequence")
-    c.add_argument("gate", choices=["d", "xx_half", "cnot", "x90", "y90"])
+    c.add_argument("gate", choices=list(_GATES))
     c.add_argument("--params")
     c.add_argument("--out")
     c.set_defaults(func=cmd_compile)
@@ -308,8 +288,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     w = sub.add_parser("sweep", help="metric over a (delta, wxx) grid")
     w.add_argument("grid", help="JSON list of {delta, wxx} points")
-    w.add_argument("--metric", required=True,
-                   choices=["cnot_error", "one_qubit_error", "d_concurrence"])
+    w.add_argument("--metric", required=True, choices=list(_METRICS))
     w.add_argument("--jobs", type=_positive_int, default=os.cpu_count() or 1)
     w.add_argument("--out")
     w.add_argument("--steps-per-period", **steps_flag)

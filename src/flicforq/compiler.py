@@ -11,6 +11,9 @@ rotation about +x vs -x, and which square root of X1X2 the refocused
 pulse lands on) are not fixed by the drive magnitudes alone; they are
 measured once per parameter set by ``calibrate`` and consumed by every
 compile function.
+
+The decoupling edits keep their result on ``seq.params`` and reject any
+other device ``p``.
 """
 
 from __future__ import annotations
@@ -21,9 +24,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .integrator import StepPolicy, frame_unitary, propagator_of_sequence
-from .model import PulseSegment, PulseSequence, SystemParams, on_sync_grid
-from .pauli import PauliString, RotationWord, build_cnot_word, build_D, word_unitary
+from .integrator import StepPolicy, gate_unitary
+from .model import PulseSegment, PulseSequence, SystemParams, check_device, on_sync_grid
+from .pauli import PauliString, RotationWord, word_unitary
 
 __all__ = [
     "AngleOutOfRange",
@@ -35,11 +38,8 @@ __all__ = [
     "compile_D",
     "compile_xx_half",
     "compile_cnot",
-    "compile_z_wait",
-    "virtual_z",
     "insert_decoupling",
     "remove_decoupling",
-    "gate_word",
 ]
 
 HALF_PI = math.pi / 2
@@ -80,11 +80,6 @@ def _overlap(u: np.ndarray, v: np.ndarray) -> float:
     return abs(np.trace(u.conj().T @ v)) ** 2 / 16.0
 
 
-def _rotating_propagator(p: SystemParams, seq: PulseSequence) -> np.ndarray:
-    u = propagator_of_sequence(p, seq, _CAL_POLICY)
-    return frame_unitary(p, seq.total_time) @ u
-
-
 def _axis_unitary(factor1: str, factor2: str, exponent: float) -> np.ndarray:
     axis = PauliString(1, factor1, factor2)
     return word_unitary(RotationWord(((axis, exponent),)))
@@ -103,13 +98,12 @@ def calibrate(p: SystemParams) -> Calibration:
     signs = {}
     for axis in ("x", "y"):
         seg = PulseSegment(start=0.0, duration=dur, **{f"amp_{axis}_1": p.delta / 8})
-        u = _rotating_propagator(p, PulseSequence(params=p, segments=(seg,)))
+        u = gate_unitary(PulseSequence(params=p, segments=(seg,)), _CAL_POLICY)
         plus = _overlap(u, _axis_unitary(axis.upper(), "I", 0.5))
         minus = _overlap(u, _axis_unitary(axis.upper(), "I", -0.5))
         signs[axis] = 1.0 if plus >= minus else -1.0
     if p.wxx > 0.0:
-        seq = compile_xx_half(p, 0.0)
-        u = _rotating_propagator(p, seq)
+        u = gate_unitary(compile_xx_half(p, 0.0), _CAL_POLICY)
         plus = _overlap(u, _axis_unitary("X", "X", 0.5))
         minus = _overlap(u, _axis_unitary("X", "X", -0.5))
         xx_sign = 1.0 if plus >= minus else -1.0
@@ -206,40 +200,6 @@ def compile_cnot(p: SystemParams) -> PulseSequence:
     return seq.with_virtual_z(1, HALF_PI, total)
 
 
-def gate_word(gate: str) -> RotationWord:
-    """The intended ideal rotation word for a named compilable gate."""
-    words = {
-        "cnot": build_cnot_word,
-        "d": build_D,
-        "xx_half": lambda: RotationWord(((PauliString(1, "X", "X"), 0.5),)),
-        "x90": lambda: RotationWord(((PauliString(1, "X", "I"), 0.5),)),
-        "y90": lambda: RotationWord(((PauliString(1, "Y", "I"), 0.5),)),
-    }
-    if gate not in words:
-        raise ValueError(f"unknown gate {gate!r}; expected one of {sorted(words)}")
-    return words[gate]()
-
-
-def virtual_z(seq: PulseSequence, qubit: int, angle: float, t: float) -> PulseSequence:
-    """Record a z rotation exp(i*angle*sigma_z/2) on the ledger; no pulse."""
-    return seq.with_virtual_z(qubit, angle, t)
-
-
-def compile_z_wait(p: SystemParams, qubit: int, angle: float, start: float) -> PulseSegment:
-    """Physical alternative to virtual z: an idle window during which the
-    interqubit precession accrues the requested relative z phase.
-
-    The wait lasts (angle mod 2*pi)/delta; a full 2*pi of phase costs one
-    grid period.  Not used by compile_cnot.
-    """
-    if qubit not in (1, 2):
-        raise ValueError("qubit must be 1 or 2")
-    t_w = (angle % (2 * math.pi)) / p.delta
-    if t_w == 0.0:
-        t_w = p.t0_sync
-    return PulseSegment(start=start, duration=t_w, label=f"wait-z{qubit}")
-
-
 def _is_one_qubit(seg: PulseSegment) -> bool:
     return seg.drives_qubit(1) != seg.drives_qubit(2) and seg.flip_at is None
 
@@ -252,8 +212,10 @@ def insert_decoupling(p: SystemParams, seq: PulseSequence, index: int) -> PulseS
     second, sign-reversed pi pulse follows the second half, so the
     coupling-accrued rotation of the idle qubit refocuses while the echo
     pair composes to the identity on it.  Adds 2*(4*pi/delta) of time;
-    everything after the host shifts accordingly.
+    everything after the host shifts accordingly.  Raises ValueError if
+    ``p`` is not ``seq.params``.
     """
+    check_device(p, seq)
     seg = seq.segments[index]
     if not _is_one_qubit(seg):
         raise NotOneQubitSegment(
@@ -284,16 +246,14 @@ def insert_decoupling(p: SystemParams, seq: PulseSequence, index: int) -> PulseS
     vz = tuple(
         (q, a, t + shift if t >= seg.end - _TOL else t) for q, a, t in seq.virtual_z
     )
-    return PulseSequence(
-        params=p,
-        segments=before + (host_a, echo_a, host_b, echo_b) + after,
-        virtual_z=vz,
-        total_time=seq.total_time + shift,
-    )
+    return replace(seq, segments=before + (host_a, echo_a, host_b, echo_b) + after,
+                   virtual_z=vz, total_time=seq.total_time + shift)
 
 
 def remove_decoupling(p: SystemParams, seq: PulseSequence, index: int) -> PulseSequence:
-    """Invert insert_decoupling; ``index`` addresses the first host half."""
+    """Invert insert_decoupling; ``index`` addresses the first host half.
+    Raises ValueError if ``p`` is not ``seq.params``."""
+    check_device(p, seq)
     segs = seq.segments
     try:
         host_a, echo_a, host_b, echo_b = segs[index:index + 4]
@@ -312,9 +272,5 @@ def remove_decoupling(p: SystemParams, seq: PulseSequence, index: int) -> PulseS
     vz = tuple(
         (q, a, t - shift if t >= echo_b.end - _TOL else t) for q, a, t in seq.virtual_z
     )
-    return PulseSequence(
-        params=p,
-        segments=segs[:index] + (merged,) + after,
-        virtual_z=vz,
-        total_time=seq.total_time - shift,
-    )
+    return replace(seq, segments=segs[:index] + (merged,) + after,
+                   virtual_z=vz, total_time=seq.total_time - shift)

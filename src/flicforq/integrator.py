@@ -33,6 +33,8 @@ a large ||A||), so it is exact to rounding; the oracle's order comes from
 the Magnus scheme and the doubling test, not from the series.  The
 substeps of consecutive breakpoint intervals are sampled and
 exponentiated in batches of at most a fixed number of substeps.
+
+The private layers read the device from ``seq.params`` only.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import PulseSequence, SystemParams, drive_amplitudes_at
+from .model import PulseSequence, SystemParams, check_device, drive_amplitudes_at
 from .pauli import TWO_QUBIT_LABELS, basis_matrices
 
 __all__ = [
@@ -57,6 +59,8 @@ __all__ = [
     "propagator_of_sequence",
     "to_rotating_frame",
     "frame_unitary",
+    "compose_virtual_z",
+    "gate_unitary",
     "trace_distance",
     "write_trajectory_csv",
 ]
@@ -198,18 +202,13 @@ class StepPolicy:
         return period / self.steps_per_period
 
 
-def _check_device(p: SystemParams, seq: PulseSequence) -> None:
-    if p != seq.params:
-        raise ValueError(f"{p} is not the device the sequence was built for, {seq.params}")
-
-
 # ---------------------------------------------------------------------------
 # Time grid and Hamiltonian sampling
 
 
-def _breakpoints(p: SystemParams, seq: PulseSequence) -> np.ndarray:
+def _breakpoints(seq: PulseSequence) -> np.ndarray:
     """Segment edges, flips and a uniform grid of spacing t0_sync/8."""
-    spacing = p.t0_sync / 8.0
+    spacing = seq.params.t0_sync / 8.0
     pts = {0.0, seq.total_time}
     for seg in seq.segments:
         pts.add(seg.start)
@@ -231,8 +230,7 @@ def _interval_steps(a: float, b: float, h_target: float) -> tuple[int, float]:
     return n, (b - a) / n
 
 
-def _hamiltonians(p: SystemParams, seq: PulseSequence, a: float, b: float,
-                  tg: np.ndarray) -> np.ndarray:
+def _hamiltonians(seq: PulseSequence, a: float, b: float, tg: np.ndarray) -> np.ndarray:
     """H(t) for the times tg in [a, b], real, shape (tg.size, 4, 4); a and b
     are scalars or, for samples from several intervals, arrays that
     broadcast against tg.
@@ -241,6 +239,7 @@ def _hamiltonians(p: SystemParams, seq: PulseSequence, a: float, b: float,
     activity and flip signs are decided at the interval midpoint and the
     samples at a and b take the one-sided limit from inside the interval.
     """
+    p = seq.params
     ax1, ay1, ax2, ay2 = drive_amplitudes_at(seq, tg, mid=0.5 * (a + b))
     u1 = ax1 * np.cos(p.w1z * tg) + ay1 * np.sin(p.w1z * tg)
     u2 = ax2 * np.cos(p.w2z * tg) + ay2 * np.sin(p.w2z * tg)
@@ -301,6 +300,9 @@ _ZZ_DIAG = np.array([1.0, -1.0, -1.0, 1.0])
 _ZZ_MASK = np.tile(np.outer(_ZZ_DIAG, _ZZ_DIAG), (2, 2))
 # w0/delta and the grid points within this relative distance count as exact
 _SYNC_RTOL = 1e-13
+# Entries of a unitary have modulus at most 1; a propagator with a real-form
+# entry beyond this bound has a unitarity defect above 3, so RK4 has diverged
+_DIVERGED = 2.0
 
 
 def _carriers_flip_each_window(p: SystemParams) -> bool:
@@ -331,36 +333,39 @@ def _window_keys(seq: PulseSequence, bps: np.ndarray) -> list:
             for ki, am, ok in zip(k.astype(int).tolist(), amps, full)]
 
 
-def _running_propagators(p: SystemParams, seq: PulseSequence,
+def _running_propagators(seq: PulseSequence,
                          dt_policy: StepPolicy | None) -> tuple[np.ndarray, np.ndarray]:
     """Breakpoints t_k and the propagators U(t_k) from time 0 to each.
     One batch per interval bounds the memory by the longest interval.
     Repeating grid intervals are stepped once (module docstring): the memo
-    keeps each product at even window parity."""
-    _check_device(p, seq)
-    h_target = (dt_policy or StepPolicy()).step_target(p)
-    bps = _breakpoints(p, seq)
-    keys = _window_keys(seq, bps) if _carriers_flip_each_window(p) \
+    keeps each product at even window parity.  Raises StepTooCoarse if RK4
+    diverges: a propagator entry that is not finite or beyond _DIVERGED."""
+    h_target = (dt_policy or StepPolicy()).step_target(seq.params)
+    bps = _breakpoints(seq)
+    keys = _window_keys(seq, bps) if _carriers_flip_each_window(seq.params) \
         else [(None, False)] * (bps.size - 1)
     memo: dict = {}
     us = np.empty((bps.size, 8, 8))
     us[0] = np.eye(8)
-    for i, (key, odd) in enumerate(keys):
-        a, b = bps[i], bps[i + 1]
-        v = memo.get(key)
-        if v is None:
-            n, h = _interval_steps(a, b, h_target)
-            tg = a + 0.5 * h * np.arange(2 * n + 1)
-            # steps stays bound until the next interval replaces it: freed
-            # at once, it lets glibc trim the heap top, and every interval
-            # then faults its step build's pages back in (~7x the faults)
-            steps = _rk4_steps(_hamiltonians(p, seq, a, b, tg), h)
-            v = _time_ordered_product(steps)
-            if key is not None:
-                memo[key] = _ZZ_MASK * v if odd else v
-        elif odd:
-            v = _ZZ_MASK * v
-        us[i + 1] = v @ us[i]
+    with np.errstate(over="ignore", invalid="ignore"):  # divergence is checked below
+        for i, (key, odd) in enumerate(keys):
+            a, b = bps[i], bps[i + 1]
+            v = memo.get(key)
+            if v is None:
+                n, h = _interval_steps(a, b, h_target)
+                tg = a + 0.5 * h * np.arange(2 * n + 1)
+                # steps stays bound until the next interval replaces it: freed
+                # at once, it lets glibc trim the heap top, and every interval
+                # then faults its step build's pages back in (~7x the faults)
+                steps = _rk4_steps(_hamiltonians(seq, a, b, tg), h)
+                v = _time_ordered_product(steps)
+                if key is not None:
+                    memo[key] = _ZZ_MASK * v if odd else v
+            elif odd:
+                v = _ZZ_MASK * v
+            us[i + 1] = v @ us[i]
+    if not np.abs(us).max() <= _DIVERGED:  # nan compares false, so it fails too
+        raise StepTooCoarse(f"the propagator diverged: an entry beyond {_DIVERGED} in modulus")
     return bps, _complex_of(us)
 
 
@@ -382,10 +387,12 @@ def evolve(
     intervals that repeat, up to Z1Z2, a sync window later are stepped once
     per call (see the module docstring).
     Deterministic: identical inputs yield bit-identical trajectories.
-    Raises ValueError if ``p`` is not ``seq.params``.
+    Raises ValueError if ``p`` is not ``seq.params``, and StepTooCoarse if
+    the propagator diverges.
     """
+    check_device(p, seq)
     rho0.validate()
-    bps, us = _running_propagators(p, seq, dt_policy)
+    bps, us = _running_propagators(seq, dt_policy)
     rhos = us @ rho0.to_matrix() @ us.conj().transpose(0, 2, 1)
     rhos /= np.trace(rhos, axis1=1, axis2=2).real[:, None, None]
     coeffs = np.real(np.einsum("aij,nji->na", _BASIS, rhos))
@@ -399,9 +406,11 @@ def propagator_of_sequence(
 ) -> np.ndarray:
     """Lab-frame unitary of the full sequence (RK4 on the Schrodinger
     equation for the propagator), with repeating grid intervals stepped
-    once per call as in ``evolve``.  Raises StepTooCoarse if the unitarity
-    defect exceeds 1e-9, and ValueError if ``p`` is not ``seq.params``."""
-    u = _running_propagators(p, seq, dt_policy)[1][-1]
+    once per call as in ``evolve``.  Raises StepTooCoarse if it diverges or
+    its unitarity defect exceeds 1e-9, and ValueError if ``p`` is not
+    ``seq.params``."""
+    check_device(p, seq)
+    u = _running_propagators(seq, dt_policy)[1][-1]
     defect = float(np.max(np.abs(u @ u.conj().T - np.eye(4))))
     if defect > 1e-9:
         raise StepTooCoarse(f"unitarity defect {defect:.3e} exceeds 1e-9")
@@ -469,7 +478,7 @@ def _oracle_chunks(counts: np.ndarray) -> list:
     return chunks + [(first, len(counts))] if total else chunks
 
 
-def _oracle_pass(p, seq, rho0_mat, bps, h_target):
+def _oracle_pass(seq, rho0_mat, bps, h_target):
     steps = [_interval_steps(a, b, h_target) for a, b in zip(bps[:-1], bps[1:])]
     counts = np.array([n for n, _ in steps], dtype=int)
     hs = np.array([h for _, h in steps])
@@ -484,7 +493,7 @@ def _oracle_pass(p, seq, rho0_mat, bps, h_target):
         offsets = np.cumsum(n) - n
         base = a + h * (np.arange(n.sum()) - np.repeat(offsets, n))
         nodes = base + np.array([[0.5 - _GAUSS_SHIFT], [0.5 + _GAUSS_SHIFT]]) * h
-        h1, h2 = _hamiltonians(p, seq, a, b, nodes).reshape(2, -1, 4, 4)
+        h1, h2 = _hamiltonians(seq, a, b, nodes).reshape(2, -1, 4, 4)
         ea, eb = _expm_batch(np.stack(
             [_CF4_PLUS * h1 + _CF4_MINUS * h2, _CF4_MINUS * h1 + _CF4_PLUS * h2]), h)
         prods = eb @ ea  # eb acts after ea
@@ -518,19 +527,19 @@ def evolve_oracle(
     ``seq.params``, if ``substeps`` is not a positive integer or if
     ``max_doublings`` is less than 1.
     """
-    _check_device(p, seq)
+    check_device(p, seq)
     if not isinstance(substeps, (int, np.integer)) or substeps < 1:
         raise ValueError(f"substeps must be a positive integer, got {substeps!r}")
     if not isinstance(max_doublings, (int, np.integer)) or max_doublings < 1:
         raise ValueError(f"max_doublings must be an integer >= 1, got {max_doublings!r}")
     rho0.validate()
-    bps = _breakpoints(p, seq)
+    bps = _breakpoints(seq)
     period = 2.0 * math.pi / max(p.w1z, p.w2z)
     rho0_mat = rho0.to_matrix()
     prev_final = None
     n = substeps
     for _ in range(max_doublings + 1):
-        states, final = _oracle_pass(p, seq, rho0_mat, bps, period / n)
+        states, final = _oracle_pass(seq, rho0_mat, bps, period / n)
         if prev_final is not None:
             if trace_distance_matrices(final, prev_final) < 1e-9:
                 return Trajectory(times=bps, coeffs=states, frame="lab")
@@ -555,6 +564,30 @@ def _frame_diagonal(p: SystemParams, t) -> np.ndarray:
 def frame_unitary(p: SystemParams, t: float) -> np.ndarray:
     """V(t) = exp(i*t*(w1z*Z1 + w2z*Z2)/2), the lab-to-rotating-frame map."""
     return np.diag(_frame_diagonal(p, t))
+
+
+def _z_phases(phi1: float, phi2: float) -> np.ndarray:
+    a = 0.5 * phi1
+    b = 0.5 * phi2
+    return np.exp(1j * np.array([a + b, a - b, -a + b, -a - b]))
+
+
+def compose_virtual_z(u: np.ndarray, seq: PulseSequence) -> np.ndarray:
+    """Apply the sequence's virtual-z ledger entries, exp(i*angle*Zq/2)
+    each, after the physical propagator."""
+    out = np.asarray(u, dtype=complex)
+    for qubit, angle, _t in seq.virtual_z:
+        phases = _z_phases(angle if qubit == 1 else 0.0, angle if qubit == 2 else 0.0)
+        out = phases[:, np.newaxis] * out
+    return out
+
+
+def gate_unitary(seq: PulseSequence, dt_policy: StepPolicy | None = None) -> np.ndarray:
+    """The gate ``seq`` realizes on ``seq.params``: its lab propagator in the
+    rotating frame at ``seq.total_time``, then its virtual-z ledger."""
+    p = seq.params
+    return compose_virtual_z(frame_unitary(p, seq.total_time)
+                             @ propagator_of_sequence(p, seq, dt_policy), seq)
 
 
 def to_rotating_frame(obj, p: SystemParams, t: float | None = None):

@@ -14,6 +14,10 @@ and are phase-coherent functions of absolute lab time (they are never
 reset per segment).  Each qubit's drive is modulated by its own quadrature
 amplitudes; envelope scaling and refocusing sign flips apply to the
 amplitudes before the carrier is mixed in.
+
+A PulseSequence carries its device as ``params``: a function that also
+takes a device beside a sequence rejects any other (``check_device``), and
+the private layers read the device from ``seq.params`` only.
 """
 
 from __future__ import annotations
@@ -33,9 +37,9 @@ __all__ = [
     "PulseSegment",
     "PulseSequence",
     "Diagnostic",
+    "check_device",
     "hamiltonian_at",
     "drive_amplitudes_at",
-    "sync_time",
     "validate_sequence",
     "sequence_to_json",
     "sequence_from_json",
@@ -212,11 +216,10 @@ class PulseSequence:
         return replace(self, virtual_z=self.virtual_z + ((qubit, float(angle), float(t)),))
 
 
-def sync_time(p: SystemParams, m: int) -> float:
-    """m-th synchrony time m * 2*pi/delta at which the interqubit phase vanishes."""
-    if m < 0:
-        raise ValueError("m must be non-negative")
-    return m * p.t0_sync
+def check_device(p: SystemParams, seq: PulseSequence) -> None:
+    """Raise ValueError unless ``p`` is the device ``seq`` was built for."""
+    if p != seq.params:
+        raise ValueError(f"{p} is not the device the sequence was built for, {seq.params}")
 
 
 def on_sync_grid(p: SystemParams, t: float) -> bool:
@@ -268,8 +271,10 @@ def hamiltonian_at(p: SystemParams, seq: PulseSequence, t: float) -> np.ndarray:
 
     All coefficients are real, so H is Hermitian by construction; only
     ZI, IZ, XX, XI and IX appear, so H is also a real symmetric matrix,
-    which the integrators rely on.
+    which the integrators rely on.  Raises ValueError if ``p`` is not
+    ``seq.params``.
     """
+    check_device(p, seq)
     if t < 0:
         raise ValueError("t must be non-negative")
     ax1, ay1, ax2, ay2 = drive_amplitudes_at(seq, t)
@@ -291,7 +296,9 @@ class Diagnostic:
 def validate_sequence(p: SystemParams, seq: PulseSequence) -> list[Diagnostic]:
     """Structural checks: sync-grid starts for two-qubit pulses, per-channel
     overlaps, and coupling-to-detuning ratio warnings.  Returns diagnostics
-    instead of raising."""
+    instead of raising, except for a ValueError if ``p`` is not
+    ``seq.params``."""
+    check_device(p, seq)
     out: list[Diagnostic] = []
     for i, seg in enumerate(seq.segments):
         if seg.is_two_qubit and not on_sync_grid(p, seg.start):

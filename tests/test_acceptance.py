@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from flicforq.analysis import (
-    compose_virtual_z,
     concurrence,
     gate_fidelity,
     one_qubit_error_budget,
@@ -22,8 +21,7 @@ from flicforq.integrator import (
     StepPolicy,
     evolve,
     evolve_oracle,
-    frame_unitary,
-    propagator_of_sequence,
+    gate_unitary,
     trace_distance,
 )
 from flicforq.model import DEFAULT_PARAMS, PulseSequence, SystemParams, validate_sequence
@@ -49,11 +47,6 @@ def report(criterion: int, ok: bool, detail: str) -> None:
     print(f"ACCEPTANCE {criterion}: {'PASS' if ok else 'FAIL'} — {detail}")
 
 
-def rotating_propagator(p, seq, policy):
-    u = propagator_of_sequence(p, seq, policy)
-    return compose_virtual_z(frame_unitary(p, seq.total_time) @ u, seq)
-
-
 @pytest.fixture(scope="module")
 def cnot_seq():
     return compile_cnot(P)
@@ -61,7 +54,7 @@ def cnot_seq():
 
 @pytest.fixture(scope="module")
 def cnot_report(cnot_seq):
-    u = rotating_propagator(P, cnot_seq, StepPolicy())
+    u = gate_unitary(cnot_seq, StepPolicy())
     return gate_fidelity(u, build_cnot_word())
 
 
@@ -119,8 +112,8 @@ def test_criterion_3_entanglement_on_demand(d_end_state):
 def test_criterion_4_refocusing():
     xx_word = RotationWord(((PauliString(1, "X", "X"), 0.5),))
     policy = StepPolicy(steps_per_period=800)
-    u_flip = rotating_propagator(P, compile_xx_half(P, 0.0), policy)
-    u_noflip = rotating_propagator(P, compile_D(P, 0.0), policy)
+    u_flip = gate_unitary(compile_xx_half(P, 0.0), policy)
+    u_noflip = gate_unitary(compile_D(P, 0.0), policy)
     f_flip = gate_fidelity(u_flip, xx_word).process
     f_noflip = gate_fidelity(u_noflip, xx_word).process
     ok = f_flip >= 0.98 and f_flip > f_noflip
@@ -157,7 +150,7 @@ def test_criterion_7_error_trends():
     def cnot_error(wxx):
         p = SystemParams(w1z=1.05, w2z=0.95, wxx=wxx)
         seq = compile_cnot(p)
-        u = rotating_propagator(p, seq, TREND_POLICY)
+        u = gate_unitary(seq, TREND_POLICY)
         return 1.0 - gate_fidelity(u, build_cnot_word()).process, seq.total_time
 
     e_weak, t_weak = cnot_error(0.01)

@@ -22,7 +22,7 @@ from flicforq.analysis import (
 from flicforq import analysis
 from flicforq.analysis import _align_phases
 from flicforq.compiler import compile_cnot, compile_one_qubit
-from flicforq.integrator import DensityState, StepPolicy, frame_unitary, propagator_of_sequence
+from flicforq.integrator import DensityState, StepPolicy, gate_unitary
 from flicforq.model import DEFAULT_PARAMS, PulseSequence, SystemParams
 from flicforq.pauli import PauliString, RotationWord, build_cnot_word, word_unitary
 
@@ -302,11 +302,6 @@ def test_gate_fidelity_disjoint_support():
 BENCH = SystemParams(w1z=1.125, w2z=0.875, wxx=0.025)
 
 
-def compiled_unitary(seq, policy=StepPolicy(steps_per_period=800)):
-    u = propagator_of_sequence(BENCH, seq, policy)
-    return compose_virtual_z(frame_unitary(BENCH, seq.total_time) @ u, seq)
-
-
 def test_alignment_converges_in_few_newton_iterations(monkeypatch):
     # one Newton solve per iteration, at most 8 starts; a coordinate search
     # alone needs 134 sweeps on this layer
@@ -325,7 +320,7 @@ def test_alignment_converges_in_few_newton_iterations(monkeypatch):
     cases = [(compile_cnot(BENCH), build_cnot_word()), (layer, layer_word("X", 1, "Y", -4))]
     for seq, w in cases:
         calls.clear()
-        rep = gate_fidelity(compiled_unitary(seq), w)
+        rep = gate_fidelity(gate_unitary(seq, StepPolicy(steps_per_period=800)), w)
         assert rep.process > 0.98
         assert 1 <= len(calls) <= 20
         assert max(calls) <= 8

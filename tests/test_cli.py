@@ -169,6 +169,35 @@ def test_simulate_bad_csv_path_exits_4(tmp_path, capsys):
     assert "integrator failure" in err
 
 
+def test_simulate_diverged_propagator_exits_4(tmp_path, capsys):
+    # one RK4 step per carrier period diverges on the D pulse; no CSV of
+    # diverged rows is left behind
+    _, seq_json, _ = run(capsys, "compile", "d")
+    seq_file = tmp_path / "d.json"
+    seq_file.write_text(seq_json)
+    csv = tmp_path / "d.csv"
+    code, out, err = run(
+        capsys, "simulate", str(seq_file), "--out", str(csv), "--steps-per-period", "1",
+    )
+    assert code == 4
+    assert "integrator failure" in err and "diverged" in err
+    assert out == ""
+    assert not csv.exists()
+
+
+def test_fidelity_diverged_propagator_exits_4(tmp_path, capsys):
+    _, seq_json, _ = run(capsys, "compile", "cnot")
+    seq_file = tmp_path / "cnot.json"
+    seq_file.write_text(seq_json)
+    code, out, err = run(
+        capsys, "fidelity", str(seq_file), "--word", "X2^1/2 Y1^1/2 X1X2^1/2 Y1^-1/2 Z1^1/2",
+        "--steps-per-period", "1",
+    )
+    assert code == 4
+    assert "integrator failure" in err and "diverged" in err
+    assert out == ""
+
+
 def test_fidelity_xx_half(tmp_path, capsys):
     _, seq_json, _ = run(capsys, "compile", "xx_half")
     seq_file = tmp_path / "xx.json"
@@ -230,6 +259,24 @@ def test_sweep_single_point(tmp_path, capsys):
     delta, wxx, val = (float(x) for x in lines[1].split(","))
     assert (delta, wxx) == (0.1, 0.01)
     assert val >= 0.9
+
+
+def test_sweep_failed_points_same_in_pool(tmp_path, capsys):
+    # a diverged point is a nan row and exit 4, whether the points run in
+    # this process or in a pool of worker processes
+    grid = tmp_path / "grid.json"
+    grid.write_text('[{"delta": 0.1, "wxx": 0.01}, {"delta": 0.25, "wxx": 0.025}]')
+    csvs = []
+    for jobs in ("1", "2"):
+        out_file = tmp_path / f"sweep-{jobs}.csv"
+        code, _, err = run(
+            capsys, "sweep", str(grid), "--metric", "d_concurrence", "--steps-per-period", "1",
+            "--jobs", jobs, "--out", str(out_file),
+        )
+        assert code == 4
+        assert err.count("failed") == 2
+        csvs.append(out_file.read_bytes())
+    assert csvs[0] == csvs[1] == b"delta,wxx,metric\n0.1,0.01,nan\n0.25,0.025,nan\n"
 
 
 def test_sweep_bad_grid_exits_2(tmp_path, capsys):

@@ -15,13 +15,10 @@ from flicforq.compiler import (
     compile_D,
     compile_one_qubit,
     compile_xx_half,
-    compile_z_wait,
-    gate_word,
     insert_decoupling,
     remove_decoupling,
-    virtual_z,
 )
-from flicforq.integrator import StepPolicy, frame_unitary, propagator_of_sequence
+from flicforq.integrator import StepPolicy, frame_unitary, gate_unitary, propagator_of_sequence
 from flicforq.model import (
     DEFAULT_PARAMS,
     PulseSegment,
@@ -29,12 +26,7 @@ from flicforq.model import (
     drive_amplitudes_at,
     validate_sequence,
 )
-from flicforq.pauli import (
-    PauliString,
-    RotationWord,
-    build_cnot_word,
-    word_unitary,
-)
+from flicforq.pauli import PauliString, RotationWord, word_unitary
 
 P = DEFAULT_PARAMS
 POLICY = StepPolicy(steps_per_period=800)
@@ -157,12 +149,6 @@ def test_compile_cnot_structure():
         assert (seg.start / P.t0_sync) == pytest.approx(round(seg.start / P.t0_sync))
 
 
-def test_cnot_intended_word():
-    assert gate_word("cnot") == build_cnot_word()
-    with pytest.raises(ValueError):
-        gate_word("toffoli")
-
-
 def test_compiled_cnot_simulates_to_cnot():
     seq = compile_cnot(P)
     u = rotating_propagator(seq)
@@ -173,21 +159,15 @@ def test_compiled_cnot_simulates_to_cnot():
         [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
     )
     assert overlap(u, cnot) > 0.98
+    # gate_unitary composes the same frame and ledger
+    assert np.max(np.abs(gate_unitary(seq, POLICY) - u)) < 1e-14
 
 
 def test_virtual_z_appends_ledger():
     seq = PulseSequence(params=P, total_time=10.0)
-    seq2 = virtual_z(seq, 2, 0.3, 10.0)
+    seq2 = seq.with_virtual_z(2, 0.3, 10.0)
     assert seq2.virtual_z == ((2, 0.3, 10.0),)
     assert seq2.segments == seq.segments
-
-
-def test_compile_z_wait():
-    seg = compile_z_wait(P, 1, math.pi / 2, 0.0)
-    assert seg.duration == pytest.approx((math.pi / 2) / P.delta)
-    assert not seg.drives_qubit(1) and not seg.drives_qubit(2)
-    # zero angle still produces a full-grid-period placeholder
-    assert compile_z_wait(P, 1, 0.0, 0.0).duration == pytest.approx(P.t0_sync)
 
 
 def test_insert_decoupling_layout():

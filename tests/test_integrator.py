@@ -8,7 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import flicforq.integrator as integrator
-from flicforq.compiler import compile_cnot, compile_D, compile_one_qubit, compile_xx_half
+from flicforq.compiler import (
+    compile_cnot,
+    compile_D,
+    compile_one_qubit,
+    compile_xx_half,
+    insert_decoupling,
+    remove_decoupling,
+)
 from flicforq.integrator import (
     DensityState,
     NoConvergence,
@@ -166,7 +173,7 @@ def test_step_product_matches_sequential_rk4():
         return -1j * lab_hamiltonian(p, seq, t, mid)
 
     u = np.eye(4, dtype=complex)
-    bps = _breakpoints(p, seq)
+    bps = _breakpoints(seq)
     for a, b in zip(bps[:-1], bps[1:]):
         n, h = _interval_steps(a, b, QUICK.step_target(p))
         mid = 0.5 * (a + b)
@@ -214,10 +221,10 @@ def test_hamiltonians_real_and_match_model():
         PulseSegment(start=20.0, duration=12.0, amp_x_2=-0.03, amp_y_2=0.04),
     )
     seq = PulseSequence(params=p, segments=segs, total_time=35.0)
-    bps = _breakpoints(p, seq)
+    bps = _breakpoints(seq)
     for a, b in zip(bps[:-1], bps[1:]):
         tg = a + (b - a) * np.array([0.1, 0.5, 0.9])
-        hs = _hamiltonians(p, seq, a, b, tg)
+        hs = _hamiltonians(seq, a, b, tg)
         assert hs.dtype == np.float64
         for t, h in zip(tg, hs):
             ref = np.einsum("a,aij->ij", hamiltonian_at(p, seq, float(t)), _BASIS)
@@ -243,7 +250,7 @@ def reference_oracle(p, seq, rho0, substeps=64, max_doublings=6):
     shift = math.sqrt(3.0) / 6.0
     c_plus = (3.0 + 2.0 * math.sqrt(3.0)) / 12.0
     c_minus = (3.0 - 2.0 * math.sqrt(3.0)) / 12.0
-    bps = _breakpoints(p, seq)
+    bps = _breakpoints(seq)
     period = 2.0 * math.pi / max(p.w1z, p.w2z)
     prev = None
     n = substeps
@@ -298,7 +305,7 @@ def ramped_flip_sequence():
 def test_oracle_matches_reference_across_chunks():
     p, seq = BENCH, ramped_flip_sequence()
     period = 2.0 * math.pi / p.w1z
-    bps = _breakpoints(p, seq)
+    bps = _breakpoints(seq)
     first_pass = sum(_interval_steps(a, b, period / 64)[0] for a, b in zip(bps[:-1], bps[1:]))
     assert first_pass > integrator._ORACLE_CHUNK
     rho0 = random_state(np.random.default_rng(16))
@@ -316,10 +323,10 @@ def test_oracle_batches_chunks_without_eigh(monkeypatch):
     passes = []
     real_pass, real_expm = integrator._oracle_pass, integrator._expm_batch
 
-    def spy_pass(p, seq, rho0_mat, bps, h_target):
+    def spy_pass(seq, rho0_mat, bps, h_target):
         counts = [_interval_steps(a, b, h_target)[0] for a, b in zip(bps[:-1], bps[1:])]
         passes.append((counts, []))
-        return real_pass(p, seq, rho0_mat, bps, h_target)
+        return real_pass(seq, rho0_mat, bps, h_target)
 
     def spy_expm(mats, h):
         passes[-1][1].append(mats.size // 32)  # two 4x4 exponentials per substep
@@ -356,11 +363,11 @@ def test_oracle_rejects_bad_substeps_and_doublings(kwargs):
 def plain_propagators(p, seq, policy):
     """U(t_k) at every breakpoint, every interval stepped by RK4."""
     us = [np.eye(8)]
-    bps = _breakpoints(p, seq)
+    bps = _breakpoints(seq)
     for a, b in zip(bps[:-1], bps[1:]):
         n, h = _interval_steps(a, b, policy.step_target(p))
         tg = a + 0.5 * h * np.arange(2 * n + 1)
-        us.append(_time_ordered_product(_rk4_steps(_hamiltonians(p, seq, a, b, tg), h)) @ us[-1])
+        us.append(_time_ordered_product(_rk4_steps(_hamiltonians(seq, a, b, tg), h)) @ us[-1])
     return _complex_of(np.array(us))
 
 
@@ -430,7 +437,7 @@ def test_window_reuse_and_fallback(p, seq, built, intervals, monkeypatch):
     monkeypatch.setattr(integrator, "_rk4_steps", counting)
     u = propagator_of_sequence(p, seq, BENCH_POLICY)
     assert len(calls) == built
-    assert _breakpoints(p, seq).size - 1 == intervals
+    assert _breakpoints(seq).size - 1 == intervals
     monkeypatch.undo()
     assert np.max(np.abs(u - plain_propagators(p, seq, BENCH_POLICY)[-1])) <= 1e-13
 
@@ -499,16 +506,26 @@ def test_generated_sequences_unitary_and_match_oracle(seq, seed):
 
 
 def test_wrong_device_rejected():
+    # every public function that takes a device beside a sequence checks it
     p = DEFAULT_PARAMS
     other = SystemParams(w1z=1.05, w2z=0.95, wxx=0.005)
-    seq = PulseSequence(params=p, total_time=5.0)
+    seq = PulseSequence(params=p, segments=(PulseSegment(start=0.0, duration=5.0, amp_y_1=0.05),))
+    echoed = insert_decoupling(p, seq, 0)
     rho0 = DensityState.computational("00")
-    with pytest.raises(ValueError, match="device"):
-        evolve(other, seq, rho0, QUICK)
-    with pytest.raises(ValueError, match="device"):
-        propagator_of_sequence(other, seq, QUICK)
-    with pytest.raises(ValueError, match="device"):
-        evolve_oracle(other, seq, rho0)
+    calls = {
+        "evolve": lambda q: evolve(q, seq, rho0, QUICK),
+        "propagator_of_sequence": lambda q: propagator_of_sequence(q, seq, QUICK),
+        "evolve_oracle": lambda q: evolve_oracle(q, seq, rho0),
+        "insert_decoupling": lambda q: insert_decoupling(q, seq, 0),
+        "remove_decoupling": lambda q: remove_decoupling(q, echoed, 0),
+        "validate_sequence": lambda q: validate_sequence(q, seq),
+        "hamiltonian_at": lambda q: hamiltonian_at(q, seq, 1.0),
+    }
+    for name, call in calls.items():
+        call(p)
+        with pytest.raises(ValueError, match="device"):
+            call(other)
+            pytest.fail(f"{name} accepted a sequence built for another device")
 
 
 def test_step_policy_rejects_non_positive():

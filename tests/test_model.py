@@ -19,7 +19,6 @@ from flicforq.model import (
     on_sync_grid,
     sequence_from_json,
     sequence_to_json,
-    sync_time,
     validate_sequence,
 )
 from flicforq.model import IDX
@@ -99,15 +98,6 @@ def test_non_finite_rejected():
             PulseSequence(params=DEFAULT_PARAMS, total_time=x)
         with pytest.raises(ValueError, match="finite"):
             PulseSequence(params=DEFAULT_PARAMS).with_virtual_z(1, x, 0.0)
-
-
-def test_sync_time_values():
-    p = DEFAULT_PARAMS
-    assert sync_time(p, 0) == 0.0
-    assert sync_time(p, 1) == pytest.approx(62.8319, abs=1e-4)
-    assert sync_time(p, 2) == pytest.approx(125.6637, abs=1e-4)
-    with pytest.raises(ValueError):
-        sync_time(p, -1)
 
 
 def test_hamiltonian_drift_only():
