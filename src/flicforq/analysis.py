@@ -24,6 +24,8 @@ from .compiler import compile_one_qubit, insert_decoupling
 from .integrator import (
     DensityState,
     StepPolicy,
+    _Z_SIGNS,
+    _unitarity_defect,
     _z_phases,
     compose_virtual_z,
     evolve,
@@ -46,6 +48,7 @@ __all__ = [
 ]
 
 POSITIVITY_TOL = 1e-6
+_RESONANCE_TOL = 1e-9  # a sideband gap at most this large counts as resonant
 
 
 class NegativeEigenvalue(ValueError):
@@ -97,9 +100,7 @@ class FidelityReport:
 # The sign of each half-phase (f1, f2, t1, t2) on entry 4i + j of M: + where
 # qubit 1 (f1, t1) or qubit 2 (f2, t2) is |0> in the row i (left phases) or
 # in the column j (right phases), - where it is |1>.
-_SIGNS = np.array(
-    [[1 - 2 * (i >> 1), 1 - 2 * (i & 1), 1 - 2 * (j >> 1), 1 - 2 * (j & 1)]
-     for i in range(4) for j in range(4)], dtype=float)
+_SIGNS = np.hstack([np.repeat(_Z_SIGNS, 4, axis=0), np.tile(_Z_SIGNS, (4, 1))])
 # S_k S_l per entry, so that sum_m E_m S_mk S_ml = (E @ _SIGN_PAIRS)[4k + l]
 _SIGN_PAIRS = (_SIGNS[:, :, np.newaxis] * _SIGNS[:, np.newaxis, :]).reshape(16, 16)
 # per phase, the entries where its sign is + (first column) and - (second)
@@ -202,8 +203,7 @@ def gate_fidelity(
     the ideal rotation word, quotienting global phase and (optionally)
     local z phases on both sides."""
     u_sim = np.asarray(u_sim, dtype=complex)
-    with np.errstate(invalid="ignore"):  # inf entries give a nan defect
-        defect = float(np.max(np.abs(u_sim @ u_sim.conj().T - np.eye(4))))
+    defect = _unitarity_defect(u_sim)
     if not defect <= 1e-6:  # also rejects nan
         raise NotUnitary(f"unitarity defect {defect:.3e} exceeds 1e-6")
     u_ideal = word_unitary(word)
@@ -232,9 +232,7 @@ def gate_fidelity(
     )
 
 
-def sideband_check(
-    p: SystemParams, amp_y1: float, amp_y2: float, tol: float = 1e-9
-) -> dict:
+def sideband_check(p: SystemParams, amp_y1: float, amp_y2: float) -> dict:
     """Dressed-state sideband frequencies and the resonance-gap condition
     (w1z - w1y) = (w2z + w2y) under which the qubits exchange energy."""
     if amp_y1 < 0 or amp_y2 < 0:
@@ -244,7 +242,7 @@ def sideband_check(
         "qubit1_sidebands": [p.w1z - amp_y1, p.w1z + amp_y1],
         "qubit2_sidebands": [p.w2z - amp_y2, p.w2z + amp_y2],
         "gap": gap,
-        "resonant": abs(gap) <= tol,
+        "resonant": abs(gap) <= _RESONANCE_TOL,
     }
 
 

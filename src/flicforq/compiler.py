@@ -76,13 +76,13 @@ class Calibration:
 _CAL_POLICY = StepPolicy(steps_per_period=800)
 
 
-def _overlap(u: np.ndarray, v: np.ndarray) -> float:
-    return abs(np.trace(u.conj().T @ v)) ** 2 / 16.0
-
-
-def _axis_unitary(factor1: str, factor2: str, exponent: float) -> np.ndarray:
+def _measured_sign(u: np.ndarray, factor1: str, factor2: str) -> float:
+    """+1 if u overlaps (factor1 factor2)^(1/2) at least as much as its
+    inverse, else -1."""
     axis = PauliString(1, factor1, factor2)
-    return word_unitary(RotationWord(((axis, exponent),)))
+    plus, minus = (abs(np.trace(u.conj().T @ word_unitary(RotationWord(((axis, e),))))) ** 2
+                   for e in (0.5, -0.5))
+    return 1.0 if plus >= minus else -1.0
 
 
 @lru_cache(maxsize=None)
@@ -99,14 +99,9 @@ def calibrate(p: SystemParams) -> Calibration:
     for axis in ("x", "y"):
         seg = PulseSegment(start=0.0, duration=dur, **{f"amp_{axis}_1": p.delta / 8})
         u = gate_unitary(PulseSequence(params=p, segments=(seg,)), _CAL_POLICY)
-        plus = _overlap(u, _axis_unitary(axis.upper(), "I", 0.5))
-        minus = _overlap(u, _axis_unitary(axis.upper(), "I", -0.5))
-        signs[axis] = 1.0 if plus >= minus else -1.0
+        signs[axis] = _measured_sign(u, axis.upper(), "I")
     if p.wxx > 0.0:
-        u = gate_unitary(compile_xx_half(p, 0.0), _CAL_POLICY)
-        plus = _overlap(u, _axis_unitary("X", "X", 0.5))
-        minus = _overlap(u, _axis_unitary("X", "X", -0.5))
-        xx_sign = 1.0 if plus >= minus else -1.0
+        xx_sign = _measured_sign(gate_unitary(compile_xx_half(p, 0.0), _CAL_POLICY), "X", "X")
     else:
         xx_sign = 1.0
     return Calibration(x_sign=signs["x"], y_sign=signs["y"], xx_sign=xx_sign)
@@ -162,19 +157,10 @@ def compile_D(p: SystemParams, start: float = 0.0) -> PulseSequence:
 def compile_xx_half(p: SystemParams, start: float = 0.0) -> PulseSequence:
     """The refocused (X1X2)^(1/2) pulse: as compile_D, with qubit 2's
     drive sign flipped at the midpoint to undo the sigma-z sigma-z factor."""
-    if not on_sync_grid(p, start):
-        raise OffGridStart(f"start {start:.6f} is not on the 2*pi/delta grid")
-    duration = 4 * math.pi / p.wxx
-    seg = PulseSegment(
-        start=start,
-        duration=duration,
-        amp_y_1=p.delta / 2,
-        amp_y_2=p.delta / 2,
-        flip_at=start + 0.5 * duration,
-        flip_qubit=2,
-        label="XX^1/2",
-    )
-    return PulseSequence(params=p, segments=(seg,))
+    seq = compile_D(p, start)
+    seg = seq.segments[0]
+    return replace(seq, segments=(replace(seg, flip_at=start + 0.5 * seg.duration, flip_qubit=2,
+                                          label="XX^1/2"),))
 
 
 def compile_cnot(p: SystemParams) -> PulseSequence:
@@ -198,6 +184,18 @@ def compile_cnot(p: SystemParams) -> PulseSequence:
     total = 3 * t2 + t_xx
     seq = PulseSequence(params=p, segments=(seg1, seg2, seg3, seg4))
     return seq.with_virtual_z(1, HALF_PI, total)
+
+
+def _shift_from(seq: PulseSequence, index: int, t: float, shift: float) -> tuple:
+    """The segments of ``seq`` from ``index`` on and its ledger entries at
+    ``t`` or later, moved by ``shift``, and its total time plus ``shift``."""
+    after = tuple(
+        replace(s, start=s.start + shift,
+                flip_at=None if s.flip_at is None else s.flip_at + shift)
+        for s in seq.segments[index:]
+    )
+    vz = tuple((q, a, u + shift if u >= t - _TOL else u) for q, a, u in seq.virtual_z)
+    return after, vz, seq.total_time + shift
 
 
 def _is_one_qubit(seg: PulseSegment) -> bool:
@@ -225,7 +223,6 @@ def insert_decoupling(p: SystemParams, seq: PulseSequence, index: int) -> PulseS
         raise ValueError("decoupling requires a square host envelope")
     idle = 2 if seg.drives_qubit(1) else 1
     t_pi = 4 * math.pi / p.delta
-    shift = 2 * t_pi
     half = 0.5 * seg.duration
     host_a = replace(seg, duration=half)
     host_b = replace(seg, start=seg.start + half + t_pi, duration=half)
@@ -237,17 +234,9 @@ def insert_decoupling(p: SystemParams, seq: PulseSequence, index: int) -> PulseS
         start=seg.end + t_pi, duration=t_pi, label="echo",
         **{f"amp_x_{idle}": -p.delta / 4},
     )
-    before = seq.segments[:index]
-    after = tuple(
-        replace(s, start=s.start + shift,
-                flip_at=None if s.flip_at is None else s.flip_at + shift)
-        for s in seq.segments[index + 1:]
-    )
-    vz = tuple(
-        (q, a, t + shift if t >= seg.end - _TOL else t) for q, a, t in seq.virtual_z
-    )
-    return replace(seq, segments=before + (host_a, echo_a, host_b, echo_b) + after,
-                   virtual_z=vz, total_time=seq.total_time + shift)
+    after, vz, total = _shift_from(seq, index + 1, seg.end, 2 * t_pi)
+    return replace(seq, segments=seq.segments[:index] + (host_a, echo_a, host_b, echo_b) + after,
+                   virtual_z=vz, total_time=total)
 
 
 def remove_decoupling(p: SystemParams, seq: PulseSequence, index: int) -> PulseSequence:
@@ -261,16 +250,6 @@ def remove_decoupling(p: SystemParams, seq: PulseSequence, index: int) -> PulseS
         raise ValueError("no echo group at this index") from exc
     if echo_a.label != "echo" or echo_b.label != "echo":
         raise ValueError("no echo group at this index")
-    t_pi = 4 * math.pi / p.delta
-    shift = 2 * t_pi
     merged = replace(host_a, duration=host_a.duration + host_b.duration)
-    after = tuple(
-        replace(s, start=s.start - shift,
-                flip_at=None if s.flip_at is None else s.flip_at - shift)
-        for s in segs[index + 4:]
-    )
-    vz = tuple(
-        (q, a, t - shift if t >= echo_b.end - _TOL else t) for q, a, t in seq.virtual_z
-    )
-    return replace(seq, segments=segs[:index] + (merged,) + after,
-                   virtual_z=vz, total_time=seq.total_time - shift)
+    after, vz, total = _shift_from(seq, index + 4, echo_b.end, -2 * (4 * math.pi / p.delta))
+    return replace(seq, segments=segs[:index] + (merged,) + after, virtual_z=vz, total_time=total)

@@ -10,8 +10,8 @@ of the real forms.  The equation is linear, so each RK4 step is a matrix;
 the steps of one breakpoint interval are built in one batched expression
 and multiplied in time order by a pairwise batched product.  Envelope
 discontinuities (segment edges, refocusing flips) are always breakpoints.
-``evolve`` applies the running propagator to rho0 and records the 15 real
-Pauli coefficients c_a of rho = (1 + sum_a c_a P_a)/4 at every breakpoint.
+A run any of whose propagators is further from unitary than the caller's
+bound raises StepTooCoarse.
 
 When w0/delta is an integer, shifting time by t0_sync = 2 pi/delta flips
 the sign of both carriers, so H(t + t0_sync) = Z1Z2 H(t) Z1Z2 wherever the
@@ -23,16 +23,19 @@ same key; the result equals stepping every interval to rounding.  Ramped
 intervals, intervals cut by an off-grid edge or flip, and devices whose
 w0/delta is not an integer are stepped every time.
 
-An independent oracle route evolves the 4x4 density matrix with exact
-piecewise exponential propagators (4th-order commutator-free Magnus, two
-exponentials per substep of a real symmetric H, as real 8x8 forms) and
-verifies its own convergence by substep doubling.  Each exponential
+An independent oracle route builds the same running propagators from exact
+piecewise exponentials (4th-order commutator-free Magnus, two exponentials
+per substep of a real symmetric H, as real 8x8 forms) and verifies its own
+convergence by substep doubling.  Each exponential
 exp(-iA) = cos A - i sin A is a Horner series in A^2 whose degree a
 runtime truncation bound sets below 1e-16 (with scaling and squaring for
 a large ||A||), so it is exact to rounding; the oracle's order comes from
 the Magnus scheme and the doubling test, not from the series.  The
 substeps of consecutive breakpoint intervals are sampled and
-exponentiated in batches of at most a fixed number of substeps.
+exponentiated in batches of at most a fixed number of substeps.  Both
+routes return the running propagators U(t_k) at the breakpoints, and one
+tail records U rho0 U^dagger, divided by its trace, as the 15 real Pauli
+coefficients c_a of rho = (1 + sum_a c_a P_a)/4.
 
 The private layers read the device from ``seq.params`` only.
 """
@@ -67,10 +70,11 @@ __all__ = [
 
 IDX = {lab: i for i, lab in enumerate(TWO_QUBIT_LABELS)}
 _BASIS = basis_matrices()  # (15, 4, 4)
+_STATE_TOL = 1e-9  # rounding allowed below eigenvalue 0 and outside purity [1/4, 1]
 
 
 class StepTooCoarse(RuntimeError):
-    """Fixed-step error estimate exceeded the allowed tolerance."""
+    """A fixed-step propagator's unitarity defect exceeded the allowed bound."""
 
 
 class NoConvergence(RuntimeError):
@@ -150,10 +154,10 @@ class DensityState:
     def min_eigenvalue(self) -> float:
         return float(np.linalg.eigvalsh(self.to_matrix())[0])
 
-    def validate(self, tol: float = 1e-9) -> None:
-        if self.min_eigenvalue() < -tol:
+    def validate(self) -> None:
+        if self.min_eigenvalue() < -_STATE_TOL:
             raise ValueError(f"state not positive: min eigenvalue {self.min_eigenvalue():.3e}")
-        if not (0.25 - tol <= self.purity <= 1.0 + tol):
+        if not (0.25 - _STATE_TOL <= self.purity <= 1.0 + _STATE_TOL):
             raise ValueError(f"purity {self.purity} out of range")
 
 
@@ -295,14 +299,13 @@ def _time_ordered_product(mats: np.ndarray) -> np.ndarray:
     return mats[0]
 
 
+# The Z1 and Z2 eigenvalues of |00>, |01>, |10> and |11>, one row each
+_Z_SIGNS = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
 # Z1Z2 conjugation, (ZZ U ZZ)_ij = z_i z_j U_ij, as a mask on real forms
-_ZZ_DIAG = np.array([1.0, -1.0, -1.0, 1.0])
+_ZZ_DIAG = _Z_SIGNS.prod(1)
 _ZZ_MASK = np.tile(np.outer(_ZZ_DIAG, _ZZ_DIAG), (2, 2))
 # w0/delta and the grid points within this relative distance count as exact
 _SYNC_RTOL = 1e-13
-# Entries of a unitary have modulus at most 1; a propagator with a real-form
-# entry beyond this bound has a unitarity defect above 3, so RK4 has diverged
-_DIVERGED = 2.0
 
 
 def _carriers_flip_each_window(p: SystemParams) -> bool:
@@ -333,13 +336,20 @@ def _window_keys(seq: PulseSequence, bps: np.ndarray) -> list:
             for ki, am, ok in zip(k.astype(int).tolist(), amps, full)]
 
 
-def _running_propagators(seq: PulseSequence,
-                         dt_policy: StepPolicy | None) -> tuple[np.ndarray, np.ndarray]:
+def _unitarity_defect(u: np.ndarray) -> float:
+    """max |U U^dagger - I| over a stack of 4x4 matrices; nan or inf on overflow."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.max(np.abs(u @ u.conj().swapaxes(-1, -2) - np.eye(4))))
+
+
+def _running_propagators(seq: PulseSequence, dt_policy: StepPolicy | None,
+                         max_defect: float) -> tuple[np.ndarray, np.ndarray]:
     """Breakpoints t_k and the propagators U(t_k) from time 0 to each.
     One batch per interval bounds the memory by the longest interval.
     Repeating grid intervals are stepped once (module docstring): the memo
-    keeps each product at even window parity.  Raises StepTooCoarse if RK4
-    diverges: a propagator entry that is not finite or beyond _DIVERGED."""
+    keeps each product at even window parity.  Raises StepTooCoarse if the
+    unitarity defect of any U(t_k), not only the final one (on the CNOT an
+    earlier one is up to 1.3 times larger), exceeds max_defect or is not finite."""
     h_target = (dt_policy or StepPolicy()).step_target(seq.params)
     bps = _breakpoints(seq)
     keys = _window_keys(seq, bps) if _carriers_flip_each_window(seq.params) \
@@ -364,9 +374,21 @@ def _running_propagators(seq: PulseSequence,
             elif odd:
                 v = _ZZ_MASK * v
             us[i + 1] = v @ us[i]
-    if not np.abs(us).max() <= _DIVERGED:  # nan compares false, so it fails too
-        raise StepTooCoarse(f"the propagator diverged: an entry beyond {_DIVERGED} in modulus")
-    return bps, _complex_of(us)
+        us = _complex_of(us)
+    defect = _unitarity_defect(us)
+    if not defect <= max_defect:  # nan compares false, so it fails too
+        raise StepTooCoarse(f"the propagator diverged from unitarity: "
+                            f"defect {defect:.3e} exceeds {max_defect:g}")
+    return bps, us
+
+
+def _trajectory(bps: np.ndarray, us: np.ndarray, rho0: DensityState) -> Trajectory:
+    """The lab-frame states U(t_k) rho0 U(t_k)^dagger, each divided by its
+    trace since neither route is exactly unitary, at the breakpoints t_k."""
+    rhos = us @ rho0.to_matrix() @ us.conj().transpose(0, 2, 1)
+    rhos /= np.trace(rhos, axis1=1, axis2=2).real[:, None, None]
+    coeffs = np.real(np.einsum("aij,nji->na", _BASIS, rhos))
+    return Trajectory(times=bps, coeffs=coeffs, frame="lab")
 
 
 # ---------------------------------------------------------------------------
@@ -388,15 +410,12 @@ def evolve(
     per call (see the module docstring).
     Deterministic: identical inputs yield bit-identical trajectories.
     Raises ValueError if ``p`` is not ``seq.params``, and StepTooCoarse if
-    the propagator diverges.
+    the unitarity defect of any U(t) exceeds 1e-6, the bound
+    ``gate_fidelity`` applies to any unitary it scores.
     """
     check_device(p, seq)
     rho0.validate()
-    bps, us = _running_propagators(seq, dt_policy)
-    rhos = us @ rho0.to_matrix() @ us.conj().transpose(0, 2, 1)
-    rhos /= np.trace(rhos, axis1=1, axis2=2).real[:, None, None]
-    coeffs = np.real(np.einsum("aij,nji->na", _BASIS, rhos))
-    return Trajectory(times=bps, coeffs=coeffs, frame="lab")
+    return _trajectory(*_running_propagators(seq, dt_policy, 1e-6), rho0)
 
 
 def propagator_of_sequence(
@@ -406,15 +425,11 @@ def propagator_of_sequence(
 ) -> np.ndarray:
     """Lab-frame unitary of the full sequence (RK4 on the Schrodinger
     equation for the propagator), with repeating grid intervals stepped
-    once per call as in ``evolve``.  Raises StepTooCoarse if it diverges or
-    its unitarity defect exceeds 1e-9, and ValueError if ``p`` is not
-    ``seq.params``."""
+    once per call as in ``evolve``.  Raises StepTooCoarse if its unitarity
+    defect, or that of a running propagator on the way, exceeds 1e-9, and
+    ValueError if ``p`` is not ``seq.params``."""
     check_device(p, seq)
-    u = _running_propagators(seq, dt_policy)[1][-1]
-    defect = float(np.max(np.abs(u @ u.conj().T - np.eye(4))))
-    if defect > 1e-9:
-        raise StepTooCoarse(f"unitarity defect {defect:.3e} exceeds 1e-9")
-    return u
+    return _running_propagators(seq, dt_policy, 1e-9)[1][-1]
 
 
 # 4th-order commutator-free Magnus weights (Gauss-Legendre nodes).
@@ -427,6 +442,10 @@ _CF4_MINUS = (3.0 - 2.0 * math.sqrt(3.0)) / 12.0
 # intervals of a pass go through in chunks, so the batches' memory stays
 # bounded however long the sequence is (one batch per pass: +33% peak RSS)
 _ORACLE_CHUNK = 512
+# The first pass takes this many substeps per smallest carrier period; each
+# further pass doubles it, at most this many times
+_ORACLE_SUBSTEPS = 64
+_ORACLE_DOUBLINGS = 6
 # A = hM is scaled by 2^-s until max ||A||_1 <= _SERIES_NORM, and the series
 # truncated once its bound x^(2K+2)/(2K+2)! e^x is below _SERIES_TOL
 _SERIES_NORM = 1.0
@@ -478,13 +497,14 @@ def _oracle_chunks(counts: np.ndarray) -> list:
     return chunks + [(first, len(counts))] if total else chunks
 
 
-def _oracle_pass(seq, rho0_mat, bps, h_target):
+def _oracle_propagators(seq: PulseSequence, bps: np.ndarray, h_target: float) -> np.ndarray:
+    """The propagators U(t_k) at the breakpoints from one oracle pass, each
+    interval cut into substeps of at most h_target."""
     steps = [_interval_steps(a, b, h_target) for a, b in zip(bps[:-1], bps[1:])]
     counts = np.array([n for n, _ in steps], dtype=int)
     hs = np.array([h for _, h in steps])
-    states = np.empty((bps.size, 15))
-    states[0] = DensityState.from_matrix(rho0_mat).c
-    rho = rho0_mat
+    us = np.empty((bps.size, 8, 8))
+    us[0] = np.eye(8)
     for first, stop in _oracle_chunks(counts):
         # every substep of the chunk, tagged with its interval's a, b and h
         n = counts[first:stop]
@@ -498,55 +518,36 @@ def _oracle_pass(seq, rho0_mat, bps, h_target):
             [_CF4_PLUS * h1 + _CF4_MINUS * h2, _CF4_MINUS * h1 + _CF4_PLUS * h2]), h)
         prods = eb @ ea  # eb acts after ea
         for k, off, m in zip(range(first, stop), offsets, n):
-            u = _complex_of(_time_ordered_product(prods[off:off + m]))
-            rho = u @ rho @ u.conj().T
-            states[k + 1] = np.real(np.einsum("aij,ji->a", _BASIS, rho))
-    return states, rho
+            us[k + 1] = _time_ordered_product(prods[off:off + m]) @ us[k]
+    return _complex_of(us)
 
 
-def evolve_oracle(
-    p: SystemParams,
-    seq: PulseSequence,
-    rho0: DensityState,
-    substeps: int = 64,
-    max_doublings: int = 6,
-) -> Trajectory:
+def evolve_oracle(p: SystemParams, seq: PulseSequence, rho0: DensityState) -> Trajectory:
     """Piecewise-exponential propagator oracle, independent of the RK4 route.
 
     Each substep applies the two 4th-order commutator-free Magnus
     exponentials of the real symmetric H at the Gauss nodes, exact to
     rounding from cos/sin series whose degree a truncation bound sets, and
     carried as real 8x8 forms; the exponentials of consecutive intervals
-    are computed in batches of at most 512 substeps, and rho is conjugated
-    once per breakpoint interval by their time-ordered product.
-
-    ``substeps`` is the initial substep count per smallest carrier period;
-    it is doubled until two successive final states agree to trace
-    distance < 1e-9, else NoConvergence is raised.  Samples fall on the
-    same breakpoints as ``evolve``.  Raises ValueError if ``p`` is not
-    ``seq.params``, if ``substeps`` is not a positive integer or if
-    ``max_doublings`` is less than 1.
+    are computed in batches of at most 512 substeps.  Each pass returns the
+    running propagators at the breakpoints, which become the trajectory as
+    in ``evolve``.  The first pass takes 64 substeps per smallest carrier
+    period, and the count is doubled until two successive final states
+    agree to trace distance < 1e-9, at most 6 times, else NoConvergence is
+    raised.  Raises ValueError if ``p`` is not ``seq.params``.
     """
     check_device(p, seq)
-    if not isinstance(substeps, (int, np.integer)) or substeps < 1:
-        raise ValueError(f"substeps must be a positive integer, got {substeps!r}")
-    if not isinstance(max_doublings, (int, np.integer)) or max_doublings < 1:
-        raise ValueError(f"max_doublings must be an integer >= 1, got {max_doublings!r}")
     rho0.validate()
     bps = _breakpoints(seq)
-    period = 2.0 * math.pi / max(p.w1z, p.w2z)
-    rho0_mat = rho0.to_matrix()
-    prev_final = None
-    n = substeps
-    for _ in range(max_doublings + 1):
-        states, final = _oracle_pass(seq, rho0_mat, bps, period / n)
-        if prev_final is not None:
-            if trace_distance_matrices(final, prev_final) < 1e-9:
-                return Trajectory(times=bps, coeffs=states, frame="lab")
-        prev_final = final
-        n *= 2
+    prev = None
+    for doublings in range(_ORACLE_DOUBLINGS + 1):
+        h_target = StepPolicy(_ORACLE_SUBSTEPS << doublings).step_target(p)
+        traj = _trajectory(bps, _oracle_propagators(seq, bps, h_target), rho0)
+        if prev is not None and trace_distance(traj.final, prev.final) < 1e-9:
+            return traj
+        prev = traj
     raise NoConvergence(
-        f"oracle final state did not converge after {max_doublings} doublings"
+        f"oracle final state did not converge after {_ORACLE_DOUBLINGS} doublings"
     )
 
 
@@ -554,22 +555,17 @@ def evolve_oracle(
 # Frames, distances, CSV
 
 
-def _frame_diagonal(p: SystemParams, t) -> np.ndarray:
-    """Diagonal of frame_unitary(p, t), vectorized over t along a new last axis."""
-    t = np.asarray(t, dtype=float)[..., np.newaxis]
-    ph1, ph2 = 0.5 * p.w1z * t, 0.5 * p.w2z * t
-    return np.exp(1j * (ph1 * np.array([1, 1, -1, -1]) + ph2 * np.array([1, -1, 1, -1])))
+def _z_phases(phi1, phi2) -> np.ndarray:
+    """Diagonal of exp(i*(phi1*Z1 + phi2*Z2)/2), vectorized over the phases
+    along a new last axis."""
+    a = 0.5 * np.asarray(phi1, dtype=float)[..., np.newaxis]
+    b = 0.5 * np.asarray(phi2, dtype=float)[..., np.newaxis]
+    return np.exp(1j * (a * _Z_SIGNS[:, 0] + b * _Z_SIGNS[:, 1]))
 
 
 def frame_unitary(p: SystemParams, t: float) -> np.ndarray:
     """V(t) = exp(i*t*(w1z*Z1 + w2z*Z2)/2), the lab-to-rotating-frame map."""
-    return np.diag(_frame_diagonal(p, t))
-
-
-def _z_phases(phi1: float, phi2: float) -> np.ndarray:
-    a = 0.5 * phi1
-    b = 0.5 * phi2
-    return np.exp(1j * np.array([a + b, a - b, -a + b, -a - b]))
+    return np.diag(_z_phases(p.w1z * t, p.w2z * t))
 
 
 def compose_virtual_z(u: np.ndarray, seq: PulseSequence) -> np.ndarray:
@@ -602,7 +598,7 @@ def to_rotating_frame(obj, p: SystemParams, t: float | None = None):
         if obj.frame != "lab":
             raise WrongFrame(f"expected a lab-frame trajectory, got {obj.frame!r}")
         # V is diagonal, so V rho V^dagger = rho * (v v*^T) elementwise
-        v = _frame_diagonal(p, obj.times)
+        v = _z_phases(p.w1z * obj.times, p.w2z * obj.times)
         rhos = (np.eye(4) + np.einsum("na,aij->nij", obj.coeffs, _BASIS)) / 4.0
         rhos *= v[:, :, np.newaxis] * v.conj()[:, np.newaxis, :]
         coeffs = np.real(np.einsum("aij,nji->na", _BASIS, rhos))

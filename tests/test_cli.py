@@ -170,19 +170,20 @@ def test_simulate_bad_csv_path_exits_4(tmp_path, capsys):
 
 
 def test_simulate_diverged_propagator_exits_4(tmp_path, capsys):
-    # one RK4 step per carrier period diverges on the D pulse; no CSV of
-    # diverged rows is left behind
+    # on the D pulse RK4 blows up at one step per carrier period and
+    # contracts, far from unitary, at 2 to 8; no CSV of either is left behind
     _, seq_json, _ = run(capsys, "compile", "d")
     seq_file = tmp_path / "d.json"
     seq_file.write_text(seq_json)
-    csv = tmp_path / "d.csv"
-    code, out, err = run(
-        capsys, "simulate", str(seq_file), "--out", str(csv), "--steps-per-period", "1",
-    )
-    assert code == 4
-    assert "integrator failure" in err and "diverged" in err
-    assert out == ""
-    assert not csv.exists()
+    for steps in ("1", "2", "8"):
+        csv = tmp_path / f"d-{steps}.csv"
+        code, out, err = run(
+            capsys, "simulate", str(seq_file), "--out", str(csv), "--steps-per-period", steps,
+        )
+        assert code == 4, steps
+        assert "integrator failure" in err and "diverged" in err
+        assert out == ""
+        assert not csv.exists()
 
 
 def test_fidelity_diverged_propagator_exits_4(tmp_path, capsys):
@@ -263,20 +264,22 @@ def test_sweep_single_point(tmp_path, capsys):
 
 def test_sweep_failed_points_same_in_pool(tmp_path, capsys):
     # a diverged point is a nan row and exit 4, whether the points run in
-    # this process or in a pool of worker processes
+    # this process or in a pool of worker processes, and whether RK4 blows
+    # up (1 step per period) or contracts (2)
     grid = tmp_path / "grid.json"
     grid.write_text('[{"delta": 0.1, "wxx": 0.01}, {"delta": 0.25, "wxx": 0.025}]')
-    csvs = []
-    for jobs in ("1", "2"):
-        out_file = tmp_path / f"sweep-{jobs}.csv"
-        code, _, err = run(
-            capsys, "sweep", str(grid), "--metric", "d_concurrence", "--steps-per-period", "1",
-            "--jobs", jobs, "--out", str(out_file),
-        )
-        assert code == 4
-        assert err.count("failed") == 2
-        csvs.append(out_file.read_bytes())
-    assert csvs[0] == csvs[1] == b"delta,wxx,metric\n0.1,0.01,nan\n0.25,0.025,nan\n"
+    for steps in ("1", "2"):
+        csvs = []
+        for jobs in ("1", "2"):
+            out_file = tmp_path / f"sweep-{steps}-{jobs}.csv"
+            code, _, err = run(
+                capsys, "sweep", str(grid), "--metric", "d_concurrence",
+                "--steps-per-period", steps, "--jobs", jobs, "--out", str(out_file),
+            )
+            assert code == 4
+            assert err.count("failed") == 2
+            csvs.append(out_file.read_bytes())
+        assert csvs[0] == csvs[1] == b"delta,wxx,metric\n0.1,0.01,nan\n0.25,0.025,nan\n", steps
 
 
 def test_sweep_bad_grid_exits_2(tmp_path, capsys):

@@ -20,6 +20,7 @@ from flicforq.integrator import (
     DensityState,
     NoConvergence,
     StepPolicy,
+    StepTooCoarse,
     Trajectory,
     WrongFrame,
     evolve,
@@ -321,19 +322,19 @@ def test_oracle_batches_chunks_without_eigh(monkeypatch):
         raise AssertionError("the oracle called np.linalg.eigh")
 
     passes = []
-    real_pass, real_expm = integrator._oracle_pass, integrator._expm_batch
+    real_pass, real_expm = integrator._oracle_propagators, integrator._expm_batch
 
-    def spy_pass(seq, rho0_mat, bps, h_target):
+    def spy_pass(seq, bps, h_target):
         counts = [_interval_steps(a, b, h_target)[0] for a, b in zip(bps[:-1], bps[1:])]
         passes.append((counts, []))
-        return real_pass(seq, rho0_mat, bps, h_target)
+        return real_pass(seq, bps, h_target)
 
     def spy_expm(mats, h):
         passes[-1][1].append(mats.size // 32)  # two 4x4 exponentials per substep
         return real_expm(mats, h)
 
     monkeypatch.setattr(np.linalg, "eigh", no_eigh)
-    monkeypatch.setattr(integrator, "_oracle_pass", spy_pass)
+    monkeypatch.setattr(integrator, "_oracle_propagators", spy_pass)
     monkeypatch.setattr(integrator, "_expm_batch", spy_expm)
     seq = ramped_flip_sequence()
     evolve_oracle(BENCH, seq, random_state(np.random.default_rng(17)))
@@ -345,19 +346,6 @@ def test_oracle_batches_chunks_without_eigh(monkeypatch):
         assert len(batches) < len(counts)
         assert all(b <= cap or b in counts for b in batches)
         assert all(b1 + b2 > cap for b1, b2 in zip(batches, batches[1:]))
-
-
-@pytest.mark.parametrize("kwargs", [
-    {"substeps": 0}, {"substeps": -4}, {"substeps": 2.5}, {"substeps": "64"},
-    {"max_doublings": 0}, {"max_doublings": -1},
-])
-def test_oracle_rejects_bad_substeps_and_doublings(kwargs):
-    # a negative substeps would give one substep per interval in every
-    # pass, so the doubling test would pass at once on a wrong trajectory
-    p = DEFAULT_PARAMS
-    seq = PulseSequence(params=p, segments=(PulseSegment(start=0.0, duration=10.0, amp_y_1=0.05),))
-    with pytest.raises(ValueError, match=next(iter(kwargs))):
-        evolve_oracle(p, seq, DensityState.computational("00"), **kwargs)
 
 
 def plain_propagators(p, seq, policy):
@@ -579,6 +567,17 @@ def test_propagator_unitarity():
     seq = PulseSequence(params=p, segments=(seg,))
     u = propagator_of_sequence(p, seq, StepPolicy(steps_per_period=800))
     assert np.max(np.abs(u @ u.conj().T - np.eye(4))) < 1e-9
+
+
+@pytest.mark.parametrize("steps", [2, 3, 4, 8])
+def test_evolve_rejects_non_unitary_propagator(steps):
+    # at 2 to 8 steps per period RK4 contracts on the D pulse instead of
+    # blowing up; dividing each state by its trace would hide that
+    p = DEFAULT_PARAMS
+    seq, rho0 = compile_D(p), DensityState.computational("00")
+    with pytest.raises(StepTooCoarse, match="diverged from unitarity"):
+        evolve(p, seq, rho0, StepPolicy(steps_per_period=steps))
+    assert evolve(p, seq, rho0, QUICK).final.purity == pytest.approx(1.0, abs=1e-9)
 
 
 def test_rotating_frame_diagonal_invariant():
