@@ -6,20 +6,25 @@ approximation anywhere.  Both drives act through the sigma_x channels, so
 the lab-frame H(t) is a real symmetric 4x4 matrix at every t and all the
 arithmetic is real: a complex 4x4 matrix a + ib is carried as its real
 8x8 form [[a, -b], [b, a]], and the real form of a product is the product
-of the real forms.  The equation is linear, so each RK4 step is a matrix;
-the steps of one breakpoint interval are built in one batched expression
-and multiplied in time order by a pairwise batched product.  Envelope
-discontinuities (segment edges, refocusing flips) are always breakpoints.
-A run any of whose propagators is further from unitary than the caller's
-bound raises StepTooCoarse.
+of the real forms.  The equation is linear, so each RK4 step is a matrix,
+and a breakpoint interval's propagator is the product of its steps in
+time order, taken pairwise.  The intervals one call builds go through
+together: in chunks of at most 8192 steps, the intervals of a chunk with
+equal step counts share one sampling of H, and their steps are built and
+multiplied in batches of about 900 steps, each interval's product equal
+bit for bit to building it alone.  Envelope discontinuities (segment
+edges, refocusing flips) are always breakpoints.  A run any of whose
+propagators is further from unitary than the caller's bound raises
+StepTooCoarse.
 
 When w0/delta is an integer, shifting time by t0_sync = 2 pi/delta flips
 the sign of both carriers, so H(t + t0_sync) = Z1Z2 H(t) Z1Z2 wherever the
 drive amplitudes are constant.  Each call therefore steps a full interval
 [k s, (k+1) s] of the s = t0_sync/8 grid under flat (square) drives only
 the first time its (k mod 8, amplitudes) key occurs, and reuses that
-product, Z1Z2-conjugated in odd windows, for every later interval with the
-same key; the result equals stepping every interval to rounding.  Ramped
+product for every later interval with the same key, Z1Z2-conjugated where
+the window parities (k // 8 odd) of the two differ; the result equals
+stepping every interval to rounding.  Ramped
 intervals, intervals cut by an off-grid edge or flip, and devices whose
 w0/delta is not an integer are stepped every time.
 
@@ -234,9 +239,9 @@ def _interval_steps(a: float, b: float, h_target: float) -> tuple[int, float]:
     return n, (b - a) / n
 
 
-def _hamiltonians(seq: PulseSequence, a: float, b: float, tg: np.ndarray) -> np.ndarray:
-    """H(t) for the times tg in [a, b], real, shape (tg.size, 4, 4); a and b
-    are scalars or, for samples from several intervals, arrays that
+def _hamiltonians(seq: PulseSequence, a, b, tg: np.ndarray) -> np.ndarray:
+    """H(t) for the times tg in [a, b], real, shape tg.shape + (4, 4); a and
+    b are scalars or, for samples from several intervals, arrays that
     broadcast against tg.
 
     No envelope discontinuity lies strictly inside [a, b], so segment
@@ -250,8 +255,10 @@ def _hamiltonians(seq: PulseSequence, a: float, b: float, tg: np.ndarray) -> np.
     zi, iz, xx, x1, x2 = (_BASIS[IDX[lab]].real for lab in ("ZI", "IZ", "XX", "XI", "IX"))
     drift = 0.5 * p.w1z * zi + 0.5 * p.w2z * iz + 0.5 * p.wxx * xx
     # x1 and x2 have no nonzero entry in common, so this product is exact
-    drives = np.stack([u1, u2], axis=-1) @ np.stack([x1, x2]).reshape(2, 16)
-    return drives.reshape(-1, 4, 4) + drift
+    ham = np.stack([u1, u2], axis=-1) @ np.stack([x1, x2]).reshape(2, 16)
+    ham = ham.reshape(ham.shape[:-1] + (4, 4))
+    ham += drift  # in place: a chunk's samples are the largest array it holds
+    return ham
 
 
 # ---------------------------------------------------------------------------
@@ -273,30 +280,50 @@ def _complex_of(r: np.ndarray) -> np.ndarray:
     return r[..., :4, :4] + 1j * r[..., 4:, :4]
 
 
-def _rk4_steps(hs: np.ndarray, h: float) -> np.ndarray:
+def _rk4_steps(hs: np.ndarray, h) -> np.ndarray:
     """Real forms of the RK4 step matrices S = I + h/6 (K1 + 2 K2 + 2 K3 + K4)
     of dU/dt = F U, with K1 = F_a, K2 = F_m (I + h/2 K1), K3 = F_m (I + h/2 K2)
     and K4 = F_b (I + h K3), from F = -iH and the real H on the half-step
-    grid (2n + 1 times).  With A, M, B = H_a, H_m, H_b and x = h/2,
-    Re S = I + h/6 (-2x (MA + MM + BM) + 2x^3 BMMA) and
-    Im S = h/6 (2x^2 (MMA + BMM) - (A + 4M + B))."""
-    a, m, b = hs[0:-1:2], hs[1::2], hs[2::2]
+    grid (2n + 1 times along axis -3).  With A, M, B = H_a, H_m, H_b and
+    x = h/2, Re S = I + h/6 (-2x (MA + MM + BM) + 2x^3 BMMA) and
+    Im S = h/6 (2x^2 (MMA + BMM) - (A + 4M + B)).  Leading axes batch
+    intervals; h is a scalar or broadcasts against hs, as (k, 1, 1, 1)."""
+    a, m, b = hs[..., 0:-1:2, :, :], hs[..., 1::2, :, :], hs[..., 2::2, :, :]
+    h = np.asarray(h, dtype=float)
     x = 0.5 * h
+    # x^2 and x^3 by Python's float pow, one interval at a time, so that a
+    # step does not depend on its batch: numpy's vectorized power can round
+    # differently in the last bit
+    x2, x3 = (np.reshape([v ** e for v in x.flat], x.shape) for e in (2, 3))
     ma, mm, bm = m @ a, m @ m, b @ m
     mma, bmm = m @ ma, b @ mm
     bmma = b @ mma
-    re = np.eye(4) + (h / 6.0) * (-2.0 * x * (ma + mm + bm) + 2.0 * x ** 3 * bmma)
-    im = (h / 6.0) * (2.0 * x ** 2 * (mma + bmm) - (a + 4.0 * m + b))
+    re = np.eye(4) + (h / 6.0) * (-2.0 * x * (ma + mm + bm) + 2.0 * x3 * bmma)
+    im = (h / 6.0) * (2.0 * x2 * (mma + bmm) - (a + 4.0 * m + b))
     return _real_form(re, im)
 
 
 def _time_ordered_product(mats: np.ndarray) -> np.ndarray:
-    """mats[-1] @ ... @ mats[0], by pairwise batched products."""
-    while len(mats) > 1:
-        n = len(mats)
-        paired = mats[1:n:2] @ mats[0:n - 1:2]
-        mats = np.concatenate([paired, mats[n - 1:]]) if n % 2 else paired
-    return mats[0]
+    """mats[..., -1, :, :] @ ... @ mats[..., 0, :, :], by pairwise batched
+    products along axis -3."""
+    while mats.shape[-3] > 1:
+        n = mats.shape[-3]
+        paired = mats[..., 1:n:2, :, :] @ mats[..., 0:n - 1:2, :, :]
+        mats = np.concatenate([paired, mats[..., n - 1:, :, :]], axis=-3) if n % 2 else paired
+    return mats[..., 0, :, :]
+
+
+def _chunks(counts, cap: int) -> list:
+    """Consecutive items grouped greedily into chunks whose counts sum to at
+    most cap, each holding at least one whole item, as (first, stop) index
+    pairs."""
+    chunks, first, total = [], 0, 0
+    for i, n in enumerate(counts):
+        if total and total + n > cap:
+            chunks.append((first, i))
+            first, total = i, 0
+        total += n
+    return chunks + [(first, len(counts))] if total else chunks
 
 
 # The Z1 and Z2 eigenvalues of |00>, |01>, |10> and |11>, one row each
@@ -342,37 +369,60 @@ def _unitarity_defect(u: np.ndarray) -> float:
         return float(np.max(np.abs(u @ u.conj().swapaxes(-1, -2) - np.eye(4))))
 
 
+# Largest number of RK4 steps one chunk samples at once, so that the
+# samples' memory stays bounded however long the sequence is; with caps of
+# 2048 and 4096 the heap top was trimmed and faulted back in (905 and 229
+# minor faults per benchmark gate op, against 0)
+_RK4_CHUNK = 8192
+# Steps built and multiplied per batch within a chunk (two 450-step grid
+# intervals of the benchmark device; one-interval batches measured ~4%
+# slower on its gate ops)
+_RK4_BATCH = 900
+
+
 def _running_propagators(seq: PulseSequence, dt_policy: StepPolicy | None,
                          max_defect: float) -> tuple[np.ndarray, np.ndarray]:
     """Breakpoints t_k and the propagators U(t_k) from time 0 to each.
-    One batch per interval bounds the memory by the longest interval.
-    Repeating grid intervals are stepped once (module docstring): the memo
-    keeps each product at even window parity.  Raises StepTooCoarse if the
-    unitarity defect of any U(t_k), not only the final one (on the CNOT an
-    earlier one is up to 1.3 times larger), exceeds max_defect or is not finite."""
+
+    The intervals to build are the first with each memo key (module
+    docstring) and every interval without one.  They go through in chunks
+    of at most _RK4_CHUNK steps, each holding at least one whole interval;
+    in a chunk, the intervals with equal step counts are sampled by one
+    call, and their steps are built and multiplied in batches of about
+    _RK4_BATCH steps.  U(t_k) is then assembled in time order, each built
+    product Z1Z2-conjugated where its window parity differs from that of
+    the interval it was built on.  Raises StepTooCoarse if the unitarity
+    defect of any U(t_k), not only the final one (on the CNOT an earlier
+    one is up to 1.3 times larger), exceeds max_defect or is not finite."""
     h_target = (dt_policy or StepPolicy()).step_target(seq.params)
     bps = _breakpoints(seq)
     keys = _window_keys(seq, bps) if _carriers_flip_each_window(seq.params) \
         else [(None, False)] * (bps.size - 1)
-    memo: dict = {}
+    seen: dict = {}
+    # per interval, the first interval with its memo key, else itself
+    origin = [seen.setdefault(i if key is None else key, i) for i, (key, _) in enumerate(keys)]
+    todo = np.array(sorted(set(origin)), dtype=int)  # the intervals to build
+    a, b = bps[todo], bps[todo + 1]
+    steps = [_interval_steps(x, y, h_target) for x, y in zip(a, b)]
+    counts = np.array([n for n, _ in steps], dtype=int)
+    hs = np.array([h for _, h in steps])
+    prods = np.empty((bps.size - 1, 8, 8))  # per interval; only origins are built
     us = np.empty((bps.size, 8, 8))
     us[0] = np.eye(8)
     with np.errstate(over="ignore", invalid="ignore"):  # divergence is checked below
-        for i, (key, odd) in enumerate(keys):
-            a, b = bps[i], bps[i + 1]
-            v = memo.get(key)
-            if v is None:
-                n, h = _interval_steps(a, b, h_target)
-                tg = a + 0.5 * h * np.arange(2 * n + 1)
-                # steps stays bound until the next interval replaces it: freed
-                # at once, it lets glibc trim the heap top, and every interval
-                # then faults its step build's pages back in (~7x the faults)
-                steps = _rk4_steps(_hamiltonians(seq, a, b, tg), h)
-                v = _time_ordered_product(steps)
-                if key is not None:
-                    memo[key] = _ZZ_MASK * v if odd else v
-            elif odd:
-                v = _ZZ_MASK * v
+        for first, stop in _chunks(counts, _RK4_CHUNK):
+            # not np.unique: its first call imports numpy.ma, ~15 ms of set-up
+            for n in sorted(set(counts[first:stop].tolist())):
+                idx = first + np.flatnonzero(counts[first:stop] == n)
+                tg = a[idx, None] + 0.5 * hs[idx, None] * np.arange(2 * n + 1)
+                ham = _hamiltonians(seq, a[idx, None], b[idx, None], tg)
+                per = max(1, _RK4_BATCH // n)
+                for lo in range(0, idx.size, per):
+                    sel = idx[lo:lo + per]
+                    prods[todo[sel]] = _time_ordered_product(
+                        _rk4_steps(ham[lo:lo + per], hs[sel, None, None, None]))
+        for i, (o, (_, odd)) in enumerate(zip(origin, keys)):
+            v = prods[o] if odd == keys[o][1] else _ZZ_MASK * prods[o]
             us[i + 1] = v @ us[i]
         us = _complex_of(us)
     defect = _unitarity_defect(us)
@@ -484,19 +534,6 @@ def _expm_batch(mats: np.ndarray, h) -> np.ndarray:
     return r
 
 
-def _oracle_chunks(counts: np.ndarray) -> list:
-    """Consecutive intervals grouped greedily into chunks of at most
-    _ORACLE_CHUNK substeps, each holding at least one whole interval, as
-    (first, stop) index pairs."""
-    chunks, first, total = [], 0, 0
-    for i, n in enumerate(counts):
-        if total and total + n > _ORACLE_CHUNK:
-            chunks.append((first, i))
-            first, total = i, 0
-        total += n
-    return chunks + [(first, len(counts))] if total else chunks
-
-
 def _oracle_propagators(seq: PulseSequence, bps: np.ndarray, h_target: float) -> np.ndarray:
     """The propagators U(t_k) at the breakpoints from one oracle pass, each
     interval cut into substeps of at most h_target."""
@@ -505,7 +542,7 @@ def _oracle_propagators(seq: PulseSequence, bps: np.ndarray, h_target: float) ->
     hs = np.array([h for _, h in steps])
     us = np.empty((bps.size, 8, 8))
     us[0] = np.eye(8)
-    for first, stop in _oracle_chunks(counts):
+    for first, stop in _chunks(counts, _ORACLE_CHUNK):
         # every substep of the chunk, tagged with its interval's a, b and h
         n = counts[first:stop]
         a, b, h = (np.repeat(v, n) for v in (bps[first:stop], bps[first + 1:stop + 1],
@@ -513,7 +550,7 @@ def _oracle_propagators(seq: PulseSequence, bps: np.ndarray, h_target: float) ->
         offsets = np.cumsum(n) - n
         base = a + h * (np.arange(n.sum()) - np.repeat(offsets, n))
         nodes = base + np.array([[0.5 - _GAUSS_SHIFT], [0.5 + _GAUSS_SHIFT]]) * h
-        h1, h2 = _hamiltonians(seq, a, b, nodes).reshape(2, -1, 4, 4)
+        h1, h2 = _hamiltonians(seq, a, b, nodes)
         ea, eb = _expm_batch(np.stack(
             [_CF4_PLUS * h1 + _CF4_MINUS * h2, _CF4_MINUS * h1 + _CF4_PLUS * h2]), h)
         prods = eb @ ea  # eb acts after ea

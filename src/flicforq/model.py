@@ -1,9 +1,10 @@
-"""System parameters, pulse sequences, and the lab-frame Hamiltonian.
+"""System parameters, pulse sequences, and their drive amplitudes.
 
 Units: angular frequencies in units of the mean Larmor frequency w0
 (w0 = 1 by convention), time in units of 1/w0.
 
-The instantaneous Hamiltonian assembled here is
+The amplitudes sampled here enter the lab-frame Hamiltonian, which the
+integrator samples as
 
     H(t) = (1/2) [ w1z*Z1 + 2*(ax1(t)*cos(w1z*t) + ay1(t)*sin(w1z*t))*X1
                  + w2z*Z2 + 2*(ax2(t)*cos(w2z*t) + ay2(t)*sin(w2z*t))*X2
@@ -29,8 +30,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .pauli import TWO_QUBIT_LABELS
-
 __all__ = [
     "SystemParams",
     "Envelope",
@@ -38,7 +37,6 @@ __all__ = [
     "PulseSequence",
     "Diagnostic",
     "check_device",
-    "hamiltonian_at",
     "drive_amplitudes_at",
     "validate_sequence",
     "sequence_to_json",
@@ -46,7 +44,6 @@ __all__ = [
     "DEFAULT_PARAMS",
 ]
 
-IDX = {lab: i for i, lab in enumerate(TWO_QUBIT_LABELS)}
 GRID_RTOL = 1e-9
 
 
@@ -266,27 +263,6 @@ def drive_amplitudes_at(seq: PulseSequence, t, mid: float | np.ndarray | None = 
     return amps
 
 
-def hamiltonian_at(p: SystemParams, seq: PulseSequence, t: float) -> np.ndarray:
-    """Pauli coefficients h of H(t) = sum_a h[a] P_a, in TWO_QUBIT_LABELS order.
-
-    All coefficients are real, so H is Hermitian by construction; only
-    ZI, IZ, XX, XI and IX appear, so H is also a real symmetric matrix,
-    which the integrators rely on.  Raises ValueError if ``p`` is not
-    ``seq.params``.
-    """
-    check_device(p, seq)
-    if t < 0:
-        raise ValueError("t must be non-negative")
-    ax1, ay1, ax2, ay2 = drive_amplitudes_at(seq, t)
-    h = np.zeros(15)
-    h[IDX["ZI"]] = 0.5 * p.w1z
-    h[IDX["IZ"]] = 0.5 * p.w2z
-    h[IDX["XX"]] = 0.5 * p.wxx
-    h[IDX["XI"]] = float(ax1) * math.cos(p.w1z * t) + float(ay1) * math.sin(p.w1z * t)
-    h[IDX["IX"]] = float(ax2) * math.cos(p.w2z * t) + float(ay2) * math.sin(p.w2z * t)
-    return h
-
-
 @dataclass(frozen=True)
 class Diagnostic:
     severity: str  # "error" or "warning"
@@ -326,11 +302,16 @@ def validate_sequence(p: SystemParams, seq: PulseSequence) -> list[Diagnostic]:
 # ---------------------------------------------------------------------------
 # JSON schema.  Field names and units are part of the external interface:
 #
-# {"w1z": 1.05, "w2z": 0.95, "wxx": 0.01,
+# {"schema": 1, "w1z": 1.05, "w2z": 0.95, "wxx": 0.01,
 #  "segments": [{"start": 0, "duration": 125.6637,
 #                "q1": {"x": 0, "y": 0.0125}, "q2": {"x": 0, "y": 0},
 #                "envelope": {"kind": "square"}, "flip": null}],
 #  "virtual_z": [{"qubit": 1, "angle": 1.5707963, "t": 1633.6281}]}
+#
+# The writer emits the schema version; the parser reads a file without one
+# as version 1 and rejects any other version.
+
+SCHEMA_VERSION = 1
 
 
 def _segment_to_dict(seg: PulseSegment) -> dict:
@@ -373,6 +354,7 @@ def _segment_from_dict(d: dict) -> PulseSegment:
 
 def sequence_to_json(seq: PulseSequence) -> str:
     doc = {
+        "schema": SCHEMA_VERSION,
         "w1z": seq.params.w1z,
         "w2z": seq.params.w2z,
         "wxx": seq.params.wxx,
@@ -387,6 +369,12 @@ def sequence_to_json(seq: PulseSequence) -> str:
 
 def sequence_from_json(text: str) -> PulseSequence:
     doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise ValueError("a sequence file holds one JSON object")
+    schema = doc.get("schema", SCHEMA_VERSION)
+    if type(schema) is not int or schema != SCHEMA_VERSION:
+        raise ValueError(f"unsupported sequence schema {schema!r}; "
+                         f"this version reads schema {SCHEMA_VERSION}")
     params = SystemParams(w1z=doc["w1z"], w2z=doc["w2z"], wxx=doc["wxx"])
     segments = tuple(_segment_from_dict(d) for d in doc.get("segments", []))
     vz = tuple(

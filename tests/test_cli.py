@@ -238,6 +238,23 @@ def test_fidelity_virtual_z_only_is_exact(tmp_path, capsys):
     assert json.loads(out)["process"] == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("schema", [2, 0, "1", None])
+def test_unknown_schema_version_exits_2(schema, tmp_path, capsys):
+    _, seq_json, _ = run(capsys, "compile", "x90")
+    doc = json.loads(seq_json)
+    assert doc["schema"] == 1
+    doc["schema"] = schema
+    seq_file = tmp_path / "x90.json"
+    seq_file.write_text(json.dumps(doc))
+    csv_file = tmp_path / "traj.csv"
+    code, out, err = run(capsys, "simulate", str(seq_file), "--state", "00",
+                         "--out", str(csv_file))
+    assert code == 2
+    assert "unsupported sequence schema" in err
+    assert out == ""
+    assert not csv_file.exists()
+
+
 def test_fidelity_bad_word_exits_2(tmp_path, capsys):
     _, seq_json, _ = run(capsys, "compile", "xx_half")
     seq_file = tmp_path / "xx.json"

@@ -50,9 +50,9 @@ from flicforq.model import (
     PulseSequence,
     SystemParams,
     drive_amplitudes_at,
-    hamiltonian_at,
     validate_sequence,
 )
+from lab_frame import hamiltonian_at
 
 QUICK = StepPolicy(steps_per_period=300)
 
@@ -228,7 +228,7 @@ def test_hamiltonians_real_and_match_model():
         hs = _hamiltonians(seq, a, b, tg)
         assert hs.dtype == np.float64
         for t, h in zip(tg, hs):
-            ref = np.einsum("a,aij->ij", hamiltonian_at(p, seq, float(t)), _BASIS)
+            ref = np.einsum("a,aij->ij", hamiltonian_at(seq, float(t)), _BASIS)
             assert np.max(np.abs(h - ref)) <= 1e-15
 
 
@@ -415,19 +415,77 @@ def square_pair(p, windows, envelope=None):
 def test_window_reuse_and_fallback(p, seq, built, intervals, monkeypatch):
     # the D pulse is flat for 20 windows, so only its first window is
     # stepped; a device whose carriers do not flip over t0_sync, or a ramp,
-    # steps every interval
-    calls = []
+    # steps every interval.  A call's leading axes batch intervals.
+    intervals_built = []
 
     def counting(hs, h):
-        calls.append(h)
+        intervals_built.append(math.prod(hs.shape[:-3]))
         return _rk4_steps(hs, h)
 
     monkeypatch.setattr(integrator, "_rk4_steps", counting)
     u = propagator_of_sequence(p, seq, BENCH_POLICY)
-    assert len(calls) == built
+    assert sum(intervals_built) == built
     assert _breakpoints(seq).size - 1 == intervals
     monkeypatch.undo()
     assert np.max(np.abs(u - plain_propagators(p, seq, BENCH_POLICY)[-1])) <= 1e-13
+
+
+def mixed_sequence(p):
+    """Six sync windows on p: a ramped segment with an off-grid flip, a
+    square one whose on-grid flip and off-grid end cut intervals, and a
+    third with an off-grid end, so the distinct intervals have several step
+    counts."""
+    s = p.t0_sync
+    segs = (
+        PulseSegment(start=0.0, duration=2.3 * s, amp_x_1=0.03, amp_y_1=-0.02,
+                     envelope=Envelope("raised-cosine-ramp", 0.4 * s),
+                     flip_at=1.13 * s, flip_qubit=1),
+        PulseSegment(start=0.0, duration=4.7 * s, amp_y_2=0.03, flip_at=2.0 * s, flip_qubit=2),
+        PulseSegment(start=3.0 * s, duration=1.61 * s, amp_x_1=0.02),
+    )
+    return PulseSequence(params=p, segments=segs, total_time=6.0 * s)
+
+
+def test_chunked_build_equals_plain_stepping():
+    # on a device without window reuse every interval is built, in chunks
+    # and batches that mix step counts, yet each U(t_k) has the bits of
+    # stepping one interval at a time
+    p = device(3.9)
+    seq = mixed_sequence(p)
+    bps = _breakpoints(seq)
+    counts = [_interval_steps(a, b, BENCH_POLICY.step_target(p))[0]
+              for a, b in zip(bps[:-1], bps[1:])]
+    assert len(set(counts)) >= 4
+    assert len(integrator._chunks(counts, integrator._RK4_CHUNK)) >= 3
+    got = integrator._running_propagators(seq, BENCH_POLICY, 1e-9)[1]
+    assert np.array_equal(got, plain_propagators(p, seq, BENCH_POLICY))
+
+
+@pytest.mark.parametrize("p, seq, policy", [
+    (device(3.9), mixed_sequence(device(3.9)), BENCH_POLICY),
+    (BENCH, mixed_sequence(BENCH), BENCH_POLICY),
+    (BENCH, gate_layer(BENCH), StepPolicy(steps_per_period=20000)),
+], ids=["ratio-3.9", "bench", "fine"])
+def test_drive_samples_bounded_by_chunk_cap(p, seq, policy, monkeypatch):
+    # each sampling call covers intervals of one step count whose steps
+    # fit the cap, unless a single interval alone exceeds it (the fine
+    # policy's 11250-step grid intervals on the benchmark device)
+    calls = []
+    real = integrator._hamiltonians
+
+    def spy(seq, a, b, tg):
+        calls.append(tg.shape)
+        return real(seq, a, b, tg)
+
+    monkeypatch.setattr(integrator, "_hamiltonians", spy)
+    integrator._running_propagators(seq, policy, 1e-9)
+    cap = integrator._RK4_CHUNK
+    steps = [(k, (m - 1) // 2) for k, m in calls]
+    assert all(k * n <= cap or k == 1 for k, n in steps)
+    if policy == BENCH_POLICY:
+        assert any(k > 1 for k, _ in steps)
+    else:
+        assert all(n > cap for _, n in steps)
 
 
 # a wide-detuning device keeps the sync grid (t0_sync = 4 pi) short
@@ -507,7 +565,6 @@ def test_wrong_device_rejected():
         "insert_decoupling": lambda q: insert_decoupling(q, seq, 0),
         "remove_decoupling": lambda q: remove_decoupling(q, echoed, 0),
         "validate_sequence": lambda q: validate_sequence(q, seq),
-        "hamiltonian_at": lambda q: hamiltonian_at(q, seq, 1.0),
     }
     for name, call in calls.items():
         call(p)

@@ -15,18 +15,27 @@ from flicforq.model import (
     PulseSequence,
     SystemParams,
     drive_amplitudes_at,
-    hamiltonian_at,
     on_sync_grid,
     sequence_from_json,
     sequence_to_json,
     validate_sequence,
 )
-from flicforq.model import IDX
+from flicforq.integrator import _hamiltonians
 from flicforq.pauli import basis_matrices
+from lab_frame import IDX, hamiltonian_at
 
 
 def coeffs_to_matrix(h):
     return np.einsum("a,aij->ij", h, basis_matrices())
+
+
+def checked_hamiltonian(seq, t):
+    """The reference coefficients at t, once the integrators' sampler has
+    given the same matrix at that time."""
+    h = hamiltonian_at(seq, t)
+    sampled = _hamiltonians(seq, t, t, np.array([t]))[0]
+    assert np.max(np.abs(sampled - coeffs_to_matrix(h))) <= 1e-15
+    return h
 
 
 def test_default_params():
@@ -103,7 +112,7 @@ def test_non_finite_rejected():
 def test_hamiltonian_drift_only():
     p = DEFAULT_PARAMS
     seq = PulseSequence(params=p, total_time=10.0)
-    h = hamiltonian_at(p, seq, 3.7)
+    h = checked_hamiltonian(seq, 3.7)
     assert h[IDX["ZI"]] == pytest.approx(p.w1z / 2)
     assert h[IDX["IZ"]] == pytest.approx(p.w2z / 2)
     assert h[IDX["XX"]] == pytest.approx(p.wxx / 2)
@@ -116,7 +125,7 @@ def test_hamiltonian_drift_only():
 def test_hamiltonian_decoupled_case():
     p = SystemParams(w1z=1.05, w2z=0.95, wxx=0.0)
     seq = PulseSequence(params=p)
-    h = hamiltonian_at(p, seq, 1.0)
+    h = checked_hamiltonian(seq, 1.0)
     m = coeffs_to_matrix(h)
     assert np.allclose(m, np.diag(np.diag(m)))
     assert h[IDX["XX"]] == 0.0
@@ -127,10 +136,10 @@ def test_hamiltonian_sin_node():
     seg = PulseSegment(start=0.0, duration=200.0, amp_y_1=p.delta / 2)
     seq = PulseSequence(params=p, segments=(seg,))
     t = 2 * math.pi / p.w1z  # sin(w1z*t) = 0
-    h = hamiltonian_at(p, seq, t)
+    h = checked_hamiltonian(seq, t)
     assert h[IDX["XI"]] == pytest.approx(0.0, abs=1e-12)
     t_peak = 0.5 * math.pi / p.w1z  # sin(w1z*t) = 1
-    h = hamiltonian_at(p, seq, t_peak)
+    h = checked_hamiltonian(seq, t_peak)
     assert h[IDX["XI"]] == pytest.approx(p.delta / 2)
 
 
@@ -148,7 +157,7 @@ def test_hamiltonian_hermitian_random():
         )
         seq = PulseSequence(params=p, segments=(seg,))
         t = float(rng.uniform(0, 150))
-        h = hamiltonian_at(p, seq, t)
+        h = checked_hamiltonian(seq, t)
         assert np.all(np.isreal(h))
         m = coeffs_to_matrix(h)
         assert np.allclose(m, m.conj().T)
@@ -165,8 +174,8 @@ def test_carrier_phase_is_absolute():
     seq_b = PulseSequence(params=p, segments=(seg_b,))
     ts = np.linspace(5.0, 45.0, 40)
     for t in ts:
-        ha = hamiltonian_at(p, seq_a, t)
-        hb = hamiltonian_at(p, seq_b, t + period)
+        ha = checked_hamiltonian(seq_a, t)
+        hb = checked_hamiltonian(seq_b, t + period)
         assert ha[IDX["XI"]] == pytest.approx(hb[IDX["XI"]], abs=1e-12)
 
 
@@ -267,12 +276,28 @@ def test_json_roundtrip():
     # schema field names are part of the interface
     import json
     doc = json.loads(text)
-    assert set(doc) >= {"w1z", "w2z", "wxx", "segments", "virtual_z"}
+    assert set(doc) >= {"schema", "w1z", "w2z", "wxx", "segments", "virtual_z"}
+    assert doc["schema"] == 1
     seg_doc = doc["segments"][0]
     assert set(seg_doc) >= {"start", "duration", "q1", "q2", "envelope", "flip"}
     assert seg_doc["q1"] == {"x": 0.0, "y": 0.0125}
     assert seg_doc["flip"] is None
     assert doc["virtual_z"][0] == {"qubit": 1, "angle": math.pi / 2, "t": 1633.6281}
+
+
+def test_json_schema_version():
+    # files written before the version field read as version 1; any other
+    # version is rejected rather than guessed at
+    seq = PulseSequence(params=DEFAULT_PARAMS, segments=(PulseSegment(0.0, 5.0, amp_y_1=0.01),))
+    doc = json.loads(sequence_to_json(seq))
+    del doc["schema"]
+    assert sequence_from_json(json.dumps(doc)) == seq
+    for schema in (2, 0, 1.0, True, "1"):
+        doc["schema"] = schema
+        with pytest.raises(ValueError, match="unsupported sequence schema"):
+            sequence_from_json(json.dumps(doc))
+    with pytest.raises(ValueError, match="one JSON object"):
+        sequence_from_json("[]")
 
 
 def test_readme_schema_round_trips():
