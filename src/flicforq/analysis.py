@@ -235,8 +235,8 @@ def gate_fidelity(
 def sideband_check(p: SystemParams, amp_y1: float, amp_y2: float) -> dict:
     """Dressed-state sideband frequencies and the resonance-gap condition
     (w1z - w1y) = (w2z + w2y) under which the qubits exchange energy."""
-    if amp_y1 < 0 or amp_y2 < 0:
-        raise ValueError("amplitudes must be non-negative")
+    if not (0 <= amp_y1 < math.inf and 0 <= amp_y2 < math.inf):  # nan fails too
+        raise ValueError("amplitudes must be finite and non-negative")
     gap = (p.w1z - amp_y1) - (p.w2z + amp_y2)
     return {
         "qubit1_sidebands": [p.w1z - amp_y1, p.w1z + amp_y1],

@@ -229,7 +229,8 @@ def cmd_sweep(args) -> int:
             tasks.append((_params_for(d, w), args.metric, args.steps_per_period))
         except ValueError as exc:
             raise SchemaError(f"bad grid point delta={d}, wxx={w}: {exc}") from exc
-    with ProcessPoolExecutor(args.jobs) if args.jobs > 1 else nullcontext() as pool:
+    jobs = min(args.jobs, len(tasks))  # a pool starts all its workers at once
+    with ProcessPoolExecutor(jobs) if jobs > 1 else nullcontext() as pool:
         results = list((pool.map if pool else map)(_sweep_point, tasks))
     lines = ["delta,wxx,metric"]
     for (d, w), (r, error) in zip(points, results):
@@ -244,9 +245,10 @@ def cmd_resonance(args) -> int:
     p = _load_params(args.params)
     try:
         a1, a2 = (float(x) for x in args.amps.split(","))
+        report = sideband_check(p, a1, a2)
     except ValueError as exc:
         raise SchemaError(f"bad --amps {args.amps!r}: {exc}") from exc
-    _emit(json.dumps(sideband_check(p, a1, a2), indent=2), args.out)
+    _emit(json.dumps(report, indent=2), args.out)
     return 0
 
 

@@ -1,45 +1,45 @@
 """Exact numerical evolution of the two-qubit system in the lab frame.
 
-The production route integrates dU/dt = -i H(t) U for the 4x4 propagator
-with classic fixed-step 4th-order Runge-Kutta, with no rotating-wave
-approximation anywhere.  Both drives act through the sigma_x channels, so
-the lab-frame H(t) is a real symmetric 4x4 matrix at every t and all the
-arithmetic is real: a complex 4x4 matrix a + ib is carried as its real
-8x8 form [[a, -b], [b, a]], and the real form of a product is the product
-of the real forms.  The equation is linear, so each RK4 step is a matrix,
-and a breakpoint interval's propagator is the product of its steps in
-time order, taken pairwise.  The intervals one call builds go through
-together: in chunks of at most 8192 steps, the intervals of a chunk with
-equal step counts share one sampling of H, and their steps are built and
-multiplied in batches of about 900 steps, each interval's product equal
-bit for bit to building it alone.  Envelope discontinuities (segment
-edges, refocusing flips) are always breakpoints.  A run any of whose
-propagators is further from unitary than the caller's bound raises
-StepTooCoarse.
+Two integrators build the running propagators U(t_k) from time 0 to each
+breakpoint t_k (segment edges, refocusing flips and a uniform grid of
+spacing t0_sync/8, so no envelope discontinuity lies inside an interval),
+with no rotating-wave approximation anywhere.  Both drives act through the
+sigma_x channels, so the lab-frame H(t) is a real symmetric 4x4 matrix at
+every t and all the arithmetic is real: a complex 4x4 matrix a + ib is
+carried as its real 8x8 form [[a, -b], [b, a]], and the real form of a
+product is the product of the real forms.
+
+One pipeline serves both: an interval cut into n equal steps has the time
+ordered product of its step matrices as propagator.  The intervals of a
+call go through in chunks of at most 8192 steps; in a chunk, the intervals
+with equal n share one sampling of H, and their steps are built and
+multiplied pairwise in batches.  The two differ only in where they sample
+H and how they make a step:
+
+- RK4 (``evolve``, ``propagator_of_sequence``) samples the half-step grid
+  and makes classic fixed-step 4th-order Runge-Kutta steps, in batches of
+  about 900 steps, each interval's product equal bit for bit to building
+  it alone.  A run any of whose propagators is further from unitary than
+  the caller's bound raises StepTooCoarse.
+- The oracle (``evolve_oracle``) samples the two Gauss nodes of each
+  substep and makes 4th-order commutator-free Magnus steps
+  exp(-ihB) exp(-ihA), in batches of at most 512 substeps.  Each
+  exp(-iA) = cos A - i sin A is a Horner series in A^2 whose degree a
+  runtime truncation bound sets below 1e-16 (with scaling and squaring for
+  a large ||A||), so it is exact to rounding; the oracle's order comes
+  from the Magnus scheme and its convergence from substep doubling.
 
 When w0/delta is an integer, shifting time by t0_sync = 2 pi/delta flips
 the sign of both carriers, so H(t + t0_sync) = Z1Z2 H(t) Z1Z2 wherever the
-drive amplitudes are constant.  Each call therefore steps a full interval
-[k s, (k+1) s] of the s = t0_sync/8 grid under flat (square) drives only
-the first time its (k mod 8, amplitudes) key occurs, and reuses that
-product for every later interval with the same key, Z1Z2-conjugated where
-the window parities (k // 8 odd) of the two differ; the result equals
-stepping every interval to rounding.  Ramped
-intervals, intervals cut by an off-grid edge or flip, and devices whose
-w0/delta is not an integer are stepped every time.
-
-An independent oracle route builds the same running propagators from exact
-piecewise exponentials (4th-order commutator-free Magnus, two exponentials
-per substep of a real symmetric H, as real 8x8 forms) and verifies its own
-convergence by substep doubling.  Each exponential
-exp(-iA) = cos A - i sin A is a Horner series in A^2 whose degree a
-runtime truncation bound sets below 1e-16 (with scaling and squaring for
-a large ||A||), so it is exact to rounding; the oracle's order comes from
-the Magnus scheme and the doubling test, not from the series.  The
-substeps of consecutive breakpoint intervals are sampled and
-exponentiated in batches of at most a fixed number of substeps.  Both
-routes return the running propagators U(t_k) at the breakpoints, and one
-tail records U rho0 U^dagger, divided by its trace, as the 15 real Pauli
+drive amplitudes are constant.  The RK4 route therefore builds a full
+interval [k s, (k+1) s] of the s = t0_sync/8 grid under flat (square)
+drives only the first time its (k mod 8, amplitudes) key occurs, and
+reuses that product for every later interval with the same key,
+Z1Z2-conjugated where the window parities (k // 8 odd) of the two differ;
+the result equals building every interval to rounding.  Ramped intervals,
+intervals cut by an off-grid edge or flip, devices whose w0/delta is not
+an integer, and every oracle interval are built every time.  One tail
+records U rho0 U^dagger, divided by its trace, as the 15 real Pauli
 coefficients c_a of rho = (1 + sum_a c_a P_a)/4.
 
 The private layers read the device from ``seq.params`` only.
@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -234,8 +235,10 @@ def _breakpoints(seq: PulseSequence) -> np.ndarray:
     return np.asarray(dedup)
 
 
-def _interval_steps(a: float, b: float, h_target: float) -> tuple[int, float]:
-    n = max(1, int(math.ceil((b - a) / h_target - 1e-9)))
+def _interval_steps(a, b, h_target: float):
+    """Per interval [a, b], scalars or arrays, the number n of equal steps
+    of at most h_target, and the step (b - a) / n."""
+    n = np.maximum(1, np.ceil((b - a) / h_target - 1e-9).astype(int))
     return n, (b - a) / n
 
 
@@ -278,6 +281,11 @@ def _real_form(re: np.ndarray, im: np.ndarray) -> np.ndarray:
 def _complex_of(r: np.ndarray) -> np.ndarray:
     """The complex 4x4 matrices whose real forms are r."""
     return r[..., :4, :4] + 1j * r[..., 4:, :4]
+
+
+def _half_steps(a: np.ndarray, h: np.ndarray, n: int) -> np.ndarray:
+    """The 2n + 1 times of n RK4 steps h from a, columns (k, 1)."""
+    return a + 0.5 * h * np.arange(2 * n + 1)
 
 
 def _rk4_steps(hs: np.ndarray, h) -> np.ndarray:
@@ -326,6 +334,48 @@ def _chunks(counts, cap: int) -> list:
     return chunks + [(first, len(counts))] if total else chunks
 
 
+# Largest number of steps one chunk samples at once, so that the samples'
+# memory stays bounded however long the sequence is; with caps of 2048 and
+# 4096 the heap top was trimmed and faulted back in (905 and 229 minor
+# faults per benchmark gate op, against 0)
+_CHUNK_STEPS = 8192
+# Steps built and multiplied per batch within a chunk: RK4, two 450-step
+# grid intervals of the benchmark device (one-interval batches measured ~4%
+# slower on its gate ops); the oracle's exponentials, at most 512 substeps
+# (one batch per pass: +33% peak RSS)
+_RK4_BATCH = 900
+_ORACLE_BATCH = 512
+
+
+def _interval_products(seq: PulseSequence, a: np.ndarray, b: np.ndarray, h_target: float,
+                       nodes, steps, batch: int) -> np.ndarray:
+    """Real forms of the propagators of the intervals [a_i, b_i], each of n
+    steps h (_interval_steps), in chunks of at most _CHUNK_STEPS steps.  In
+    a chunk, the intervals with equal n share one sampling of H at the
+    times nodes(a, h, n), a and h as (k, 1), and the step matrices
+    steps(H, h), h as (k, 1, 1, 1), of max(1, batch // n) of them at a time
+    are built and multiplied in time order."""
+    counts, hs = _interval_steps(a, b, h_target)
+    prods = np.empty((counts.size, 8, 8))
+    for first, stop in _chunks(counts, _CHUNK_STEPS):
+        # not np.unique: its first call imports numpy.ma, ~15 ms of set-up
+        for n in sorted(set(counts[first:stop].tolist())):
+            idx = first + np.flatnonzero(counts[first:stop] == n)
+            tg = nodes(a[idx, None], hs[idx, None], n)
+            ham = _hamiltonians(seq, a[idx, None], b[idx, None], tg)
+            per = max(1, batch // n)
+            for lo in range(0, idx.size, per):
+                sel = idx[lo:lo + per]
+                prods[sel] = _time_ordered_product(
+                    steps(ham[lo:lo + per], hs[sel, None, None, None]))
+    return prods
+
+
+def _running_products(prods: np.ndarray) -> np.ndarray:
+    """Complex U(t_0) = I, U(t_k) = P_{k-1} ... P_0 from the real forms P_i."""
+    return _complex_of(np.array(list(accumulate(prods, lambda u, p: p @ u, initial=np.eye(8)))))
+
+
 # The Z1 and Z2 eigenvalues of |00>, |01>, |10> and |11>, one row each
 _Z_SIGNS = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
 # Z1Z2 conjugation, (ZZ U ZZ)_ij = z_i z_j U_ij, as a mask on real forms
@@ -335,22 +385,20 @@ _ZZ_MASK = np.tile(np.outer(_ZZ_DIAG, _ZZ_DIAG), (2, 2))
 _SYNC_RTOL = 1e-13
 
 
-def _carriers_flip_each_window(p: SystemParams) -> bool:
-    """True when shifting time by t0_sync flips the sign of both carriers:
-    w1z t0_sync = 2 pi (w0/delta + 1/2), likewise w2z with -1/2, so both are
-    odd multiples of pi when w0/delta is an integer to rounding."""
-    r = p.w0 / p.delta
-    return abs(r - round(r)) <= _SYNC_RTOL * r
-
-
-def _window_keys(seq: PulseSequence, bps: np.ndarray) -> list:
-    """Per breakpoint interval, the memo key (k mod 8, amplitudes) and the
-    window parity (k // 8 odd) of a full grid interval [k s, (k+1) s] with
-    every active segment flat; (None, False) for any other interval."""
+def _window_origins(seq: PulseSequence, bps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per breakpoint interval, its origin and its window parity.  When the
+    carriers flip each window, a full grid interval [k s, (k+1) s] with
+    every active segment flat has the memo key (k mod 8, amplitudes), its
+    origin is the first interval with that key, and its parity is k // 8
+    odd; any other interval is its own origin, of even parity."""
     a, b = bps[:-1], bps[1:]
+    # w1z t0_sync = 2 pi (w0/delta + 1/2), likewise w2z with -1/2, so both
+    # carriers flip over t0_sync when w0/delta is an integer to rounding
+    r = seq.params.w0 / seq.params.delta
     spacing = seq.params.t0_sync / 8.0
     k = np.rint(a / spacing)
-    full = np.isclose(a, k * spacing, rtol=_SYNC_RTOL, atol=0.0) \
+    full = (abs(r - round(r)) <= _SYNC_RTOL * r) \
+        & np.isclose(a, k * spacing, rtol=_SYNC_RTOL, atol=0.0) \
         & np.isclose(b, (k + 1) * spacing, rtol=_SYNC_RTOL, atol=0.0)
     mid = 0.5 * (a + b)
     for seg in seq.segments:
@@ -359,8 +407,10 @@ def _window_keys(seq: PulseSequence, bps: np.ndarray) -> list:
     # square envelopes are 1 on their support, so sampling at the midpoints
     # gives each interval's constant amplitudes and flip signs
     amps = np.stack(drive_amplitudes_at(seq, mid), axis=1).tolist()
-    return [((ki % 8, tuple(am)), ki // 8 % 2 == 1) if ok else (None, False)
-            for ki, am, ok in zip(k.astype(int).tolist(), amps, full)]
+    seen: dict = {}
+    origin = [seen.setdefault((ki % 8, tuple(am)) if ok else i, i)
+              for i, (ki, am, ok) in enumerate(zip(k.astype(int).tolist(), amps, full))]
+    return np.array(origin, dtype=int), full & (k // 8 % 2 == 1)
 
 
 def _unitarity_defect(u: np.ndarray) -> float:
@@ -369,62 +419,24 @@ def _unitarity_defect(u: np.ndarray) -> float:
         return float(np.max(np.abs(u @ u.conj().swapaxes(-1, -2) - np.eye(4))))
 
 
-# Largest number of RK4 steps one chunk samples at once, so that the
-# samples' memory stays bounded however long the sequence is; with caps of
-# 2048 and 4096 the heap top was trimmed and faulted back in (905 and 229
-# minor faults per benchmark gate op, against 0)
-_RK4_CHUNK = 8192
-# Steps built and multiplied per batch within a chunk (two 450-step grid
-# intervals of the benchmark device; one-interval batches measured ~4%
-# slower on its gate ops)
-_RK4_BATCH = 900
-
-
 def _running_propagators(seq: PulseSequence, dt_policy: StepPolicy | None,
                          max_defect: float) -> tuple[np.ndarray, np.ndarray]:
-    """Breakpoints t_k and the propagators U(t_k) from time 0 to each.
+    """Breakpoints t_k and the RK4 propagators U(t_k) from time 0 to each.
 
-    The intervals to build are the first with each memo key (module
-    docstring) and every interval without one.  They go through in chunks
-    of at most _RK4_CHUNK steps, each holding at least one whole interval;
-    in a chunk, the intervals with equal step counts are sampled by one
-    call, and their steps are built and multiplied in batches of about
-    _RK4_BATCH steps.  U(t_k) is then assembled in time order, each built
-    product Z1Z2-conjugated where its window parity differs from that of
-    the interval it was built on.  Raises StepTooCoarse if the unitarity
-    defect of any U(t_k), not only the final one (on the CNOT an earlier
-    one is up to 1.3 times larger), exceeds max_defect or is not finite."""
+    Only the intervals that are their own origin (_window_origins) are
+    built; any other takes its origin's product, Z1Z2-conjugated where their
+    window parities differ.  Raises StepTooCoarse if the unitarity defect of
+    any U(t_k), not only the final one (on the CNOT an earlier one is up to
+    1.3 times larger), exceeds max_defect or is not finite."""
     h_target = (dt_policy or StepPolicy()).step_target(seq.params)
     bps = _breakpoints(seq)
-    keys = _window_keys(seq, bps) if _carriers_flip_each_window(seq.params) \
-        else [(None, False)] * (bps.size - 1)
-    seen: dict = {}
-    # per interval, the first interval with its memo key, else itself
-    origin = [seen.setdefault(i if key is None else key, i) for i, (key, _) in enumerate(keys)]
-    todo = np.array(sorted(set(origin)), dtype=int)  # the intervals to build
-    a, b = bps[todo], bps[todo + 1]
-    steps = [_interval_steps(x, y, h_target) for x, y in zip(a, b)]
-    counts = np.array([n for n, _ in steps], dtype=int)
-    hs = np.array([h for _, h in steps])
-    prods = np.empty((bps.size - 1, 8, 8))  # per interval; only origins are built
-    us = np.empty((bps.size, 8, 8))
-    us[0] = np.eye(8)
+    origin, parity = _window_origins(seq, bps)
+    todo = np.flatnonzero(origin == np.arange(origin.size))  # the intervals to build
     with np.errstate(over="ignore", invalid="ignore"):  # divergence is checked below
-        for first, stop in _chunks(counts, _RK4_CHUNK):
-            # not np.unique: its first call imports numpy.ma, ~15 ms of set-up
-            for n in sorted(set(counts[first:stop].tolist())):
-                idx = first + np.flatnonzero(counts[first:stop] == n)
-                tg = a[idx, None] + 0.5 * hs[idx, None] * np.arange(2 * n + 1)
-                ham = _hamiltonians(seq, a[idx, None], b[idx, None], tg)
-                per = max(1, _RK4_BATCH // n)
-                for lo in range(0, idx.size, per):
-                    sel = idx[lo:lo + per]
-                    prods[todo[sel]] = _time_ordered_product(
-                        _rk4_steps(ham[lo:lo + per], hs[sel, None, None, None]))
-        for i, (o, (_, odd)) in enumerate(zip(origin, keys)):
-            v = prods[o] if odd == keys[o][1] else _ZZ_MASK * prods[o]
-            us[i + 1] = v @ us[i]
-        us = _complex_of(us)
+        prods = _interval_products(seq, bps[todo], bps[todo + 1], h_target, _half_steps,
+                                   _rk4_steps, _RK4_BATCH)[np.searchsorted(todo, origin)]
+        prods[parity != parity[origin]] *= _ZZ_MASK
+        us = _running_products(prods)
     defect = _unitarity_defect(us)
     if not defect <= max_defect:  # nan compares false, so it fails too
         raise StepTooCoarse(f"the propagator diverged from unitarity: "
@@ -488,10 +500,6 @@ _CF4_PLUS = (3.0 + 2.0 * math.sqrt(3.0)) / 12.0
 _CF4_MINUS = (3.0 - 2.0 * math.sqrt(3.0)) / 12.0
 
 
-# Largest number of substeps whose exponentials one oracle batch holds: the
-# intervals of a pass go through in chunks, so the batches' memory stays
-# bounded however long the sequence is (one batch per pass: +33% peak RSS)
-_ORACLE_CHUNK = 512
 # The first pass takes this many substeps per smallest carrier period; each
 # further pass doubles it, at most this many times
 _ORACLE_SUBSTEPS = 64
@@ -501,6 +509,12 @@ _ORACLE_DOUBLINGS = 6
 _SERIES_NORM = 1.0
 _SERIES_TOL = 1e-16
 _EYE_EYE = np.hstack([np.eye(4), np.eye(4)])  # [I | I]: both series' degree-0 term
+
+
+def _gauss_nodes(a: np.ndarray, h: np.ndarray, n: int) -> np.ndarray:
+    """The Gauss nodes of n substeps h from a, (k, 1): all first, then all second."""
+    base = a + h * np.arange(n)
+    return np.concatenate([base + c * h for c in (0.5 - _GAUSS_SHIFT, 0.5 + _GAUSS_SHIFT)], -1)
 
 
 def _expm_batch(mats: np.ndarray, h) -> np.ndarray:
@@ -534,29 +548,13 @@ def _expm_batch(mats: np.ndarray, h) -> np.ndarray:
     return r
 
 
-def _oracle_propagators(seq: PulseSequence, bps: np.ndarray, h_target: float) -> np.ndarray:
-    """The propagators U(t_k) at the breakpoints from one oracle pass, each
-    interval cut into substeps of at most h_target."""
-    steps = [_interval_steps(a, b, h_target) for a, b in zip(bps[:-1], bps[1:])]
-    counts = np.array([n for n, _ in steps], dtype=int)
-    hs = np.array([h for _, h in steps])
-    us = np.empty((bps.size, 8, 8))
-    us[0] = np.eye(8)
-    for first, stop in _chunks(counts, _ORACLE_CHUNK):
-        # every substep of the chunk, tagged with its interval's a, b and h
-        n = counts[first:stop]
-        a, b, h = (np.repeat(v, n) for v in (bps[first:stop], bps[first + 1:stop + 1],
-                                             hs[first:stop]))
-        offsets = np.cumsum(n) - n
-        base = a + h * (np.arange(n.sum()) - np.repeat(offsets, n))
-        nodes = base + np.array([[0.5 - _GAUSS_SHIFT], [0.5 + _GAUSS_SHIFT]]) * h
-        h1, h2 = _hamiltonians(seq, a, b, nodes)
-        ea, eb = _expm_batch(np.stack(
-            [_CF4_PLUS * h1 + _CF4_MINUS * h2, _CF4_MINUS * h1 + _CF4_PLUS * h2]), h)
-        prods = eb @ ea  # eb acts after ea
-        for k, off, m in zip(range(first, stop), offsets, n):
-            us[k + 1] = _time_ordered_product(prods[off:off + m]) @ us[k]
-    return _complex_of(us)
+def _cf4_steps(hs: np.ndarray, h) -> np.ndarray:
+    """Real forms of the CF4 substeps exp(-ihB) exp(-ihA), A = c+ H1 + c- H2
+    and B = c- H1 + c+ H2, from H at the _gauss_nodes along axis -3."""
+    h1, h2 = np.split(hs, 2, axis=-3)
+    ea, eb = _expm_batch(np.stack([_CF4_PLUS * h1 + _CF4_MINUS * h2,
+                                   _CF4_MINUS * h1 + _CF4_PLUS * h2]), h[..., 0, 0])
+    return eb @ ea  # eb acts after ea
 
 
 def evolve_oracle(p: SystemParams, seq: PulseSequence, rho0: DensityState) -> Trajectory:
@@ -565,10 +563,10 @@ def evolve_oracle(p: SystemParams, seq: PulseSequence, rho0: DensityState) -> Tr
     Each substep applies the two 4th-order commutator-free Magnus
     exponentials of the real symmetric H at the Gauss nodes, exact to
     rounding from cos/sin series whose degree a truncation bound sets, and
-    carried as real 8x8 forms; the exponentials of consecutive intervals
-    are computed in batches of at most 512 substeps.  Each pass returns the
-    running propagators at the breakpoints, which become the trajectory as
-    in ``evolve``.  The first pass takes 64 substeps per smallest carrier
+    carried as real 8x8 forms, in batches of at most 512 substeps unless
+    one interval alone holds more.  Each pass returns the running
+    propagators at the breakpoints, which become the trajectory as in
+    ``evolve``.  The first pass takes 64 substeps per smallest carrier
     period, and the count is doubled until two successive final states
     agree to trace distance < 1e-9, at most 6 times, else NoConvergence is
     raised.  Raises ValueError if ``p`` is not ``seq.params``.
@@ -579,7 +577,9 @@ def evolve_oracle(p: SystemParams, seq: PulseSequence, rho0: DensityState) -> Tr
     prev = None
     for doublings in range(_ORACLE_DOUBLINGS + 1):
         h_target = StepPolicy(_ORACLE_SUBSTEPS << doublings).step_target(p)
-        traj = _trajectory(bps, _oracle_propagators(seq, bps, h_target), rho0)
+        prods = _interval_products(seq, bps[:-1], bps[1:], h_target, _gauss_nodes,
+                                   _cf4_steps, _ORACLE_BATCH)
+        traj = _trajectory(bps, _running_products(prods), rho0)
         if prev is not None and trace_distance(traj.final, prev.final) < 1e-9:
             return traj
         prev = traj

@@ -198,7 +198,9 @@ class PulseSequence:
 
     def __post_init__(self):
         _require_finite(total_time=self.total_time)
-        for _, angle, t in self.virtual_z:
+        for qubit, angle, t in self.virtual_z:
+            if qubit not in (1, 2):
+                raise ValueError(f"virtual-z qubit must be 1 or 2, got {qubit!r}")
             _require_finite(angle=angle, t=t)
         starts = [seg.start for seg in self.segments]
         if starts != sorted(starts):
@@ -208,8 +210,6 @@ class PulseSequence:
             object.__setattr__(self, "total_time", end)
 
     def with_virtual_z(self, qubit: int, angle: float, t: float) -> "PulseSequence":
-        if qubit not in (1, 2):
-            raise ValueError("qubit must be 1 or 2")
         return replace(self, virtual_z=self.virtual_z + ((qubit, float(angle), float(t)),))
 
 

@@ -352,8 +352,9 @@ def test_sideband_check_gap_values():
     rep = sideband_check(P, 0.06, 0.04)
     assert rep["gap"] == pytest.approx(0.0, abs=1e-15)
     assert rep["resonant"]
-    with pytest.raises(ValueError):
-        sideband_check(P, -0.01, 0.0)
+    for a1, a2 in ((-0.01, 0.0), (math.nan, 0.05), (0.05, math.inf)):
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            sideband_check(P, a1, a2)
 
 
 def test_sideband_gap_linear():

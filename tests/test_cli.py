@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import flicforq.cli as cli
 from flicforq.cli import main
 
 DEFAULT_PARAMS_JSON = '{"w1z": 1.05, "w2z": 0.95, "wxx": 0.01}'
@@ -255,6 +256,23 @@ def test_unknown_schema_version_exits_2(schema, tmp_path, capsys):
     assert not csv_file.exists()
 
 
+@pytest.mark.parametrize("qubit", [3, 0, "1"])
+def test_fidelity_bad_virtual_z_qubit_exits_2(qubit, tmp_path, capsys):
+    # a ledger entry on no qubit used to be dropped silently, scoring the
+    # gate without it
+    doc = {
+        "w1z": 1.05, "w2z": 0.95, "wxx": 0.01, "segments": [],
+        "virtual_z": [{"qubit": qubit, "angle": 1.5707963267948966, "t": 0.0}],
+        "total_time": 0.0,
+    }
+    seq_file = tmp_path / "vz.json"
+    seq_file.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "fidelity", str(seq_file), "--word", "Z1^1/2")
+    assert code == 2
+    assert out == ""
+    assert "virtual-z qubit must be 1 or 2" in err
+
+
 def test_fidelity_bad_word_exits_2(tmp_path, capsys):
     _, seq_json, _ = run(capsys, "compile", "xx_half")
     seq_file = tmp_path / "xx.json"
@@ -336,6 +354,39 @@ def test_resonance_undriven_gap(capsys):
     assert json.loads(out)["gap"] == pytest.approx(0.1)
 
 
-def test_resonance_bad_amps_exits_2(capsys):
-    code, _, err = run(capsys, "resonance", "--amps", "0.05")
+@pytest.mark.parametrize("amps", ["0.05", "-0.05,0.05", "nan,0.05", "0.05,inf"])
+def test_resonance_bad_amps_exits_2(amps, capsys):
+    code, out, err = run(capsys, "resonance", f"--amps={amps}")
     assert code == 2
+    assert out == ""
+    assert "bad --amps" in err
+
+
+@pytest.mark.parametrize("points, jobs, workers", [(3, "8", 3), (1, "8", None), (2, "1", None)])
+def test_sweep_pool_no_larger_than_grid(points, jobs, workers, tmp_path, capsys, monkeypatch):
+    # a pool starts all its workers at the first task, so --jobs beyond
+    # the grid size must not reach it, and one worker runs inline; the
+    # fake pool maps in this process and starts none
+    opened = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            opened.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setitem(cli._METRICS, "d_concurrence", lambda p, policy: p.delta)
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps([{"delta": 0.1 * (i + 1), "wxx": 0.01} for i in range(points)]))
+    code, out, _ = run(capsys, "sweep", str(grid), "--metric", "d_concurrence", "--jobs", jobs)
+    assert code == 0
+    assert opened == ([] if workers is None else [workers])
+    assert len(out.strip().splitlines()) == points + 1

@@ -1,5 +1,8 @@
 import io
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -294,7 +297,7 @@ def test_oracle_matches_per_substep_reference():
 def ramped_flip_sequence():
     """A ramped segment with an off-grid flip and an overlapping square one
     on the benchmark device; every oracle pass holds more substeps than one
-    chunk."""
+    batch."""
     segs = (
         PulseSegment(start=0.0, duration=30.0, amp_x_1=0.05, amp_y_1=-0.02,
                      envelope=Envelope("raised-cosine-ramp", 6.0), flip_at=13.3, flip_qubit=1),
@@ -303,49 +306,61 @@ def ramped_flip_sequence():
     return PulseSequence(params=BENCH, segments=segs)
 
 
-def test_oracle_matches_reference_across_chunks():
+def oracle_pass(seq, h_target):
+    """The oracle's running propagators U(t_k) from one pass of substeps of
+    at most h_target."""
+    bps = _breakpoints(seq)
+    return integrator._running_products(integrator._interval_products(
+        seq, bps[:-1], bps[1:], h_target, integrator._gauss_nodes, integrator._cf4_steps,
+        integrator._ORACLE_BATCH))
+
+
+def test_oracle_matches_reference_across_chunks(monkeypatch):
+    # with the chunk cap lowered to two batches, the second pass spans
+    # several chunks and each pass several batches
+    cap = 2 * integrator._ORACLE_BATCH
+    monkeypatch.setattr(integrator, "_CHUNK_STEPS", cap)
     p, seq = BENCH, ramped_flip_sequence()
     period = 2.0 * math.pi / p.w1z
     bps = _breakpoints(seq)
-    first_pass = sum(_interval_steps(a, b, period / 64)[0] for a, b in zip(bps[:-1], bps[1:]))
-    assert first_pass > integrator._ORACLE_CHUNK
+    first, second = ([_interval_steps(a, b, period / s)[0] for a, b in zip(bps[:-1], bps[1:])]
+                     for s in (64, 128))
+    assert sum(first) > integrator._ORACLE_BATCH
+    assert len(integrator._chunks(second, cap)) >= 2
     rho0 = random_state(np.random.default_rng(16))
     got = evolve_oracle(p, seq, rho0).coeffs
     assert np.max(np.abs(got - reference_oracle(p, seq, rho0))) <= 1e-12
 
 
 def test_oracle_batches_chunks_without_eigh(monkeypatch):
-    # every exponential comes from the series, one batch per chunk of
-    # intervals: two consecutive chunks together exceed the cap, which a
-    # batch per interval would not
+    # every exponential comes from the series, each substep's exactly
+    # once, in batches that span several intervals and stay within the
+    # batch cap unless one interval alone exceeds it
     def no_eigh(*args, **kwargs):
         raise AssertionError("the oracle called np.linalg.eigh")
 
     passes = []
-    real_pass, real_expm = integrator._oracle_propagators, integrator._expm_batch
+    real_pass, real_expm = integrator._interval_products, integrator._expm_batch
 
-    def spy_pass(seq, bps, h_target):
-        counts = [_interval_steps(a, b, h_target)[0] for a, b in zip(bps[:-1], bps[1:])]
-        passes.append((counts, []))
-        return real_pass(seq, bps, h_target)
+    def spy_pass(seq, a, b, h_target, *scheme):
+        passes.append(([_interval_steps(x, y, h_target)[0] for x, y in zip(a, b)], []))
+        return real_pass(seq, a, b, h_target, *scheme)
 
     def spy_expm(mats, h):
         passes[-1][1].append(mats.size // 32)  # two 4x4 exponentials per substep
         return real_expm(mats, h)
 
     monkeypatch.setattr(np.linalg, "eigh", no_eigh)
-    monkeypatch.setattr(integrator, "_oracle_propagators", spy_pass)
+    monkeypatch.setattr(integrator, "_interval_products", spy_pass)
     monkeypatch.setattr(integrator, "_expm_batch", spy_expm)
     seq = ramped_flip_sequence()
     evolve_oracle(BENCH, seq, random_state(np.random.default_rng(17)))
-    cap = integrator._ORACLE_CHUNK
+    cap = integrator._ORACLE_BATCH
     assert len(passes) >= 2
     for counts, batches in passes:
         assert sum(batches) == sum(counts)
-        assert len(batches) <= math.ceil(sum(counts) / cap) + len(counts)
         assert len(batches) < len(counts)
         assert all(b <= cap or b in counts for b in batches)
-        assert all(b1 + b2 > cap for b1, b2 in zip(batches, batches[1:]))
 
 
 def plain_propagators(p, seq, policy):
@@ -456,36 +471,77 @@ def test_chunked_build_equals_plain_stepping():
     counts = [_interval_steps(a, b, BENCH_POLICY.step_target(p))[0]
               for a, b in zip(bps[:-1], bps[1:])]
     assert len(set(counts)) >= 4
-    assert len(integrator._chunks(counts, integrator._RK4_CHUNK)) >= 3
+    assert len(integrator._chunks(counts, integrator._CHUNK_STEPS)) >= 3
     got = integrator._running_propagators(seq, BENCH_POLICY, 1e-9)[1]
     assert np.array_equal(got, plain_propagators(p, seq, BENCH_POLICY))
 
 
-@pytest.mark.parametrize("p, seq, policy", [
-    (device(3.9), mixed_sequence(device(3.9)), BENCH_POLICY),
-    (BENCH, mixed_sequence(BENCH), BENCH_POLICY),
-    (BENCH, gate_layer(BENCH), StepPolicy(steps_per_period=20000)),
-], ids=["ratio-3.9", "bench", "fine"])
-def test_drive_samples_bounded_by_chunk_cap(p, seq, policy, monkeypatch):
+# per route, one pass over a sequence at a policy's step target, and the
+# steps a sampling of m times per interval holds
+ROUTES = {
+    "rk4": (lambda seq, policy: integrator._running_propagators(seq, policy, 1e-9),
+            lambda m: (m - 1) // 2),
+    "oracle": (lambda seq, policy: oracle_pass(seq, policy.step_target(seq.params)),
+               lambda m: m // 2),
+}
+
+
+CAP_CASES = {
+    "ratio-3.9": (device(3.9), mixed_sequence(device(3.9)), BENCH_POLICY),
+    "bench": (BENCH, mixed_sequence(BENCH), BENCH_POLICY),
+    "fine": (BENCH, gate_layer(BENCH), StepPolicy(steps_per_period=20000)),
+}
+
+
+@pytest.mark.parametrize("route, p, seq, policy", [
+    pytest.param(route, *case, id=name if route == "rk4" else f"{route}-{name}")
+    for route in ROUTES for name, case in CAP_CASES.items()
+])
+def test_drive_samples_bounded_by_chunk_cap(route, p, seq, policy, monkeypatch):
     # each sampling call covers intervals of one step count whose steps
     # fit the cap, unless a single interval alone exceeds it (the fine
     # policy's 11250-step grid intervals on the benchmark device)
     calls = []
     real = integrator._hamiltonians
+    run, steps_of = ROUTES[route]
 
     def spy(seq, a, b, tg):
         calls.append(tg.shape)
         return real(seq, a, b, tg)
 
     monkeypatch.setattr(integrator, "_hamiltonians", spy)
-    integrator._running_propagators(seq, policy, 1e-9)
-    cap = integrator._RK4_CHUNK
-    steps = [(k, (m - 1) // 2) for k, m in calls]
+    run(seq, policy)
+    cap = integrator._CHUNK_STEPS
+    steps = [(k, steps_of(m)) for k, m in calls]
     assert all(k * n <= cap or k == 1 for k, n in steps)
     if policy == BENCH_POLICY:
         assert any(k > 1 for k, _ in steps)
     else:
         assert all(n > cap for _, n in steps)
+
+
+NO_NUMPY_MA = """
+import sys
+import flicforq.cli
+from flicforq.compiler import calibrate
+from flicforq.integrator import DensityState, evolve_oracle
+from flicforq.model import PulseSegment, PulseSequence, SystemParams
+p = SystemParams(w1z=1.125, w2z=0.875, wxx=0.025)
+calibrate(p)
+seq = PulseSequence(params=p, segments=(PulseSegment(start=0.0, duration=5.0, amp_y_1=0.05),))
+evolve_oracle(p, seq, DensityState.computational("00"))
+assert "numpy.ma" not in sys.modules, "numpy.ma was imported"
+"""
+
+
+def test_fresh_process_never_imports_numpy_ma():
+    # np.unique's first call imports numpy.ma, about 15 ms of a fresh
+    # process's set-up, so neither integrator may call it
+    src = os.path.dirname(os.path.dirname(integrator.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-c", NO_NUMPY_MA], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=300)
+    assert proc.returncode == 0, proc.stderr
 
 
 # a wide-detuning device keeps the sync grid (t0_sync = 4 pi) short

@@ -109,6 +109,14 @@ def test_non_finite_rejected():
             PulseSequence(params=DEFAULT_PARAMS).with_virtual_z(1, x, 0.0)
 
 
+def test_virtual_z_qubit_must_be_1_or_2():
+    for qubit in (0, 3, "1"):
+        with pytest.raises(ValueError, match="virtual-z qubit must be 1 or 2"):
+            PulseSequence(params=DEFAULT_PARAMS, virtual_z=((qubit, 0.5, 0.0),))
+        with pytest.raises(ValueError, match="virtual-z qubit must be 1 or 2"):
+            PulseSequence(params=DEFAULT_PARAMS).with_virtual_z(qubit, 0.5, 0.0)
+
+
 def test_hamiltonian_drift_only():
     p = DEFAULT_PARAMS
     seq = PulseSequence(params=p, total_time=10.0)
