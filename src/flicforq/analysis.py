@@ -212,14 +212,10 @@ def gate_fidelity(
     else:
         ph = np.zeros(4)
         process = abs(np.trace(u_ideal.conj().T @ u_sim)) ** 2 / 16.0
-    zl = np.diag(_z_phases(ph[0], ph[1]))
-    zr = np.diag(_z_phases(ph[2], ph[3]))
-    u_adj = zl @ u_sim @ zr
-    per_state = {}
-    for b, key in enumerate(("00", "01", "10", "11")):
-        e = np.zeros(4, dtype=complex)
-        e[b] = 1.0
-        per_state[key] = float(abs(np.vdot(u_ideal @ e, u_adj @ e)) ** 2)
+    # per basis state b, |<U_ideal e_b, Zl U_sim Zr e_b>|^2, Zl and Zr as scalings
+    u_adj = _z_phases(ph[0], ph[1])[:, np.newaxis] * u_sim * _z_phases(ph[2], ph[3])
+    overlaps = np.abs(np.sum(u_ideal.conj() * u_adj, axis=0)) ** 2
+    per_state = {key: float(f) for key, f in zip(("00", "01", "10", "11"), overlaps)}
     notes = [
         f"alignment {'on' if align_local_z else 'off'}; "
         f"residual process infidelity {1.0 - process:.3e}"
@@ -246,8 +242,11 @@ def sideband_check(p: SystemParams, amp_y1: float, amp_y2: float) -> dict:
     }
 
 
-_KET0 = np.array([1.0, 0.0], dtype=complex)
-_KET_PLUS = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)
+# Bloch vectors: |0>, |+>, and Y1^(1/2)|0> = (|0> - |1>)/sqrt(2), the
+# target of the budget's pi/2 rotation
+_BLOCH_0 = (0.0, 0.0, 1.0)
+_BLOCH_PLUS = (1.0, 0.0, 0.0)
+_BLOCH_TARGET = (-1.0, 0.0, 0.0)
 
 
 def one_qubit_error_budget(
@@ -258,7 +257,10 @@ def one_qubit_error_budget(
     Reports, worst case over the spectator prepared in |0> and |+>:
     the target qubit's reduced-state infidelity against the ideal
     rotation, and the spectator's parasitic deviation from staying put
-    (the error the decoupling echo addresses).  The closed-form
+    (the error the decoupling echo addresses).  Each is
+    1 - (1 + b.n)/2 = (1 - b.n)/2, the infidelity of the qubit's reduced
+    rotating-frame state, Bloch vector b, against the pure state with
+    Bloch vector n.  The closed-form
     parasitic-angle expression arccos(wxx * 4*pi/delta) is reported
     verbatim where defined and null where its argument exceeds 1.
     """
@@ -267,21 +269,13 @@ def one_qubit_error_budget(
     seq = PulseSequence(params=p, segments=(seg,))
     if echo:
         seq = insert_decoupling(p, seq, 0)
-    y90 = math.cos(math.pi / 4) * np.eye(2) + 1j * math.sin(math.pi / 4) * np.array(
-        [[0, -1j], [1j, 0]]
-    )
-    target1 = y90 @ _KET0
     per_spectator = {}
-    for key, spec in (("0", _KET0), ("+", _KET_PLUS)):
-        psi0 = np.kron(_KET0, spec)
-        traj = evolve(p, seq, DensityState.from_ket(psi0), policy)
+    for key, spec in (("0", _BLOCH_0), ("+", _BLOCH_PLUS)):
+        traj = evolve(p, seq, DensityState.product_bloch(_BLOCH_0, spec), policy)
         rot = to_rotating_frame(traj.final, p, t=float(traj.times[-1]))
-        rho = rot.to_matrix()
-        rho1 = np.trace(rho.reshape(2, 2, 2, 2), axis1=1, axis2=3)
-        rho2 = np.trace(rho.reshape(2, 2, 2, 2), axis1=0, axis2=2)
         per_spectator[key] = {
-            "target_infidelity": float(1.0 - np.real(np.vdot(target1, rho1 @ target1))),
-            "spectator_infidelity": float(1.0 - np.real(np.vdot(spec, rho2 @ spec))),
+            "target_infidelity": float(0.5 * (1.0 - reduced_bloch(rot, 1) @ _BLOCH_TARGET)),
+            "spectator_infidelity": float(0.5 * (1.0 - reduced_bloch(rot, 2) @ spec)),
         }
     arg = p.wxx * 4 * math.pi / p.delta
     formula = math.acos(arg) if abs(arg) <= 1.0 else None

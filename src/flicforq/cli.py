@@ -131,7 +131,13 @@ _GATES = {
 
 def cmd_compile(args) -> int:
     p = _load_params(args.params)
-    seq = _GATES[args.gate](p)
+    try:
+        seq = _GATES[args.gate](p)
+    except StepTooCoarse as exc:  # calibration's probe integration
+        print(f"integrator failure: {exc}", file=sys.stderr)
+        return EXIT_INTEGRATOR
+    except ValueError as exc:
+        raise SchemaError(f"cannot compile {args.gate}: {exc}") from exc
     diags = validate_sequence(p, seq)
     errors = [d for d in diags if d.severity == "error"]
     for d in diags:

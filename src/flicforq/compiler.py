@@ -141,7 +141,10 @@ def compile_one_qubit(
 
 def compile_D(p: SystemParams, start: float = 0.0) -> PulseSequence:
     """The entangling D pulse: both qubits driven at amplitude delta/2 on
-    the y channel for 4*pi/wxx, no refocusing flip."""
+    the y channel for 4*pi/wxx, no refocusing flip.  Raises ValueError on
+    an uncoupled device (wxx = 0), where no pulse length entangles."""
+    if p.wxx == 0.0:
+        raise ValueError("wxx = 0: an uncoupled device has no entangling pulse")
     if not on_sync_grid(p, start):
         raise OffGridStart(f"start {start:.6f} is not on the 2*pi/delta grid")
     seg = PulseSegment(
@@ -176,10 +179,10 @@ def compile_cnot(p: SystemParams) -> PulseSequence:
     cal = calibrate(p)
     s = cal.xx_sign
     t2 = 4 * math.pi / p.delta
-    t_xx = 4 * math.pi / p.wxx
+    seg3 = compile_xx_half(p, 2 * t2).segments[0]
+    t_xx = seg3.duration
     seg1 = compile_one_qubit(p, 2, "x", HALF_PI, 0.0)
     seg2 = compile_one_qubit(p, 1, "y", s * HALF_PI, t2)
-    seg3 = compile_xx_half(p, 2 * t2).segments[0]
     seg4 = compile_one_qubit(p, 1, "y", -s * HALF_PI, 2 * t2 + t_xx)
     total = 3 * t2 + t_xx
     seq = PulseSequence(params=p, segments=(seg1, seg2, seg3, seg4))

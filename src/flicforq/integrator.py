@@ -10,11 +10,11 @@ carried as its real 8x8 form [[a, -b], [b, a]], and the real form of a
 product is the product of the real forms.
 
 One pipeline serves both: an interval cut into n equal steps has the time
-ordered product of its step matrices as propagator.  The intervals of a
-call go through in chunks of at most 8192 steps; in a chunk, the intervals
-with equal n share one sampling of H, and their steps are built and
-multiplied pairwise in batches.  The two differ only in where they sample
-H and how they make a step:
+ordered product of its step matrices as propagator.  A call's intervals are
+grouped by n, and each group is cut into chunks of at most 8192 steps (or
+one interval, if n alone is larger); a chunk shares one sampling of H, and
+its steps are built and multiplied pairwise in batches.  The two differ
+only in where they sample H and how they make a step:
 
 - RK4 (``evolve``, ``propagator_of_sequence``) samples the half-step grid
   and makes classic fixed-step 4th-order Runge-Kutta steps, in batches of
@@ -132,9 +132,7 @@ class DensityState:
         """Basis-state density operator from a two-bit label like "10"."""
         if label not in ("00", "01", "10", "11"):
             raise ValueError(f"bad basis label {label!r}")
-        psi = np.zeros(4, dtype=complex)
-        psi[int(label, 2)] = 1.0
-        return cls.from_ket(psi)
+        return cls.product_bloch(*([0.0, 0.0, 1.0 - 2.0 * int(bit)] for bit in label))
 
     @classmethod
     def product_bloch(cls, b1, b2) -> "DensityState":
@@ -297,12 +295,11 @@ def _rk4_steps(hs: np.ndarray, h) -> np.ndarray:
     Im S = h/6 (2x^2 (MMA + BMM) - (A + 4M + B)).  Leading axes batch
     intervals; h is a scalar or broadcasts against hs, as (k, 1, 1, 1)."""
     a, m, b = hs[..., 0:-1:2, :, :], hs[..., 1::2, :, :], hs[..., 2::2, :, :]
-    h = np.asarray(h, dtype=float)
-    x = 0.5 * h
-    # x^2 and x^3 by Python's float pow, one interval at a time, so that a
-    # step does not depend on its batch: numpy's vectorized power can round
-    # differently in the last bit
-    x2, x3 = (np.reshape([v ** e for v in x.flat], x.shape) for e in (2, 3))
+    x = 0.5 * np.asarray(h, dtype=float)
+    # powers by multiplication, which rounds alike in any batch; numpy's
+    # vectorized power can round differently in the last bit
+    x2 = x * x
+    x3 = x2 * x
     ma, mm, bm = m @ a, m @ m, b @ m
     mma, bmm = m @ ma, b @ mm
     bmma = b @ mma
@@ -321,19 +318,6 @@ def _time_ordered_product(mats: np.ndarray) -> np.ndarray:
     return mats[..., 0, :, :]
 
 
-def _chunks(counts, cap: int) -> list:
-    """Consecutive items grouped greedily into chunks whose counts sum to at
-    most cap, each holding at least one whole item, as (first, stop) index
-    pairs."""
-    chunks, first, total = [], 0, 0
-    for i, n in enumerate(counts):
-        if total and total + n > cap:
-            chunks.append((first, i))
-            first, total = i, 0
-        total += n
-    return chunks + [(first, len(counts))] if total else chunks
-
-
 # Largest number of steps one chunk samples at once, so that the samples'
 # memory stays bounded however long the sequence is; with caps of 2048 and
 # 4096 the heap top was trimmed and faulted back in (905 and 229 minor
@@ -350,20 +334,21 @@ _ORACLE_BATCH = 512
 def _interval_products(seq: PulseSequence, a: np.ndarray, b: np.ndarray, h_target: float,
                        nodes, steps, batch: int) -> np.ndarray:
     """Real forms of the propagators of the intervals [a_i, b_i], each of n
-    steps h (_interval_steps), in chunks of at most _CHUNK_STEPS steps.  In
-    a chunk, the intervals with equal n share one sampling of H at the
+    steps h (_interval_steps).  The intervals with equal n go in chunks of
+    max(1, _CHUNK_STEPS // n); a chunk shares one sampling of H at the
     times nodes(a, h, n), a and h as (k, 1), and the step matrices
     steps(H, h), h as (k, 1, 1, 1), of max(1, batch // n) of them at a time
     are built and multiplied in time order."""
     counts, hs = _interval_steps(a, b, h_target)
     prods = np.empty((counts.size, 8, 8))
-    for first, stop in _chunks(counts, _CHUNK_STEPS):
-        # not np.unique: its first call imports numpy.ma, ~15 ms of set-up
-        for n in sorted(set(counts[first:stop].tolist())):
-            idx = first + np.flatnonzero(counts[first:stop] == n)
+    # not np.unique: its first call imports numpy.ma, ~15 ms of set-up
+    for n in sorted(set(counts.tolist())):
+        group = np.flatnonzero(counts == n)
+        per_chunk, per = max(1, _CHUNK_STEPS // n), max(1, batch // n)
+        for first in range(0, group.size, per_chunk):
+            idx = group[first:first + per_chunk]
             tg = nodes(a[idx, None], hs[idx, None], n)
             ham = _hamiltonians(seq, a[idx, None], b[idx, None], tg)
-            per = max(1, batch // n)
             for lo in range(0, idx.size, per):
                 sel = idx[lo:lo + per]
                 prods[sel] = _time_ordered_product(
@@ -607,12 +592,10 @@ def frame_unitary(p: SystemParams, t: float) -> np.ndarray:
 
 def compose_virtual_z(u: np.ndarray, seq: PulseSequence) -> np.ndarray:
     """Apply the sequence's virtual-z ledger entries, exp(i*angle*Zq/2)
-    each, after the physical propagator."""
-    out = np.asarray(u, dtype=complex)
-    for qubit, angle, _t in seq.virtual_z:
-        phases = _z_phases(angle if qubit == 1 else 0.0, angle if qubit == 2 else 0.0)
-        out = phases[:, np.newaxis] * out
-    return out
+    each, after the physical propagator.  They commute, so each qubit's
+    angles add up to one row scaling."""
+    phi1, phi2 = (sum(angle for qubit, angle, _t in seq.virtual_z if qubit == q) for q in (1, 2))
+    return _z_phases(phi1, phi2)[:, np.newaxis] * np.asarray(u, dtype=complex)
 
 
 def gate_unitary(seq: PulseSequence, dt_policy: StepPolicy | None = None) -> np.ndarray:
@@ -629,8 +612,7 @@ def to_rotating_frame(obj, p: SystemParams, t: float | None = None):
     if isinstance(obj, DensityState):
         if t is None:
             raise ValueError("a bare state needs an explicit time")
-        v = frame_unitary(p, t)
-        return DensityState.from_matrix(v @ obj.to_matrix() @ v.conj().T)
+        return to_rotating_frame(Trajectory(times=[t], coeffs=[obj.c]), p).state(0)
     if isinstance(obj, Trajectory):
         if obj.frame != "lab":
             raise WrongFrame(f"expected a lab-frame trajectory, got {obj.frame!r}")

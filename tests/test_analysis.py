@@ -21,8 +21,8 @@ from flicforq.analysis import (
 )
 from flicforq import analysis
 from flicforq.analysis import _align_phases
-from flicforq.compiler import compile_cnot, compile_one_qubit
-from flicforq.integrator import DensityState, StepPolicy, gate_unitary
+from flicforq.compiler import compile_cnot, compile_one_qubit, insert_decoupling
+from flicforq.integrator import DensityState, StepPolicy, evolve, frame_unitary, gate_unitary
 from flicforq.model import DEFAULT_PARAMS, PulseSequence, SystemParams
 from flicforq.pauli import PauliString, RotationWord, build_cnot_word, word_unitary
 
@@ -291,6 +291,30 @@ def test_gate_fidelity_quotients_z_phases_of_pauli_words(elems, ph):
     assert rep.process >= 1.0 - 1e-12
 
 
+def per_state_by_kets(u_ideal, u_sim, ph):
+    # Zl Us Zr as a matrix product, then |<Ui e_b, Zl Us Zr e_b>|^2 per basis ket
+    u_adj = np.diag(z_diag(ph[0], ph[1])) @ u_sim @ np.diag(z_diag(ph[2], ph[3]))
+    out = {}
+    for b, key in enumerate(("00", "01", "10", "11")):
+        e = np.zeros(4, dtype=complex)
+        e[b] = 1.0
+        out[key] = abs(np.vdot(u_ideal @ e, u_adj @ e)) ** 2
+    return out
+
+
+def test_gate_fidelity_per_state_matches_ket_reference():
+    rng = np.random.default_rng(31)
+    cnot, layer = build_cnot_word(), layer_word("X", 1, "Y", -3)
+    cases = [(cnot, u) for u in random_unitaries(7, 3)] + [
+        (w, with_z_phases(word_unitary(w), rng.uniform(-math.pi, math.pi, 4)))
+        for w in (cnot, layer)]
+    for w, u in cases:
+        for align in (True, False):
+            rep = gate_fidelity(u, w, align_local_z=align)
+            ref = per_state_by_kets(word_unitary(w), u, rep.alignment)
+            assert max(abs(rep.per_state[k] - ref[k]) for k in ref) <= 1e-14
+
+
 def test_gate_fidelity_disjoint_support():
     # conj(U_ideal) * U_sim is zero, so every alignment gives a zero trace
     xx = np.eye(4)[::-1]  # X1X2
@@ -336,6 +360,20 @@ def test_compose_virtual_z():
     seq = PulseSequence(params=P, total_time=1.0).with_virtual_z(1, math.pi / 2, 1.0)
     u = compose_virtual_z(np.eye(4), seq)
     assert np.allclose(u, word_unitary(word(("ZI", 0.5))), atol=1e-12)
+
+
+@settings(max_examples=50)
+@given(entries=st.lists(st.tuples(st.sampled_from((1, 2)), st.floats(-2 * math.pi, 2 * math.pi)),
+                        min_size=2, max_size=6).filter(lambda es: {q for q, _ in es} == {1, 2}))
+def test_compose_virtual_z_matches_entry_product(entries):
+    # reference: one word_unitary z rotation per ledger entry, in order
+    u = random_unitaries(11, 1)[0]
+    seq = PulseSequence(params=P, total_time=1.0)
+    ref = u
+    for qubit, angle in entries:
+        seq = seq.with_virtual_z(qubit, angle, 1.0)
+        ref = word_unitary(word(("ZI" if qubit == 1 else "IZ", angle / math.pi))) @ ref
+    assert np.max(np.abs(compose_virtual_z(u, seq) - ref)) <= 1e-14
 
 
 def test_sideband_check_resonant_defaults():
@@ -384,6 +422,40 @@ def test_error_budget_echo_protects_spectator():
     rep = one_qubit_error_budget(P, policy=QUICK)
     rep_echo = one_qubit_error_budget(P, echo=True, policy=QUICK)
     assert rep_echo["spectator_infidelity"] <= rep["spectator_infidelity"]
+
+
+def budget_by_kets(p, echo, policy):
+    """Per spectator ket, the budget's two infidelities from the target ket
+    Y1^(1/2)|0>, the full matrix V rho V^dagger and partial traces."""
+    ket0 = np.array([1.0, 0.0], dtype=complex)
+    plus = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)
+    y90 = math.cos(math.pi / 4) * np.eye(2) + 1j * math.sin(math.pi / 4) * np.array(
+        [[0, -1j], [1j, 0]])
+    target = y90 @ ket0
+    seq = PulseSequence(params=p, segments=(compile_one_qubit(p, 1, "y", math.pi / 2, 0.0),))
+    if echo:
+        seq = insert_decoupling(p, seq, 0)
+    out = {}
+    for key, spec in (("0", ket0), ("+", plus)):
+        traj = evolve(p, seq, DensityState.from_ket(np.kron(ket0, spec)), policy)
+        v = frame_unitary(p, float(traj.times[-1]))
+        rho = (v @ traj.final.to_matrix() @ v.conj().T).reshape(2, 2, 2, 2)
+        rho1 = np.trace(rho, axis1=1, axis2=3)
+        rho2 = np.trace(rho, axis1=0, axis2=2)
+        out[key] = {
+            "target_infidelity": 1.0 - np.real(np.vdot(target, rho1 @ target)),
+            "spectator_infidelity": 1.0 - np.real(np.vdot(spec, rho2 @ spec)),
+        }
+    return out
+
+
+@pytest.mark.parametrize("echo", [False, True])
+def test_error_budget_matches_ket_reference(echo):
+    rep = one_qubit_error_budget(P, echo=echo, policy=QUICK)
+    ref = budget_by_kets(P, echo, QUICK)
+    for key, fields in ref.items():
+        for name, value in fields.items():
+            assert abs(rep["per_spectator"][key][name] - value) <= 1e-14
 
 
 def test_report_json_schema():

@@ -64,6 +64,33 @@ def test_compile_non_positive_larmor_exits_2(tmp_path, capsys):
     assert "w2z > 0" in err
 
 
+@pytest.mark.parametrize("gate", ["x90", "cnot"])
+def test_compile_failed_calibration_exits_4(gate, tmp_path, capsys):
+    # a valid device (wxx/delta = 0.016) whose calibration probe of the
+    # refocused XX pulse is further than 1e-9 from unitary at the
+    # calibration policy; every compiled gate calibrates first
+    pf = tmp_path / "params.json"
+    pf.write_text('{"w1z": 1.05, "w2z": 0.95, "wxx": 0.0016}')
+    code, out, err = run(capsys, "compile", gate, "--params", str(pf))
+    assert code == 4
+    assert out == ""
+    assert "integrator failure" in err
+
+
+@pytest.mark.parametrize("gate, code", [("d", 2), ("xx_half", 2), ("cnot", 2), ("x90", 0)])
+def test_compile_uncoupled_device(gate, code, tmp_path, capsys):
+    # with wxx = 0 no pulse length entangles; one-qubit gates still compile
+    pf = tmp_path / "params.json"
+    pf.write_text('{"w1z": 1.05, "w2z": 0.95, "wxx": 0.0}')
+    got, out, err = run(capsys, "compile", gate, "--params", str(pf))
+    assert got == code
+    if code:
+        assert out == ""
+        assert "wxx" in err
+    else:
+        assert json.loads(out)["wxx"] == 0.0
+
+
 @pytest.mark.parametrize("argv", [("compile", "d"), ("resonance", "--amps", "0.05,0.05")])
 def test_non_numeric_params_exits_2(argv, tmp_path, capsys):
     pf = tmp_path / "params.json"
@@ -315,6 +342,16 @@ def test_sweep_failed_points_same_in_pool(tmp_path, capsys):
             assert err.count("failed") == 2
             csvs.append(out_file.read_bytes())
         assert csvs[0] == csvs[1] == b"delta,wxx,metric\n0.1,0.01,nan\n0.25,0.025,nan\n", steps
+
+
+@pytest.mark.parametrize("metric", ["cnot_error", "d_concurrence"])
+def test_sweep_uncoupled_point_is_nan_row(metric, tmp_path, capsys):
+    grid = tmp_path / "grid.json"
+    grid.write_text('[{"delta": 0.1, "wxx": 0.0}]')
+    code, out, err = run(capsys, "sweep", str(grid), "--metric", metric, "--jobs", "1")
+    assert code == 4
+    assert out == "delta,wxx,metric\n0.1,0,nan\n"
+    assert "wxx = 0" in err
 
 
 def test_sweep_bad_grid_exits_2(tmp_path, capsys):

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from flicforq.integrator import (
     WrongFrame,
     evolve,
     evolve_oracle,
+    frame_unitary,
     propagator_of_sequence,
     to_rotating_frame,
     trace_distance,
@@ -87,6 +89,13 @@ def test_density_state_basics():
     assert s.c[IDX["ZI"]] == pytest.approx(1.0)
     assert s.c[IDX["IZ"]] == pytest.approx(1.0)
     assert s.c[IDX["ZZ"]] == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("label", ["00", "01", "10", "11"])
+def test_computational_matches_basis_ket(label):
+    ket = np.zeros(4)
+    ket[int(label, 2)] = 1.0
+    assert np.array_equal(DensityState.computational(label).c, DensityState.from_ket(ket).c)
 
 
 def test_density_state_roundtrip():
@@ -316,19 +325,31 @@ def oracle_pass(seq, h_target):
 
 
 def test_oracle_matches_reference_across_chunks(monkeypatch):
-    # with the chunk cap lowered to two batches, the second pass spans
-    # several chunks and each pass several batches
-    cap = 2 * integrator._ORACLE_BATCH
-    monkeypatch.setattr(integrator, "_CHUNK_STEPS", cap)
+    # with the chunk cap lowered to two batches, the second pass samples H
+    # for some step count more than once, since the cap cuts its intervals
+    # into several chunks, and each pass spans several batches
+    monkeypatch.setattr(integrator, "_CHUNK_STEPS", 2 * integrator._ORACLE_BATCH)
     p, seq = BENCH, ramped_flip_sequence()
     period = 2.0 * math.pi / p.w1z
     bps = _breakpoints(seq)
-    first, second = ([_interval_steps(a, b, period / s)[0] for a, b in zip(bps[:-1], bps[1:])]
-                     for s in (64, 128))
+    first = [_interval_steps(a, b, period / 64)[0] for a, b in zip(bps[:-1], bps[1:])]
     assert sum(first) > integrator._ORACLE_BATCH
-    assert len(integrator._chunks(second, cap)) >= 2
+    samplings = []  # per pass, the sample count per interval of each H sampling
+    real_pass, real_ham = integrator._interval_products, integrator._hamiltonians
+
+    def spy_pass(*args):
+        samplings.append([])
+        return real_pass(*args)
+
+    def spy_ham(seq, a, b, tg):
+        samplings[-1].append(tg.shape[-1])
+        return real_ham(seq, a, b, tg)
+
+    monkeypatch.setattr(integrator, "_interval_products", spy_pass)
+    monkeypatch.setattr(integrator, "_hamiltonians", spy_ham)
     rho0 = random_state(np.random.default_rng(16))
     got = evolve_oracle(p, seq, rho0).coeffs
+    assert len(samplings[1]) > len(set(samplings[1]))
     assert np.max(np.abs(got - reference_oracle(p, seq, rho0))) <= 1e-12
 
 
@@ -461,18 +482,27 @@ def mixed_sequence(p):
     return PulseSequence(params=p, segments=segs, total_time=6.0 * s)
 
 
-def test_chunked_build_equals_plain_stepping():
-    # on a device without window reuse every interval is built, in chunks
-    # and batches that mix step counts, yet each U(t_k) has the bits of
-    # stepping one interval at a time
+def test_chunked_build_equals_plain_stepping(monkeypatch):
+    # on a device without window reuse every interval is built, from
+    # several samplings of H and in batches of intervals of one step count
+    # each, yet each U(t_k) has the bits of stepping one interval at a time
     p = device(3.9)
     seq = mixed_sequence(p)
     bps = _breakpoints(seq)
     counts = [_interval_steps(a, b, BENCH_POLICY.step_target(p))[0]
               for a, b in zip(bps[:-1], bps[1:])]
     assert len(set(counts)) >= 4
-    assert len(integrator._chunks(counts, integrator._CHUNK_STEPS)) >= 3
+    samplings = []
+    real = integrator._hamiltonians
+
+    def spy(seq, a, b, tg):
+        samplings.append(tg.shape)
+        return real(seq, a, b, tg)
+
+    monkeypatch.setattr(integrator, "_hamiltonians", spy)
     got = integrator._running_propagators(seq, BENCH_POLICY, 1e-9)[1]
+    assert len(samplings) >= 3
+    monkeypatch.undo()
     assert np.array_equal(got, plain_propagators(p, seq, BENCH_POLICY))
 
 
@@ -518,6 +548,39 @@ def test_drive_samples_bounded_by_chunk_cap(route, p, seq, policy, monkeypatch):
         assert any(k > 1 for k, _ in steps)
     else:
         assert all(n > cap for _, n in steps)
+
+
+def test_one_h_sampling_per_chunk(monkeypatch):
+    # H is sampled once per chunk, not once per batch: the bench gate
+    # layer's distinct intervals (8 of 450 steps, 4 batches) fit one chunk,
+    # and so does each oracle pass over one pulse length, with ramped and
+    # square pulses, while its steps fit the cap.  Both sequences are
+    # compiled, and so calibrated, before the spies are installed.
+    layer = gate_layer(BENCH)
+    ramped = replace(compile_one_qubit(BENCH, 1, "x", 1.1, 0.0),
+                     envelope=Envelope("raised-cosine-ramp", 0.3 * 4 * math.pi / BENCH.delta))
+    pulse = PulseSequence(params=BENCH, segments=(
+        ramped, compile_one_qubit(BENCH, 2, "y", -0.7, 0.0)))
+    passes = []  # per call, its total steps and its H samplings
+    real_pass, real_ham = integrator._interval_products, integrator._hamiltonians
+
+    def spy_pass(seq, a, b, h_target, *scheme):
+        passes.append([int(_interval_steps(a, b, h_target)[0].sum()), 0])
+        return real_pass(seq, a, b, h_target, *scheme)
+
+    def spy_ham(*args):
+        passes[-1][1] += 1
+        return real_ham(*args)
+
+    monkeypatch.setattr(integrator, "_interval_products", spy_pass)
+    monkeypatch.setattr(integrator, "_hamiltonians", spy_ham)
+    propagator_of_sequence(BENCH, layer, BENCH_POLICY)
+    assert passes == [[3600, 1]]
+    passes.clear()
+    evolve_oracle(BENCH, pulse, random_state(np.random.default_rng(18)))
+    fitting = [samplings for steps, samplings in passes if steps <= integrator._CHUNK_STEPS]
+    assert len(fitting) >= 2
+    assert fitting == [1] * len(fitting)
 
 
 NO_NUMPY_MA = """
@@ -716,6 +779,17 @@ def test_rotating_frame_preserves_spectrum():
     e1 = np.linalg.eigvalsh(s.to_matrix())
     e2 = np.linalg.eigvalsh(rot.to_matrix())
     assert np.max(np.abs(e1 - e2)) < 1e-12
+
+
+def test_rotating_frame_state_matches_frame_unitary():
+    # reference: the full matrix V rho V^dagger, V = frame_unitary(p, t)
+    p = DEFAULT_PARAMS
+    rng = np.random.default_rng(9)
+    for t in (0.0, 17.3, 123.4, 5000.0):
+        s = random_state(rng)
+        v = frame_unitary(p, t)
+        ref = DensityState.from_matrix(v @ s.to_matrix() @ v.conj().T)
+        assert np.max(np.abs(to_rotating_frame(s, p, t=t).c - ref.c)) <= 1e-14
 
 
 def test_rotating_frame_trajectory_matches_single_states():
