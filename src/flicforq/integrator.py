@@ -18,7 +18,7 @@ only in where they sample H and how they make a step:
 
 - RK4 (``evolve``, ``propagator_of_sequence``) samples the half-step grid
   and makes classic fixed-step 4th-order Runge-Kutta steps, in batches of
-  about 900 steps, each interval's product equal bit for bit to building
+  about 450 steps, each interval's product equal bit for bit to building
   it alone.  A run any of whose propagators is further from unitary than
   the caller's bound raises StepTooCoarse.
 - The oracle (``evolve_oracle``) samples the two Gauss nodes of each
@@ -29,18 +29,20 @@ only in where they sample H and how they make a step:
   a large ||A||), so it is exact to rounding; the oracle's order comes
   from the Magnus scheme and its convergence from substep doubling.
 
-When w0/delta is an integer, shifting time by t0_sync = 2 pi/delta flips
-the sign of both carriers, so H(t + t0_sync) = Z1Z2 H(t) Z1Z2 wherever the
-drive amplitudes are constant.  The RK4 route therefore builds a full
-interval [k s, (k+1) s] of the s = t0_sync/8 grid under flat (square)
-drives only the first time its (k mod 8, amplitudes) key occurs, and
-reuses that product for every later interval with the same key,
-Z1Z2-conjugated where the window parities (k // 8 odd) of the two differ;
-the result equals building every interval to rounding.  Ramped intervals,
-intervals cut by an off-grid edge or flip, devices whose w0/delta is not
-an integer, and every oracle interval are built every time.  One tail
-records U rho0 U^dagger, divided by its trace, as the 15 real Pauli
-coefficients c_a of rho = (1 + sum_a c_a P_a)/4.
+When w0/delta is an integer, w_q t0_sync = pi (mod 2 pi) for both carriers
+(t0_sync = 2 pi/delta), and a full interval [k s, (k+1) s] of the
+s = t0_sync/8 grid over which every drive is flat (square, or inside a
+ramp's flat top) obeys three exact relations: a shift by t0_sync equals
+negating all four amplitudes; negating them is a Z1Z2 conjugation; and the
+mirror t -> t0_sync - t maps window position k mod 8 under
+(ax1, ay1, ax2, ay2) to position 7 - k mod 8 under (-ax1, ay1, -ax2, ay2),
+time reversed, which transposes the product (see _window_origins).  The
+RK4 route builds one interval per orbit of these relations and takes the
+others from it, Z1Z2-conjugated or transposed; the result equals building
+every interval to rounding.  Ramps, intervals cut by an off-grid edge or
+flip, devices whose w0/delta is not an integer, and every oracle interval
+are built every time.  One tail records U rho0 U^dagger, divided by its
+trace, as the 15 real Pauli coefficients c_a of rho = (1 + sum_a c_a P_a)/4.
 
 The private layers read the device from ``seq.params`` only.
 """
@@ -323,11 +325,13 @@ def _time_ordered_product(mats: np.ndarray) -> np.ndarray:
 # 4096 the heap top was trimmed and faulted back in (905 and 229 minor
 # faults per benchmark gate op, against 0)
 _CHUNK_STEPS = 8192
-# Steps built and multiplied per batch within a chunk: RK4, two 450-step
-# grid intervals of the benchmark device (one-interval batches measured ~4%
-# slower on its gate ops); the oracle's exponentials, at most 512 substeps
-# (one batch per pass: +33% peak RSS)
-_RK4_BATCH = 900
+# Steps built and multiplied per batch within a chunk: RK4, one 450-step
+# grid interval of the benchmark device (two-interval batches took ~490
+# minor faults per warm gate op against 0.3, since their temporaries lie
+# above the mmap threshold that calibration's smaller chunks leave, and
+# ran ~7% slower); the oracle's exponentials, at most 512 substeps (one
+# batch per pass: +33% peak RSS)
+_RK4_BATCH = 450
 _ORACLE_BATCH = 512
 
 
@@ -366,16 +370,39 @@ _Z_SIGNS = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
 # Z1Z2 conjugation, (ZZ U ZZ)_ij = z_i z_j U_ij, as a mask on real forms
 _ZZ_DIAG = _Z_SIGNS.prod(1)
 _ZZ_MASK = np.tile(np.outer(_ZZ_DIAG, _ZZ_DIAG), (2, 2))
+# the transposed real form of U with these signs is the real form of U^T
+_TRANSPOSE_MASK = np.kron([[1.0, -1.0], [-1.0, 1.0]], np.ones((4, 4)))
+# the window mirror's action on (ax1, ay1, ax2, ay2)
+_MIRROR_SIGNS = (-1.0, 1.0, -1.0, 1.0)
 # w0/delta and the grid points within this relative distance count as exact
 _SYNC_RTOL = 1e-13
 
 
-def _window_origins(seq: PulseSequence, bps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per breakpoint interval, its origin and its window parity.  When the
-    carriers flip each window, a full grid interval [k s, (k+1) s] with
-    every active segment flat has the memo key (k mod 8, amplitudes), its
-    origin is the first interval with that key, and its parity is k // 8
-    odd; any other interval is its own origin, of even parity."""
+def _window_origins(seq: PulseSequence, bps: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Per breakpoint interval, its origin and two flags: the interval's
+    propagator is its origin's, Z1Z2-conjugated where the first flag is set
+    and transposed where the second is.
+
+    When w0/delta is an integer, w_q t0_sync = pi (mod 2 pi) for both
+    carriers.  Take a full grid interval [k s, (k+1) s] over which every
+    active segment is flat (square, or inside its ramp's flat top, where the
+    envelope is exactly 1), at window position p = k mod 8 with constant
+    amplitudes a.  Three relations of the real H are exact there:
+
+    - a shift by t0_sync negates cos and sin, the same as negating all four
+      amplitudes, so the interval equals window 0's position p under the
+      window-0 amplitudes n = (-1)^(k // 8) a;
+    - negating the amplitudes negates X1 and X2 only, so it conjugates the
+      product by Z1Z2;
+    - the mirror t -> t0_sync - t sends cos(w_q t) to -cos and sin to sin,
+      so it maps position p under n to position 7 - p under
+      M n = (-ax1, ay1, -ax2, ay2) with the time order reversed.  The RK4
+      step obeys S(B, M, A)^T = S(A, M, B) for real symmetric samples (to
+      rounding: its products associate differently), so the reversed
+      product is the complex transpose of the forward one.
+
+    The first interval of each orbit (p, n), (p, -n), (7 - p, M n),
+    (7 - p, -M n) is its origin; any other interval is its own origin."""
     a, b = bps[:-1], bps[1:]
     # w1z t0_sync = 2 pi (w0/delta + 1/2), likewise w2z with -1/2, so both
     # carriers flip over t0_sync when w0/delta is an integer to rounding
@@ -387,15 +414,31 @@ def _window_origins(seq: PulseSequence, bps: np.ndarray) -> tuple[np.ndarray, np
         & np.isclose(b, (k + 1) * spacing, rtol=_SYNC_RTOL, atol=0.0)
     mid = 0.5 * (a + b)
     for seg in seq.segments:
-        if seg.envelope.rise > 0.0:
-            full &= (mid < seg.start) | (mid > seg.end)
-    # square envelopes are 1 on their support, so sampling at the midpoints
-    # gives each interval's constant amplitudes and flip signs
-    amps = np.stack(drive_amplitudes_at(seq, mid), axis=1).tolist()
-    seen: dict = {}
-    origin = [seen.setdefault((ki % 8, tuple(am)) if ok else i, i)
-              for i, (ki, am, ok) in enumerate(zip(k.astype(int).tolist(), amps, full))]
-    return np.array(origin, dtype=int), full & (k // 8 % 2 == 1)
+        # Envelope.scale's cap of the rise at duration/2 leaves no flat top
+        # for an interval to fit, so the cap changes nothing here
+        rise = seg.envelope.rise
+        if rise > 0.0:
+            full &= (mid < seg.start) | (mid > seg.end) \
+                | ((a >= seg.start + rise) & (b <= seg.end - rise))
+    # flat envelopes are 1, so sampling at the midpoints gives each
+    # interval's constant amplitudes and flip signs
+    amps = np.stack(drive_amplitudes_at(seq, mid), axis=1)
+    amps[k // 8 % 2 == 1] *= -1.0
+    origin = np.arange(a.size)
+    zz = np.zeros(a.size, dtype=bool)
+    tr = np.zeros(a.size, dtype=bool)
+    seen: dict = {}  # (p, n) -> (origin, zz, tr)
+    for i in np.flatnonzero(full).tolist():
+        p, n = int(k[i]) % 8, tuple(amps[i].tolist())
+        if (p, n) not in seen:
+            m = tuple(s * x for s, x in zip(_MIRROR_SIGNS, n))
+            neg_n, neg_m = tuple(-x for x in n), tuple(-x for x in m)
+            # setdefault keeps the first: with n = 0, (p, -n) is (p, n)
+            for key, flags in (((p, n), (False, False)), ((p, neg_n), (True, False)),
+                               ((7 - p, m), (False, True)), ((7 - p, neg_m), (True, True))):
+                seen.setdefault(key, (i, *flags))
+        origin[i], zz[i], tr[i] = seen[p, n]
+    return origin, zz, tr
 
 
 def _unitarity_defect(u: np.ndarray) -> float:
@@ -409,18 +452,19 @@ def _running_propagators(seq: PulseSequence, dt_policy: StepPolicy | None,
     """Breakpoints t_k and the RK4 propagators U(t_k) from time 0 to each.
 
     Only the intervals that are their own origin (_window_origins) are
-    built; any other takes its origin's product, Z1Z2-conjugated where their
-    window parities differ.  Raises StepTooCoarse if the unitarity defect of
-    any U(t_k), not only the final one (on the CNOT an earlier one is up to
-    1.3 times larger), exceeds max_defect or is not finite."""
+    built; any other takes its origin's product, Z1Z2-conjugated and
+    transposed as its flags say.  Raises StepTooCoarse if the unitarity
+    defect of any U(t_k), not only the final one (on the CNOT an earlier one
+    is up to 1.3 times larger), exceeds max_defect or is not finite."""
     h_target = (dt_policy or StepPolicy()).step_target(seq.params)
     bps = _breakpoints(seq)
-    origin, parity = _window_origins(seq, bps)
+    origin, zz, tr = _window_origins(seq, bps)
     todo = np.flatnonzero(origin == np.arange(origin.size))  # the intervals to build
     with np.errstate(over="ignore", invalid="ignore"):  # divergence is checked below
         prods = _interval_products(seq, bps[todo], bps[todo + 1], h_target, _half_steps,
                                    _rk4_steps, _RK4_BATCH)[np.searchsorted(todo, origin)]
-        prods[parity != parity[origin]] *= _ZZ_MASK
+        prods[zz] *= _ZZ_MASK
+        prods[tr] = prods[tr].swapaxes(-1, -2) * _TRANSPOSE_MASK
         us = _running_products(prods)
     defect = _unitarity_defect(us)
     if not defect <= max_defect:  # nan compares false, so it fails too
@@ -453,8 +497,8 @@ def evolve(
     Samples at every segment boundary and flip point plus a uniform grid
     of spacing t0_sync/8.  The state at time t is U rho0 U^dagger divided
     by its trace, U = U(t), since RK4 is not exactly unitary.  Grid
-    intervals that repeat, up to Z1Z2, a sync window later are stepped once
-    per call (see the module docstring).
+    intervals that repeat, up to a Z1Z2 conjugation or a transpose, are
+    stepped once per call (see the module docstring).
     Deterministic: identical inputs yield bit-identical trajectories.
     Raises ValueError if ``p`` is not ``seq.params``, and StepTooCoarse if
     the unitarity defect of any U(t) exceeds 1e-6, the bound

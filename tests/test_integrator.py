@@ -400,9 +400,9 @@ BENCH = SystemParams(w1z=1.125, w2z=0.875, wxx=0.025)
 BENCH_POLICY = StepPolicy(steps_per_period=800)
 
 
-def gate_layer(p):
-    segs = (compile_one_qubit(p, 1, "x", math.pi / 4, 0.0),
-            compile_one_qubit(p, 2, "y", -math.pi / 2, 0.0))
+def gate_layer(p, axes="xy"):
+    segs = (compile_one_qubit(p, 1, axes[0], math.pi / 4, 0.0),
+            compile_one_qubit(p, 2, axes[1], -math.pi / 2, 0.0))
     return PulseSequence(params=p, segments=segs)
 
 
@@ -442,16 +442,30 @@ def square_pair(p, windows, envelope=None):
     return PulseSequence(params=p, segments=(seg,))
 
 
-@pytest.mark.parametrize("p, seq, built, intervals", [
-    (BENCH, compile_D(BENCH), 8, 160),
-    (device(3.9), square_pair(device(3.9), 3), 24, 24),
-    (device(4 + 1e-9), square_pair(device(4 + 1e-9), 3), 24, 24),
-    (BENCH, square_pair(BENCH, 3, Envelope("raised-cosine-ramp", 10.0)), 24, 24),
-], ids=["D", "ratio-3.9", "ratio-4+1e-9", "ramped"])
-def test_window_reuse_and_fallback(p, seq, built, intervals, monkeypatch):
-    # the D pulse is flat for 20 windows, so only its first window is
-    # stepped; a device whose carriers do not flip over t0_sync, or a ramp,
-    # steps every interval.  A call's leading axes batch intervals.
+@pytest.mark.parametrize("p, seq, built, intervals, tol", [
+    (BENCH, compile_D(BENCH), 4, 160, 1e-13),
+    (BENCH, gate_layer(BENCH, "xx"), 4, 16, 1e-13),
+    (BENCH, gate_layer(BENCH, "yy"), 4, 16, 1e-13),
+    (BENCH, gate_layer(BENCH), 8, 16, 1e-13),
+    (BENCH, compile_xx_half(BENCH), 8, 160, 1e-13),
+    (BENCH, compile_cnot(BENCH), 16, 208, 1e-13),
+    (DEFAULT_PARAMS, compile_cnot(DEFAULT_PARAMS), 16, 208, 1e-11),
+    (device(3.9), square_pair(device(3.9), 3), 24, 24, 1e-13),
+    (device(4 + 1e-9), square_pair(device(4 + 1e-9), 3), 24, 24, 1e-13),
+    (BENCH, square_pair(BENCH, 3, Envelope("raised-cosine-ramp", 10.0)), 12, 24, 1e-13),
+], ids=["D", "x-layer", "y-layer", "gate_layer", "xx_half", "cnot-bench", "cnot-paper",
+        "ratio-3.9", "ratio-4+1e-9", "ramped"])
+def test_window_reuse_and_fallback(p, seq, built, intervals, tol, monkeypatch):
+    # a grid interval is stepped once per orbit under the window shift (a
+    # Z1Z2 conjugation) and the window mirror (a transpose).  The D pulse
+    # (y drives, flat for 20 windows) and a layer of x or of y pulses step
+    # half of one window; x on one qubit and y on the other step a whole
+    # window, since the mirror negates the x amplitudes only.  A device
+    # whose carriers do not flip over t0_sync steps every interval, and a
+    # ramped pulse its ramps every time and its flat top once per orbit.
+    # A call's leading axes batch intervals.  The paper's CNOT reuses 16
+    # products over 26 windows, so their rounding adds up: it keeps the
+    # 1e-11 of test_window_reuse_matches_plain_stepping (1.6e-12 here).
     intervals_built = []
 
     def counting(hs, h):
@@ -463,7 +477,83 @@ def test_window_reuse_and_fallback(p, seq, built, intervals, monkeypatch):
     assert sum(intervals_built) == built
     assert _breakpoints(seq).size - 1 == intervals
     monkeypatch.undo()
-    assert np.max(np.abs(u - plain_propagators(p, seq, BENCH_POLICY)[-1])) <= 1e-13
+    assert np.max(np.abs(u - plain_propagators(p, seq, BENCH_POLICY)[-1])) <= tol
+
+
+@pytest.mark.parametrize("per_interval", [False, True], ids=["scalar-h", "per-interval-h"])
+def test_rk4_steps_on_reversed_samples_are_transposes(per_interval):
+    # the window mirror rests on S(B, M, A)^T = S(A, M, B) for real
+    # symmetric samples: stepping the reversed half-step grid gives the
+    # complex transposes (not conjugates) of the forward steps, last first
+    rng = np.random.default_rng(21)
+    a = rng.normal(size=(3, 2 * 6 + 1, 4, 4))
+    hs = a + a.swapaxes(-1, -2)
+    h = rng.uniform(0.01, 0.1, size=(3, 1, 1, 1)) if per_interval else 0.05
+    fwd = _complex_of(_rk4_steps(hs, h))
+    rev = _complex_of(_rk4_steps(hs[:, ::-1], h))
+    assert np.max(np.abs(rev - fwd[:, ::-1].swapaxes(-1, -2))) <= 1e-15
+
+
+@st.composite
+def sync_grid_sequences(draw):
+    """1-3 segments on the t0_sync/8 grid of a device whose w0/delta is an
+    integer in 2..6, with on-grid gaps before each and after the last:
+    square, or ramped with or without a flat top (the rise on the grid or
+    off it, or capped at half the duration); driving qubit 1, 2 or both
+    through x, y or both, with random signs and two magnitudes, so that
+    intervals of different segments can share an orbit; with or without an
+    on-grid flip."""
+    p = device(draw(st.integers(2, 6)))
+    s = p.t0_sync / 8
+    segs = []
+    start = 0  # in grid steps s
+    for _ in range(draw(st.integers(1, 3))):
+        start += draw(st.integers(0, 4))
+        steps = draw(st.integers(1, 12))
+        amps = {}
+        for q in draw(st.sampled_from(((1,), (2,), (1, 2)))):
+            for c in draw(st.sampled_from(("x", "y", "xy"))):
+                amps[f"amp_{c}_{q}"] = draw(st.sampled_from((-0.2, -0.1, 0.1, 0.2))) * p.delta
+        envelope = Envelope()
+        if steps >= 3 and draw(st.booleans()):
+            rise = draw(st.sampled_from((1.0, 0.37, 1.5, 0.6 * steps))) * s
+            envelope = Envelope("raised-cosine-ramp", rise)
+        flip_at = flip_qubit = None
+        if steps >= 2 and draw(st.booleans()):
+            flip_at = (start + draw(st.integers(1, steps - 1))) * s
+            flip_qubit = draw(st.sampled_from((1, 2)))
+        segs.append(PulseSegment(start=start * s, duration=steps * s, **amps, envelope=envelope,
+                                 flip_at=flip_at, flip_qubit=flip_qubit))
+        start += steps
+    return PulseSequence(params=p, segments=tuple(segs),
+                         total_time=(start + draw(st.integers(0, 4))) * s)
+
+
+@settings(max_examples=25)
+@given(seq=sync_grid_sequences())
+def test_window_memo_matches_plain_stepping(seq):
+    # every running propagator, not only the final one, whichever of the
+    # three relations (shift, sign, mirror) each interval was taken by
+    us = integrator._running_propagators(seq, BENCH_POLICY, 1e-9)[1]
+    assert np.max(np.abs(us - plain_propagators(seq.params, seq, BENCH_POLICY))) <= 1e-13
+
+
+@pytest.mark.parametrize("seq", [
+    PulseSequence(params=BENCH, total_time=0.0),
+    square_pair(device(3.9), 1),
+    PulseSequence(params=BENCH, segments=(PulseSegment(
+        start=0.0, duration=3 * BENCH.t0_sync / 8, amp_x_1=0.01,
+        envelope=Envelope("raised-cosine-ramp", 1.5 * BENCH.t0_sync / 8)),)),
+], ids=["no-interval", "ratio-3.9", "ramps-only"])
+def test_window_origins_with_empty_memo(seq):
+    # with nothing to reuse every interval is its own origin with integer
+    # and boolean columns, also when there is no interval at all
+    origin, zz, tr = integrator._window_origins(seq, _breakpoints(seq))
+    assert origin.dtype.kind == "i" and zz.dtype == bool and tr.dtype == bool
+    assert np.array_equal(origin, np.arange(origin.size))
+    assert not zz.any() and not tr.any()
+    us = integrator._running_propagators(seq, BENCH_POLICY, 1e-9)[1]
+    assert np.array_equal(us, plain_propagators(seq.params, seq, BENCH_POLICY))
 
 
 def mixed_sequence(p):
@@ -552,7 +642,7 @@ def test_drive_samples_bounded_by_chunk_cap(route, p, seq, policy, monkeypatch):
 
 def test_one_h_sampling_per_chunk(monkeypatch):
     # H is sampled once per chunk, not once per batch: the bench gate
-    # layer's distinct intervals (8 of 450 steps, 4 batches) fit one chunk,
+    # layer's distinct intervals (8 of 450 steps, 8 batches) fit one chunk,
     # and so does each oracle pass over one pulse length, with ramped and
     # square pulses, while its steps fit the cap.  Both sequences are
     # compiled, and so calibrated, before the spies are installed.
