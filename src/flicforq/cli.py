@@ -4,8 +4,9 @@ Subcommands: compile, simulate, fidelity, sweep, resonance.  All inputs
 are JSON files plus flags; outputs are JSON/CSV with no timestamps, so
 identical invocations produce byte-identical results.
 
-Exit codes: 0 success; 2 schema or parse errors; 3 sequence validation
-violations; 4 integrator failure; 5 fidelity below the --min gate.
+Exit codes: 0 success; 2 schema or parse errors, or an output file that
+cannot be written; 3 sequence validation violations; 4 integrator
+failure; 5 fidelity below the --min gate.
 """
 
 from __future__ import annotations
@@ -16,9 +17,7 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
-
-import numpy as np
+from contextlib import contextmanager, nullcontext
 
 from .analysis import (
     concurrence,
@@ -79,12 +78,24 @@ def _load_sequence(path: str) -> PulseSequence:
         raise SchemaError(f"cannot read sequence file {path}: {exc}") from exc
 
 
+@contextmanager
+def _output(path: str):
+    """``path`` opened for writing; an OS error while opening or writing
+    it is a SchemaError."""
+    try:
+        with open(path, "w") as fh:
+            yield fh
+    except OSError as exc:
+        raise SchemaError(f"cannot write {path}: {exc}") from exc
+
+
 def _emit(text: str, out: str | None) -> None:
+    text = text if text.endswith("\n") else text + "\n"
     if out is None:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        sys.stdout.write(text)
     else:
-        with open(out, "w") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+        with _output(out) as fh:
+            fh.write(text)
 
 
 def _parse_state(spec: str) -> DensityState:
@@ -95,17 +106,12 @@ def _parse_state(spec: str) -> DensityState:
             b1_txt, b2_txt = spec[len("bloch:"):].split(";")
             b1 = [float(x) for x in b1_txt.split(",")]
             b2 = [float(x) for x in b2_txt.split(",")]
-            if len(b1) != 3 or len(b2) != 3:
-                raise ValueError("each Bloch vector needs 3 components")
             return DensityState.product_bloch(b1, b2)
         except ValueError as exc:
             raise SchemaError(f"bad bloch state spec {spec!r}: {exc}") from exc
     if spec.startswith("pauli:"):
         try:
-            c = np.array([float(x) for x in spec[len("pauli:"):].split(",")])
-            if c.shape != (15,):
-                raise ValueError("need exactly 15 coefficients")
-            state = DensityState(c)
+            state = DensityState([float(x) for x in spec[len("pauli:"):].split(",")])
             state.validate()
             return state
         except ValueError as exc:
@@ -133,9 +139,6 @@ def cmd_compile(args) -> int:
     p = _load_params(args.params)
     try:
         seq = _GATES[args.gate](p)
-    except StepTooCoarse as exc:  # calibration's probe integration
-        print(f"integrator failure: {exc}", file=sys.stderr)
-        return EXIT_INTEGRATOR
     except ValueError as exc:
         raise SchemaError(f"cannot compile {args.gate}: {exc}") from exc
     diags = validate_sequence(p, seq)
@@ -152,16 +155,11 @@ def cmd_simulate(args) -> int:
     seq = _load_sequence(args.sequence)
     p = seq.params
     rho0 = _parse_state(args.state)
-    policy = StepPolicy(steps_per_period=args.steps_per_period)
-    try:
-        traj = evolve(p, seq, rho0, policy)
-        if args.frame == "rotating":
-            traj = to_rotating_frame(traj, p)
-        with open(args.out, "w") as fh:
-            write_trajectory_csv(traj, fh, full=args.full)
-    except (StepTooCoarse, OSError) as exc:
-        print(f"integrator failure: {exc}", file=sys.stderr)
-        return EXIT_INTEGRATOR
+    traj = evolve(p, seq, rho0, StepPolicy(steps_per_period=args.steps_per_period))
+    if args.frame == "rotating":
+        traj = to_rotating_frame(traj, p)
+    with _output(args.out) as fh:
+        write_trajectory_csv(traj, fh, full=args.full)
     final = traj.final
     doc = {
         "t": float(traj.times[-1]),
@@ -181,12 +179,7 @@ def cmd_fidelity(args) -> int:
         word = parse_word(args.word)
     except ValueError as exc:
         raise SchemaError(f"bad target word: {exc}") from exc
-    policy = StepPolicy(steps_per_period=args.steps_per_period)
-    try:
-        u = gate_unitary(seq, policy)
-    except StepTooCoarse as exc:
-        print(f"integrator failure: {exc}", file=sys.stderr)
-        return EXIT_INTEGRATOR
+    u = gate_unitary(seq, StepPolicy(steps_per_period=args.steps_per_period))
     report = gate_fidelity(u, word, align_local_z=not args.no_align)
     _emit(report_to_json(report), args.out)
     if args.min is not None and report.process < args.min:
@@ -318,6 +311,9 @@ def main(argv=None) -> int:
     except SchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
+    except StepTooCoarse as exc:
+        print(f"integrator failure: {exc}", file=sys.stderr)
+        return EXIT_INTEGRATOR
 
 
 if __name__ == "__main__":

@@ -4,13 +4,14 @@ Gates are realized as resonant drive segments timed on the synchrony grid
 t_m = m * 2*pi/delta.  One-qubit pi/2 rotations use quadrature amplitude
 delta/8 over 4*pi/delta; the entangling pulses drive both qubits at
 amplitude delta/2 for 4*pi/wxx, with an optional mid-pulse sign flip on
-qubit 2 that refocuses the sigma-z sigma-z factor and leaves (X1X2)^(1/2).
+qubit 2 that refocuses the sigma-z sigma-z factor and leaves a square root
+of X1X2.
 
-Rotating-frame sign conventions (which physical quadrature produces a
-rotation about +x vs -x, and which square root of X1X2 the refocused
-pulse lands on) are not fixed by the drive magnitudes alone; they are
-measured once per parameter set by ``calibrate`` and consumed by every
-compile function.
+Which quadrature turns a qubit about +x rather than -x, and which square
+root of X1X2 the refocused pulse lands on, follow from the lab-frame
+Hamiltonian and the rotating frame alone; ``calibrate`` returns these
+signs with their derivation, and every compile function reads them from
+it.  Nothing here integrates: simulation only checks compiled gates.
 
 The decoupling edits keep their result on ``seq.params`` and reject any
 other device ``p``.
@@ -22,11 +23,7 @@ import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
-import numpy as np
-
-from .integrator import StepPolicy, gate_unitary
 from .model import PulseSegment, PulseSequence, SystemParams, check_device, on_sync_grid
-from .pauli import PauliString, RotationWord, word_unitary
 
 __all__ = [
     "AngleOutOfRange",
@@ -60,12 +57,13 @@ class NotOneQubitSegment(ValueError):
 
 @dataclass(frozen=True)
 class Calibration:
-    """Measured sign conventions for one parameter set.
+    """The channel-to-axis sign map of the model.
 
-    ``x_sign``/``y_sign``: a positive-amplitude pulse on that quadrature
-    channel realizes P^(sign * theta/pi) for pulse area theta about the
-    corresponding rotating-frame axis.  ``xx_sign``: the refocused
-    two-qubit pulse realizes (X1X2)^(xx_sign/2).
+    ``x_sign``/``y_sign``: a pulse of amplitude sign * (theta/(pi/2)) *
+    delta/8 over 4*pi/delta on that quadrature channel realizes
+    P^(theta/pi), P the corresponding Pauli on the driven qubit.
+    ``xx_sign``: the refocused two-qubit pulse realizes (X1X2)^(xx_sign/2).
+    (P^a is exp(i*a*pi*P/2), as in ``pauli``.)
     """
 
     x_sign: float
@@ -73,38 +71,34 @@ class Calibration:
     xx_sign: float
 
 
-_CAL_POLICY = StepPolicy(steps_per_period=800)
-
-
-def _measured_sign(u: np.ndarray, factor1: str, factor2: str) -> float:
-    """+1 if u overlaps (factor1 factor2)^(1/2) at least as much as its
-    inverse, else -1."""
-    axis = PauliString(1, factor1, factor2)
-    plus, minus = (abs(np.trace(u.conj().T @ word_unitary(RotationWord(((axis, e),))))) ** 2
-                   for e in (0.5, -0.5))
-    return 1.0 if plus >= minus else -1.0
-
-
 @lru_cache(maxsize=None)
 def calibrate(p: SystemParams) -> Calibration:
-    """Measure the channel-to-axis sign map by probe simulation.
+    """The sign map on device ``p``: (x, y, xx) = (-1, +1, -1) on every device.
 
-    One short pulse per quadrature channel is simulated against the
-    propagator oracle and compared with both candidate rotations; the
-    discrimination margin is large (>0.9 vs <0.1), so no frame alignment
-    is needed.  Results are cached per parameter set.
+    In the frame V = exp(i*t*(w1z*Z1 + w2z*Z2)/2), V X V^dagger =
+    X cos(wz t) - Y sin(wz t), so a qubit's drive term
+    (ax cos(wz t) + ay sin(wz t)) X has the secular part (ax X - ay Y)/2.
+    Over 4*pi/delta, amplitude s*(theta/(pi/2))*delta/8 on x turns the qubit
+    by exp(-i*s*theta*X/2) = X^(-s*theta/pi), and on y by Y^(+s*theta/pi):
+    x_sign = -1 and y_sign = +1.
+
+    The coupling (wxx/2) X1X2 has the secular part
+    (wxx/4)[(X1X2 + Y1Y2) cos(delta t) + (X1Y2 - Y1X2) sin(delta t)].  In the
+    frame of the y drive at amplitude delta/2, which turns each qubit about
+    -y by phi = delta t/2, its average over one drive period is
+    (wxx/16)(X1X2 - Z1Z2), and (wxx/16)(X1X2 + Z1Z2) once qubit 2's drive
+    is flipped.  Each half of the refocused pulse lasts 2*pi/wxx; when
+    delta/wxx is an integer the flip falls on the t0_sync grid, where the
+    carriers and the drive frame are back at their start up to sign, and
+    the halves compose to exp(-i*pi*X1X2/4) = (X1X2)^(-1/2): xx_sign = -1.
+    Off that grid neither root is realized (``validate_sequence`` warns),
+    and compile_cnot uses the same sign.  An uncoupled device has no XX
+    pulse, and the sign goes unused there.
+
+    The signs depend on no device parameter; results are cached per
+    parameter set.
     """
-    dur = 4 * math.pi / p.delta
-    signs = {}
-    for axis in ("x", "y"):
-        seg = PulseSegment(start=0.0, duration=dur, **{f"amp_{axis}_1": p.delta / 8})
-        u = gate_unitary(PulseSequence(params=p, segments=(seg,)), _CAL_POLICY)
-        signs[axis] = _measured_sign(u, axis.upper(), "I")
-    if p.wxx > 0.0:
-        xx_sign = _measured_sign(gate_unitary(compile_xx_half(p, 0.0), _CAL_POLICY), "X", "X")
-    else:
-        xx_sign = 1.0
-    return Calibration(x_sign=signs["x"], y_sign=signs["y"], xx_sign=xx_sign)
+    return Calibration(x_sign=-1.0, y_sign=1.0, xx_sign=-1.0)
 
 
 def compile_one_qubit(
@@ -171,10 +165,10 @@ def compile_cnot(p: SystemParams) -> PulseSequence:
 
     Intended word: X2^(1/2) Y1^(1/2) (X1X2)^(1/2) Y1^(-1/2) Z1^(1/2),
     scheduled sequentially with the two-qubit pulse on the sync grid and
-    the trailing Z1^(1/2) as a virtual-z ledger entry.  When calibration
-    finds the refocused pulse realizing (X1X2)^(-1/2), the surrounding
-    Y1 pulse signs are swapped, which leaves the overall gate unchanged
-    up to the aligned local z phases.
+    the trailing Z1^(1/2) as a virtual-z ledger entry.  The refocused
+    pulse realizes (X1X2)^(xx_sign/2) (see ``calibrate``); with xx_sign =
+    -1 the surrounding Y1 pulse signs are swapped, which leaves the overall
+    gate unchanged up to the aligned local z phases.
     """
     cal = calibrate(p)
     s = cal.xx_sign

@@ -328,9 +328,8 @@ _CHUNK_STEPS = 8192
 # Steps built and multiplied per batch within a chunk: RK4, one 450-step
 # grid interval of the benchmark device (two-interval batches took ~490
 # minor faults per warm gate op against 0.3, since their temporaries lie
-# above the mmap threshold that calibration's smaller chunks leave, and
-# ran ~7% slower); the oracle's exponentials, at most 512 substeps (one
-# batch per pass: +33% peak RSS)
+# above glibc's mmap threshold, and ran ~7% slower); the oracle's
+# exponentials, at most 512 substeps (one batch per pass: +33% peak RSS)
 _RK4_BATCH = 450
 _ORACLE_BATCH = 512
 

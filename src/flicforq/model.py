@@ -270,8 +270,9 @@ class Diagnostic:
 
 
 def validate_sequence(p: SystemParams, seq: PulseSequence) -> list[Diagnostic]:
-    """Structural checks: sync-grid starts for two-qubit pulses, per-channel
-    overlaps, and coupling-to-detuning ratio warnings.  Returns diagnostics
+    """Structural checks: sync-grid starts for two-qubit pulses (an error)
+    and their refocusing flips (a warning), per-channel overlaps, and
+    coupling-to-detuning ratio warnings.  Returns diagnostics
     instead of raising, except for a ValueError if ``p`` is not
     ``seq.params``."""
     check_device(p, seq)
@@ -282,6 +283,12 @@ def validate_sequence(p: SystemParams, seq: PulseSequence) -> list[Diagnostic]:
                 "error",
                 f"segment {i}: two-qubit pulse starts at {seg.start:.6f}, "
                 f"not on the t0_sync = {p.t0_sync:.6f} grid",
+            ))
+        if seg.is_two_qubit and seg.flip_at is not None and not on_sync_grid(p, seg.flip_at):
+            out.append(Diagnostic(
+                "warning",
+                f"segment {i}: two-qubit pulse flips at {seg.flip_at:.6f}, "
+                f"not on the t0_sync = {p.t0_sync:.6f} grid, so it does not refocus",
             ))
     for q in (1, 2):
         active = [(s.start, s.end, i) for i, s in enumerate(seq.segments) if s.drives_qubit(q)]

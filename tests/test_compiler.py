@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from flicforq.compiler import (
@@ -18,11 +23,13 @@ from flicforq.compiler import (
     insert_decoupling,
     remove_decoupling,
 )
+from flicforq import integrator
 from flicforq.integrator import StepPolicy, frame_unitary, gate_unitary, propagator_of_sequence
 from flicforq.model import (
     DEFAULT_PARAMS,
     PulseSegment,
     PulseSequence,
+    SystemParams,
     drive_amplitudes_at,
     validate_sequence,
 )
@@ -45,13 +52,83 @@ def axis_unitary(lab, exponent):
     return word_unitary(RotationWord(((PauliString(1, lab[0], lab[1]), exponent),)))
 
 
+def probe_signs(p):
+    """The sign map measured by simulation, the reference for calibrate:
+    the rotating-frame gates of a positive delta/8 pulse over 4*pi/delta on
+    each quadrature of qubit 1 and of the refocused XX pulse, each against
+    both square roots of its axis.  Maps "x", "y" and "xx" to (the sign of
+    the closer root, its overlap, the other root's overlap)."""
+    one_qubit = PulseSegment(start=0.0, duration=4 * math.pi / p.delta)
+    probes = {
+        "x": (PulseSequence(params=p, segments=(replace(one_qubit, amp_x_1=p.delta / 8),)), "XI"),
+        "y": (PulseSequence(params=p, segments=(replace(one_qubit, amp_y_1=p.delta / 8),)), "YI"),
+        "xx": (compile_xx_half(p, 0.0), "XX"),
+    }
+    measured = {}
+    for name, (seq, lab) in probes.items():
+        u = gate_unitary(seq, POLICY)
+        plus, minus = (overlap(u, axis_unitary(lab, e)) for e in (0.5, -0.5))
+        measured[name] = (1.0, plus, minus) if plus >= minus else (-1.0, minus, plus)
+    return measured
+
+
 def test_calibration_shape_and_caching():
     cal = calibrate(P)
     assert isinstance(cal, Calibration)
-    assert cal.x_sign in (-1.0, 1.0)
-    assert cal.y_sign in (-1.0, 1.0)
-    assert cal.xx_sign in (-1.0, 1.0)
+    assert (cal.x_sign, cal.y_sign, cal.xx_sign) == (-1.0, 1.0, -1.0)
     assert calibrate(P) is cal  # memoized per parameter set
+
+
+@settings(max_examples=15)
+@given(delta=st.floats(0.05, 0.8), ratio=st.integers(2, 20))
+def test_calibration_matches_probe_simulation(delta, ratio):
+    # on devices whose delta/wxx is an integer, so that the refocusing flip
+    # lies on the t0_sync grid; below wxx ~ 0.003 the 4*pi/wxx XX probe
+    # itself fails the propagator's unitarity bound at this policy
+    assume(delta / ratio >= 0.005)
+    with warnings.catch_warnings():  # wxx/delta > 0.2 warns, and is valid
+        warnings.simplefilter("ignore")
+        p = SystemParams(w1z=1.0 + 0.5 * delta, w2z=1.0 - 0.5 * delta, wxx=delta / ratio)
+    cal = calibrate(p)
+    for name, (sign, right, wrong) in probe_signs(p).items():
+        assert sign == getattr(cal, f"{name}_sign"), name
+        assert right > 0.5, name
+        assert wrong < 0.1, name
+
+
+def test_compiling_integrates_nothing(monkeypatch):
+    # signs come from the model, so compiling any gate on a device never
+    # seen before samples no Hamiltonian and multiplies no steps
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the compiler integrated")
+
+    monkeypatch.setattr(integrator, "_interval_products", forbidden)
+    monkeypatch.setattr(integrator, "_hamiltonians", forbidden)
+    p = SystemParams(w1z=1.0625, w2z=0.9375, wxx=0.0125)
+    calibrate(p)
+    for axis in "xy":
+        for qubit in (1, 2):
+            compile_one_qubit(p, qubit, axis, math.pi / 2, 0.0)
+    seq = compile_cnot(p)
+    insert_decoupling(p, seq, 0)
+    compile_D(p)
+    compile_xx_half(p)
+
+
+NO_INTEGRATOR = """
+import sys
+import flicforq.compiler
+assert "flicforq.integrator" not in sys.modules, "flicforq.integrator was imported"
+"""
+
+
+def test_fresh_process_compiler_never_imports_integrator():
+    # the compile layer stands on the model alone
+    src = os.path.dirname(os.path.dirname(integrator.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-c", NO_INTEGRATOR], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=300)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_one_qubit_pi_half_amplitude():

@@ -644,8 +644,7 @@ def test_one_h_sampling_per_chunk(monkeypatch):
     # H is sampled once per chunk, not once per batch: the bench gate
     # layer's distinct intervals (8 of 450 steps, 8 batches) fit one chunk,
     # and so does each oracle pass over one pulse length, with ramped and
-    # square pulses, while its steps fit the cap.  Both sequences are
-    # compiled, and so calibrated, before the spies are installed.
+    # square pulses, while its steps fit the cap.
     layer = gate_layer(BENCH)
     ramped = replace(compile_one_qubit(BENCH, 1, "x", 1.1, 0.0),
                      envelope=Envelope("raised-cosine-ramp", 0.3 * 4 * math.pi / BENCH.delta))

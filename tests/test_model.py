@@ -1,6 +1,7 @@
 import json
 import math
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -246,6 +247,21 @@ def test_validate_on_grid_two_qubit_pulse_passes():
     p = DEFAULT_PARAMS
     seg = PulseSegment(start=2 * p.t0_sync, duration=10.0, amp_y_1=0.05, amp_y_2=0.05)
     assert validate_sequence(p, PulseSequence(params=p, segments=(seg,))) == []
+
+
+def test_validate_off_grid_flip_warns():
+    # a refocusing flip off the t0_sync grid does not refocus, but the
+    # sequence is well formed: a warning, not an error
+    p = DEFAULT_PARAMS
+    seg = PulseSegment(start=0.0, duration=4 * p.t0_sync, amp_y_1=0.05, amp_y_2=0.05,
+                       flip_at=2.5 * p.t0_sync, flip_qubit=2)
+    diags = validate_sequence(p, PulseSequence(params=p, segments=(seg,)))
+    assert [d.severity for d in diags] == ["warning"]
+    assert "flips at" in diags[0].message
+    on_grid = replace(seg, flip_at=2 * p.t0_sync)
+    assert validate_sequence(p, PulseSequence(params=p, segments=(on_grid,))) == []
+    one_qubit = replace(seg, amp_y_2=0.0, flip_qubit=1)
+    assert validate_sequence(p, PulseSequence(params=p, segments=(one_qubit,))) == []
 
 
 def test_validate_overlap_same_qubit():
