@@ -675,11 +675,11 @@ def test_one_h_sampling_per_chunk(monkeypatch):
 NO_NUMPY_MA = """
 import sys
 import flicforq.cli
-from flicforq.compiler import calibrate
-from flicforq.integrator import DensityState, evolve_oracle
+from flicforq.compiler import compile_xx_half
+from flicforq.integrator import DensityState, StepPolicy, evolve_oracle, gate_unitary
 from flicforq.model import PulseSegment, PulseSequence, SystemParams
 p = SystemParams(w1z=1.125, w2z=0.875, wxx=0.025)
-calibrate(p)
+gate_unitary(compile_xx_half(p), StepPolicy(steps_per_period=800))
 seq = PulseSequence(params=p, segments=(PulseSegment(start=0.0, duration=5.0, amp_y_1=0.05),))
 evolve_oracle(p, seq, DensityState.computational("00"))
 assert "numpy.ma" not in sys.modules, "numpy.ma was imported"
