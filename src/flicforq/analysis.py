@@ -5,10 +5,10 @@ Gate fidelities are computed up to local z phases (which are free in an
 architecture with virtual z bookkeeping) and a global phase.  With
 M = conj(U_ideal) * U_sim elementwise, the trace Tr(U_ideal^dag Zl U_sim Zr)
 is the sum of the 16 entries of M, each turned by a fixed +-1 combination
-of the four half-phases.  Its modulus is maximized from the 8 starts of a
-0/pi grid at once, one start per row of a phase array.  Each iteration
-maximizes it exactly along each phase in turn, then takes one damped
-Newton step on all four.
+of the four half-phases.  Its modulus is maximized from the 8 best points
+of a pi/4 grid, ranked with the first phase set in closed form, one start
+per row of a phase array; full Newton steps on all four phases are the
+only update.
 """
 
 from __future__ import annotations
@@ -103,34 +103,22 @@ class FidelityReport:
 _SIGNS = np.hstack([np.repeat(_Z_SIGNS, 4, axis=0), np.tile(_Z_SIGNS, (4, 1))])
 # S_k S_l per entry, so that sum_m E_m S_mk S_ml = (E @ _SIGN_PAIRS)[4k + l]
 _SIGN_PAIRS = (_SIGNS[:, :, np.newaxis] * _SIGNS[:, np.newaxis, :]).reshape(16, 16)
-# per phase, the entries where its sign is + (first column) and - (second)
-_HALVES = (_SIGNS.T[:, :, np.newaxis] == np.array([1.0, -1.0])).astype(complex)
-# The starts, one per row: f1 = 0 and the 0/pi grid in (f2, t1, t2).  The
-# first update sets f1 without reading it, so f1 = pi would repeat each row.
-_STARTS = np.array([(0.0,) + s for s in itertools.product((0.0, math.pi), repeat=3)])
-_TRIALS = np.array([1.0, 0.5, 0.25, 0.125])  # fractions of the Newton step tried
+# the entries where the sign of f1 is + (first column) and - (second)
+_F1_HALVES = (_SIGNS[:, :1] == np.array([1.0, -1.0])).astype(complex)
+# the pi/4 grid in (f2, t1, t2) with f1 = 0, and its per-entry phase factors
+_GRID = np.array([(0.0,) + s for s in itertools.product(np.arange(8) * (math.pi / 4), repeat=3)])
+_GRID_FACTORS = np.exp(0.5j * (_GRID @ _SIGNS.T))
+_N_STARTS = 8  # grid points iterated, the best first
 _MAX_ITER = 50
-_SHIFT_FLOOR = 1e-12  # least shift of the Newton matrix, whose entries reach ~16
+_SHIFT_FLOOR = 1e-12  # shift of the Newton matrix, whose entries reach ~16
 _DECREMENT_TOL = 1e-13  # a row has converged when its Newton decrement is below
-_RISE_TOL = 1e-15  # this and its last iteration raised f by less than this
+_RISE_TOL = 1e-15  # this and its last step raised f by less than this
 _EYE4 = np.eye(4)
-# the leading 1x1, 2x2, 3x3 and 4x4 blocks, padded by the identity
-_LEADING = np.array([np.maximum.outer(np.arange(4), np.arange(4)) <= n for n in range(4)])
 
 
 def _shifted_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve (a_r + mu_r I) x_r = b_r for each row r, a_r = -Hessian.
-
-    Where a_r + floor I is positive definite (all leading minors positive),
-    mu_r is the floor and x_r is the Newton step.  Elsewhere mu_r also
-    lifts every Gershgorin disc of a_r to the right of zero, so
-    a_r + mu_r I is positive definite and x_r still points uphill.
-    """
-    a = a + _SHIFT_FLOOR * _EYE4
-    definite = np.all(np.linalg.det(np.where(_LEADING, a[:, np.newaxis], _EYE4)) > 0, axis=1)
-    margin = np.min(2.0 * np.diagonal(a, axis1=1, axis2=2) - np.abs(a).sum(2), axis=1)
-    mu = np.where(definite, 0.0, _SHIFT_FLOOR - np.minimum(margin, 0.0))
-    return np.linalg.solve(a + mu[:, np.newaxis, np.newaxis] * _EYE4, b[..., np.newaxis])[..., 0]
+    """Solve (a_r + 1e-12 I) x_r = b_r for each row r, a_r = -Hessian."""
+    return np.linalg.solve(a + _SHIFT_FLOOR * _EYE4, b[..., np.newaxis])[..., 0]
 
 
 def _align_phases(u_ideal: np.ndarray, u_sim: np.ndarray) -> tuple[np.ndarray, float]:
@@ -141,34 +129,30 @@ def _align_phases(u_ideal: np.ndarray, u_sim: np.ndarray) -> tuple[np.ndarray, f
     S the fixed 16x4 sign matrix _SIGNS.  Its gradient in th is
     (i/2) E S and its Hessian -(1/4) E (S (x) S); those of f follow.
 
-    Each iteration first sweeps the phases in the order f1, f2, t1, t2.
-    Along one phase p the trace is A e^{i p/2} + B e^{-i p/2}, A and B the
-    sums of E (taken at p = 0) over the entries where the sign of p is +
-    and -, so its modulus is largest at p = arg(B) - arg(A): a step of
-    arg(sum_- E) - arg(sum_+ E), applied to E by a phase factor.  The sweep
-    moves the rows off the flat zero-trace regions around the grid starts.
-    Then one Newton step on all four phases (_shifted_solve) is tried at
-    full, half, quarter and eighth length, and a row takes the best of
-    these unless it is lower than the sweep left it.  A row stops once its
-    Newton decrement is below 1e-13 and its last iteration raised f by
-    less than 1e-15, or after 50 iterations.  The first best start wins.
-    Its phases are returned wrapped into (-pi, pi]: a shift by 2 pi flips
-    the sign of one z matrix, which changes the trace by a global phase
-    only.
+    The starts are ranked on the pi/4 grid in (f2, t1, t2).  Along f1 the
+    trace is A e^{i f1/2} + B e^{-i f1/2}, A and B the sums of E (at
+    f1 = 0) over the entries where the sign of f1 is + and -, so its
+    largest modulus is |A| + |B|, at f1 = arg(B) - arg(A).  The 8 grid
+    points with the largest |A| + |B| (ties in grid order) become the rows,
+    each with that f1.  Every iteration takes one full Newton step on all
+    four phases (_shifted_solve) where it does not lower f.  A row stops
+    once a step would lower f, once its Newton decrement is below 1e-13 and
+    its last step raised f by less than 1e-15, or after 50 iterations.  The
+    first best row wins.  Its phases are returned wrapped into (-pi, pi]:
+    a shift by 2 pi flips the sign of one z matrix, which changes the trace
+    by a global phase only.
     """
     m = (u_ideal.conj() * u_sim).ravel()
-    ph = _STARTS.copy()
-    e = m * np.exp(0.5j * (ph @ _SIGNS.T))
+    grid = m * _GRID_FACTORS
+    halves = grid @ _F1_HALVES
+    top = np.argsort(-np.abs(halves).sum(1), kind="stable")[:_N_STARTS]
+    a, b = halves[top].T
+    ph = _GRID[top]  # fancy indexing copies
+    ph[:, 0] = np.angle(b) - np.angle(a)
+    e = grid[top] * np.exp(0.5j * ph[:, :1] * _SIGNS[:, 0])
     f = np.abs(e.sum(1)) ** 2 / 16.0
-    rows = np.arange(len(ph))
     active = np.ones(len(ph), dtype=bool)
     for _ in range(_MAX_ITER):
-        f_prev = f
-        for k in range(4):
-            plus, minus = (e @ _HALVES[k]).T
-            step = np.where(active, np.angle(minus * plus.conj()), 0.0)
-            ph[:, k] += step
-            e *= np.exp(0.5j * step[:, np.newaxis] * _SIGNS[:, k])
         # 32 times the gradient of f and minus its Hessian; the factor
         # cancels in the Newton step
         trace = e.sum(1)
@@ -176,19 +160,17 @@ def _align_phases(u_ideal: np.ndarray, u_sim: np.ndarray) -> tuple[np.ndarray, f
         grad = -2.0 * (trace.conj()[:, np.newaxis] * es).imag
         neg_hess = ((trace.conj()[:, np.newaxis] * (e @ _SIGN_PAIRS)).real.reshape(-1, 4, 4)
                     - (es.conj()[:, :, np.newaxis] * es[:, np.newaxis, :]).real)
-        delta = np.where(active[:, np.newaxis], _shifted_solve(neg_hess, grad), 0.0)
+        delta = _shifted_solve(neg_hess, grad)
         decrement = np.einsum("rk,rk->r", grad, delta) / 32.0
-        trial = ph[:, np.newaxis, :] + _TRIALS[:, np.newaxis] * delta[:, np.newaxis, :]
-        e_trial = m * np.exp(0.5j * (trial @ _SIGNS.T))
-        f_trial = np.abs(e_trial.sum(2)) ** 2 / 16.0
-        pick = np.argmax(f_trial, axis=1)
-        f_newton = f_trial[rows, pick]
-        f_sweep = np.abs(trace) ** 2 / 16.0
-        take = f_newton >= f_sweep
-        ph = np.where(take[:, np.newaxis], trial[rows, pick], ph)
-        e = np.where(take[:, np.newaxis], e_trial[rows, pick], e)
-        f = np.where(active, np.maximum(f_newton, f_sweep), f_prev)
-        active &= ~((decrement < _DECREMENT_TOL) & (f - f_prev < _RISE_TOL))
+        ph_trial = ph + delta
+        e_trial = m * np.exp(0.5j * (ph_trial @ _SIGNS.T))
+        f_trial = np.abs(e_trial.sum(1)) ** 2 / 16.0
+        take = active & (f_trial >= f)
+        converged = (decrement < _DECREMENT_TOL) & (f_trial - f < _RISE_TOL)
+        ph = np.where(take[:, np.newaxis], ph_trial, ph)
+        e = np.where(take[:, np.newaxis], e_trial, e)
+        f = np.where(take, f_trial, f)
+        active = take & ~converged
         if not active.any():
             break
     best = int(np.argmax(f))

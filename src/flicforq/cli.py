@@ -79,9 +79,12 @@ def _load_sequence(path: str) -> PulseSequence:
 
 
 @contextmanager
-def _output(path: str):
-    """``path`` opened for writing; an OS error while opening or writing
-    it is a SchemaError."""
+def _output(path: str | None):
+    """``path`` opened for writing, or stdout where it is None; an OS error
+    while opening or writing the file is a SchemaError."""
+    if path is None:
+        yield sys.stdout
+        return
     try:
         with open(path, "w") as fh:
             yield fh
@@ -89,13 +92,8 @@ def _output(path: str):
         raise SchemaError(f"cannot write {path}: {exc}") from exc
 
 
-def _emit(text: str, out: str | None) -> None:
-    text = text if text.endswith("\n") else text + "\n"
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with _output(out) as fh:
-            fh.write(text)
+def _emit(text: str, fh) -> None:
+    fh.write(text if text.endswith("\n") else text + "\n")
 
 
 def _parse_state(spec: str) -> DensityState:
@@ -147,7 +145,8 @@ def cmd_compile(args) -> int:
         print(f"{d.severity}: {d.message}", file=sys.stderr)
     if errors:
         return EXIT_VALIDATION
-    _emit(sequence_to_json(seq), args.out)
+    with _output(args.out) as fh:
+        _emit(sequence_to_json(seq), fh)
     return 0
 
 
@@ -179,9 +178,10 @@ def cmd_fidelity(args) -> int:
         word = parse_word(args.word)
     except ValueError as exc:
         raise SchemaError(f"bad target word: {exc}") from exc
-    u = gate_unitary(seq, StepPolicy(steps_per_period=args.steps_per_period))
-    report = gate_fidelity(u, word, align_local_z=not args.no_align)
-    _emit(report_to_json(report), args.out)
+    with _output(args.out) as fh:  # opened first: a bad path wastes no integration
+        u = gate_unitary(seq, StepPolicy(steps_per_period=args.steps_per_period))
+        report = gate_fidelity(u, word, align_local_z=not args.no_align)
+        _emit(report_to_json(report), fh)
     if args.min is not None and report.process < args.min:
         print(
             f"process fidelity {report.process:.6f} below --min {args.min}",
@@ -229,14 +229,15 @@ def cmd_sweep(args) -> int:
         except ValueError as exc:
             raise SchemaError(f"bad grid point delta={d}, wxx={w}: {exc}") from exc
     jobs = min(args.jobs, len(tasks))  # a pool starts all its workers at once
-    with ProcessPoolExecutor(jobs) if jobs > 1 else nullcontext() as pool:
-        results = list((pool.map if pool else map)(_sweep_point, tasks))
-    lines = ["delta,wxx,metric"]
-    for (d, w), (r, error) in zip(points, results):
-        if error is not None:
-            print(f"point {(d, w)} failed: {error}", file=sys.stderr)
-        lines.append(f"{d:.12g},{w:.12g},{r:.12g}")
-    _emit("\n".join(lines), args.out)
+    with _output(args.out) as fh:  # opened first: a bad path wastes no integration
+        with ProcessPoolExecutor(jobs) if jobs > 1 else nullcontext() as pool:
+            results = list((pool.map if pool else map)(_sweep_point, tasks))
+        lines = ["delta,wxx,metric"]
+        for (d, w), (r, error) in zip(points, results):
+            if error is not None:
+                print(f"point {(d, w)} failed: {error}", file=sys.stderr)
+            lines.append(f"{d:.12g},{w:.12g},{r:.12g}")
+        _emit("\n".join(lines), fh)
     return EXIT_INTEGRATOR if any(error is not None for _, error in results) else 0
 
 
@@ -247,7 +248,8 @@ def cmd_resonance(args) -> int:
         report = sideband_check(p, a1, a2)
     except ValueError as exc:
         raise SchemaError(f"bad --amps {args.amps!r}: {exc}") from exc
-    _emit(json.dumps(report, indent=2), args.out)
+    with _output(args.out) as fh:
+        _emit(json.dumps(report, indent=2), fh)
     return 0
 
 

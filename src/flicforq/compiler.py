@@ -13,7 +13,7 @@ Hamiltonian and the rotating frame alone; ``calibrate`` returns these
 signs with their derivation, and every compile function reads them from
 it.  Nothing here integrates: simulation only checks compiled gates.
 
-The decoupling edits keep their result on ``seq.params`` and reject any
+The decoupling echo keeps its result on ``seq.params`` and rejects any
 other device ``p``.
 """
 
@@ -36,7 +36,6 @@ __all__ = [
     "compile_xx_half",
     "compile_cnot",
     "insert_decoupling",
-    "remove_decoupling",
 ]
 
 HALF_PI = math.pi / 2
@@ -234,19 +233,3 @@ def insert_decoupling(p: SystemParams, seq: PulseSequence, index: int) -> PulseS
     after, vz, total = _shift_from(seq, index + 1, seg.end, 2 * t_pi)
     return replace(seq, segments=seq.segments[:index] + (host_a, echo_a, host_b, echo_b) + after,
                    virtual_z=vz, total_time=total)
-
-
-def remove_decoupling(p: SystemParams, seq: PulseSequence, index: int) -> PulseSequence:
-    """Invert insert_decoupling; ``index`` addresses the first host half.
-    Raises ValueError if ``p`` is not ``seq.params``."""
-    check_device(p, seq)
-    segs = seq.segments
-    try:
-        host_a, echo_a, host_b, echo_b = segs[index:index + 4]
-    except ValueError as exc:
-        raise ValueError("no echo group at this index") from exc
-    if echo_a.label != "echo" or echo_b.label != "echo":
-        raise ValueError("no echo group at this index")
-    merged = replace(host_a, duration=host_a.duration + host_b.duration)
-    after, vz, total = _shift_from(seq, index + 4, echo_b.end, -2 * (4 * math.pi / p.delta))
-    return replace(seq, segments=segs[:index] + (merged,) + after, virtual_z=vz, total_time=total)

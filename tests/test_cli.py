@@ -191,14 +191,19 @@ def test_non_positive_counts_exit_2(argv, capsys):
 
 @pytest.mark.parametrize("command", ["compile", "simulate", "fidelity", "sweep", "resonance"])
 def test_unwritable_out_exits_2(command, tmp_path, capsys, monkeypatch):
-    # every subcommand runs, then fails to write its result: exit 2 with
-    # the path named, never a traceback or an integrator failure
+    # every subcommand fails to write its result: exit 2 with the path
+    # named, never a traceback or an integrator failure; fidelity and sweep
+    # open it first, so a bad path wastes no integration
     _, seq_json, _ = run(capsys, "compile", "x90")
     seq_file = tmp_path / "x90.json"
     seq_file.write_text(seq_json)
     grid = tmp_path / "grid.json"
     grid.write_text('[{"delta": 0.1, "wxx": 0.01}]')
-    monkeypatch.setitem(cli._METRICS, "d_concurrence", lambda p, policy: p.delta)
+    calls = []
+    real = cli.gate_unitary
+    monkeypatch.setattr(cli, "gate_unitary", lambda *a: calls.append("gate_unitary") or real(*a))
+    monkeypatch.setitem(cli._METRICS, "d_concurrence",
+                        lambda p, policy: calls.append("metric") or p.delta)
     args = {
         "compile": ("x90",),
         "simulate": (str(seq_file), "--steps-per-period", "300"),
@@ -211,6 +216,7 @@ def test_unwritable_out_exits_2(command, tmp_path, capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert f"cannot write {bad}" in err
+    assert calls == []
 
 
 def test_simulate_diverged_propagator_exits_4(tmp_path, capsys):

