@@ -260,6 +260,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="flicforq", description=__doc__)
     steps_flag = {"type": _positive_int, "default": StepPolicy().steps_per_period}
@@ -283,7 +290,7 @@ def _build_parser() -> argparse.ArgumentParser:
     f = sub.add_parser("fidelity", help="gate fidelity of a sequence vs a word")
     f.add_argument("sequence")
     f.add_argument("--word", required=True)
-    f.add_argument("--min", type=float)
+    f.add_argument("--min", type=_finite_float)
     f.add_argument("--no-align", action="store_true")
     f.add_argument("--out")
     f.add_argument("--steps-per-period", **steps_flag)

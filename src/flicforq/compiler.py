@@ -207,9 +207,11 @@ def insert_decoupling(p: SystemParams, seq: PulseSequence, index: int) -> PulseS
     coupling-accrued rotation of the idle qubit refocuses while the echo
     pair composes to the identity on it.  Adds 2*(4*pi/delta) of time;
     everything after the host shifts accordingly.  Raises ValueError if
-    ``p`` is not ``seq.params``.
+    ``p`` is not ``seq.params`` and IndexError if ``index`` names no segment.
     """
     check_device(p, seq)
+    if not 0 <= index < len(seq.segments):
+        raise IndexError(f"segment index {index} is outside 0 .. {len(seq.segments) - 1}")
     seg = seq.segments[index]
     if not _is_one_qubit(seg):
         raise NotOneQubitSegment(

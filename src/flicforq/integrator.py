@@ -11,38 +11,44 @@ product is the product of the real forms.
 
 One pipeline serves both: an interval cut into n equal steps has the time
 ordered product of its step matrices as propagator.  A call's intervals are
-grouped by n, and each group is cut into chunks of at most 8192 steps (or
-one interval, if n alone is larger); a chunk shares one sampling of H, and
-its steps are built and multiplied pairwise in batches.  The two differ
-only in where they sample H and how they make a step:
+grouped by n, and each group is cut into chunks of at most 8192 steps; a
+chunk shares one sampling of H, and its steps are built and multiplied
+pairwise in batches of at most 512 steps.  A chunk or a batch holds one
+interval at least.  The two differ only in where they sample H and how
+they make a step:
 
 - RK4 (``evolve``, ``propagator_of_sequence``) samples the half-step grid
-  and makes classic fixed-step 4th-order Runge-Kutta steps, in batches of
-  about 450 steps, each interval's product equal bit for bit to building
-  it alone.  A run any of whose propagators is further from unitary than
-  the caller's bound raises StepTooCoarse.
+  and makes classic fixed-step 4th-order Runge-Kutta steps, each
+  interval's product equal bit for bit to building it alone.  A run any of
+  whose propagators is further from unitary than the caller's bound raises
+  StepTooCoarse.
 - The oracle (``evolve_oracle``) samples the two Gauss nodes of each
   substep and makes 4th-order commutator-free Magnus steps
-  exp(-ihB) exp(-ihA), in batches of at most 512 substeps.  Each
-  exp(-iA) = cos A - i sin A is a Horner series in A^2 whose degree a
-  runtime truncation bound sets below 1e-16 (with scaling and squaring for
-  a large ||A||), so it is exact to rounding; the oracle's order comes
-  from the Magnus scheme and its convergence from substep doubling.
+  exp(-ihB) exp(-ihA).  Each exp(-iA) = cos A - i sin A is a Horner series
+  in A^2 whose degree a runtime truncation bound sets below 1e-16 (with
+  scaling and squaring for a large ||A||), so it is exact to rounding; the
+  oracle's order comes from the Magnus scheme and its convergence from
+  substep doubling.
 
-When w0/delta is an integer, w_q t0_sync = pi (mod 2 pi) for both carriers
-(t0_sync = 2 pi/delta), and a full interval [k s, (k+1) s] of the
-s = t0_sync/8 grid over which every drive is flat (square, or inside a
-ramp's flat top) obeys three exact relations: a shift by t0_sync equals
-negating all four amplitudes; negating them is a Z1Z2 conjugation; and the
-mirror t -> t0_sync - t maps window position k mod 8 under
-(ax1, ay1, ax2, ay2) to position 7 - k mod 8 under (-ax1, ay1, -ax2, ay2),
-time reversed, which transposes the product (see _window_origins).  The
-RK4 route builds one interval per orbit of these relations and takes the
-others from it, Z1Z2-conjugated or transposed; the result equals building
-every interval to rounding.  Ramps, intervals cut by an off-grid edge or
-flip, devices whose w0/delta is not an integer, and every oracle interval
-are built every time.  One tail records U rho0 U^dagger, divided by its
-trace, as the 15 real Pauli coefficients c_a of rho = (1 + sum_a c_a P_a)/4.
+When w0/delta is an integer, both carriers flip sign over t0_sync =
+2 pi/delta (w1z t0_sync = 2 pi (w0/delta + 1/2), w2z with -1/2).  A full
+interval [k s, (k+1) s] of the s = t0_sync/8 grid over which every active
+segment is flat (square, or inside its ramp's flat top, where the envelope
+is 1), at window position p = k mod 8 under constant amplitudes
+a = (ax1, ay1, ax2, ay2), then obeys three exact relations of the real H.
+Shift: a shift by t0_sync negates cos and sin, the same as negating a.
+Sign: negating a negates X1 and X2 only, a Z1Z2 conjugation.  Mirror:
+t -> t0_sync - t sends cos(w_q t) to -cos and sin to sin, so it maps
+position p under a to 7 - p under M a = (-ax1, ay1, -ax2, ay2), time
+reversed; as S(B, M, A)^T = S(A, M, B) for the RK4 step of real symmetric
+samples (to rounding), that transposes the product.  The RK4 route builds
+one interval per orbit of these relations, keyed by _window_origins, and
+takes the others from it, Z1Z2-conjugated or transposed; the result equals
+building every interval to rounding.  Ramps, intervals cut by an off-grid
+edge or flip, devices whose w0/delta is not an integer, and every oracle
+interval are built every time.  One tail records U rho0 U^dagger, divided
+by its trace, as the 15 real Pauli coefficients c_a of
+rho = (1 + sum_a c_a P_a)/4.
 
 The private layers read the device from ``seq.params`` only.
 """
@@ -325,29 +331,28 @@ def _time_ordered_product(mats: np.ndarray) -> np.ndarray:
 # 4096 the heap top was trimmed and faulted back in (905 and 229 minor
 # faults per benchmark gate op, against 0)
 _CHUNK_STEPS = 8192
-# Steps built and multiplied per batch within a chunk: RK4, one 450-step
-# grid interval of the benchmark device (two-interval batches took ~490
-# minor faults per warm gate op against 0.3, since their temporaries lie
-# above glibc's mmap threshold, and ran ~7% slower); the oracle's
-# exponentials, at most 512 substeps (one batch per pass: +33% peak RSS)
-_RK4_BATCH = 450
-_ORACLE_BATCH = 512
+# Steps built and multiplied per batch within a chunk (one interval at
+# least).  Each RK4 grid interval, 450 to 2101 steps at 800 or 1600 per
+# period, is then a batch of its own: two-interval batches took ~490 minor
+# faults per warm gate op against 0.3 (their temporaries lie above glibc's
+# mmap threshold) and ran ~7% slower.  One oracle batch per pass: +33% RSS.
+_BATCH_STEPS = 512
 
 
 def _interval_products(seq: PulseSequence, a: np.ndarray, b: np.ndarray, h_target: float,
-                       nodes, steps, batch: int) -> np.ndarray:
+                       nodes, steps) -> np.ndarray:
     """Real forms of the propagators of the intervals [a_i, b_i], each of n
     steps h (_interval_steps).  The intervals with equal n go in chunks of
     max(1, _CHUNK_STEPS // n); a chunk shares one sampling of H at the
     times nodes(a, h, n), a and h as (k, 1), and the step matrices
-    steps(H, h), h as (k, 1, 1, 1), of max(1, batch // n) of them at a time
-    are built and multiplied in time order."""
+    steps(H, h), h as (k, 1, 1, 1), of max(1, _BATCH_STEPS // n) of them
+    at a time are built and multiplied in time order."""
     counts, hs = _interval_steps(a, b, h_target)
     prods = np.empty((counts.size, 8, 8))
     # not np.unique: its first call imports numpy.ma, ~15 ms of set-up
     for n in sorted(set(counts.tolist())):
         group = np.flatnonzero(counts == n)
-        per_chunk, per = max(1, _CHUNK_STEPS // n), max(1, batch // n)
+        per_chunk, per = max(1, _CHUNK_STEPS // n), max(1, _BATCH_STEPS // n)
         for first in range(0, group.size, per_chunk):
             idx = group[first:first + per_chunk]
             tg = nodes(a[idx, None], hs[idx, None], n)
@@ -382,29 +387,19 @@ def _window_origins(seq: PulseSequence, bps: np.ndarray) -> tuple[np.ndarray, ..
     propagator is its origin's, Z1Z2-conjugated where the first flag is set
     and transposed where the second is.
 
-    When w0/delta is an integer, w_q t0_sync = pi (mod 2 pi) for both
-    carriers.  Take a full grid interval [k s, (k+1) s] over which every
-    active segment is flat (square, or inside its ramp's flat top, where the
-    envelope is exactly 1), at window position p = k mod 8 with constant
-    amplitudes a.  Three relations of the real H are exact there:
-
-    - a shift by t0_sync negates cos and sin, the same as negating all four
-      amplitudes, so the interval equals window 0's position p under the
-      window-0 amplitudes n = (-1)^(k // 8) a;
-    - negating the amplitudes negates X1 and X2 only, so it conjugates the
-      product by Z1Z2;
-    - the mirror t -> t0_sync - t sends cos(w_q t) to -cos and sin to sin,
-      so it maps position p under n to position 7 - p under
-      M n = (-ax1, ay1, -ax2, ay2) with the time order reversed.  The RK4
-      step obeys S(B, M, A)^T = S(A, M, B) for real symmetric samples (to
-      rounding: its products associate differently), so the reversed
-      product is the complex transpose of the forward one.
-
-    The first interval of each orbit (p, n), (p, -n), (7 - p, M n),
-    (7 - p, -M n) is its origin; any other interval is its own origin."""
+    A full flat grid interval (module docstring) at window w = k // 8 and
+    position p = k mod 8 under amplitudes a gets a key in closed form.  The
+    mirror folds into the position: where p > 3, tr is set and the key
+    takes 7 - p and M a.  The shift and the sign fold into one flag: the
+    interval is window 0's under (-1)^w M^tr a, which is the Z1Z2 conjugate
+    of window 0's under the negation.  With lead the first nonzero entry of
+    M^tr a (0 if none), the key takes M^tr a negated where lead < 0, and zz
+    is set where (-1)^w lead < 0 (at a = 0 the conjugation is a symmetry).
+    So intervals share a key exactly when one orbit holds them; the first
+    is the origin, and as both maps are commuting involutions the flags
+    relative to it are XORs."""
     a, b = bps[:-1], bps[1:]
-    # w1z t0_sync = 2 pi (w0/delta + 1/2), likewise w2z with -1/2, so both
-    # carriers flip over t0_sync when w0/delta is an integer to rounding
+    # both carriers flip over t0_sync when w0/delta is an integer to rounding
     r = seq.params.w0 / seq.params.delta
     spacing = seq.params.t0_sync / 8.0
     k = np.rint(a / spacing)
@@ -422,22 +417,16 @@ def _window_origins(seq: PulseSequence, bps: np.ndarray) -> tuple[np.ndarray, ..
     # flat envelopes are 1, so sampling at the midpoints gives each
     # interval's constant amplitudes and flip signs
     amps = np.stack(drive_amplitudes_at(seq, mid), axis=1)
-    amps[k // 8 % 2 == 1] *= -1.0
-    origin = np.arange(a.size)
-    zz = np.zeros(a.size, dtype=bool)
-    tr = np.zeros(a.size, dtype=bool)
-    seen: dict = {}  # (p, n) -> (origin, zz, tr)
-    for i in np.flatnonzero(full).tolist():
-        p, n = int(k[i]) % 8, tuple(amps[i].tolist())
-        if (p, n) not in seen:
-            m = tuple(s * x for s, x in zip(_MIRROR_SIGNS, n))
-            neg_n, neg_m = tuple(-x for x in n), tuple(-x for x in m)
-            # setdefault keeps the first: with n = 0, (p, -n) is (p, n)
-            for key, flags in (((p, n), (False, False)), ((p, neg_n), (True, False)),
-                               ((7 - p, m), (False, True)), ((7 - p, neg_m), (True, True))):
-                seen.setdefault(key, (i, *flags))
-        origin[i], zz[i], tr[i] = seen[p, n]
-    return origin, zz, tr
+    pos = k % 8
+    tr = full & (pos > 3)
+    amps[tr] *= _MIRROR_SIGNS
+    lead = amps[np.arange(a.size), np.argmax(amps != 0.0, axis=1)]
+    amps[lead < 0.0] *= -1.0
+    zz = full & (np.where(k // 8 % 2 == 1, -lead, lead) < 0.0)
+    first: dict = {}
+    keys = enumerate(zip(full.tolist(), np.minimum(pos, 7 - pos).tolist(), amps.tolist()))
+    origin = np.array([first.setdefault((p, *n), i) if f else i for i, (f, p, n) in keys], int)
+    return origin, zz ^ zz[origin], tr ^ tr[origin]
 
 
 def _unitarity_defect(u: np.ndarray) -> float:
@@ -461,7 +450,7 @@ def _running_propagators(seq: PulseSequence, dt_policy: StepPolicy | None,
     todo = np.flatnonzero(origin == np.arange(origin.size))  # the intervals to build
     with np.errstate(over="ignore", invalid="ignore"):  # divergence is checked below
         prods = _interval_products(seq, bps[todo], bps[todo + 1], h_target, _half_steps,
-                                   _rk4_steps, _RK4_BATCH)[np.searchsorted(todo, origin)]
+                                   _rk4_steps)[np.searchsorted(todo, origin)]
         prods[zz] *= _ZZ_MASK
         prods[tr] = prods[tr].swapaxes(-1, -2) * _TRANSPOSE_MASK
         us = _running_products(prods)
@@ -606,7 +595,7 @@ def evolve_oracle(p: SystemParams, seq: PulseSequence, rho0: DensityState) -> Tr
     for doublings in range(_ORACLE_DOUBLINGS + 1):
         h_target = StepPolicy(_ORACLE_SUBSTEPS << doublings).step_target(p)
         prods = _interval_products(seq, bps[:-1], bps[1:], h_target, _gauss_nodes,
-                                   _cf4_steps, _ORACLE_BATCH)
+                                   _cf4_steps)
         traj = _trajectory(bps, _running_products(prods), rho0)
         if prev is not None and trace_distance(traj.final, prev.final) < 1e-9:
             return traj
@@ -668,12 +657,8 @@ def to_rotating_frame(obj, p: SystemParams, t: float | None = None):
     raise TypeError(f"cannot frame-transform {type(obj).__name__}")
 
 
-def trace_distance_matrices(r1: np.ndarray, r2: np.ndarray) -> float:
-    return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(r1 - r2))))
-
-
 def trace_distance(s1: DensityState, s2: DensityState) -> float:
-    return trace_distance_matrices(s1.to_matrix(), s2.to_matrix())
+    return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(s1.to_matrix() - s2.to_matrix()))))
 
 
 _CSV_SHORT = "t,frame,cx1,cy1,cz1,cx2,cy2,cz2"

@@ -49,8 +49,13 @@ GRID_RTOL = 1e-9
 
 def _require_finite(**values) -> None:
     for name, value in values.items():
-        if value is not None and not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
+        if value is not None and (isinstance(value, bool) or not math.isfinite(value)):
+            raise ValueError(f"{name} must be a finite number, got {value!r}")
+
+
+def _require_qubit(name: str, q) -> None:
+    if isinstance(q, bool) or not isinstance(q, (int, np.integer)) or q not in (1, 2):
+        raise ValueError(f"{name} must be 1 or 2 (an integer), got {q!r}")
 
 
 def _coupling_exceeds(p: SystemParams, ratio: float) -> bool:
@@ -84,7 +89,7 @@ class SystemParams:
             warnings.warn(
                 f"wxx/delta = {self.wxx / self.delta:.3f} > 0.2; residual "
                 "entanglement at rest may be significant",
-                stacklevel=2,
+                stacklevel=3,  # past the dataclass's __init__, to its caller
             )
 
     @property
@@ -166,8 +171,7 @@ class PulseSegment:
         if self.flip_at is not None:
             if not (self.start < self.flip_at < self.start + self.duration):
                 raise ValueError("flip_at must lie strictly inside the segment")
-            if self.flip_qubit not in (1, 2):
-                raise ValueError("flip_qubit must be 1 or 2 when flip_at is set")
+            _require_qubit("flip_qubit", self.flip_qubit)
 
     @property
     def end(self) -> float:
@@ -199,8 +203,7 @@ class PulseSequence:
     def __post_init__(self):
         _require_finite(total_time=self.total_time)
         for qubit, angle, t in self.virtual_z:
-            if qubit not in (1, 2):
-                raise ValueError(f"virtual-z qubit must be 1 or 2, got {qubit!r}")
+            _require_qubit("virtual-z qubit", qubit)
             _require_finite(angle=angle, t=t)
         starts = [seg.start for seg in self.segments]
         if starts != sorted(starts):
@@ -342,7 +345,9 @@ def _segment_to_dict(seg: PulseSegment) -> dict:
 
 
 def _segment_from_dict(d: dict) -> PulseSegment:
-    env_d = d.get("envelope", {"kind": "square"})
+    env_d = d.get("envelope", {"kind": "square"}) if isinstance(d, dict) else None
+    if not isinstance(env_d, dict):
+        raise ValueError(f"a segment and its envelope must be JSON objects, got {d!r}")
     env = Envelope(kind=env_d["kind"], rise=env_d.get("rise", 0.0))
     flip = d.get("flip")
     return PulseSegment(

@@ -274,7 +274,7 @@ def parse_word(text: str) -> RotationWord:
         axis = _parse_axis(axis_text)
         try:
             exponent = float(Fraction(expo_text))
-        except (ValueError, ZeroDivisionError) as exc:
+        except (ValueError, ZeroDivisionError, OverflowError) as exc:
             raise ValueError(f"bad exponent in token {token!r}") from exc
         elements.append((axis, exponent))
     return RotationWord(tuple(elements))

@@ -305,7 +305,7 @@ def test_unknown_schema_version_exits_2(schema, tmp_path, capsys):
     assert not csv_file.exists()
 
 
-@pytest.mark.parametrize("qubit", [3, 0, "1"])
+@pytest.mark.parametrize("qubit", [3, 0, "1", True, 1.0])
 def test_fidelity_bad_virtual_z_qubit_exits_2(qubit, tmp_path, capsys):
     # a ledger entry on no qubit used to be dropped silently, scoring the
     # gate without it
@@ -328,6 +328,54 @@ def test_fidelity_bad_word_exits_2(tmp_path, capsys):
     seq_file.write_text(seq_json)
     code, _, err = run(capsys, "fidelity", str(seq_file), "--word", "Q1^1/2")
     assert code == 2
+
+
+@pytest.mark.parametrize("word", ["X1^1e400", "X1^-1e400"])
+def test_fidelity_overflowing_word_exits_2(word, tmp_path, capsys):
+    # the exponent's float conversion overflows; it used to escape as an
+    # OverflowError traceback with exit 1
+    _, seq_json, _ = run(capsys, "compile", "xx_half")
+    seq_file = tmp_path / "xx.json"
+    seq_file.write_text(seq_json)
+    code, out, err = run(capsys, "fidelity", str(seq_file), "--word", word)
+    assert code == 2
+    assert out == ""
+    assert "bad target word" in err
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda doc: doc.update(segments=[1]), "must be JSON objects"),
+    (lambda doc: doc.update(segments={"a": 1}), "must be JSON objects"),
+    (lambda doc: doc.update(segments=[[0, 1]]), "must be JSON objects"),
+    (lambda doc: doc["segments"][0].update(envelope=1), "must be JSON objects"),
+    (lambda doc: doc["segments"][0]["flip"].update(qubit=2.0), "flip_qubit must be 1 or 2"),
+    (lambda doc: doc["segments"][0]["flip"].update(qubit=True), "flip_qubit must be 1 or 2"),
+    (lambda doc: doc.update(w1z=True), "w1z must be a finite number"),
+    (lambda doc: doc["segments"][0]["q1"].update(x=True), "amp_x_1 must be a finite number"),
+    (lambda doc: doc.update(total_time=False), "total_time must be a finite number"),
+], ids=["number-segment", "object-segments", "list-segment", "number-envelope",
+        "float-flip-qubit", "bool-flip-qubit", "bool-w1z", "bool-amplitude", "bool-total-time"])
+def test_malformed_sequence_exits_2(edit, message, tmp_path, capsys):
+    # each used to raise AttributeError (exit 1) or to be stored as a bool
+    # or float and written back as true or 2.0
+    _, seq_json, _ = run(capsys, "compile", "xx_half")
+    doc = json.loads(seq_json)
+    edit(doc)
+    seq_file = tmp_path / "xx.json"
+    seq_file.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "fidelity", str(seq_file), "--word", "X1X2^1/2")
+    assert code == 2
+    assert out == ""
+    assert "cannot read sequence file" in err and message in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_fidelity_non_finite_min_exits_2(value, capsys):
+    # a nan gate can never fire, so it used to exit 0 whatever the fidelity
+    with pytest.raises(SystemExit) as exc:
+        main(["fidelity", "seq.json", "--word", "X1^1/2", f"--min={value}"])
+    assert exc.value.code == 2
+    assert "must be a finite number" in capsys.readouterr().err
 
 
 def test_sweep_single_point(tmp_path, capsys):

@@ -353,6 +353,17 @@ def test_insert_remove_round_trip_property(case):
         assert ta == pytest.approx(tb, rel=1e-12, abs=1e-9)
 
 
+@pytest.mark.parametrize("index", [-1, -3, 2, 10])
+def test_insert_decoupling_index_out_of_range(index):
+    # a negative index used to count from the end (-3 acted as 1, -1 broke
+    # the start order) and a large one raised the tuple's bare IndexError
+    host = compile_one_qubit(P, 1, "y", math.pi / 2, 0.0)
+    tail = compile_one_qubit(P, 2, "x", math.pi / 2, 4 * P.t0_sync)
+    seq = PulseSequence(params=P, segments=(host, tail))
+    with pytest.raises(IndexError, match=r"segment index -?\d+ is outside 0 \.\. 1"):
+        insert_decoupling(P, seq, index)
+
+
 def test_insert_decoupling_rejects_two_qubit():
     seq = compile_xx_half(P, 0.0)
     with pytest.raises(NotOneQubitSegment):

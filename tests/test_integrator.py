@@ -45,7 +45,6 @@ from flicforq.integrator import (
     _real_form,
     _rk4_steps,
     _time_ordered_product,
-    trace_distance_matrices,
 )
 from flicforq.model import (
     DEFAULT_PARAMS,
@@ -280,7 +279,7 @@ def reference_oracle(p, seq, rho0, substeps=64, max_doublings=6):
             for u in eb @ ea:
                 rho = u @ rho @ u.conj().T
             states.append(np.real(np.einsum("aij,ji->a", _BASIS, rho)))
-        if prev is not None and trace_distance_matrices(rho, prev) < 1e-9:
+        if prev is not None and 0.5 * np.sum(np.abs(np.linalg.eigvalsh(rho - prev))) < 1e-9:
             return np.array(states)
         prev = rho
         n *= 2
@@ -319,20 +318,19 @@ def oracle_pass(seq, h_target):
     at most h_target."""
     bps = _breakpoints(seq)
     return integrator._running_products(integrator._interval_products(
-        seq, bps[:-1], bps[1:], h_target, integrator._gauss_nodes, integrator._cf4_steps,
-        integrator._ORACLE_BATCH))
+        seq, bps[:-1], bps[1:], h_target, integrator._gauss_nodes, integrator._cf4_steps))
 
 
 def test_oracle_matches_reference_across_chunks(monkeypatch):
     # with the chunk cap lowered to two batches, the second pass samples H
     # for some step count more than once, since the cap cuts its intervals
     # into several chunks, and each pass spans several batches
-    monkeypatch.setattr(integrator, "_CHUNK_STEPS", 2 * integrator._ORACLE_BATCH)
+    monkeypatch.setattr(integrator, "_CHUNK_STEPS", 2 * integrator._BATCH_STEPS)
     p, seq = BENCH, ramped_flip_sequence()
     period = 2.0 * math.pi / p.w1z
     bps = _breakpoints(seq)
     first = [_interval_steps(a, b, period / 64)[0] for a, b in zip(bps[:-1], bps[1:])]
-    assert sum(first) > integrator._ORACLE_BATCH
+    assert sum(first) > integrator._BATCH_STEPS
     samplings = []  # per pass, the sample count per interval of each H sampling
     real_pass, real_ham = integrator._interval_products, integrator._hamiltonians
 
@@ -375,7 +373,7 @@ def test_oracle_batches_chunks_without_eigh(monkeypatch):
     monkeypatch.setattr(integrator, "_expm_batch", spy_expm)
     seq = ramped_flip_sequence()
     evolve_oracle(BENCH, seq, random_state(np.random.default_rng(17)))
-    cap = integrator._ORACLE_BATCH
+    cap = integrator._BATCH_STEPS
     assert len(passes) >= 2
     for counts, batches in passes:
         assert sum(batches) == sum(counts)
@@ -535,6 +533,100 @@ def test_window_memo_matches_plain_stepping(seq):
     # three relations (shift, sign, mirror) each interval was taken by
     us = integrator._running_propagators(seq, BENCH_POLICY, 1e-9)[1]
     assert np.max(np.abs(us - plain_propagators(seq.params, seq, BENCH_POLICY))) <= 1e-13
+
+
+def orbit_table_origins(seq, bps):
+    """The reference memo plan: each full flat grid interval under its
+    window-0 amplitudes n = (-1)^(k // 8) a, looked up in a table that
+    lists the four images (p, n), (p, -n), (7 - p, M n), (7 - p, -M n) of
+    every orbit with their (Z1Z2, transpose) flags, the first interval of
+    an orbit its origin."""
+    a, b = bps[:-1], bps[1:]
+    p = seq.params
+    r = p.w0 / p.delta
+    spacing = p.t0_sync / 8.0
+    k = np.rint(a / spacing)
+    rtol = integrator._SYNC_RTOL
+    full = (abs(r - round(r)) <= rtol * r) & np.isclose(a, k * spacing, rtol=rtol, atol=0.0) \
+        & np.isclose(b, (k + 1) * spacing, rtol=rtol, atol=0.0)
+    mid = 0.5 * (a + b)
+    for seg in seq.segments:
+        rise = seg.envelope.rise
+        if rise > 0.0:
+            full &= (mid < seg.start) | (mid > seg.end) \
+                | ((a >= seg.start + rise) & (b <= seg.end - rise))
+    amps = np.stack(drive_amplitudes_at(seq, mid), axis=1)
+    amps[k // 8 % 2 == 1] *= -1.0
+    origin = np.arange(a.size)
+    zz = np.zeros(a.size, dtype=bool)
+    tr = np.zeros(a.size, dtype=bool)
+    seen = {}  # (p, n) -> (origin, zz, tr)
+    for i in np.flatnonzero(full).tolist():
+        pos, n = int(k[i]) % 8, tuple(amps[i].tolist())
+        if (pos, n) not in seen:
+            m = tuple(s * x for s, x in zip((-1.0, 1.0, -1.0, 1.0), n))
+            neg_n, neg_m = tuple(-x for x in n), tuple(-x for x in m)
+            # setdefault keeps the first: with n = 0, (p, -n) is (p, n)
+            for key, flags in (((pos, n), (False, False)), ((pos, neg_n), (True, False)),
+                               ((7 - pos, m), (False, True)), ((7 - pos, neg_m), (True, True))):
+                seen.setdefault(key, (i, *flags))
+        origin[i], zz[i], tr[i] = seen[pos, n]
+    return origin, zz, tr
+
+
+def assert_plan_matches_orbit_table(seq):
+    bps = _breakpoints(seq)
+    got, want = integrator._window_origins(seq, bps), orbit_table_origins(seq, bps)
+    for name, g, w in zip(("origin", "zz", "tr"), got, want):
+        assert g.dtype == w.dtype and np.array_equal(g, w), name
+
+
+@settings(max_examples=100)
+@given(seq=sync_grid_sequences())
+def test_window_origins_match_orbit_table_on_sync_grid(seq):
+    # the closed-form keys against the four-image table, flags included
+    # (also where all amplitudes vanish, whose Z1Z2 flag the table clears)
+    assert_plan_matches_orbit_table(seq)
+
+
+def cnot_variants(p):
+    """compile_cnot with a decoupling echo on each subset of its one-qubit
+    pulses, the benchmark's eight CNOT variants."""
+    out = []
+    for mask in range(8):
+        seq = compile_cnot(p)
+        for index in sorted((i for bit, i in enumerate((0, 1, 3)) if mask >> bit & 1),
+                            reverse=True):
+            seq = insert_decoupling(p, seq, index)
+        out.append(seq)
+    return out
+
+
+def bench_gate_layers(rise):
+    """The benchmark's 256 gate layers: x or y by k pi/8, k = +-1..+-4, on
+    each qubit, with raised-cosine ramps of rise * duration where rise > 0."""
+    choices = [(axis, k) for axis in "xy" for k in (-4, -3, -2, -1, 1, 2, 3, 4)]
+    out = []
+    for (a1, k1), (a2, k2) in ((c1, c2) for c1 in choices for c2 in choices):
+        segs = [compile_one_qubit(BENCH, q, axis, k * math.pi / 8, 0.0)
+                for q, axis, k in ((1, a1, k1), (2, a2, k2))]
+        if rise:
+            segs = [replace(s, envelope=Envelope("raised-cosine-ramp", rise * s.duration))
+                    for s in segs]
+        out.append(PulseSequence(params=BENCH, segments=tuple(segs)))
+    return out
+
+
+@pytest.mark.parametrize("seqs", [
+    lambda: bench_gate_layers(0.0),
+    lambda: bench_gate_layers(0.3),
+    lambda: cnot_variants(DEFAULT_PARAMS),
+    lambda: cnot_variants(BENCH),
+    lambda: [compile_D(DEFAULT_PARAMS), compile_D(BENCH)],
+], ids=["layers", "ramped-layers", "cnot-paper", "cnot-bench", "D"])
+def test_window_origins_match_orbit_table(seqs):
+    for seq in seqs():
+        assert_plan_matches_orbit_table(seq)
 
 
 @pytest.mark.parametrize("seq", [

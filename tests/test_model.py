@@ -111,11 +111,47 @@ def test_non_finite_rejected():
 
 
 def test_virtual_z_qubit_must_be_1_or_2():
-    for qubit in (0, 3, "1"):
+    # True == 1 and 1.0 == 1, yet neither is a qubit number
+    for qubit in (0, 3, "1", True, 1.0, np.float64(2.0)):
         with pytest.raises(ValueError, match="virtual-z qubit must be 1 or 2"):
             PulseSequence(params=DEFAULT_PARAMS, virtual_z=((qubit, 0.5, 0.0),))
         with pytest.raises(ValueError, match="virtual-z qubit must be 1 or 2"):
             PulseSequence(params=DEFAULT_PARAMS).with_virtual_z(qubit, 0.5, 0.0)
+    for qubit in (1, np.int64(2)):
+        seq = PulseSequence(params=DEFAULT_PARAMS).with_virtual_z(qubit, 0.5, 0.0)
+        assert seq.virtual_z == ((qubit, 0.5, 0.0),)
+
+
+def test_flip_qubit_must_be_integer_1_or_2():
+    for qubit in (None, 0, 3, True, 2.0):
+        with pytest.raises(ValueError, match="flip_qubit must be 1 or 2"):
+            PulseSegment(start=0.0, duration=10.0, amp_x_1=0.01, flip_at=5.0, flip_qubit=qubit)
+    for qubit in (1, np.int32(2)):
+        PulseSegment(start=0.0, duration=10.0, amp_x_1=0.01, flip_at=5.0, flip_qubit=qubit)
+
+
+def test_bool_numbers_rejected():
+    # JSON true and false reach the constructors as Python bools, which
+    # math.isfinite takes as 1 and 0
+    with pytest.raises(ValueError, match="finite number"):
+        SystemParams(w1z=True, w2z=0.95, wxx=0.01)
+    for kw in ({"start": False}, {"amp_x_1": True}, {"flip_at": True, "flip_qubit": 1}):
+        with pytest.raises(ValueError, match="finite number"):
+            PulseSegment(**{"start": 0.0, "duration": 10.0, **kw})
+    with pytest.raises(ValueError, match="finite number"):
+        Envelope(kind="raised-cosine-ramp", rise=True)
+    with pytest.raises(ValueError, match="finite number"):
+        PulseSequence(params=DEFAULT_PARAMS, total_time=True)
+    with pytest.raises(ValueError, match="finite number"):
+        PulseSequence(params=DEFAULT_PARAMS, virtual_z=((1, True, 0.0),))
+
+
+def test_coupling_warning_names_the_caller():
+    # the warning points at the line that built the device, not at the
+    # dataclass's generated __init__
+    with pytest.warns(UserWarning, match="wxx/delta") as record:
+        SystemParams(w1z=1.05, w2z=0.95, wxx=0.03)
+    assert record[0].filename == __file__
 
 
 def test_hamiltonian_drift_only():
@@ -307,6 +343,15 @@ def test_json_roundtrip():
     assert seg_doc["q1"] == {"x": 0.0, "y": 0.0125}
     assert seg_doc["flip"] is None
     assert doc["virtual_z"][0] == {"qubit": 1, "angle": math.pi / 2, "t": 1633.6281}
+
+
+@pytest.mark.parametrize("segments", [[1], {"a": 1}, [[0, 1]], "ab", [
+    {"start": 0.0, "duration": 1.0, "q1": {"x": 0.0, "y": 0.0}, "q2": {"x": 0.0, "y": 0.0},
+     "envelope": 1}]], ids=["number", "object", "list", "string", "envelope"])
+def test_json_non_object_segment_rejected(segments):
+    doc = {"w1z": 1.05, "w2z": 0.95, "wxx": 0.01, "segments": segments}
+    with pytest.raises(ValueError, match="must be JSON objects"):
+        sequence_from_json(json.dumps(doc))
 
 
 def test_json_schema_version():
