@@ -254,7 +254,7 @@ def one_qubit_error_budget(
     per_spectator = {}
     for key, spec in (("0", _BLOCH_0), ("+", _BLOCH_PLUS)):
         traj = evolve(p, seq, DensityState.product_bloch(_BLOCH_0, spec), policy)
-        rot = to_rotating_frame(traj.final, p, t=float(traj.times[-1]))
+        rot = to_rotating_frame(traj, p).final
         per_spectator[key] = {
             "target_infidelity": float(0.5 * (1.0 - reduced_bloch(rot, 1) @ _BLOCH_TARGET)),
             "spectator_infidelity": float(0.5 * (1.0 - reduced_bloch(rot, 2) @ spec)),

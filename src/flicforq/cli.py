@@ -60,22 +60,18 @@ class SchemaError(ValueError):
     pass
 
 
+def _read(what: str, path: str, parse):
+    """``parse`` applied to the text of the file at ``path``; any failure to
+    open, decode or parse it is a SchemaError naming ``what`` it held."""
+    try:
+        with open(path) as fh:
+            return parse(fh.read())
+    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        raise SchemaError(f"cannot read {what} file {path}: {exc}") from exc
+
+
 def _load_params(path: str | None) -> SystemParams:
-    if path is None:
-        return DEFAULT_PARAMS
-    try:
-        with open(path) as fh:
-            return params_from_json(fh.read())
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        raise SchemaError(f"cannot read params file {path}: {exc}") from exc
-
-
-def _load_sequence(path: str) -> PulseSequence:
-    try:
-        with open(path) as fh:
-            return sequence_from_json(fh.read())
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        raise SchemaError(f"cannot read sequence file {path}: {exc}") from exc
+    return DEFAULT_PARAMS if path is None else _read("params", path, params_from_json)
 
 
 @contextmanager
@@ -151,7 +147,7 @@ def cmd_compile(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    seq = _load_sequence(args.sequence)
+    seq = _read("sequence", args.sequence, sequence_from_json)
     p = seq.params
     rho0 = _parse_state(args.state)
     traj = evolve(p, seq, rho0, StepPolicy(steps_per_period=args.steps_per_period))
@@ -173,7 +169,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_fidelity(args) -> int:
-    seq = _load_sequence(args.sequence)
+    seq = _read("sequence", args.sequence, sequence_from_json)
     try:
         word = parse_word(args.word)
     except ValueError as exc:
@@ -216,12 +212,8 @@ def _sweep_point(task) -> tuple[float, str | None]:
 
 
 def cmd_sweep(args) -> int:
-    try:
-        with open(args.grid) as fh:
-            doc = json.load(fh)
-        points = [(float(pt["delta"]), float(pt["wxx"])) for pt in doc]
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        raise SchemaError(f"cannot read grid file {args.grid}: {exc}") from exc
+    points = _read("grid", args.grid, lambda text: [
+        (float(pt["delta"]), float(pt["wxx"])) for pt in json.loads(text)])
     tasks = []
     for d, w in points:
         try:

@@ -416,7 +416,7 @@ def _window_origins(seq: PulseSequence, bps: np.ndarray) -> tuple[np.ndarray, ..
                 | ((a >= seg.start + rise) & (b <= seg.end - rise))
     # flat envelopes are 1, so sampling at the midpoints gives each
     # interval's constant amplitudes and flip signs
-    amps = np.stack(drive_amplitudes_at(seq, mid), axis=1)
+    amps = np.stack(drive_amplitudes_at(seq, mid, mid), axis=1)
     pos = k % 8
     tr = full & (pos > 3)
     amps[tr] *= _MIRROR_SIGNS
@@ -638,23 +638,18 @@ def gate_unitary(seq: PulseSequence, dt_policy: StepPolicy | None = None) -> np.
                              @ propagator_of_sequence(p, seq, dt_policy), seq)
 
 
-def to_rotating_frame(obj, p: SystemParams, t: float | None = None):
-    """Transform a DensityState (at explicit time t) or a lab-frame
-    Trajectory into the frame rotating at (w1z, w2z)."""
-    if isinstance(obj, DensityState):
-        if t is None:
-            raise ValueError("a bare state needs an explicit time")
-        return to_rotating_frame(Trajectory(times=[t], coeffs=[obj.c]), p).state(0)
-    if isinstance(obj, Trajectory):
-        if obj.frame != "lab":
-            raise WrongFrame(f"expected a lab-frame trajectory, got {obj.frame!r}")
-        # V is diagonal, so V rho V^dagger = rho * (v v*^T) elementwise
-        v = _z_phases(p.w1z * obj.times, p.w2z * obj.times)
-        rhos = (np.eye(4) + np.einsum("na,aij->nij", obj.coeffs, _BASIS)) / 4.0
-        rhos *= v[:, :, np.newaxis] * v.conj()[:, np.newaxis, :]
-        coeffs = np.real(np.einsum("aij,nji->na", _BASIS, rhos))
-        return Trajectory(times=obj.times, coeffs=coeffs, frame="rotating")
-    raise TypeError(f"cannot frame-transform {type(obj).__name__}")
+def to_rotating_frame(traj: Trajectory, p: SystemParams) -> Trajectory:
+    """A lab-frame trajectory in the frame rotating at (w1z, w2z)."""
+    if not isinstance(traj, Trajectory):
+        raise TypeError(f"cannot frame-transform {type(traj).__name__}")
+    if traj.frame != "lab":
+        raise WrongFrame(f"expected a lab-frame trajectory, got {traj.frame!r}")
+    # V is diagonal, so V rho V^dagger = rho * (v v*^T) elementwise
+    v = _z_phases(p.w1z * traj.times, p.w2z * traj.times)
+    rhos = (np.eye(4) + np.einsum("na,aij->nij", traj.coeffs, _BASIS)) / 4.0
+    rhos *= v[:, :, np.newaxis] * v.conj()[:, np.newaxis, :]
+    coeffs = np.real(np.einsum("aij,nji->na", _BASIS, rhos))
+    return Trajectory(times=traj.times, coeffs=coeffs, frame="rotating")
 
 
 def trace_distance(s1: DensityState, s2: DensityState) -> float:

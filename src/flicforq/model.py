@@ -166,8 +166,12 @@ class PulseSegment:
             amp_x_1=self.amp_x_1, amp_y_1=self.amp_y_1,
             amp_x_2=self.amp_x_2, amp_y_2=self.amp_y_2, flip_at=self.flip_at,
         )
+        if self.start < 0:
+            raise ValueError(f"start must be non-negative, got {self.start!r}")
         if self.duration <= 0:
             raise ValueError("duration must be positive")
+        if not isinstance(self.label, str):
+            raise ValueError(f"label must be a string, got {self.label!r}")
         if self.flip_at is not None:
             if not (self.start < self.flip_at < self.start + self.duration):
                 raise ValueError("flip_at must lie strictly inside the segment")
@@ -202,6 +206,8 @@ class PulseSequence:
 
     def __post_init__(self):
         _require_finite(total_time=self.total_time)
+        if self.total_time < 0:
+            raise ValueError(f"total_time must be non-negative, got {self.total_time!r}")
         for qubit, angle, t in self.virtual_z:
             _require_qubit("virtual-z qubit", qubit)
             _require_finite(angle=angle, t=t)
@@ -229,32 +235,27 @@ def on_sync_grid(p: SystemParams, t: float) -> bool:
     return abs(t - m * p.t0_sync) <= GRID_RTOL * max(abs(t), p.t0_sync)
 
 
-def drive_amplitudes_at(seq: PulseSequence, t, mid: float | np.ndarray | None = None):
+def drive_amplitudes_at(seq: PulseSequence, t, mid: float | np.ndarray):
     """Envelope-scaled, flip-signed amplitudes (ax1, ay1, ax2, ay2) at time t.
 
     Vectorized over t.  Segments never overlap per channel, so summing the
     per-segment contributions is exact.  Segment activity and flip signs
-    are decided at each t, or, when ``mid`` is given, at ``mid``: one time
-    for every t, or one per sample, broadcast against t.  Sampling an
-    interval with no envelope discontinuity strictly inside it with ``mid``
-    at its midpoint gives its end points the one-sided limit from inside
-    the interval.
+    are decided at ``mid``: one time for every t, or one per sample,
+    broadcast against t.  Sampling an interval with no envelope
+    discontinuity strictly inside it with ``mid`` at its midpoint gives its
+    end points the one-sided limit from inside the interval; ``mid = t``
+    samples each time on its own.
     """
     t = np.asarray(t, dtype=float)
-    ref = t if mid is None else mid
     amps = [np.zeros_like(t) for _ in range(4)]
     for seg in seq.segments:
-        tau = t - seg.start
-        active = True
-        if mid is not None:
-            active = (seg.start <= mid) & (mid <= seg.end)
-            if not np.any(active):
-                continue
-            tau = np.clip(tau, 0.0, seg.duration)
-        env = seg.envelope.scale(tau, seg.duration) * active
+        active = (seg.start <= mid) & (mid <= seg.end)
+        if not np.any(active):
+            continue
+        env = seg.envelope.scale(np.clip(t - seg.start, 0.0, seg.duration), seg.duration) * active
         flip1 = flip2 = 1.0
         if seg.flip_at is not None:
-            post = np.where(ref >= seg.flip_at, -1.0, 1.0)
+            post = np.where(mid >= seg.flip_at, -1.0, 1.0)
             if seg.flip_qubit == 1:
                 flip1 = post
             else:
@@ -273,11 +274,10 @@ class Diagnostic:
 
 
 def validate_sequence(p: SystemParams, seq: PulseSequence) -> list[Diagnostic]:
-    """Structural checks: sync-grid starts for two-qubit pulses (an error)
-    and their refocusing flips (a warning), per-channel overlaps, and
-    coupling-to-detuning ratio warnings.  Returns diagnostics
-    instead of raising, except for a ValueError if ``p`` is not
-    ``seq.params``."""
+    """Structural checks of the sequence: sync-grid starts for two-qubit
+    pulses (an error) and their refocusing flips (a warning), and
+    per-channel overlaps (errors).  Returns diagnostics instead of raising,
+    except for a ValueError if ``p`` is not ``seq.params``."""
     check_device(p, seq)
     out: list[Diagnostic] = []
     for i, seg in enumerate(seq.segments):
@@ -301,11 +301,6 @@ def validate_sequence(p: SystemParams, seq: PulseSequence) -> list[Diagnostic]:
                     "error",
                     f"segments {i0} and {i1} overlap on qubit {q}",
                 ))
-    if _coupling_exceeds(p, 0.2):
-        out.append(Diagnostic(
-            "warning",
-            f"wxx/delta = {p.wxx / p.delta:.3f} exceeds 0.2",
-        ))
     return out
 
 
@@ -364,6 +359,13 @@ def _segment_from_dict(d: dict) -> PulseSegment:
     )
 
 
+def _json_scalar(x):
+    """A numpy scalar, which the constructors accept, as a plain number."""
+    if isinstance(x, np.generic):
+        return x.item()
+    raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+
+
 def sequence_to_json(seq: PulseSequence) -> str:
     doc = {
         "schema": SCHEMA_VERSION,
@@ -376,7 +378,11 @@ def sequence_to_json(seq: PulseSequence) -> str:
         ],
         "total_time": seq.total_time,
     }
-    return json.dumps(doc, indent=2)
+    return json.dumps(doc, indent=2, default=_json_scalar)
+
+
+def _params_from_doc(doc) -> SystemParams:
+    return SystemParams(w1z=doc["w1z"], w2z=doc["w2z"], wxx=doc["wxx"])
 
 
 def sequence_from_json(text: str) -> PulseSequence:
@@ -387,7 +393,7 @@ def sequence_from_json(text: str) -> PulseSequence:
     if type(schema) is not int or schema != SCHEMA_VERSION:
         raise ValueError(f"unsupported sequence schema {schema!r}; "
                          f"this version reads schema {SCHEMA_VERSION}")
-    params = SystemParams(w1z=doc["w1z"], w2z=doc["w2z"], wxx=doc["wxx"])
+    params = _params_from_doc(doc)
     segments = tuple(_segment_from_dict(d) for d in doc.get("segments", []))
     vz = tuple(
         (e["qubit"], e["angle"], e["t"]) for e in doc.get("virtual_z", [])
@@ -401,5 +407,4 @@ def sequence_from_json(text: str) -> PulseSequence:
 
 
 def params_from_json(text: str) -> SystemParams:
-    doc = json.loads(text)
-    return SystemParams(w1z=doc["w1z"], w2z=doc["w2z"], wxx=doc["wxx"])
+    return _params_from_doc(json.loads(text))

@@ -17,7 +17,7 @@ def hamiltonian_at(seq, t: float) -> np.ndarray:
     TWO_QUBIT_LABELS order.  Only ZI, IZ, XX, XI and IX appear, all real, so
     H is a real symmetric matrix, which the integrators rely on."""
     p = seq.params
-    ax1, ay1, ax2, ay2 = drive_amplitudes_at(seq, t)
+    ax1, ay1, ax2, ay2 = drive_amplitudes_at(seq, t, t)
     h = np.zeros(15)
     h[IDX["ZI"]] = 0.5 * p.w1z
     h[IDX["IZ"]] = 0.5 * p.w2z

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -75,6 +78,22 @@ def test_compile_off_grid_flip_device(gate, warned, tmp_path, capsys):
     assert code == 0
     assert json.loads(out)["wxx"] == 0.0016
     assert ("warning" in err and "flips at" in err) == warned
+
+
+def test_compile_strong_coupling_notice_printed_once(tmp_path):
+    # wxx/delta = 0.3: the device warns when it is built, and validating
+    # the sequence adds no second notice of the same ratio
+    pf = tmp_path / "params.json"
+    pf.write_text('{"w1z": 1.05, "w2z": 0.95, "wxx": 0.03}')
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-m", "flicforq.cli", "compile", "x90", "--params",
+                           str(pf)], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["wxx"] == 0.03
+    assert proc.stderr.count("wxx/delta") == 1
+    assert "wxx/delta = 0.300 > 0.2" in proc.stderr
 
 
 @pytest.mark.parametrize("gate, code", [("d", 2), ("xx_half", 2), ("cnot", 2), ("x90", 0)])
@@ -353,11 +372,18 @@ def test_fidelity_overflowing_word_exits_2(word, tmp_path, capsys):
     (lambda doc: doc.update(w1z=True), "w1z must be a finite number"),
     (lambda doc: doc["segments"][0]["q1"].update(x=True), "amp_x_1 must be a finite number"),
     (lambda doc: doc.update(total_time=False), "total_time must be a finite number"),
+    (lambda doc: doc["segments"][0].update(start=-0.5 * doc["segments"][0]["duration"]),
+     "start must be non-negative"),
+    (lambda doc: doc.update(total_time=-5.0), "total_time must be non-negative"),
+    (lambda doc: doc["segments"][0].update(label=5), "label must be a string"),
 ], ids=["number-segment", "object-segments", "list-segment", "number-envelope",
-        "float-flip-qubit", "bool-flip-qubit", "bool-w1z", "bool-amplitude", "bool-total-time"])
+        "float-flip-qubit", "bool-flip-qubit", "bool-w1z", "bool-amplitude", "bool-total-time",
+        "negative-start", "negative-total-time", "int-label"])
 def test_malformed_sequence_exits_2(edit, message, tmp_path, capsys):
-    # each used to raise AttributeError (exit 1) or to be stored as a bool
-    # or float and written back as true or 2.0
+    # each used to raise AttributeError (exit 1), to be stored as a bool or
+    # float and written back as true or 2.0, or to exit 0: the integrators
+    # start at t = 0 and dropped the half of the pulse before it, a negative
+    # total_time became the last segment's end, and an int label was kept
     _, seq_json, _ = run(capsys, "compile", "xx_half")
     doc = json.loads(seq_json)
     edit(doc)

@@ -198,8 +198,8 @@ def test_compile_xx_half_flip():
 
 def test_xx_half_halves_negate_one_qubit():
     seq = compile_xx_half(P, 0.0)
-    a_pre = drive_amplitudes_at(seq, 300.0)
-    a_post = drive_amplitudes_at(seq, 900.0)
+    a_pre = drive_amplitudes_at(seq, 300.0, 300.0)
+    a_post = drive_amplitudes_at(seq, 900.0, 900.0)
     assert float(a_pre[1]) == pytest.approx(float(a_post[1]))  # qubit 1 unchanged
     assert float(a_pre[3]) == pytest.approx(-float(a_post[3]))  # qubit 2 negated
 

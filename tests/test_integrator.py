@@ -134,7 +134,7 @@ def test_pi_half_pulse_rotates_bloch():
     seg = PulseSegment(start=0.0, duration=dur, amp_y_1=p.delta / 8)
     seq = PulseSequence(params=p, segments=(seg,))
     traj = evolve(p, seq, DensityState.computational("00"), QUICK)
-    rot = to_rotating_frame(traj.final, p, t=float(traj.times[-1]))
+    rot = to_rotating_frame(traj, p).final
     b1 = rot.c[0:3]
     # pi/2 rotation about the y axis of the rotating frame
     assert abs(b1[2]) < 0.01
@@ -535,6 +535,20 @@ def test_window_memo_matches_plain_stepping(seq):
     assert np.max(np.abs(us - plain_propagators(seq.params, seq, BENCH_POLICY))) <= 1e-13
 
 
+@settings(max_examples=50)
+@given(seq=sync_grid_sequences())
+def test_pointwise_amplitudes_match_interval_form(seq):
+    # inside a breakpoint interval no envelope edge or flip lies between a
+    # time and the midpoint, so deciding activity and flips at the time
+    # itself gives the same samples bit for bit
+    bps = _breakpoints(seq)
+    a, b = bps[:-1, None], bps[1:, None]
+    tg = (a + (b - a) * np.array([0.1, 0.5, 0.9])).ravel()
+    mid = np.repeat(0.5 * (bps[:-1] + bps[1:]), 3)
+    assert np.array_equal(np.array(drive_amplitudes_at(seq, tg, tg)),
+                          np.array(drive_amplitudes_at(seq, tg, mid)))
+
+
 def orbit_table_origins(seq, bps):
     """The reference memo plan: each full flat grid interval under its
     window-0 amplitudes n = (-1)^(k // 8) a, looked up in a table that
@@ -555,7 +569,7 @@ def orbit_table_origins(seq, bps):
         if rise > 0.0:
             full &= (mid < seg.start) | (mid > seg.end) \
                 | ((a >= seg.start + rise) & (b <= seg.end - rise))
-    amps = np.stack(drive_amplitudes_at(seq, mid), axis=1)
+    amps = np.stack(drive_amplitudes_at(seq, mid, mid), axis=1)
     amps[k // 8 % 2 == 1] *= -1.0
     origin = np.arange(a.size)
     zz = np.zeros(a.size, dtype=bool)
@@ -938,10 +952,16 @@ def test_evolve_rejects_non_unitary_propagator(steps):
     assert evolve(p, seq, rho0, QUICK).final.purity == pytest.approx(1.0, abs=1e-9)
 
 
+def rotate_state(s, p, t):
+    """A bare state at time t in the rotating frame, as the image of a
+    one-sample lab-frame trajectory."""
+    return to_rotating_frame(Trajectory(times=[t], coeffs=[s.c]), p).state(0)
+
+
 def test_rotating_frame_diagonal_invariant():
     p = DEFAULT_PARAMS
     s = DensityState.computational("10")
-    rot = to_rotating_frame(s, p, t=17.3)
+    rot = rotate_state(s, p, 17.3)
     assert np.allclose(rot.c, s.c, atol=1e-12)
 
 
@@ -949,7 +969,7 @@ def test_rotating_frame_t0_identity():
     p = DEFAULT_PARAMS
     rng = np.random.default_rng(2)
     s = random_state(rng)
-    rot = to_rotating_frame(s, p, t=0.0)
+    rot = rotate_state(s, p, 0.0)
     assert np.allclose(rot.c, s.c, atol=1e-12)
 
 
@@ -957,7 +977,7 @@ def test_rotating_frame_preserves_spectrum():
     p = DEFAULT_PARAMS
     rng = np.random.default_rng(4)
     s = random_state(rng)
-    rot = to_rotating_frame(s, p, t=123.4)
+    rot = rotate_state(s, p, 123.4)
     e1 = np.linalg.eigvalsh(s.to_matrix())
     e2 = np.linalg.eigvalsh(rot.to_matrix())
     assert np.max(np.abs(e1 - e2)) < 1e-12
@@ -971,17 +991,18 @@ def test_rotating_frame_state_matches_frame_unitary():
         s = random_state(rng)
         v = frame_unitary(p, t)
         ref = DensityState.from_matrix(v @ s.to_matrix() @ v.conj().T)
-        assert np.max(np.abs(to_rotating_frame(s, p, t=t).c - ref.c)) <= 1e-14
+        assert np.max(np.abs(rotate_state(s, p, t).c - ref.c)) <= 1e-14
 
 
 def test_rotating_frame_trajectory_matches_single_states():
+    # each row of a transformed trajectory is the image of that row alone
     p = DEFAULT_PARAMS
     seg = PulseSegment(start=0.0, duration=30.0, amp_y_1=0.04, amp_x_2=-0.03)
     seq = PulseSequence(params=p, segments=(seg,))
     traj = evolve(p, seq, random_state(np.random.default_rng(6)), QUICK)
     rot = to_rotating_frame(traj, p)
     for i, t in enumerate(traj.times):
-        single = to_rotating_frame(traj.state(i), p, t=float(t))
+        single = rotate_state(traj.state(i), p, float(t))
         assert np.max(np.abs(rot.coeffs[i] - single.c)) <= 1e-14
 
 
@@ -993,6 +1014,12 @@ def test_rotating_frame_wrong_frame_raises():
     assert rot.frame == "rotating"
     with pytest.raises(WrongFrame):
         to_rotating_frame(rot, p)
+
+
+def test_rotating_frame_takes_trajectories_only():
+    # a bare state enters the frame only as a one-sample trajectory
+    with pytest.raises(TypeError, match="cannot frame-transform DensityState"):
+        to_rotating_frame(DensityState.computational("00"), DEFAULT_PARAMS)
 
 
 def test_rotating_frame_drift_q1_stationary():
