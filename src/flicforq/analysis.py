@@ -31,8 +31,8 @@ from .integrator import (
     evolve,
     to_rotating_frame,
 )
-from .model import PulseSequence, SystemParams
-from .pauli import RotationWord, word_unitary
+from .model import PulseSequence, SystemParams, _require_qubit
+from .pauli import PauliString, RotationWord, word_unitary
 
 __all__ = [
     "NegativeEigenvalue",
@@ -60,20 +60,13 @@ class NotUnitary(ValueError):
 
 
 def reduced_bloch(rho: DensityState, qubit: int) -> np.ndarray:
-    """Bloch vector of the reduced density operator of one qubit; read
-    directly off the single-qubit Pauli coefficients."""
-    if qubit == 1:
-        return np.array(rho.c[0:3])
-    if qubit == 2:
-        return np.array(rho.c[3:6])
-    raise ValueError("qubit must be 1 or 2")
+    """Reduced Bloch vector of qubit 1 or 2 (an integer, else ValueError),
+    read directly off its single-qubit Pauli coefficients."""
+    _require_qubit("qubit", qubit)
+    return np.array(rho.c[3 * qubit - 3:3 * qubit])
 
 
-_YY = np.array(
-    [[0, 0, 0, -1],
-     [0, 0, 1, 0],
-     [0, 1, 0, 0],
-     [-1, 0, 0, 0]], dtype=complex)
+_YY = PauliString(1, "Y", "Y").matrix()
 
 
 def concurrence(rho: DensityState) -> float:
@@ -232,7 +225,7 @@ _BLOCH_TARGET = (-1.0, 0.0, 0.0)
 
 
 def one_qubit_error_budget(
-    p: SystemParams, echo: bool = False, policy: StepPolicy | None = None
+    p: SystemParams, echo: bool = False, policy: StepPolicy = StepPolicy()
 ) -> dict:
     """Simulated error of a pi/2 one-qubit gate with the coupling on.
 
@@ -244,9 +237,9 @@ def one_qubit_error_budget(
     rotating-frame state, Bloch vector b, against the pure state with
     Bloch vector n.  The closed-form
     parasitic-angle expression arccos(wxx * 4*pi/delta) is reported
-    verbatim where defined and null where its argument exceeds 1.
+    verbatim where defined and null where its argument exceeds 1.  The
+    evolutions step at ``policy`` (default ``StepPolicy()``).
     """
-    policy = policy or StepPolicy()
     seg = compile_one_qubit(p, 1, "y", math.pi / 2, 0.0)
     seq = PulseSequence(params=p, segments=(seg,))
     if echo:

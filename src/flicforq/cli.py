@@ -41,6 +41,7 @@ from .model import (
     DEFAULT_PARAMS,
     PulseSequence,
     SystemParams,
+    _require_finite,
     params_from_json,
     sequence_from_json,
     sequence_to_json,
@@ -213,12 +214,13 @@ def _sweep_point(task) -> tuple[float, str | None]:
 
 def cmd_sweep(args) -> int:
     points = _read("grid", args.grid, lambda text: [
-        (float(pt["delta"]), float(pt["wxx"])) for pt in json.loads(text)])
+        (pt["delta"], pt["wxx"]) for pt in json.loads(text)])
     tasks = []
     for d, w in points:
-        try:
+        try:  # the model's rule for numbers: no bool, string, null or non-finite value
+            _require_finite(delta=d, wxx=w)
             tasks.append((_params_for(d, w), args.metric, args.steps_per_period))
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise SchemaError(f"bad grid point delta={d}, wxx={w}: {exc}") from exc
     jobs = min(args.jobs, len(tasks))  # a pool starts all its workers at once
     with _output(args.out) as fh:  # opened first: a bad path wastes no integration

@@ -23,7 +23,8 @@ import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
-from .model import PulseSegment, PulseSequence, SystemParams, check_device, on_sync_grid
+from .model import (PulseSegment, PulseSequence, SystemParams, _require_qubit, check_device,
+                    on_sync_grid)
 
 __all__ = [
     "AngleOutOfRange",
@@ -103,14 +104,14 @@ def calibrate(p: SystemParams) -> Calibration:
 def compile_one_qubit(
     p: SystemParams, qubit: int, axis: str, angle: float, start: float
 ) -> PulseSegment:
-    """A resonant rotation of the given qubit by ``angle`` about x or y.
+    """A resonant rotation of qubit 1 or 2 (an integer, else ValueError) by
+    ``angle`` about x or y.
 
-    Fixed duration 4*pi/delta; the rotation angle is set by the amplitude
-    (angle/(pi/2)) * delta/8, signed per calibration.  Angles beyond pi/2
-    must be composed from multiple segments.
+    Fixed duration 2*t0_sync = 4*pi/delta; the rotation angle is set by the
+    amplitude (angle/(pi/2)) * delta/8, signed per calibration.  Angles
+    beyond pi/2 must be composed from multiple segments.
     """
-    if qubit not in (1, 2):
-        raise ValueError("qubit must be 1 or 2")
+    _require_qubit("qubit", qubit)
     if axis not in ("x", "y"):
         raise ValueError("axis must be 'x' or 'y'")
     if abs(angle) > HALF_PI + _TOL:
@@ -126,7 +127,7 @@ def compile_one_qubit(
     label = f"{axis.upper()}{qubit}^{frac:g}"
     return PulseSegment(
         start=start,
-        duration=4 * math.pi / p.delta,
+        duration=2 * p.t0_sync,
         label=label,
         **{f"amp_{axis}_{qubit}": amp},
     )
@@ -142,7 +143,7 @@ def compile_D(p: SystemParams, start: float = 0.0) -> PulseSequence:
         raise OffGridStart(f"start {start:.6f} is not on the 2*pi/delta grid")
     seg = PulseSegment(
         start=start,
-        duration=4 * math.pi / p.wxx,
+        duration=2 * p.t_swap,
         amp_y_1=p.delta / 2,
         amp_y_2=p.delta / 2,
         label="D",
@@ -171,7 +172,7 @@ def compile_cnot(p: SystemParams) -> PulseSequence:
     """
     cal = calibrate(p)
     s = cal.xx_sign
-    t2 = 4 * math.pi / p.delta
+    t2 = 2 * p.t0_sync
     seg3 = compile_xx_half(p, 2 * t2).segments[0]
     t_xx = seg3.duration
     seg1 = compile_one_qubit(p, 2, "x", HALF_PI, 0.0)
@@ -220,7 +221,7 @@ def insert_decoupling(p: SystemParams, seq: PulseSequence, index: int) -> PulseS
     if seg.envelope.kind != "square":
         raise ValueError("decoupling requires a square host envelope")
     idle = 2 if seg.drives_qubit(1) else 1
-    t_pi = 4 * math.pi / p.delta
+    t_pi = 2 * p.t0_sync
     half = 0.5 * seg.duration
     host_a = replace(seg, duration=half)
     host_b = replace(seg, start=seg.start + half + t_pi, duration=half)

@@ -214,7 +214,7 @@ class StepPolicy:
             )
 
     def step_target(self, p: SystemParams) -> float:
-        period = 2.0 * math.pi / max(p.w1z, p.w2z)
+        period = 2.0 * math.pi / p.w1z  # w1z > w2z: the smallest period
         return period / self.steps_per_period
 
 
@@ -228,7 +228,7 @@ def _breakpoints(seq: PulseSequence) -> np.ndarray:
     pts = {0.0, seq.total_time}
     for seg in seq.segments:
         pts.add(seg.start)
-        pts.add(min(seg.end, seq.total_time))
+        pts.add(seg.end)
         if seg.flip_at is not None:
             pts.add(seg.flip_at)
     n = int(math.floor(seq.total_time / spacing + 1e-9))
@@ -435,7 +435,7 @@ def _unitarity_defect(u: np.ndarray) -> float:
         return float(np.max(np.abs(u @ u.conj().swapaxes(-1, -2) - np.eye(4))))
 
 
-def _running_propagators(seq: PulseSequence, dt_policy: StepPolicy | None,
+def _running_propagators(seq: PulseSequence, policy: StepPolicy,
                          max_defect: float) -> tuple[np.ndarray, np.ndarray]:
     """Breakpoints t_k and the RK4 propagators U(t_k) from time 0 to each.
 
@@ -444,7 +444,7 @@ def _running_propagators(seq: PulseSequence, dt_policy: StepPolicy | None,
     transposed as its flags say.  Raises StepTooCoarse if the unitarity
     defect of any U(t_k), not only the final one (on the CNOT an earlier one
     is up to 1.3 times larger), exceeds max_defect or is not finite."""
-    h_target = (dt_policy or StepPolicy()).step_target(seq.params)
+    h_target = policy.step_target(seq.params)
     bps = _breakpoints(seq)
     origin, zz, tr = _window_origins(seq, bps)
     todo = np.flatnonzero(origin == np.arange(origin.size))  # the intervals to build
@@ -478,15 +478,15 @@ def evolve(
     p: SystemParams,
     seq: PulseSequence,
     rho0: DensityState,
-    dt_policy: StepPolicy | None = None,
+    policy: StepPolicy = StepPolicy(),
 ) -> Trajectory:
-    """Fixed-step RK4 evolution of rho0 through the propagator route.
+    """Fixed-step RK4 evolution of rho0 at ``policy`` (default ``StepPolicy()``).
 
     Samples at every segment boundary and flip point plus a uniform grid
     of spacing t0_sync/8.  The state at time t is U rho0 U^dagger divided
-    by its trace, U = U(t), since RK4 is not exactly unitary.  Grid
-    intervals that repeat, up to a Z1Z2 conjugation or a transpose, are
-    stepped once per call (see the module docstring).
+    by its trace, U = U(t) the propagator, since RK4 is not exactly
+    unitary.  Grid intervals that repeat, up to a Z1Z2 conjugation or a
+    transpose, are stepped once per call (see the module docstring).
     Deterministic: identical inputs yield bit-identical trajectories.
     Raises ValueError if ``p`` is not ``seq.params``, and StepTooCoarse if
     the unitarity defect of any U(t) exceeds 1e-6, the bound
@@ -494,21 +494,22 @@ def evolve(
     """
     check_device(p, seq)
     rho0.validate()
-    return _trajectory(*_running_propagators(seq, dt_policy, 1e-6), rho0)
+    return _trajectory(*_running_propagators(seq, policy, 1e-6), rho0)
 
 
 def propagator_of_sequence(
     p: SystemParams,
     seq: PulseSequence,
-    dt_policy: StepPolicy | None = None,
+    policy: StepPolicy = StepPolicy(),
 ) -> np.ndarray:
     """Lab-frame unitary of the full sequence (RK4 on the Schrodinger
-    equation for the propagator), with repeating grid intervals stepped
-    once per call as in ``evolve``.  Raises StepTooCoarse if its unitarity
-    defect, or that of a running propagator on the way, exceeds 1e-9, and
-    ValueError if ``p`` is not ``seq.params``."""
+    equation for the propagator at ``policy``, default ``StepPolicy()``),
+    with repeating grid intervals stepped once per call as in ``evolve``.
+    Raises StepTooCoarse if its unitarity defect, or that of a running
+    propagator on the way, exceeds 1e-9, and ValueError if ``p`` is not
+    ``seq.params``."""
     check_device(p, seq)
-    return _running_propagators(seq, dt_policy, 1e-9)[1][-1]
+    return _running_propagators(seq, policy, 1e-9)[1][-1]
 
 
 # 4th-order commutator-free Magnus weights (Gauss-Legendre nodes).
@@ -630,12 +631,13 @@ def compose_virtual_z(u: np.ndarray, seq: PulseSequence) -> np.ndarray:
     return _z_phases(phi1, phi2)[:, np.newaxis] * np.asarray(u, dtype=complex)
 
 
-def gate_unitary(seq: PulseSequence, dt_policy: StepPolicy | None = None) -> np.ndarray:
-    """The gate ``seq`` realizes on ``seq.params``: its lab propagator in the
-    rotating frame at ``seq.total_time``, then its virtual-z ledger."""
+def gate_unitary(seq: PulseSequence, policy: StepPolicy = StepPolicy()) -> np.ndarray:
+    """The gate ``seq`` realizes on ``seq.params``: its lab propagator at
+    ``policy`` (default ``StepPolicy()``) in the rotating frame at
+    ``seq.total_time``, then its virtual-z ledger."""
     p = seq.params
     return compose_virtual_z(frame_unitary(p, seq.total_time)
-                             @ propagator_of_sequence(p, seq, dt_policy), seq)
+                             @ propagator_of_sequence(p, seq, policy), seq)
 
 
 def to_rotating_frame(traj: Trajectory, p: SystemParams) -> Trajectory:

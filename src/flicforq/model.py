@@ -182,6 +182,8 @@ class PulseSegment:
         return self.start + self.duration
 
     def drives_qubit(self, q: int) -> bool:
+        """Whether qubit q, the integer 1 or 2 (else ValueError), is driven."""
+        _require_qubit("qubit", q)
         if q == 1:
             return self.amp_x_1 != 0.0 or self.amp_y_1 != 0.0
         return self.amp_x_2 != 0.0 or self.amp_y_2 != 0.0
@@ -229,8 +231,6 @@ def check_device(p: SystemParams, seq: PulseSequence) -> None:
 
 
 def on_sync_grid(p: SystemParams, t: float) -> bool:
-    if t == 0.0:
-        return True
     m = round(t / p.t0_sync)
     return abs(t - m * p.t0_sync) <= GRID_RTOL * max(abs(t), p.t0_sync)
 

@@ -106,10 +106,6 @@ class PauliString:
     def with_phase(self, phase: complex) -> "PauliString":
         return PauliString(phase, self.factor1, self.factor2)
 
-    def __str__(self) -> str:
-        pre = {1: "", 1j: "i", -1: "-", -1j: "-i"}[self.phase]
-        return f"{pre}{self.factor1}{self.factor2}"
-
 
 def pauli_multiply(a: PauliString, b: PauliString) -> PauliString:
     """Group product of two Pauli strings with exact phase bookkeeping."""
@@ -148,9 +144,6 @@ class RotationWord:
 
     def __iter__(self):
         return iter(self.elements)
-
-    def __len__(self):
-        return len(self.elements)
 
 
 def _element_unitary(axis: PauliString, exponent: float) -> np.ndarray:

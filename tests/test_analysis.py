@@ -72,6 +72,18 @@ def test_reduced_bloch_norms_random_product():
         assert np.allclose(reduced_bloch(s, 2), b2, atol=1e-12)
 
 
+@pytest.mark.parametrize("qubit", [True, 1.0, np.float64(2.0), 3, 0, "1"])
+def test_reduced_bloch_qubit_must_be_integer_1_or_2(qubit):
+    # True and 1.0 used to return qubit 1's vector
+    with pytest.raises(ValueError, match="qubit must be 1 or 2"):
+        reduced_bloch(DensityState.computational("00"), qubit)
+
+
+def test_reduced_bloch_numpy_integer_qubit():
+    s = DensityState.product_bloch([1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
+    assert np.array_equal(reduced_bloch(s, np.int64(2)), [0.0, 1.0, 0.0])
+
+
 def test_concurrence_values():
     assert concurrence(DensityState.from_ket(BELL_I)) == pytest.approx(1.0, abs=1e-10)
     assert concurrence(DensityState.computational("01")) == pytest.approx(0.0, abs=1e-10)

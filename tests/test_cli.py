@@ -7,6 +7,7 @@ import pytest
 
 import flicforq.cli as cli
 from flicforq.cli import main
+from flicforq.model import Diagnostic
 
 DEFAULT_PARAMS_JSON = '{"w1z": 1.05, "w2z": 0.95, "wxx": 0.01}'
 
@@ -96,6 +97,16 @@ def test_compile_strong_coupling_notice_printed_once(tmp_path):
     assert "wxx/delta = 0.300 > 0.2" in proc.stderr
 
 
+def test_compile_validation_error_exits_3(monkeypatch, capsys):
+    # no compiled gate fails validation, so the check is forced to
+    monkeypatch.setattr(cli, "validate_sequence",
+                        lambda p, seq: [Diagnostic("error", "forced error")])
+    code, out, err = run(capsys, "compile", "x90")
+    assert code == 3
+    assert out == ""
+    assert "error: forced error" in err
+
+
 @pytest.mark.parametrize("gate, code", [("d", 2), ("xx_half", 2), ("cnot", 2), ("x90", 0)])
 def test_compile_uncoupled_device(gate, code, tmp_path, capsys):
     # with wxx = 0 no pulse length entangles; one-qubit gates still compile
@@ -148,6 +159,23 @@ def test_simulate_bloch_state_spec(tmp_path, capsys):
         "--out", str(tmp_path / "t.csv"), "--steps-per-period", "300",
     )
     assert code == 0
+
+
+def test_simulate_pauli_state_spec(tmp_path, capsys):
+    # the Pauli coefficients of |00> give the same run as the basis label
+    _, seq_json, _ = run(capsys, "compile", "x90")
+    seq_file = tmp_path / "x90.json"
+    seq_file.write_text(seq_json)
+    outputs = []
+    for name, state in (("label", "00"), ("pauli", "pauli:0,0,1,0,0,1,0,0,0,0,0,0,0,0,1")):
+        csv_file = tmp_path / f"{name}.csv"
+        code, out, _ = run(
+            capsys, "simulate", str(seq_file), "--state", state,
+            "--out", str(csv_file), "--steps-per-period", "300",
+        )
+        assert code == 0, state
+        outputs.append((out, csv_file.read_bytes()))
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("state", [
@@ -462,15 +490,38 @@ def test_sweep_bad_grid_exits_2(tmp_path, capsys):
     '{"delta": "nan", "wxx": 0.01}',
     '{"delta": 0.1, "wxx": 0.06}',
     '{"delta": 2.5, "wxx": 0.1}',  # w2z = 1 - delta/2 < 0
+    # numbers follow the model's rule: no bool, string or null
+    '{"delta": true, "wxx": 0.01}',
+    '{"delta": "0.1", "wxx": 0.01}',
+    '{"delta": null, "wxx": 0.01}',
+    '{"delta": 0.1, "wxx": false}',
+    '{"delta": 0.1, "wxx": NaN}',
 ])
-def test_sweep_invalid_point_exits_2(point, tmp_path, capsys):
+def test_sweep_invalid_point_exits_2(point, tmp_path, capsys, monkeypatch):
     # rejected while the grid is read, before any point is integrated
+    integrated = []
+    monkeypatch.setitem(cli._METRICS, "cnot_error", lambda p, policy: integrated.append(p))
     grid = tmp_path / "grid.json"
     grid.write_text(f'[{{"delta": 0.1, "wxx": 0.01}}, {point}]')
     code, out, err = run(capsys, "sweep", str(grid), "--metric", "cnot_error", "--jobs", "1")
     assert code == 2
     assert out == ""
     assert "bad grid point" in err
+    assert integrated == []
+
+
+def test_sweep_integer_grid_values_match_floats(tmp_path, capsys):
+    outputs = []
+    for text in ('[{"delta": 1, "wxx": 0}, {"delta": 1, "wxx": 0.1}]',
+                 '[{"delta": 1.0, "wxx": 0.0}, {"delta": 1.0, "wxx": 0.1}]'):
+        grid = tmp_path / "grid.json"
+        grid.write_text(text)
+        code, out, _ = run(capsys, "sweep", str(grid), "--metric", "one_qubit_error",
+                           "--jobs", "1", "--steps-per-period", "400")
+        assert code == 0
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+    assert outputs[0].startswith("delta,wxx,metric\n1,0,")
 
 
 def test_resonance_default(capsys):

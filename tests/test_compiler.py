@@ -26,6 +26,7 @@ from flicforq import integrator
 from flicforq.integrator import StepPolicy, frame_unitary, gate_unitary, propagator_of_sequence
 from flicforq.model import (
     DEFAULT_PARAMS,
+    Envelope,
     PulseSegment,
     PulseSequence,
     SystemParams,
@@ -159,6 +160,28 @@ def test_one_qubit_errors():
         compile_one_qubit(P, 3, "y", 0.1, 0.0)
     with pytest.raises(ValueError):
         compile_one_qubit(P, 1, "z", 0.1, 0.0)
+
+
+@pytest.mark.parametrize("qubit", [True, 1.0, np.float64(2.0), 3, 0, "1"])
+def test_one_qubit_qubit_must_be_integer_1_or_2(qubit):
+    # True and 1.0 used to pass and fail later on a keyword like amp_x_True
+    with pytest.raises(ValueError, match="qubit must be 1 or 2"):
+        compile_one_qubit(P, qubit, "x", 0.1, 0.0)
+
+
+def test_one_qubit_numpy_integer_qubit():
+    assert compile_one_qubit(P, np.int64(2), "x", 0.1, 0.0) \
+        == compile_one_qubit(P, 2, "x", 0.1, 0.0)
+
+
+@settings(max_examples=200)
+@given(w2z=st.floats(0.05, 2.0), delta=st.floats(1e-3, 1.0), ratio=st.floats(1e-3, 0.19))
+def test_pulse_lengths_are_doubled_device_times(w2z, delta, ratio):
+    # the compiler's 2*t0_sync and 2*t_swap equal 4*pi/delta and 4*pi/wxx
+    # bit for bit: doubling is exact
+    p = SystemParams(w1z=w2z + delta, w2z=w2z, wxx=ratio * delta)
+    assert compile_one_qubit(p, 1, "y", 0.1, 0.0).duration == 4 * math.pi / p.delta
+    assert compile_D(p).segments[0].duration == 4 * math.pi / p.wxx
 
 
 @pytest.mark.parametrize("qubit,axis,lab", [(1, "y", "YI"), (1, "x", "XI"), (2, "x", "IX")])
@@ -362,6 +385,13 @@ def test_insert_decoupling_index_out_of_range(index):
     seq = PulseSequence(params=P, segments=(host, tail))
     with pytest.raises(IndexError, match=r"segment index -?\d+ is outside 0 \.\. 1"):
         insert_decoupling(P, seq, index)
+
+
+def test_insert_decoupling_rejects_ramped_host():
+    host = compile_one_qubit(P, 1, "y", math.pi / 2, 0.0)
+    ramped = replace(host, envelope=Envelope("raised-cosine-ramp", 0.1 * host.duration))
+    with pytest.raises(ValueError, match="decoupling requires a square host envelope"):
+        insert_decoupling(P, PulseSequence(params=P, segments=(ramped,)), 0)
 
 
 def test_insert_decoupling_rejects_two_qubit():

@@ -1,3 +1,4 @@
+import inspect
 import io
 import math
 import os
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import flicforq.integrator as integrator
+from flicforq.analysis import one_qubit_error_budget
 from flicforq.compiler import (
     compile_cnot,
     compile_D,
@@ -29,6 +31,7 @@ from flicforq.integrator import (
     evolve,
     evolve_oracle,
     frame_unitary,
+    gate_unitary,
     propagator_of_sequence,
     to_rotating_frame,
     trace_distance,
@@ -886,6 +889,47 @@ def test_wrong_device_rejected():
         with pytest.raises(ValueError, match="device"):
             call(other)
             pytest.fail(f"{name} accepted a sequence built for another device")
+
+
+@pytest.mark.parametrize("fn", [evolve, propagator_of_sequence, gate_unitary,
+                                one_qubit_error_budget])
+def test_step_policy_has_one_name_and_one_default(fn):
+    assert inspect.signature(fn).parameters["policy"].default == StepPolicy()
+
+
+PURE_00 = DensityState.computational("00")
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: DensityState.from_matrix(np.eye(2) / 2), "rho must be 4x4"),
+    (lambda: DensityState.from_matrix(np.eye(4) / 2), "rho must have unit trace"),
+    (lambda: DensityState.from_matrix(np.eye(4) / 4 + np.triu(np.ones((4, 4)), 1) / 8),
+     "rho must be Hermitian"),
+    (lambda: DensityState.computational("02"), "bad basis label '02'"),
+    # rho = (1 + 2 XI)/4 has eigenvalue -1/4
+    (lambda: DensityState(np.eye(15)[0] * 2.0).validate(), "state not positive"),
+    # a pure state's c scaled by 1 + 3e-9: min eigenvalue -7.5e-10 passes,
+    # purity 1 + 4.5e-9 does not
+    (lambda: DensityState(PURE_00.c * (1.0 + 3e-9)).validate(), "purity .* out of range"),
+    (lambda: Trajectory(times=[0.0, 0.0], coeffs=np.zeros((2, 15))),
+     "sample times must be strictly increasing"),
+    (lambda: Trajectory(times=[0.0, 1.0], coeffs=np.zeros((2, 14))),
+     r"coeffs shape must be \(n_samples, 15\)"),
+    (lambda: Trajectory(times=[0.0], coeffs=np.zeros((1, 15)), frame="interaction"),
+     "bad frame tag 'interaction'"),
+], ids=["matrix-shape", "matrix-trace", "matrix-hermitian", "basis-label", "negative-eigenvalue",
+        "purity-above-1", "times-not-increasing", "coeffs-shape", "frame-tag"])
+def test_state_and_trajectory_rejections(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+def test_oracle_raises_no_convergence(monkeypatch):
+    # with no doubling allowed the first pass has nothing to agree with
+    monkeypatch.setattr(integrator, "_ORACLE_DOUBLINGS", 0)
+    seq = PulseSequence(params=DEFAULT_PARAMS, total_time=1.0)
+    with pytest.raises(NoConvergence, match="after 0 doublings"):
+        evolve_oracle(DEFAULT_PARAMS, seq, PURE_00)
 
 
 def test_step_policy_rejects_non_positive():

@@ -2,6 +2,7 @@ import json
 import math
 import warnings
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -128,6 +129,52 @@ def test_flip_qubit_must_be_integer_1_or_2():
             PulseSegment(start=0.0, duration=10.0, amp_x_1=0.01, flip_at=5.0, flip_qubit=qubit)
     for qubit in (1, np.int32(2)):
         PulseSegment(start=0.0, duration=10.0, amp_x_1=0.01, flip_at=5.0, flip_qubit=qubit)
+
+
+@pytest.mark.parametrize("q", [True, 1.0, np.float64(2.0), 3, 0, "1"])
+def test_drives_qubit_requires_integer_1_or_2(q):
+    # the rule of every qubit index; 3 used to answer for qubit 2 and
+    # True or 1.0 for qubit 1
+    seg = PulseSegment(start=0.0, duration=10.0, amp_x_2=0.01)
+    with pytest.raises(ValueError, match="qubit must be 1 or 2"):
+        seg.drives_qubit(q)
+
+
+def test_drives_qubit_answers_per_qubit():
+    seg = PulseSegment(start=0.0, duration=10.0, amp_y_2=0.01)
+    assert [seg.drives_qubit(1), seg.drives_qubit(2), seg.drives_qubit(np.int64(2))] \
+        == [False, True, True]
+
+
+def _unsorted_sequence():
+    return PulseSequence(params=DEFAULT_PARAMS, segments=(
+        PulseSegment(start=10.0, duration=1.0, amp_x_1=0.01),
+        PulseSegment(start=0.0, duration=1.0, amp_x_2=0.01),
+    ))
+
+
+def _fraction_amplitude_json():
+    # the constructors take any finite real, but the writer turns only
+    # numpy scalars into JSON numbers
+    seg = PulseSegment(start=0.0, duration=10.0, amp_x_1=Fraction(1, 80))
+    return sequence_to_json(PulseSequence(params=DEFAULT_PARAMS, segments=(seg,)))
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: SystemParams(w1z=1.05, w2z=0.95, wxx=-0.01), ValueError, "wxx must be non-negative"),
+    (lambda: Envelope(kind="gaussian"), ValueError, "unknown envelope kind 'gaussian'"),
+    (lambda: Envelope(kind="square", rise=1.0), ValueError, "square envelope must have rise = 0"),
+    (lambda: Envelope(kind="raised-cosine-ramp", rise=-1.0), ValueError,
+     "rise must be non-negative"),
+    (lambda: PulseSegment(start=0.0, duration=0.0), ValueError, "duration must be positive"),
+    (lambda: PulseSegment(start=0.0, duration=-1.0), ValueError, "duration must be positive"),
+    (_unsorted_sequence, ValueError, "segments must be sorted by start time"),
+    (_fraction_amplitude_json, TypeError, "Object of type Fraction is not JSON serializable"),
+], ids=["negative-wxx", "unknown-envelope", "square-with-rise", "negative-rise",
+        "zero-duration", "negative-duration", "unsorted-segments", "fraction-to-json"])
+def test_model_rejects(build, error, message):
+    with pytest.raises(error, match=message):
+        build()
 
 
 def test_bool_numbers_rejected():

@@ -197,6 +197,23 @@ def test_conjugation_matches_matrix_level(w):
         assert np.allclose(u @ s(lab).matrix() @ u.conj().T, sym.matrix(), atol=1e-12)
 
 
+NON_IDENTITY = [s(a + b) for a in FACTORS for b in FACTORS if a + b != "II"]
+
+
+@pytest.mark.parametrize("exponent", [0.5, -0.5, 1.0, -1.0, 1.5, -1.5, 2.0])
+def test_single_rotation_conjugation_matches_matrix_level(exponent):
+    # every axis against every string and phase; an exponent of +-1 about
+    # an anticommuting axis flips the sign of the string
+    for axis in NON_IDENTITY:
+        w = RotationWord(((axis, exponent),))
+        u = word_unitary(w)
+        for string in NON_IDENTITY:
+            for phase in PHASES:
+                p = string.with_phase(phase)
+                assert np.allclose(u @ p.matrix() @ u.conj().T, conjugate_pauli(w, p).matrix(),
+                                   atol=1e-12)
+
+
 def test_non_clifford_exponent_raises():
     with pytest.raises(NonCliffordExponent):
         conjugate_pauli(word(("XI", 0.25)), s("ZI"))
@@ -207,6 +224,24 @@ def test_equal_up_to_global_phase():
     assert equal_up_to_global_phase(u, 1j * u, 1e-12)
     assert equal_up_to_global_phase(CNOT, u, 1e-10)
     assert not equal_up_to_global_phase(CNOT, np.eye(4), 1e-10)
+
+
+def test_equal_up_to_global_phase_zero_matrices():
+    # no phase candidate exists, so the plain difference decides
+    zero = np.zeros((4, 4))
+    assert equal_up_to_global_phase(zero, zero, 0.0)
+    assert not equal_up_to_global_phase(zero, 1e-3 * np.eye(4), 1e-4)
+    assert equal_up_to_global_phase(zero, 1e-3 * np.eye(4), 1e-3)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: equal_up_to_global_phase(np.eye(4), np.eye(2), 1e-12), "shape mismatch"),
+    (lambda: parse_word("X2Y2^1/2"), "qubit 2 named twice in axis 'X2Y2'"),
+    (lambda: parse_word("^1/2"), "empty axis"),
+], ids=["shape-mismatch", "qubit-2-twice", "empty-axis"])
+def test_pauli_rejections(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_parse_format_roundtrip():
