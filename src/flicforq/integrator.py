@@ -22,13 +22,14 @@ they make a step:
   interval's product equal bit for bit to building it alone.  A run any of
   whose propagators is further from unitary than the caller's bound raises
   StepTooCoarse.
-- The oracle (``evolve_oracle``) samples the two Gauss nodes of each
-  substep and makes 4th-order commutator-free Magnus steps
-  exp(-ihB) exp(-ihA).  Each exp(-iA) = cos A - i sin A is a Horner series
-  in A^2 whose degree a runtime truncation bound sets below 1e-16 (with
-  scaling and squaring for a large ||A||), so it is exact to rounding; the
-  oracle's order comes from the Magnus scheme and its convergence from
-  substep doubling.
+- The oracle (``evolve_oracle``) samples the three Gauss nodes of each
+  substep and makes sixth-order Magnus steps exp(Omega) (Blanes, Casas and
+  Ros, BIT 40, 434 (2000)), Omega from seven real 4x4 products.  Each
+  exp(Omega) is a cos/sinc Horner series in the square of Omega's real 8x8
+  form, whose degree a runtime truncation bound sets below 1e-16 (with
+  scaling and squaring for a large ||Omega||), so it is exact to rounding;
+  the oracle's order comes from the Magnus scheme and its convergence from
+  substep doubling, from 32 substeps per carrier period up to 4096.
 
 When w0/delta is an integer, both carriers flip sign over t0_sync =
 2 pi/delta (w1z t0_sync = 2 pi (w0/delta + 1/2), w2z with -1/2).  A full
@@ -512,82 +513,108 @@ def propagator_of_sequence(
     return _running_propagators(seq, policy, 1e-9)[1][-1]
 
 
-# 4th-order commutator-free Magnus weights (Gauss-Legendre nodes).
-_GAUSS_SHIFT = math.sqrt(3.0) / 6.0
-_CF4_PLUS = (3.0 + 2.0 * math.sqrt(3.0)) / 12.0
-_CF4_MINUS = (3.0 - 2.0 * math.sqrt(3.0)) / 12.0
-
-
+# Sixth-order Magnus: the three Gauss-Legendre nodes of a substep
+_MAGNUS_NODES = (0.5 - math.sqrt(15.0) / 10.0, 0.5, 0.5 + math.sqrt(15.0) / 10.0)
 # The first pass takes this many substeps per smallest carrier period; each
 # further pass doubles it, at most this many times
-_ORACLE_SUBSTEPS = 64
-_ORACLE_DOUBLINGS = 6
-# A = hM is scaled by 2^-s until max ||A||_1 <= _SERIES_NORM, and the series
+_ORACLE_SUBSTEPS = 32
+_ORACLE_DOUBLINGS = 7
+# W is scaled by 2^-s until max ||W||_1 <= _SERIES_NORM, and the series
 # truncated once its bound x^(2K+2)/(2K+2)! e^x is below _SERIES_TOL
 _SERIES_NORM = 1.0
 _SERIES_TOL = 1e-16
-_EYE_EYE = np.hstack([np.eye(4), np.eye(4)])  # [I | I]: both series' degree-0 term
+# [I; 0] twice: the first block column of the real form of I, both series'
+# degree-0 term
+_EYE_COLS = np.tile(np.eye(8, 4), 2)
 
 
-def _gauss_nodes(a: np.ndarray, h: np.ndarray, n: int) -> np.ndarray:
-    """The Gauss nodes of n substeps h from a, (k, 1): all first, then all second."""
+def _magnus_nodes(a: np.ndarray, h: np.ndarray, n: int) -> np.ndarray:
+    """The Gauss nodes of n substeps h from a, (k, 1): all first, then all
+    second (the midpoints), then all third."""
     base = a + h * np.arange(n)
-    return np.concatenate([base + c * h for c in (0.5 - _GAUSS_SHIFT, 0.5 + _GAUSS_SHIFT)], -1)
+    return np.concatenate([base + c * h for c in _MAGNUS_NODES], -1)
 
 
-def _expm_batch(mats: np.ndarray, h) -> np.ndarray:
-    """Real forms of exp(-i*h*M) = cos(hM) - i sin(hM) for a stack of real
-    symmetric matrices M and a step h, scalar or an array that broadcasts
-    against the stack's leading axes.
+def _expm_skew(w: np.ndarray) -> np.ndarray:
+    """exp(W) for a stack of real 8x8 forms W of anti-Hermitian 4x4
+    matrices Omega = -iG, G Hermitian, so each W is antisymmetric.
 
-    With A = hM and X = A^2, cos A and sin A / A are Horner series in X,
-    side by side in one (..., 4, 8) stack so that each degree is one matmul.
-    The degree K is the least for which the truncation bound
-    x^(2K+2)/(2K+2)! e^x, x = max ||A||_1 over the batch, is below 1e-16,
-    so the result is exact to rounding.  A batch with x above 1 is scaled
-    by 2^-s first and its real forms squared s times."""
-    a = np.asarray(h, dtype=float)[..., None, None] * mats
-    x = float(np.einsum("...ij->...j", np.abs(a)).max(initial=0.0))
+    With X = W^2, exp(W) = C + W S for the Horner series
+    C = sum_j X^j/(2j)! and S = sum_j X^j/(2j+1)!, the real forms of cos G
+    and sin G / G.  A real form is fixed by its first block column, so the
+    two series carry only theirs, side by side in one (..., 8, 8) stack,
+    and each degree is one matmul and one add.  The degree K is the least
+    for which the truncation bound x^(2K+2)/(2K+2)! e^x, x = max ||W||_1
+    over the batch, is below 1e-16, so the result is exact to rounding.  A
+    batch with x above 1 is scaled by 2^-s first and its real forms squared
+    s times."""
+    x = float(np.einsum("...ij->...j", np.abs(w)).max(initial=0.0))
     s = math.ceil(math.log2(x / _SERIES_NORM)) if x > _SERIES_NORM else 0
-    a, x = a / 2.0 ** s, x / 2.0 ** s
+    w, x = w / 2.0 ** s, x / 2.0 ** s
     k, bound = 0, 0.5 * x * x * math.exp(x)
     while bound > _SERIES_TOL:
         k += 1
         bound *= x * x / ((2 * k + 1) * (2 * k + 2))
-    xx = a @ a
-    acc = np.broadcast_to(_EYE_EYE, a.shape[:-1] + (8,))
-    for j in range(k, 0, -1):
+    terms = [_EYE_COLS * np.repeat([1.0 / math.factorial(2 * j),
+                                    1.0 / math.factorial(2 * j + 1)], 4) for j in range(k + 1)]
+    xx = w @ w
+    acc = np.broadcast_to(terms[k], w.shape)
+    for term in reversed(terms[:k]):
         acc = xx @ acc
-        acc *= np.repeat([-1.0 / ((2 * j - 1) * 2 * j), -1.0 / (2 * j * (2 * j + 1))], 4)
-        acc += _EYE_EYE
-    r = _real_form(acc[..., :4], -(a @ acc[..., 4:]))
+        acc += term
+    col = acc[..., :4] + w @ acc[..., 4:]  # exp(W)'s first block column
+    r = _real_form(col[..., :4, :], col[..., 4:, :])
     for _ in range(s):
         r = r @ r
     return r
 
 
-def _cf4_steps(hs: np.ndarray, h) -> np.ndarray:
-    """Real forms of the CF4 substeps exp(-ihB) exp(-ihA), A = c+ H1 + c- H2
-    and B = c- H1 + c+ H2, from H at the _gauss_nodes along axis -3."""
-    h1, h2 = np.split(hs, 2, axis=-3)
-    ea, eb = _expm_batch(np.stack([_CF4_PLUS * h1 + _CF4_MINUS * h2,
-                                   _CF4_MINUS * h1 + _CF4_PLUS * h2]), h[..., 0, 0])
-    return eb @ ea  # eb acts after ea
+def _magnus6_steps(hs: np.ndarray, h) -> np.ndarray:
+    """Real forms of the sixth-order Magnus substeps exp(Omega) from the
+    real symmetric H_j at the _magnus_nodes along axis -3.
+
+    With A_j = -i H_j: a1 = h A2, a2 = (sqrt(15) h/3)(A3 - A1) and
+    a3 = (10 h/3)(A3 - 2 A2 + A1); C1 = [a1, a2], C2 = -[a1, 2 a3 + C1]/60
+    and Omega = a1 + a3/12 + [-20 a1 - a3 + C1, a2 + C2]/240.  Each a_k is
+    -i S_k with S_k real symmetric, and every commutator of two matrices
+    that are each symmetric or antisymmetric is one product P and its
+    transpose, P - P^T or P + P^T.  The last commutator of anti-Hermitian
+    Y and Z is YZ - (YZ)^dagger, its complex product YZ one real product.
+    So Omega = R + iI, R antisymmetric and I symmetric, takes 7 real 4x4
+    products."""
+    h1, h2, h3 = np.split(hs, 3, axis=-3)
+    s1 = h * h2
+    s2 = (math.sqrt(15.0) / 3.0) * h * (h3 - h1)
+    s3 = (10.0 / 3.0) * h * (h3 - 2.0 * h2 + h1)
+    p = s1 @ s2
+    c1 = p.swapaxes(-1, -2) - p  # C1 = -[S1, S2]
+    t, u = np.split(s1 @ np.concatenate([s3, c1], -1), 2, axis=-1)
+    # C2 = [S1, S3]/30 + i [S1, C1]/60
+    c2r = (t - t.swapaxes(-1, -2)) / 30.0
+    c2i = (u + u.swapaxes(-1, -2)) / 60.0
+    # Y = C1 + i (20 S1 + S3) and Z = C2r + i (C2i - S2); Y's real form
+    # times [Zr; Zi] is [Qr; Qi], YZ = Qr + i Qi
+    q = _real_form(c1, 20.0 * s1 + s3) @ np.concatenate([c2r, c2i - s2], -2)
+    qr, qi = q[..., :4, :], q[..., 4:, :]
+    return _expm_skew(_real_form((qr - qr.swapaxes(-1, -2)) / 240.0,
+                                 (qi + qi.swapaxes(-1, -2)) / 240.0 - s1 - s3 / 12.0))
 
 
 def evolve_oracle(p: SystemParams, seq: PulseSequence, rho0: DensityState) -> Trajectory:
     """Piecewise-exponential propagator oracle, independent of the RK4 route.
 
-    Each substep applies the two 4th-order commutator-free Magnus
-    exponentials of the real symmetric H at the Gauss nodes, exact to
-    rounding from cos/sin series whose degree a truncation bound sets, and
-    carried as real 8x8 forms, in batches of at most 512 substeps unless
+    Each substep is the sixth-order Magnus exponential exp(Omega) built
+    from the real symmetric H at the substep's three Gauss nodes (its
+    midpoint and the midpoint -/+ sqrt(15)/10 of the substep), exact to
+    rounding from a series whose degree a truncation bound sets, and
+    carried as a real 8x8 form, in batches of at most 512 substeps unless
     one interval alone holds more.  Each pass returns the running
     propagators at the breakpoints, which become the trajectory as in
-    ``evolve``.  The first pass takes 64 substeps per smallest carrier
+    ``evolve``.  The first pass takes 32 substeps per smallest carrier
     period, and the count is doubled until two successive final states
-    agree to trace distance < 1e-9, at most 6 times, else NoConvergence is
-    raised.  Raises ValueError if ``p`` is not ``seq.params``.
+    agree to trace distance < 1e-9, at most 7 times (4096 substeps per
+    period), else NoConvergence is raised.  Raises ValueError if ``p`` is
+    not ``seq.params``.
     """
     check_device(p, seq)
     rho0.validate()
@@ -595,8 +622,8 @@ def evolve_oracle(p: SystemParams, seq: PulseSequence, rho0: DensityState) -> Tr
     prev = None
     for doublings in range(_ORACLE_DOUBLINGS + 1):
         h_target = StepPolicy(_ORACLE_SUBSTEPS << doublings).step_target(p)
-        prods = _interval_products(seq, bps[:-1], bps[1:], h_target, _gauss_nodes,
-                                   _cf4_steps)
+        prods = _interval_products(seq, bps[:-1], bps[1:], h_target, _magnus_nodes,
+                                   _magnus6_steps)
         traj = _trajectory(bps, _running_products(prods), rho0)
         if prev is not None and trace_distance(traj.final, prev.final) < 1e-9:
             return traj

@@ -49,7 +49,13 @@ GRID_RTOL = 1e-9
 
 def _require_finite(**values) -> None:
     for name, value in values.items():
-        if value is not None and (isinstance(value, bool) or not math.isfinite(value)):
+        if value is None:
+            continue
+        try:
+            finite = not isinstance(value, bool) and math.isfinite(value)
+        except OverflowError:  # an int beyond the float range
+            finite = False
+        if not finite:
             raise ValueError(f"{name} must be a finite number, got {value!r}")
 
 

@@ -130,6 +130,26 @@ def test_non_numeric_params_exits_2(argv, tmp_path, capsys):
     assert "cannot read params file" in err
 
 
+# a JSON integer literal beyond the float range: math.isfinite raises
+# OverflowError on it, which must not escape as a traceback
+HUGE_INT = "1" + "0" * 400
+
+
+@pytest.mark.parametrize("command, text, message", [
+    ("compile", f'{{"w1z": 1.05, "w2z": 0.95, "wxx": {HUGE_INT}}}', "cannot read params file"),
+    ("sweep", f'[{{"delta": 0.1, "wxx": {HUGE_INT}}}]', "bad grid point"),
+], ids=["compile", "sweep"])
+def test_integer_beyond_float_range_exits_2(command, text, message, tmp_path, capsys):
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    argv = (("compile", "x90", "--params", str(path)) if command == "compile"
+            else ("sweep", str(path), "--metric", "cnot_error", "--jobs", "1"))
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert message in err and "wxx must be a finite number" in err
+
+
 def test_simulate_x90(tmp_path, capsys):
     code, seq_json, _ = run(capsys, "compile", "x90")
     seq_file = tmp_path / "x90.json"

@@ -42,7 +42,7 @@ from flicforq.integrator import (
     _BASIS,
     _breakpoints,
     _complex_of,
-    _expm_batch,
+    _expm_skew,
     _hamiltonians,
     _interval_steps,
     _real_form,
@@ -201,28 +201,31 @@ def test_step_product_matches_sequential_rk4():
     assert np.max(np.abs(propagator_of_sequence(p, seq, QUICK) - u)) < 1e-12
 
 
+def random_anti_hermitian(rng, n):
+    """n real 8x8 forms of random complex anti-Hermitian 4x4 matrices."""
+    a = rng.normal(size=(n, 4, 4)) + 1j * rng.normal(size=(n, 4, 4))
+    omega = a - a.conj().transpose(0, 2, 1)
+    return _real_form(omega.real, omega.imag)
+
+
 def test_expm_batch_matches_scipy():
-    rng = np.random.default_rng(8)
-    a = rng.normal(size=(6, 4, 4))
-    mats = a + a.transpose(0, 2, 1)
-    got = _complex_of(_expm_batch(mats, 0.37))
-    for m, e in zip(mats, got):
-        assert np.max(np.abs(e - scipy.linalg.expm(-0.37j * m))) < 1e-12
+    w = 0.37 * random_anti_hermitian(np.random.default_rng(8), 6)
+    assert np.array_equal(w, -w.transpose(0, 2, 1))
+    got = _complex_of(_expm_skew(w))
+    for x, e in zip(w, got):
+        assert np.max(np.abs(e - scipy.linalg.expm(_complex_of(x)))) < 1e-12
 
 
 @pytest.mark.parametrize("norm", [1e-3, 0.05, 0.5, integrator._SERIES_NORM,
                                   integrator._SERIES_NORM * (1.0 + 1e-9), 3.0, 10.0])
 def test_expm_batch_series_and_squaring_match_scipy(norm):
-    # ||hM||_1 = norm for every matrix, one step each as in an oracle chunk:
-    # the series alone up to _SERIES_NORM, where its degree is highest, and
-    # scaling and squaring above it
-    rng = np.random.default_rng(15)
-    a = rng.normal(size=(8, 4, 4))
-    mats = a + a.transpose(0, 2, 1)
-    h = norm / np.max(np.sum(np.abs(mats), axis=-2), axis=-1)
-    got = _complex_of(_expm_batch(mats, h))
-    for m, hk, e in zip(mats, h, got):
-        assert np.max(np.abs(e - scipy.linalg.expm(-1j * hk * m))) <= 1e-14
+    # ||W||_1 = norm for every matrix: the series alone up to _SERIES_NORM,
+    # where its degree is highest, and scaling and squaring above it
+    w = random_anti_hermitian(np.random.default_rng(15), 8)
+    w *= norm / np.max(np.sum(np.abs(w), axis=-2), axis=-1)[:, None, None]
+    got = _complex_of(_expm_skew(w))
+    for x, e in zip(w, got):
+        assert np.max(np.abs(e - scipy.linalg.expm(_complex_of(x)))) <= 1e-14
 
 
 def test_hamiltonians_real_and_match_model():
@@ -254,16 +257,29 @@ def test_real_form_roundtrip_and_product():
     assert np.max(np.abs(got - _real_form(ab.real, ab.imag))) <= 1e-14
 
 
-def reference_oracle(p, seq, rho0, substeps=64, max_doublings=6):
-    # the oracle one substep at a time: complex Hermitian eigendecomposition
-    # exponentials, and rho conjugated by each substep propagator in turn
-    def expm(mats, h):
-        lam, vec = np.linalg.eigh(mats)
-        return np.einsum("nij,nj,nkj->nik", vec, np.exp(-1j * h * lam), vec.conj())
+def magnus6_omega(a1, a2, a3, h):
+    """The sixth-order Magnus exponent from -iH at the three Gauss nodes, in
+    complex arithmetic (Blanes, Casas and Ros 2000)."""
+    def comm(x, y):
+        return x @ y - y @ x
 
-    shift = math.sqrt(3.0) / 6.0
-    c_plus = (3.0 + 2.0 * math.sqrt(3.0)) / 12.0
-    c_minus = (3.0 - 2.0 * math.sqrt(3.0)) / 12.0
+    b1 = h * a2
+    b2 = (math.sqrt(15.0) * h / 3.0) * (a3 - a1)
+    b3 = (10.0 * h / 3.0) * (a3 - 2.0 * a2 + a1)
+    c1 = comm(b1, b2)
+    c2 = -comm(b1, 2.0 * b3 + c1) / 60.0
+    return b1 + b3 / 12.0 + comm(-20.0 * b1 - b3 + c1, b2 + c2) / 240.0
+
+
+def reference_oracle(p, seq, rho0, substeps=32, max_doublings=7):
+    # the oracle one substep at a time: the Magnus exponent in complex
+    # arithmetic, its exponential from the eigendecomposition of the
+    # Hermitian i Omega, and rho conjugated by each substep in turn
+    def expm(omega):
+        lam, vec = np.linalg.eigh(1j * omega)
+        return np.einsum("nij,nj,nkj->nik", vec, np.exp(-1j * lam), vec.conj())
+
+    shift = math.sqrt(15.0) / 10.0
     bps = _breakpoints(seq)
     period = 2.0 * math.pi / max(p.w1z, p.w2z)
     prev = None
@@ -275,11 +291,9 @@ def reference_oracle(p, seq, rho0, substeps=64, max_doublings=6):
             m, h = _interval_steps(a, b, period / n)
             base = a + h * np.arange(m)
             mid = 0.5 * (a + b)
-            h1 = lab_hamiltonian(p, seq, base + (0.5 - shift) * h, mid)
-            h2 = lab_hamiltonian(p, seq, base + (0.5 + shift) * h, mid)
-            ea = expm(c_plus * h1 + c_minus * h2, h)
-            eb = expm(c_minus * h1 + c_plus * h2, h)
-            for u in eb @ ea:
+            a1, a2, a3 = (-1j * lab_hamiltonian(p, seq, base + c * h, mid)
+                          for c in (0.5 - shift, 0.5, 0.5 + shift))
+            for u in expm(magnus6_omega(a1, a2, a3, h)):
                 rho = u @ rho @ u.conj().T
             states.append(np.real(np.einsum("aij,ji->a", _BASIS, rho)))
         if prev is not None and 0.5 * np.sum(np.abs(np.linalg.eigvalsh(rho - prev))) < 1e-9:
@@ -311,7 +325,7 @@ def ramped_flip_sequence():
     segs = (
         PulseSegment(start=0.0, duration=30.0, amp_x_1=0.05, amp_y_1=-0.02,
                      envelope=Envelope("raised-cosine-ramp", 6.0), flip_at=13.3, flip_qubit=1),
-        PulseSegment(start=BENCH.t0_sync, duration=30.0, amp_y_2=0.04),
+        PulseSegment(start=BENCH.t0_sync, duration=75.0, amp_y_2=0.04),
     )
     return PulseSequence(params=BENCH, segments=segs)
 
@@ -321,7 +335,25 @@ def oracle_pass(seq, h_target):
     at most h_target."""
     bps = _breakpoints(seq)
     return integrator._running_products(integrator._interval_products(
-        seq, bps[:-1], bps[1:], h_target, integrator._gauss_nodes, integrator._cf4_steps))
+        seq, bps[:-1], bps[1:], h_target, integrator._magnus_nodes,
+        integrator._magnus6_steps))
+
+
+def test_oracle_is_sixth_order():
+    # on square pulses, whose every envelope edge and flip is a breakpoint,
+    # the error of the final propagator against a fine pass falls by 2^6
+    # per halving of the substep; a ramp's ends are no breakpoints, and the
+    # kink of its C1 envelope there would lower the order
+    segs = (
+        PulseSegment(start=0.0, duration=20.0, amp_y_1=0.04, amp_x_2=0.03,
+                     flip_at=9.0, flip_qubit=1),
+        PulseSegment(start=20.0, duration=6.0, amp_x_1=-0.03),
+    )
+    seq = PulseSequence(params=BENCH, segments=segs)
+    period = 2.0 * math.pi / BENCH.w1z
+    ref = oracle_pass(seq, period / 2048)[-1]
+    errors = [np.max(np.abs(oracle_pass(seq, period / n)[-1] - ref)) for n in (16, 32, 64)]
+    assert all(48.0 <= coarse / fine <= 80.0 for coarse, fine in zip(errors, errors[1:]))
 
 
 def test_oracle_matches_reference_across_chunks(monkeypatch):
@@ -332,7 +364,8 @@ def test_oracle_matches_reference_across_chunks(monkeypatch):
     p, seq = BENCH, ramped_flip_sequence()
     period = 2.0 * math.pi / p.w1z
     bps = _breakpoints(seq)
-    first = [_interval_steps(a, b, period / 64)[0] for a, b in zip(bps[:-1], bps[1:])]
+    first = [_interval_steps(a, b, period / integrator._ORACLE_SUBSTEPS)[0]
+             for a, b in zip(bps[:-1], bps[1:])]
     assert sum(first) > integrator._BATCH_STEPS
     samplings = []  # per pass, the sample count per interval of each H sampling
     real_pass, real_ham = integrator._interval_products, integrator._hamiltonians
@@ -361,19 +394,19 @@ def test_oracle_batches_chunks_without_eigh(monkeypatch):
         raise AssertionError("the oracle called np.linalg.eigh")
 
     passes = []
-    real_pass, real_expm = integrator._interval_products, integrator._expm_batch
+    real_pass, real_expm = integrator._interval_products, integrator._expm_skew
 
     def spy_pass(seq, a, b, h_target, *scheme):
         passes.append(([_interval_steps(x, y, h_target)[0] for x, y in zip(a, b)], []))
         return real_pass(seq, a, b, h_target, *scheme)
 
-    def spy_expm(mats, h):
-        passes[-1][1].append(mats.size // 32)  # two 4x4 exponentials per substep
-        return real_expm(mats, h)
+    def spy_expm(w):
+        passes[-1][1].append(w.size // 64)  # one 8x8 exponential per substep
+        return real_expm(w)
 
     monkeypatch.setattr(np.linalg, "eigh", no_eigh)
     monkeypatch.setattr(integrator, "_interval_products", spy_pass)
-    monkeypatch.setattr(integrator, "_expm_batch", spy_expm)
+    monkeypatch.setattr(integrator, "_expm_skew", spy_expm)
     seq = ramped_flip_sequence()
     evolve_oracle(BENCH, seq, random_state(np.random.default_rng(17)))
     cap = integrator._BATCH_STEPS
@@ -710,7 +743,7 @@ ROUTES = {
     "rk4": (lambda seq, policy: integrator._running_propagators(seq, policy, 1e-9),
             lambda m: (m - 1) // 2),
     "oracle": (lambda seq, policy: oracle_pass(seq, policy.step_target(seq.params)),
-               lambda m: m // 2),
+               lambda m: m // 3),
 }
 
 
