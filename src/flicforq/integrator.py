@@ -36,20 +36,26 @@ When w0/delta is an integer, both carriers flip sign over t0_sync =
 interval [k s, (k+1) s] of the s = t0_sync/8 grid over which every active
 segment is flat (square, or inside its ramp's flat top, where the envelope
 is 1), at window position p = k mod 8 under constant amplitudes
-a = (ax1, ay1, ax2, ay2), then obeys three exact relations of the real H.
+a = (ax1, ay1, ax2, ay2), then obeys four relations, each exact for the
+RK4 product itself, so reuse moves a propagator by rounding only.
 Shift: a shift by t0_sync negates cos and sin, the same as negating a.
-Sign: negating a negates X1 and X2 only, a Z1Z2 conjugation.  Mirror:
-t -> t0_sync - t sends cos(w_q t) to -cos and sin to sin, so it maps
-position p under a to 7 - p under M a = (-ax1, ay1, -ax2, ay2), time
-reversed; as S(B, M, A)^T = S(A, M, B) for the RK4 step of real symmetric
-samples (to rounding), that transposes the product.  The RK4 route builds
-one interval per orbit of these relations, keyed by _window_origins, and
-takes the others from it, Z1Z2-conjugated or transposed; the result equals
-building every interval to rounding.  Ramps, intervals cut by an off-grid
-edge or flip, devices whose w0/delta is not an integer, and every oracle
-interval are built every time.  One tail records U rho0 U^dagger, divided
-by its trace, as the 15 real Pauli coefficients c_a of
-rho = (1 + sum_a c_a P_a)/4.
+Sign of qubit q = 1, 2: negating (ax_q, ay_q) gives H' = -S_q H S_q^T, with
+S_1 = X1 Y2 and S_2 = Y1 X2 taken as real signed permutations (iY = ZX),
+so U' = S_q conj(U) S_q^T: on negated samples the RK4 step is exactly
+conj(S), as Re S is even in the samples and Im S odd, and conjugating by a
+signed permutation only moves entries.  The two signs together are the
+Z1Z2 conjugation.  Mirror: t -> t0_sync - t sends cos(w_q t) to -cos and
+sin to sin, so it maps position p under a to 7 - p under
+M a = (-ax1, ay1, -ax2, ay2), time reversed; as S(B, M, A)^T = S(A, M, B)
+for the RK4 step of real symmetric samples, that transposes the product.
+The RK4 route builds one interval per orbit of these relations (four sign
+pairs at p and the same four mirrored at 7 - p), keyed by _window_origins,
+and gathers every other interval's real form from it by one signed
+permutation of its 64 entries (_memo_tables); the result equals building
+every interval to rounding.  Ramps, intervals cut by an off-grid edge or
+flip, devices whose w0/delta is not an integer, and every oracle interval
+are built every time.  One tail records U rho0 U^dagger, divided by its
+trace, as the 15 real Pauli coefficients c_a of rho = (1 + sum_a c_a P_a)/4.
 
 The private layers read the device from ``seq.params`` only.
 """
@@ -302,19 +308,45 @@ def _rk4_steps(hs: np.ndarray, h) -> np.ndarray:
     grid (2n + 1 times along axis -3).  With A, M, B = H_a, H_m, H_b and
     x = h/2, Re S = I + h/6 (-2x (MA + MM + BM) + 2x^3 BMMA) and
     Im S = h/6 (2x^2 (MMA + BMM) - (A + 4M + B)).  Leading axes batch
-    intervals; h is a scalar or broadcasts against hs, as (k, 1, 1, 1)."""
+    intervals; h is a scalar or broadcasts against hs, as (k, 1, 1, 1).
+
+    The sums are formed in place in five product arrays and copied once
+    into the output's blocks, so that a batch's temporaries stay below
+    glibc's heap trim threshold: with a fresh array per sum and per block
+    (0.7 MB at the peak of a 450-step batch) the heap top was trimmed after
+    every warm benchmark gate op and faulted back in, 194 faults per op."""
     a, m, b = hs[..., 0:-1:2, :, :], hs[..., 1::2, :, :], hs[..., 2::2, :, :]
     x = 0.5 * np.asarray(h, dtype=float)
     # powers by multiplication, which rounds alike in any batch; numpy's
     # vectorized power can round differently in the last bit
     x2 = x * x
     x3 = x2 * x
-    ma, mm, bm = m @ a, m @ m, b @ m
-    mma, bmm = m @ ma, b @ mm
+    # the operations of the formulas above in their order, elementwise, so
+    # each step rounds alike in any batch; t holds BM, then BMM, then
+    # 4M + A + B
+    ma, mm, t = m @ a, m @ m, b @ m
+    mma = m @ ma
     bmma = b @ mma
-    re = np.eye(4) + (h / 6.0) * (-2.0 * x * (ma + mm + bm) + 2.0 * x3 * bmma)
-    im = (h / 6.0) * (2.0 * x2 * (mma + bmm) - (a + 4.0 * m + b))
-    return _real_form(re, im)
+    ma += mm
+    ma += t
+    np.matmul(b, mm, out=t)
+    mma += t
+    ma *= -2.0 * x
+    bmma *= 2.0 * x3
+    ma += bmma
+    ma *= h / 6.0
+    ma += np.eye(4)
+    mma *= 2.0 * x2
+    np.multiply(4.0, m, out=t)
+    t += a
+    t += b
+    mma -= t
+    mma *= h / 6.0
+    out = np.empty(ma.shape[:-2] + (8, 8))
+    out[..., :4, :4] = out[..., 4:, 4:] = ma
+    out[..., 4:, :4] = mma
+    np.negative(mma, out=out[..., :4, 4:])
+    return out
 
 
 def _time_ordered_product(mats: np.ndarray) -> np.ndarray:
@@ -372,33 +404,55 @@ def _running_products(prods: np.ndarray) -> np.ndarray:
 
 # The Z1 and Z2 eigenvalues of |00>, |01>, |10> and |11>, one row each
 _Z_SIGNS = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
-# Z1Z2 conjugation, (ZZ U ZZ)_ij = z_i z_j U_ij, as a mask on real forms
-_ZZ_DIAG = _Z_SIGNS.prod(1)
-_ZZ_MASK = np.tile(np.outer(_ZZ_DIAG, _ZZ_DIAG), (2, 2))
-# the transposed real form of U with these signs is the real form of U^T
-_TRANSPOSE_MASK = np.kron([[1.0, -1.0], [-1.0, 1.0]], np.ones((4, 4)))
 # the window mirror's action on (ax1, ay1, ax2, ay2)
 _MIRROR_SIGNS = (-1.0, 1.0, -1.0, 1.0)
 # w0/delta and the grid points within this relative distance count as exact
 _SYNC_RTOL = 1e-13
 
 
-def _window_origins(seq: PulseSequence, bps: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Per breakpoint interval, its origin and two flags: the interval's
-    propagator is its origin's, Z1Z2-conjugated where the first flag is set
-    and transposed where the second is.
+def _memo_tables() -> tuple[np.ndarray, np.ndarray]:
+    """The window memo's relations as signed permutations of a real form's
+    64 entries, (8, 64) each: for the group element g = f1 + 2 f2 + 4 m,
+    entry j of the image of the real form R is sign[g, j] R[index[g, j]].
+
+    f_q is qubit q's sign, U -> S_q conj(U) S_q^T with S_1 = X1 Y2 and
+    S_2 = Y1 X2 taken real (iY = ZX), and m the mirror, U -> U^T.  On R,
+    conj is the mask [[1, -1], [-1, 1]] of 4x4 blocks, U^T that mask on
+    R^T, and S_q acts as diag(S_q, S_q).  The three commute and square to
+    the identity, and f1 f2 is the Z1Z2 conjugation."""
+    mask = np.kron([[1.0, -1.0], [-1.0, 1.0]], np.ones((4, 4)))
+    flips = [np.kron(np.eye(2), (1j * _BASIS[IDX[lab]]).real) for lab in ("XY", "YX")]
+    images = []
+    for g in range(8):
+        r = np.arange(1.0, 65.0).reshape(8, 8)  # +-(j + 1) marks entry j and its sign
+        if g & 4:
+            r = r.T * mask
+        for q, s in enumerate(flips):
+            if g >> q & 1:
+                r = s @ (r * mask) @ s.T
+        images.append(r.ravel())
+    images = np.array(images)
+    return np.abs(images).astype(int) - 1, np.sign(images)
+
+
+_MEMO_INDEX, _MEMO_SIGN = _memo_tables()
+
+
+def _window_origins(seq: PulseSequence, bps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per breakpoint interval, its origin and the group element g of
+    _memo_tables that takes the origin's propagator to its own.
 
     A full flat grid interval (module docstring) at window w = k // 8 and
     position p = k mod 8 under amplitudes a gets a key in closed form.  The
-    mirror folds into the position: where p > 3, tr is set and the key
-    takes 7 - p and M a.  The shift and the sign fold into one flag: the
-    interval is window 0's under (-1)^w M^tr a, which is the Z1Z2 conjugate
-    of window 0's under the negation.  With lead the first nonzero entry of
-    M^tr a (0 if none), the key takes M^tr a negated where lead < 0, and zz
-    is set where (-1)^w lead < 0 (at a = 0 the conjugation is a symmetry).
-    So intervals share a key exactly when one orbit holds them; the first
-    is the origin, and as both maps are commuting involutions the flags
-    relative to it are XORs."""
+    shift folds into the amplitudes: the interval is window 0's under
+    n = (-1)^w a.  The mirror folds into the position: where p > 3, m is
+    set and the key takes 7 - p and M n.  Each qubit's sign folds into its
+    pair (ax_q, ay_q) of M^m n: with lead_q the pair's first nonzero entry
+    (0 if none), f_q is set and the key takes the pair negated where
+    lead_q < 0 (an undriven qubit's sign is a symmetry, and its bit stays
+    clear).  So intervals share a key exactly when one orbit holds them;
+    the first is the origin, and as the relations are commuting involutions
+    the element relative to it is an XOR."""
     a, b = bps[:-1], bps[1:]
     # both carriers flip over t0_sync when w0/delta is an integer to rounding
     r = seq.params.w0 / seq.params.delta
@@ -419,15 +473,16 @@ def _window_origins(seq: PulseSequence, bps: np.ndarray) -> tuple[np.ndarray, ..
     # interval's constant amplitudes and flip signs
     amps = np.stack(drive_amplitudes_at(seq, mid, mid), axis=1)
     pos = k % 8
-    tr = full & (pos > 3)
-    amps[tr] *= _MIRROR_SIGNS
-    lead = amps[np.arange(a.size), np.argmax(amps != 0.0, axis=1)]
-    amps[lead < 0.0] *= -1.0
-    zz = full & (np.where(k // 8 % 2 == 1, -lead, lead) < 0.0)
+    amps[k // 8 % 2 == 1] *= -1.0
+    amps[pos > 3] *= _MIRROR_SIGNS
+    pairs = amps.reshape(-1, 2, 2)  # a view: per interval and qubit, (ax, ay)
+    flips = np.where(pairs[..., 0] != 0.0, pairs[..., 0], pairs[..., 1]) < 0.0
+    pairs[flips] *= -1.0
+    g = flips @ np.array([1, 2]) + 4 * (pos > 3)
     first: dict = {}
     keys = enumerate(zip(full.tolist(), np.minimum(pos, 7 - pos).tolist(), amps.tolist()))
     origin = np.array([first.setdefault((p, *n), i) if f else i for i, (f, p, n) in keys], int)
-    return origin, zz ^ zz[origin], tr ^ tr[origin]
+    return origin, g ^ g[origin]
 
 
 def _unitarity_defect(u: np.ndarray) -> float:
@@ -441,20 +496,21 @@ def _running_propagators(seq: PulseSequence, policy: StepPolicy,
     """Breakpoints t_k and the RK4 propagators U(t_k) from time 0 to each.
 
     Only the intervals that are their own origin (_window_origins) are
-    built; any other takes its origin's product, Z1Z2-conjugated and
-    transposed as its flags say.  Raises StepTooCoarse if the unitarity
+    built; each interval's real form is then gathered from its origin's
+    by the signed permutation of its group element (_memo_tables), the
+    identity for the built ones.  Raises StepTooCoarse if the unitarity
     defect of any U(t_k), not only the final one (on the CNOT an earlier one
     is up to 1.3 times larger), exceeds max_defect or is not finite."""
     h_target = policy.step_target(seq.params)
     bps = _breakpoints(seq)
-    origin, zz, tr = _window_origins(seq, bps)
+    origin, g = _window_origins(seq, bps)
     todo = np.flatnonzero(origin == np.arange(origin.size))  # the intervals to build
     with np.errstate(over="ignore", invalid="ignore"):  # divergence is checked below
-        prods = _interval_products(seq, bps[todo], bps[todo + 1], h_target, _half_steps,
-                                   _rk4_steps)[np.searchsorted(todo, origin)]
-        prods[zz] *= _ZZ_MASK
-        prods[tr] = prods[tr].swapaxes(-1, -2) * _TRANSPOSE_MASK
-        us = _running_products(prods)
+        built = _interval_products(seq, bps[todo], bps[todo + 1], h_target, _half_steps,
+                                   _rk4_steps)
+        prods = built.reshape(-1)[64 * np.searchsorted(todo, origin)[:, None] + _MEMO_INDEX[g]]
+        prods *= _MEMO_SIGN[g]
+        us = _running_products(prods.reshape(-1, 8, 8))
     defect = _unitarity_defect(us)
     if not defect <= max_defect:  # nan compares false, so it fails too
         raise StepTooCoarse(f"the propagator diverged from unitarity: "
@@ -486,8 +542,9 @@ def evolve(
     Samples at every segment boundary and flip point plus a uniform grid
     of spacing t0_sync/8.  The state at time t is U rho0 U^dagger divided
     by its trace, U = U(t) the propagator, since RK4 is not exactly
-    unitary.  Grid intervals that repeat, up to a Z1Z2 conjugation or a
-    transpose, are stepped once per call (see the module docstring).
+    unitary.  Grid intervals that repeat, up to a qubit's sign (a
+    conjugation and a signed permutation) or a transpose, are stepped once
+    per call (see the module docstring).
     Deterministic: identical inputs yield bit-identical trajectories.
     Raises ValueError if ``p`` is not ``seq.params``, and StepTooCoarse if
     the unitarity defect of any U(t) exceeds 1e-6, the bound

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -446,8 +447,9 @@ def gate_layer(p, axes="xy"):
     (BENCH, gate_layer(BENCH), BENCH_POLICY),
 ], ids=["cnot", "D", "xx_half", "gate_layer"])
 def test_window_reuse_matches_plain_stepping(p, seq, policy):
-    # intervals one or more sync windows apart share a propagator up to
-    # Z1Z2 conjugation; reuse must agree with stepping each one to rounding
+    # intervals related by the window shift, a qubit's sign or the window
+    # mirror share a propagator up to a signed permutation of its real form;
+    # reuse must agree with stepping each one to rounding
     u = propagator_of_sequence(p, seq, policy)
     assert np.max(np.abs(u - plain_propagators(p, seq, policy)[-1])) <= 1e-11
 
@@ -475,30 +477,40 @@ def square_pair(p, windows, envelope=None):
     return PulseSequence(params=p, segments=(seg,))
 
 
+def both_axes_pair(p, windows):
+    """x and y drives of unequal magnitudes and signs on both qubits."""
+    seg = PulseSegment(start=0.0, duration=windows * p.t0_sync, amp_x_1=0.2 * p.delta,
+                       amp_y_1=-0.1 * p.delta, amp_x_2=-0.15 * p.delta, amp_y_2=0.25 * p.delta)
+    return PulseSequence(params=p, segments=(seg,))
+
+
 @pytest.mark.parametrize("p, seq, built, intervals, tol", [
     (BENCH, compile_D(BENCH), 4, 160, 1e-13),
     (BENCH, gate_layer(BENCH, "xx"), 4, 16, 1e-13),
     (BENCH, gate_layer(BENCH, "yy"), 4, 16, 1e-13),
-    (BENCH, gate_layer(BENCH), 8, 16, 1e-13),
-    (BENCH, compile_xx_half(BENCH), 8, 160, 1e-13),
-    (BENCH, compile_cnot(BENCH), 16, 208, 1e-13),
-    (DEFAULT_PARAMS, compile_cnot(DEFAULT_PARAMS), 16, 208, 1e-11),
+    (BENCH, gate_layer(BENCH), 4, 16, 1e-13),
+    (BENCH, both_axes_pair(BENCH, 2), 8, 16, 1e-13),
+    (BENCH, compile_xx_half(BENCH), 4, 160, 1e-13),
+    (BENCH, compile_cnot(BENCH), 12, 208, 1e-13),
+    (DEFAULT_PARAMS, compile_cnot(DEFAULT_PARAMS), 12, 208, 1e-11),
     (device(3.9), square_pair(device(3.9), 3), 24, 24, 1e-13),
     (device(4 + 1e-9), square_pair(device(4 + 1e-9), 3), 24, 24, 1e-13),
     (BENCH, square_pair(BENCH, 3, Envelope("raised-cosine-ramp", 10.0)), 12, 24, 1e-13),
-], ids=["D", "x-layer", "y-layer", "gate_layer", "xx_half", "cnot-bench", "cnot-paper",
-        "ratio-3.9", "ratio-4+1e-9", "ramped"])
+], ids=["D", "x-layer", "y-layer", "gate_layer", "xy-both", "xx_half", "cnot-bench",
+        "cnot-paper", "ratio-3.9", "ratio-4+1e-9", "ramped"])
 def test_window_reuse_and_fallback(p, seq, built, intervals, tol, monkeypatch):
-    # a grid interval is stepped once per orbit under the window shift (a
-    # Z1Z2 conjugation) and the window mirror (a transpose).  The D pulse
-    # (y drives, flat for 20 windows) and a layer of x or of y pulses step
-    # half of one window; x on one qubit and y on the other step a whole
-    # window, since the mirror negates the x amplitudes only.  A device
-    # whose carriers do not flip over t0_sync steps every interval, and a
-    # ramped pulse its ramps every time and its flat top once per orbit.
-    # A call's leading axes batch intervals.  The paper's CNOT reuses 16
-    # products over 26 windows, so their rounding adds up: it keeps the
-    # 1e-11 of test_window_reuse_matches_plain_stepping (1.6e-12 here).
+    # a grid interval is stepped once per orbit under the window shift, each
+    # qubit's sign (S_q conj(U) S_q^T) and the window mirror (a transpose).
+    # The D pulse (y drives, flat for 20 windows), a layer of x or of y
+    # pulses and one of x on one qubit and y on the other step half of one
+    # window: each qubit drives along one axis, so the mirror's sign on x is
+    # that qubit's sign.  x and y on both qubits step a whole window, since
+    # the mirror negates x and not y.  A device whose carriers do not flip
+    # over t0_sync steps every interval, and a ramped pulse its ramps every
+    # time and its flat top once per orbit.  A call's leading axes batch
+    # intervals.  The paper's CNOT reuses 12 products over 26 windows, so
+    # their rounding adds up: it keeps the 1e-11 of
+    # test_window_reuse_matches_plain_stepping.
     intervals_built = []
 
     def counting(hs, h):
@@ -525,6 +537,44 @@ def test_rk4_steps_on_reversed_samples_are_transposes(per_interval):
     fwd = _complex_of(_rk4_steps(hs, h))
     rev = _complex_of(_rk4_steps(hs[:, ::-1], h))
     assert np.max(np.abs(rev - fwd[:, ::-1].swapaxes(-1, -2))) <= 1e-15
+
+
+@pytest.mark.parametrize("per_interval", [False, True], ids=["scalar-h", "per-interval-h"])
+def test_rk4_steps_on_negated_samples_are_conjugates(per_interval):
+    # a qubit's sign rests on this: Re S is even in the samples and Im S
+    # odd, so negating every sample conjugates each step bit for bit
+    rng = np.random.default_rng(22)
+    a = rng.normal(size=(3, 2 * 6 + 1, 4, 4))
+    hs = a + a.swapaxes(-1, -2)
+    h = rng.uniform(0.01, 0.1, size=(3, 1, 1, 1)) if per_interval else 0.05
+    s = _complex_of(_rk4_steps(hs, h))
+    assert np.array_equal(_rk4_steps(-hs, h), _real_form(s.real, -s.imag))
+
+
+# qubit q's sign as a real signed permutation: S_1 = X1 Y2 and S_2 = Y1 X2 (iY = ZX)
+QUBIT_SIGNS = {q: (1j * _BASIS[IDX[lab]]).real for q, lab in ((1, "XY"), (2, "YX"))}
+
+
+@pytest.mark.parametrize("axes", ["x", "y", "xy"])
+@pytest.mark.parametrize("q", [1, 2])
+def test_negating_one_qubit_conjugates_a_flat_interval(q, axes):
+    # negating qubit q's amplitudes gives H' = -S_q H S_q^T, so a flat grid
+    # interval's RK4 product becomes S_q conj(U) S_q^T
+    drive = {"amp_x_1": 0.2, "amp_y_1": -0.1, "amp_x_2": -0.15, "amp_y_2": 0.25}
+    # qubit q drives along axes, the other qubit along x and y
+    amps = {key: v * BENCH.delta for key, v in drive.items()
+            if key[-1] != str(q) or key[4] in axes}
+    flipped = {key: -v if key[-1] == str(q) else v for key, v in amps.items()}
+    a, b = 3 * BENCH.t0_sync / 8, 4 * BENCH.t0_sync / 8
+    n, h = _interval_steps(a, b, BENCH_POLICY.step_target(BENCH))
+    tg = a + 0.5 * h * np.arange(2 * n + 1)
+    us = []
+    for signed in (amps, flipped):
+        seq = PulseSequence(params=BENCH, segments=(
+            PulseSegment(start=0.0, duration=BENCH.t0_sync, **signed),))
+        us.append(_complex_of(_time_ordered_product(_rk4_steps(_hamiltonians(seq, a, b, tg), h))))
+    s = QUBIT_SIGNS[q]
+    assert np.max(np.abs(us[1] - s @ us[0].conj() @ s.T)) <= 1e-14
 
 
 @st.composite
@@ -562,6 +612,27 @@ def sync_grid_sequences(draw):
                          total_time=(start + draw(st.integers(0, 4))) * s)
 
 
+def test_step_build_holds_few_temporaries():
+    # the step build forms its sums in place and writes its real forms
+    # once, so it holds 2.51 times its output's memory at its peak (the
+    # output, five (n, 4, 4) products and one ufunc buffer), against 3.26
+    # times when every sum and Re S and Im S were fresh arrays.  With those,
+    # the heap top was trimmed and faulted back in on every warm benchmark
+    # gate op (194 minor faults per op, against 0.1)
+    rng = np.random.default_rng(23)
+    a = rng.normal(size=(1, 2 * 450 + 1, 4, 4))
+    hs = a + a.swapaxes(-1, -2)
+    h = np.full((1, 1, 1, 1), 0.01)
+    size = _rk4_steps(hs, h).nbytes
+    tracemalloc.start()
+    try:
+        _rk4_steps(hs, h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * size
+
+
 @settings(max_examples=25)
 @given(seq=sync_grid_sequences())
 def test_window_memo_matches_plain_stepping(seq):
@@ -588,9 +659,11 @@ def test_pointwise_amplitudes_match_interval_form(seq):
 def orbit_table_origins(seq, bps):
     """The reference memo plan: each full flat grid interval under its
     window-0 amplitudes n = (-1)^(k // 8) a, looked up in a table that
-    lists the four images (p, n), (p, -n), (7 - p, M n), (7 - p, -M n) of
-    every orbit with their (Z1Z2, transpose) flags, the first interval of
-    an orbit its origin."""
+    lists the eight images of every orbit with their group elements
+    g = f1 + 2 f2 + 4 m: the four sign pairs (p, F n) at p, F negating
+    qubit 1's pair where f1 is set and qubit 2's where f2 is, and the same
+    four mirrored, (7 - p, M F n); the first interval of an orbit is its
+    origin."""
     a, b = bps[:-1], bps[1:]
     p = seq.params
     r = p.w0 / p.delta
@@ -608,34 +681,36 @@ def orbit_table_origins(seq, bps):
     amps = np.stack(drive_amplitudes_at(seq, mid, mid), axis=1)
     amps[k // 8 % 2 == 1] *= -1.0
     origin = np.arange(a.size)
-    zz = np.zeros(a.size, dtype=bool)
-    tr = np.zeros(a.size, dtype=bool)
-    seen = {}  # (p, n) -> (origin, zz, tr)
+    element = np.zeros(a.size, dtype=int)
+    seen = {}  # (p, n) -> (origin, g)
     for i in np.flatnonzero(full).tolist():
         pos, n = int(k[i]) % 8, tuple(amps[i].tolist())
         if (pos, n) not in seen:
-            m = tuple(s * x for s, x in zip((-1.0, 1.0, -1.0, 1.0), n))
-            neg_n, neg_m = tuple(-x for x in n), tuple(-x for x in m)
-            # setdefault keeps the first: with n = 0, (p, -n) is (p, n)
-            for key, flags in (((pos, n), (False, False)), ((pos, neg_n), (True, False)),
-                               ((7 - pos, m), (False, True)), ((7 - pos, neg_m), (True, True))):
-                seen.setdefault(key, (i, *flags))
-        origin[i], zz[i], tr[i] = seen[pos, n]
-    return origin, zz, tr
+            # setdefault keeps the first, the least g: where qubit q is not
+            # driven, the images with and without f_q coincide
+            for g in range(8):
+                signs = (-1.0 if g & 1 else 1.0,) * 2 + (-1.0 if g & 2 else 1.0,) * 2
+                if g & 4:
+                    signs = tuple(s * m for s, m in zip(signs, (-1.0, 1.0, -1.0, 1.0)))
+                seen.setdefault((7 - pos if g & 4 else pos, *(s * x for s, x in zip(signs, n))),
+                                (i, g))
+        origin[i], element[i] = seen[(pos, *n)]
+    return origin, element
 
 
 def assert_plan_matches_orbit_table(seq):
     bps = _breakpoints(seq)
     got, want = integrator._window_origins(seq, bps), orbit_table_origins(seq, bps)
-    for name, g, w in zip(("origin", "zz", "tr"), got, want):
+    for name, g, w in zip(("origin", "g"), got, want):
         assert g.dtype == w.dtype and np.array_equal(g, w), name
 
 
 @settings(max_examples=100)
 @given(seq=sync_grid_sequences())
 def test_window_origins_match_orbit_table_on_sync_grid(seq):
-    # the closed-form keys against the four-image table, flags included
-    # (also where all amplitudes vanish, whose Z1Z2 flag the table clears)
+    # the closed-form keys against the eight-image table, group elements
+    # included (also where a qubit is not driven, whose sign bit the table
+    # clears)
     assert_plan_matches_orbit_table(seq)
 
 
@@ -679,6 +754,25 @@ def test_window_origins_match_orbit_table(seqs):
         assert_plan_matches_orbit_table(seq)
 
 
+def test_every_bench_gate_layer_builds_one_window_half(monkeypatch):
+    # each qubit of a benchmark gate layer drives along one axis, so its 16
+    # grid intervals fall into 4 orbits whatever the axes and turns, also
+    # with x on one qubit and y on the other, where both qubits' signs
+    # flipped together take 8
+    built = []
+
+    def counting(hs, h):
+        built[-1] += math.prod(hs.shape[:-3])
+        return _rk4_steps(hs, h)
+
+    monkeypatch.setattr(integrator, "_rk4_steps", counting)
+    for seq in bench_gate_layers(0.0):
+        built.append(0)
+        propagator_of_sequence(BENCH, seq, BENCH_POLICY)
+        assert _breakpoints(seq).size - 1 == 16
+    assert built == [4] * 256
+
+
 @pytest.mark.parametrize("seq", [
     PulseSequence(params=BENCH, total_time=0.0),
     square_pair(device(3.9), 1),
@@ -687,12 +781,12 @@ def test_window_origins_match_orbit_table(seqs):
         envelope=Envelope("raised-cosine-ramp", 1.5 * BENCH.t0_sync / 8)),)),
 ], ids=["no-interval", "ratio-3.9", "ramps-only"])
 def test_window_origins_with_empty_memo(seq):
-    # with nothing to reuse every interval is its own origin with integer
-    # and boolean columns, also when there is no interval at all
-    origin, zz, tr = integrator._window_origins(seq, _breakpoints(seq))
-    assert origin.dtype.kind == "i" and zz.dtype == bool and tr.dtype == bool
+    # with nothing to reuse every interval is its own origin under the
+    # identity, in integer columns, also when there is no interval at all
+    origin, g = integrator._window_origins(seq, _breakpoints(seq))
+    assert origin.dtype.kind == "i" and g.dtype.kind == "i"
     assert np.array_equal(origin, np.arange(origin.size))
-    assert not zz.any() and not tr.any()
+    assert not g.any()
     us = integrator._running_propagators(seq, BENCH_POLICY, 1e-9)[1]
     assert np.array_equal(us, plain_propagators(seq.params, seq, BENCH_POLICY))
 
@@ -783,7 +877,7 @@ def test_drive_samples_bounded_by_chunk_cap(route, p, seq, policy, monkeypatch):
 
 def test_one_h_sampling_per_chunk(monkeypatch):
     # H is sampled once per chunk, not once per batch: the bench gate
-    # layer's distinct intervals (8 of 450 steps, 8 batches) fit one chunk,
+    # layer's distinct intervals (4 of 450 steps, 4 batches) fit one chunk,
     # and so does each oracle pass over one pulse length, with ramped and
     # square pulses, while its steps fit the cap.
     layer = gate_layer(BENCH)
@@ -805,7 +899,7 @@ def test_one_h_sampling_per_chunk(monkeypatch):
     monkeypatch.setattr(integrator, "_interval_products", spy_pass)
     monkeypatch.setattr(integrator, "_hamiltonians", spy_ham)
     propagator_of_sequence(BENCH, layer, BENCH_POLICY)
-    assert passes == [[3600, 1]]
+    assert passes == [[1800, 1]]
     passes.clear()
     evolve_oracle(BENCH, pulse, random_state(np.random.default_rng(18)))
     fitting = [samplings for steps, samplings in passes if steps <= integrator._CHUNK_STEPS]
