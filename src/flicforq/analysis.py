@@ -24,6 +24,7 @@ from .compiler import compile_one_qubit, insert_decoupling
 from .integrator import (
     DensityState,
     StepPolicy,
+    _UNITARITY_BOUND,
     _Z_SIGNS,
     _unitarity_defect,
     _z_phases,
@@ -179,7 +180,7 @@ def gate_fidelity(
     local z phases on both sides."""
     u_sim = np.asarray(u_sim, dtype=complex)
     defect = _unitarity_defect(u_sim)
-    if not defect <= 1e-6:  # also rejects nan
+    if not defect <= _UNITARITY_BOUND:  # also rejects nan
         raise NotUnitary(f"unitarity defect {defect:.3e} exceeds 1e-6")
     u_ideal = word_unitary(word)
     if align_local_z:

@@ -174,25 +174,10 @@ def compile_cnot(p: SystemParams) -> PulseSequence:
     s = cal.xx_sign
     t2 = 2 * p.t0_sync
     seg3 = compile_xx_half(p, 2 * t2).segments[0]
-    t_xx = seg3.duration
     seg1 = compile_one_qubit(p, 2, "x", HALF_PI, 0.0)
     seg2 = compile_one_qubit(p, 1, "y", s * HALF_PI, t2)
-    seg4 = compile_one_qubit(p, 1, "y", -s * HALF_PI, 2 * t2 + t_xx)
-    total = 3 * t2 + t_xx
-    seq = PulseSequence(params=p, segments=(seg1, seg2, seg3, seg4))
-    return seq.with_virtual_z(1, HALF_PI, total)
-
-
-def _shift_from(seq: PulseSequence, index: int, t: float, shift: float) -> tuple:
-    """The segments of ``seq`` from ``index`` on and its ledger entries at
-    ``t`` or later, moved by ``shift``, and its total time plus ``shift``."""
-    after = tuple(
-        replace(s, start=s.start + shift,
-                flip_at=None if s.flip_at is None else s.flip_at + shift)
-        for s in seq.segments[index:]
-    )
-    vz = tuple((q, a, u + shift if u >= t - _TOL else u) for q, a, u in seq.virtual_z)
-    return after, vz, seq.total_time + shift
+    seg4 = compile_one_qubit(p, 1, "y", -s * HALF_PI, seg3.end)
+    return PulseSequence(params=p, segments=(seg1, seg2, seg3, seg4)).with_virtual_z(1, HALF_PI)
 
 
 def _is_one_qubit(seg: PulseSegment) -> bool:
@@ -233,6 +218,8 @@ def insert_decoupling(p: SystemParams, seq: PulseSequence, index: int) -> PulseS
         start=seg.end + t_pi, duration=t_pi, label="echo",
         **{f"amp_x_{idle}": -p.delta / 4},
     )
-    after, vz, total = _shift_from(seq, index + 1, seg.end, 2 * t_pi)
+    after = tuple(replace(s, start=s.start + 2 * t_pi,
+                          flip_at=None if s.flip_at is None else s.flip_at + 2 * t_pi)
+                  for s in seq.segments[index + 1:])
     return replace(seq, segments=seq.segments[:index] + (host_a, echo_a, host_b, echo_b) + after,
-                   virtual_z=vz, total_time=total)
+                   total_time=seq.total_time + 2 * t_pi)

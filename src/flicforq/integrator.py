@@ -92,6 +92,7 @@ __all__ = [
 IDX = {lab: i for i, lab in enumerate(TWO_QUBIT_LABELS)}
 _BASIS = basis_matrices()  # (15, 4, 4)
 _STATE_TOL = 1e-9  # rounding allowed below eigenvalue 0 and outside purity [1/4, 1]
+_UNITARITY_BOUND = 1e-6  # largest unitarity defect in evolve and gate_fidelity
 
 
 class StepTooCoarse(RuntimeError):
@@ -359,16 +360,20 @@ def _time_ordered_product(mats: np.ndarray) -> np.ndarray:
     return mats[..., 0, :, :]
 
 
-# Largest number of steps one chunk samples at once, so that the samples'
-# memory stays bounded however long the sequence is; with caps of 2048 and
-# 4096 the heap top was trimmed and faulted back in (905 and 229 minor
-# faults per benchmark gate op, against 0)
+# Figures: warm calls on a 2-core Xeon host, and medians of host-adjusted
+# ops_per_s from `perfbench/run.py --seconds 8` (seeds 3001-3006, variants
+# alternating).  Largest number of steps one chunk samples at once.  One
+# _hamiltonians call took 175 us for one 450-step interval and 399 us for
+# four; sampling once per batch, with no chunk level, took gate_fidelity
+# 235.8 -> 185.8 ops/s and oracle_verify 63.7 -> 47.8 (6/6 pairs slower).
+# The cap bounds memory: an unmemoized CNOT on the paper's device would
+# sample 208 x 4203 H matrices (~112 MB) at once.
 _CHUNK_STEPS = 8192
 # Steps built and multiplied per batch within a chunk (one interval at
-# least).  Each RK4 grid interval, 450 to 2101 steps at 800 or 1600 per
-# period, is then a batch of its own: two-interval batches took ~490 minor
-# faults per warm gate op against 0.3 (their temporaries lie above glibc's
-# mmap threshold) and ran ~7% slower.  One oracle batch per pass: +33% RSS.
+# least), so each RK4 interval (450 to 2101 steps) is a batch of its own:
+# _rk4_steps took 0.44 ms for one interval and 2.82 ms for four in one
+# batch; one batch per chunk took gate_fidelity 227.2 -> 182.7 ops/s and
+# oracle_verify 65.4 -> 54.7 (4/4 slower), peak RSS +1.6 and +6.1 MB.
 _BATCH_STEPS = 512
 
 
@@ -547,12 +552,12 @@ def evolve(
     per call (see the module docstring).
     Deterministic: identical inputs yield bit-identical trajectories.
     Raises ValueError if ``p`` is not ``seq.params``, and StepTooCoarse if
-    the unitarity defect of any U(t) exceeds 1e-6, the bound
-    ``gate_fidelity`` applies to any unitary it scores.
+    the unitarity defect of any U(t) exceeds 1e-6 (_UNITARITY_BOUND), the
+    bound ``gate_fidelity`` applies to any unitary it scores.
     """
     check_device(p, seq)
     rho0.validate()
-    return _trajectory(*_running_propagators(seq, policy, 1e-6), rho0)
+    return _trajectory(*_running_propagators(seq, policy, _UNITARITY_BOUND), rho0)
 
 
 def propagator_of_sequence(
@@ -711,7 +716,7 @@ def compose_virtual_z(u: np.ndarray, seq: PulseSequence) -> np.ndarray:
     """Apply the sequence's virtual-z ledger entries, exp(i*angle*Zq/2)
     each, after the physical propagator.  They commute, so each qubit's
     angles add up to one row scaling."""
-    phi1, phi2 = (sum(angle for qubit, angle, _t in seq.virtual_z if qubit == q) for q in (1, 2))
+    phi1, phi2 = (sum(angle for qubit, angle in seq.virtual_z if qubit == q) for q in (1, 2))
     return _z_phases(phi1, phi2)[:, np.newaxis] * np.asarray(u, dtype=complex)
 
 

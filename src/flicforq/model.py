@@ -49,8 +49,6 @@ GRID_RTOL = 1e-9
 
 def _require_finite(**values) -> None:
     for name, value in values.items():
-        if value is None:
-            continue
         try:
             finite = not isinstance(value, bool) and math.isfinite(value)
         except OverflowError:  # an int beyond the float range
@@ -170,7 +168,7 @@ class PulseSegment:
         _require_finite(
             start=self.start, duration=self.duration,
             amp_x_1=self.amp_x_1, amp_y_1=self.amp_y_1,
-            amp_x_2=self.amp_x_2, amp_y_2=self.amp_y_2, flip_at=self.flip_at,
+            amp_x_2=self.amp_x_2, amp_y_2=self.amp_y_2,
         )
         if self.start < 0:
             raise ValueError(f"start must be non-negative, got {self.start!r}")
@@ -179,6 +177,7 @@ class PulseSegment:
         if not isinstance(self.label, str):
             raise ValueError(f"label must be a string, got {self.label!r}")
         if self.flip_at is not None:
+            _require_finite(flip_at=self.flip_at)
             if not (self.start < self.flip_at < self.start + self.duration):
                 raise ValueError("flip_at must lie strictly inside the segment")
             _require_qubit("flip_qubit", self.flip_qubit)
@@ -203,22 +202,23 @@ class PulseSegment:
 class PulseSequence:
     """Time-ordered segments plus a ledger of virtual z-frame rotations.
 
-    virtual_z entries are (qubit, angle, t) triples; they add no physical
-    drive and are composed into ideal-frame comparisons downstream.
+    virtual_z entries are (qubit, angle) pairs: the sequence's final z
+    frame, rotations exp(i*angle*Zq/2) after the whole pulse, at
+    total_time.  They add no physical drive.
     """
 
     params: SystemParams
     segments: tuple[PulseSegment, ...] = ()
-    virtual_z: tuple[tuple[int, float, float], ...] = ()
+    virtual_z: tuple[tuple[int, float], ...] = ()
     total_time: float = 0.0
 
     def __post_init__(self):
         _require_finite(total_time=self.total_time)
         if self.total_time < 0:
             raise ValueError(f"total_time must be non-negative, got {self.total_time!r}")
-        for qubit, angle, t in self.virtual_z:
+        for qubit, angle in self.virtual_z:
             _require_qubit("virtual-z qubit", qubit)
-            _require_finite(angle=angle, t=t)
+            _require_finite(angle=angle)
         starts = [seg.start for seg in self.segments]
         if starts != sorted(starts):
             raise ValueError("segments must be sorted by start time")
@@ -226,8 +226,8 @@ class PulseSequence:
         if self.total_time < end - 1e-12:
             object.__setattr__(self, "total_time", end)
 
-    def with_virtual_z(self, qubit: int, angle: float, t: float) -> "PulseSequence":
-        return replace(self, virtual_z=self.virtual_z + ((qubit, float(angle), float(t)),))
+    def with_virtual_z(self, qubit: int, angle: float) -> "PulseSequence":
+        return replace(self, virtual_z=self.virtual_z + ((qubit, angle),))
 
 
 def check_device(p: SystemParams, seq: PulseSequence) -> None:
@@ -313,16 +313,17 @@ def validate_sequence(p: SystemParams, seq: PulseSequence) -> list[Diagnostic]:
 # ---------------------------------------------------------------------------
 # JSON schema.  Field names and units are part of the external interface:
 #
-# {"schema": 1, "w1z": 1.05, "w2z": 0.95, "wxx": 0.01,
+# {"schema": 2, "w1z": 1.05, "w2z": 0.95, "wxx": 0.01,
 #  "segments": [{"start": 0, "duration": 125.6637,
 #                "q1": {"x": 0, "y": 0.0125}, "q2": {"x": 0, "y": 0},
 #                "envelope": {"kind": "square"}, "flip": null}],
-#  "virtual_z": [{"qubit": 1, "angle": 1.5707963, "t": 1633.6281}]}
+#  "virtual_z": [{"qubit": 1, "angle": 1.5707963}]}
 #
-# The writer emits the schema version; the parser reads a file without one
-# as version 1 and rejects any other version.
+# The writer emits version 2.  The parser also reads version 1, also taken
+# for a file without a version, checking each ledger entry's unread time
+# "t" to be a finite number and dropping it; it rejects any other version.
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 def _segment_to_dict(seg: PulseSegment) -> dict:
@@ -379,9 +380,7 @@ def sequence_to_json(seq: PulseSequence) -> str:
         "w2z": seq.params.w2z,
         "wxx": seq.params.wxx,
         "segments": [_segment_to_dict(s) for s in seq.segments],
-        "virtual_z": [
-            {"qubit": q, "angle": a, "t": t} for q, a, t in seq.virtual_z
-        ],
+        "virtual_z": [{"qubit": q, "angle": a} for q, a in seq.virtual_z],
         "total_time": seq.total_time,
     }
     return json.dumps(doc, indent=2, default=_json_scalar)
@@ -395,19 +394,20 @@ def sequence_from_json(text: str) -> PulseSequence:
     doc = json.loads(text)
     if not isinstance(doc, dict):
         raise ValueError("a sequence file holds one JSON object")
-    schema = doc.get("schema", SCHEMA_VERSION)
-    if type(schema) is not int or schema != SCHEMA_VERSION:
+    schema = doc.get("schema", 1)
+    if type(schema) is not int or schema not in (1, SCHEMA_VERSION):
         raise ValueError(f"unsupported sequence schema {schema!r}; "
-                         f"this version reads schema {SCHEMA_VERSION}")
+                         f"this version reads schemas 1 and {SCHEMA_VERSION}")
     params = _params_from_doc(doc)
     segments = tuple(_segment_from_dict(d) for d in doc.get("segments", []))
-    vz = tuple(
-        (e["qubit"], e["angle"], e["t"]) for e in doc.get("virtual_z", [])
-    )
+    entries = doc.get("virtual_z", [])
+    if schema == 1:
+        for e in entries:
+            _require_finite(t=e["t"])
     return PulseSequence(
         params=params,
         segments=segments,
-        virtual_z=vz,
+        virtual_z=tuple((e["qubit"], e["angle"]) for e in entries),
         total_time=doc.get("total_time", 0.0),
     )
 

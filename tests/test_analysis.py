@@ -394,7 +394,7 @@ def test_gate_fidelity_deterministic():
 
 
 def test_compose_virtual_z():
-    seq = PulseSequence(params=P, total_time=1.0).with_virtual_z(1, math.pi / 2, 1.0)
+    seq = PulseSequence(params=P, total_time=1.0).with_virtual_z(1, math.pi / 2)
     u = compose_virtual_z(np.eye(4), seq)
     assert np.allclose(u, word_unitary(word(("ZI", 0.5))), atol=1e-12)
 
@@ -408,7 +408,7 @@ def test_compose_virtual_z_matches_entry_product(entries):
     seq = PulseSequence(params=P, total_time=1.0)
     ref = u
     for qubit, angle in entries:
-        seq = seq.with_virtual_z(qubit, angle, 1.0)
+        seq = seq.with_virtual_z(qubit, angle)
         ref = word_unitary(word(("ZI" if qubit == 1 else "IZ", angle / math.pi))) @ ref
     assert np.max(np.abs(compose_virtual_z(u, seq) - ref)) <= 1e-14
 

@@ -1,13 +1,19 @@
 import json
+import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import flicforq.cli as cli
 from flicforq.cli import main
-from flicforq.model import Diagnostic
+from flicforq.compiler import compile_cnot, insert_decoupling
+from flicforq.model import DEFAULT_PARAMS, Diagnostic, sequence_from_json, sequence_to_json
+
+DATA = Path(__file__).resolve().parent / "data"
+CNOT_WORD = "X2^1/2 Y1^1/2 X1X2^1/2 Y1^-1/2 Z1^1/2"
 
 DEFAULT_PARAMS_JSON = '{"w1z": 1.05, "w2z": 0.95, "wxx": 0.01}'
 
@@ -308,7 +314,7 @@ def test_fidelity_diverged_propagator_exits_4(tmp_path, capsys):
     seq_file = tmp_path / "cnot.json"
     seq_file.write_text(seq_json)
     code, out, err = run(
-        capsys, "fidelity", str(seq_file), "--word", "X2^1/2 Y1^1/2 X1X2^1/2 Y1^-1/2 Z1^1/2",
+        capsys, "fidelity", str(seq_file), "--word", CNOT_WORD,
         "--steps-per-period", "1",
     )
     assert code == 4
@@ -355,11 +361,11 @@ def test_fidelity_virtual_z_only_is_exact(tmp_path, capsys):
     assert json.loads(out)["process"] == pytest.approx(1.0, abs=1e-12)
 
 
-@pytest.mark.parametrize("schema", [2, 0, "1", None])
+@pytest.mark.parametrize("schema", [3, 0, "1", None])
 def test_unknown_schema_version_exits_2(schema, tmp_path, capsys):
     _, seq_json, _ = run(capsys, "compile", "x90")
     doc = json.loads(seq_json)
-    assert doc["schema"] == 1
+    assert doc["schema"] == 2
     doc["schema"] = schema
     seq_file = tmp_path / "x90.json"
     seq_file.write_text(json.dumps(doc))
@@ -370,6 +376,58 @@ def test_unknown_schema_version_exits_2(schema, tmp_path, capsys):
     assert "unsupported sequence schema" in err
     assert out == ""
     assert not csv_file.exists()
+
+
+@pytest.mark.parametrize("name, build", [
+    ("cnot_schema1.json", lambda: compile_cnot(DEFAULT_PARAMS)),
+    ("cnot_decoupled_schema1.json",
+     lambda: insert_decoupling(DEFAULT_PARAMS, compile_cnot(DEFAULT_PARAMS), 0)),
+], ids=["cnot", "cnot-decoupled"])
+def test_schema_1_reads_as_schema_2(name, build, tmp_path, capsys):
+    # documents written in schema 1, whose ledger entries carry a time t:
+    # `compile cnot`, and that CNOT with an echo inserted around segment 0,
+    # which moved the entry's t by the echo pair
+    old_file = DATA / name
+    seq = build()
+    new_file = tmp_path / "new.json"
+    new_file.write_text(sequence_to_json(seq))
+    assert sequence_from_json(old_file.read_text()) == seq
+    doc = json.loads(old_file.read_text())
+    assert doc["schema"] == 1
+    doc["schema"] = 2
+    for entry in doc["virtual_z"]:
+        del entry["t"]
+    assert doc == json.loads(new_file.read_text())
+    outs = []
+    for f in (old_file, new_file):
+        code, out, _ = run(capsys, "fidelity", str(f), "--word", CNOT_WORD,
+                           "--steps-per-period", "800")
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
+
+
+_NO_T = object()
+
+
+@pytest.mark.parametrize("t", [_NO_T, True, "0", None, math.nan, math.inf, -math.inf],
+                         ids=["missing", "true", "string", "null", "nan", "inf", "-inf"])
+@pytest.mark.parametrize("schema", [1, None], ids=["schema-1", "no-schema"])
+def test_schema_1_bad_ledger_time_exits_2(t, schema, tmp_path, capsys):
+    # a schema-1 ledger time is dropped, but only once it reads as a finite number
+    entry = {"qubit": 1, "angle": 1.5707963267948966}
+    if t is not _NO_T:
+        entry["t"] = t
+    doc = {"w1z": 1.05, "w2z": 0.95, "wxx": 0.01, "segments": [], "virtual_z": [entry],
+           "total_time": 0.0}
+    if schema is not None:
+        doc["schema"] = schema
+    seq_file = tmp_path / "vz.json"
+    seq_file.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "fidelity", str(seq_file), "--word", "Z1^1/2")
+    assert code == 2
+    assert out == ""
+    assert "cannot read sequence file" in err
 
 
 @pytest.mark.parametrize("qubit", [3, 0, "1", True, 1.0])
@@ -424,14 +482,16 @@ def test_fidelity_overflowing_word_exits_2(word, tmp_path, capsys):
      "start must be non-negative"),
     (lambda doc: doc.update(total_time=-5.0), "total_time must be non-negative"),
     (lambda doc: doc["segments"][0].update(label=5), "label must be a string"),
+    (lambda doc: doc.update(virtual_z=[{"qubit": 1, "angle": None}]), "not NoneType"),
 ], ids=["number-segment", "object-segments", "list-segment", "number-envelope",
         "float-flip-qubit", "bool-flip-qubit", "bool-w1z", "bool-amplitude", "bool-total-time",
-        "negative-start", "negative-total-time", "int-label"])
+        "negative-start", "negative-total-time", "int-label", "null-virtual-z-angle"])
 def test_malformed_sequence_exits_2(edit, message, tmp_path, capsys):
     # each used to raise AttributeError (exit 1), to be stored as a bool or
     # float and written back as true or 2.0, or to exit 0: the integrators
     # start at t = 0 and dropped the half of the pulse before it, a negative
-    # total_time became the last segment's end, and an int label was kept
+    # total_time became the last segment's end, and an int label was kept;
+    # a null ledger angle was stored and raised TypeError (exit 1) when composed
     _, seq_json, _ = run(capsys, "compile", "xx_half")
     doc = json.loads(seq_json)
     edit(doc)

@@ -231,10 +231,7 @@ def test_compile_cnot_structure():
     seq = compile_cnot(P)
     assert len(seq.segments) == 4
     assert len(seq.virtual_z) == 1
-    q, angle, t = seq.virtual_z[0]
-    assert q == 1
-    assert angle == pytest.approx(math.pi / 2)
-    assert t == pytest.approx(seq.total_time)
+    assert seq.virtual_z == ((1, math.pi / 2),)
     expected = 3 * (4 * math.pi / P.delta) + 4 * math.pi / P.wxx
     assert seq.total_time == pytest.approx(expected, rel=1e-12)
     assert seq.total_time == pytest.approx(1633.628, abs=1e-3)
@@ -251,7 +248,7 @@ def test_compile_cnot_structure():
 def test_compiled_cnot_simulates_to_cnot():
     seq = compile_cnot(P)
     u = rotating_propagator(seq)
-    for q, angle, _t in seq.virtual_z:
+    for q, angle in seq.virtual_z:
         z = PauliString(1, "Z", "I") if q == 1 else PauliString(1, "I", "Z")
         u = word_unitary(RotationWord(((z, angle / math.pi),))) @ u
     cnot = np.array(
@@ -264,16 +261,15 @@ def test_compiled_cnot_simulates_to_cnot():
 
 def test_virtual_z_appends_ledger():
     seq = PulseSequence(params=P, total_time=10.0)
-    seq2 = seq.with_virtual_z(2, 0.3, 10.0)
-    assert seq2.virtual_z == ((2, 0.3, 10.0),)
+    seq2 = seq.with_virtual_z(2, 0.3)
+    assert seq2.virtual_z == ((2, 0.3),)
     assert seq2.segments == seq.segments
 
 
 def remove_decoupling(seq, index):
     """The inverse of insert_decoupling that the round-trip tests apply;
-    ``index`` addresses the first host half.  Everything from the echo
-    group's end on, segments and ledger entries, moves back by the two echo
-    pulses."""
+    ``index`` addresses the first host half.  Every segment from the echo
+    group's end on moves back by the two echo pulses."""
     host_a, echo_a, host_b, echo_b = seq.segments[index:index + 4]  # ValueError if short
     if echo_a.label != "echo" or echo_b.label != "echo":
         raise ValueError("no echo group at this index")
@@ -283,15 +279,14 @@ def remove_decoupling(seq, index):
         replace(s, start=s.start + shift, flip_at=None if s.flip_at is None else s.flip_at + shift)
         for s in seq.segments[index + 4:]
     )
-    vz = tuple((q, a, t + shift if t >= echo_b.end - 1e-12 else t) for q, a, t in seq.virtual_z)
-    return replace(seq, segments=seq.segments[:index] + (merged,) + after, virtual_z=vz,
+    return replace(seq, segments=seq.segments[:index] + (merged,) + after,
                    total_time=seq.total_time + shift)
 
 
 def test_insert_decoupling_layout():
     host = compile_one_qubit(P, 1, "y", math.pi / 2, 0.0)
     tail = compile_one_qubit(P, 2, "x", math.pi / 2, 4 * P.t0_sync)
-    seq = PulseSequence(params=P, segments=(host, tail)).with_virtual_z(1, 0.1, tail.end)
+    seq = PulseSequence(params=P, segments=(host, tail)).with_virtual_z(1, 0.1)
     out = insert_decoupling(P, seq, 0)
     assert out.total_time == pytest.approx(seq.total_time + 2 * (4 * math.pi / P.delta))
     assert len(out.segments) == 5
@@ -301,16 +296,17 @@ def test_insert_decoupling_layout():
         assert abs(e.amp_x_2) == pytest.approx(P.delta / 4)
         assert e.duration == pytest.approx(4 * math.pi / P.delta)
     assert echoes[0].amp_x_2 == pytest.approx(-echoes[1].amp_x_2)
-    # the trailing segment and ledger entry shifted with the insertion
+    # the trailing segment shifted with the insertion; the ledger, the
+    # final z frame, is unchanged
     assert out.segments[-1].start == pytest.approx(tail.start + 2 * (4 * math.pi / P.delta))
-    assert out.virtual_z[0][2] == pytest.approx(tail.end + 2 * (4 * math.pi / P.delta))
+    assert out.virtual_z == seq.virtual_z
     assert validate_sequence(P, out) == []
 
 
 def test_insert_remove_roundtrip():
     host = compile_one_qubit(P, 1, "y", math.pi / 2, 0.0)
     tail = compile_one_qubit(P, 2, "x", math.pi / 2, 4 * P.t0_sync)
-    seq = PulseSequence(params=P, segments=(host, tail)).with_virtual_z(1, 0.1, tail.end)
+    seq = PulseSequence(params=P, segments=(host, tail)).with_virtual_z(1, 0.1)
     back = remove_decoupling(insert_decoupling(P, seq, 0), 0)
     assert len(back.segments) == len(seq.segments)
     for a, b in zip(back.segments, seq.segments):
@@ -320,16 +316,14 @@ def test_insert_remove_roundtrip():
             b.amp_x_1, b.amp_y_1, b.amp_x_2, b.amp_y_2)
         assert a.label == b.label
     assert back.total_time == pytest.approx(seq.total_time, abs=1e-9)
-    for (qa, aa, ta), (qb, ab, tb) in zip(back.virtual_z, seq.virtual_z):
-        assert (qa, aa) == (qb, ab)
-        assert ta == pytest.approx(tb, abs=1e-9)
+    assert back.virtual_z == seq.virtual_z
 
 
 @st.composite
 def decoupling_cases(draw):
     """1-4 segments in time order and an index of a square one-qubit host
-    without a flip; the others may drive both qubits and flip.  Ledger
-    entries fall anywhere in the sequence."""
+    without a flip; the others may drive both qubits and flip.  Up to
+    three ledger entries."""
     amp = st.floats(-0.05, 0.05).filter(lambda a: a != 0.0)
     n = draw(st.integers(1, 4))
     index = draw(st.integers(0, n - 1))
@@ -350,8 +344,7 @@ def decoupling_cases(draw):
         start = segs[-1].end
     seq = PulseSequence(params=P, segments=tuple(segs))
     for _ in range(draw(st.integers(0, 3))):
-        t = draw(st.floats(0.0, 1.0)) * seq.total_time
-        seq = seq.with_virtual_z(draw(st.sampled_from((1, 2))), draw(st.floats(-3.0, 3.0)), t)
+        seq = seq.with_virtual_z(draw(st.sampled_from((1, 2))), draw(st.floats(-3.0, 3.0)))
     return seq, index
 
 
@@ -370,10 +363,7 @@ def test_insert_remove_round_trip_property(case):
         assert (a.amp_x_1, a.amp_y_1, a.amp_x_2, a.amp_y_2, a.envelope, a.flip_qubit, a.label) \
             == (b.amp_x_1, b.amp_y_1, b.amp_x_2, b.amp_y_2, b.envelope, b.flip_qubit, b.label)
     assert back.total_time == pytest.approx(seq.total_time, rel=1e-12, abs=1e-9)
-    assert len(back.virtual_z) == len(seq.virtual_z)
-    for (qa, aa, ta), (qb, ab, tb) in zip(back.virtual_z, seq.virtual_z):
-        assert (qa, aa) == (qb, ab)
-        assert ta == pytest.approx(tb, rel=1e-12, abs=1e-9)
+    assert back.virtual_z == seq.virtual_z
 
 
 @pytest.mark.parametrize("index", [-1, -3, 2, 10])

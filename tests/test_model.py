@@ -108,19 +108,19 @@ def test_non_finite_rejected():
         with pytest.raises(ValueError, match="finite"):
             PulseSequence(params=DEFAULT_PARAMS, total_time=x)
         with pytest.raises(ValueError, match="finite"):
-            PulseSequence(params=DEFAULT_PARAMS).with_virtual_z(1, x, 0.0)
+            PulseSequence(params=DEFAULT_PARAMS).with_virtual_z(1, x)
 
 
 def test_virtual_z_qubit_must_be_1_or_2():
     # True == 1 and 1.0 == 1, yet neither is a qubit number
     for qubit in (0, 3, "1", True, 1.0, np.float64(2.0)):
         with pytest.raises(ValueError, match="virtual-z qubit must be 1 or 2"):
-            PulseSequence(params=DEFAULT_PARAMS, virtual_z=((qubit, 0.5, 0.0),))
+            PulseSequence(params=DEFAULT_PARAMS, virtual_z=((qubit, 0.5),))
         with pytest.raises(ValueError, match="virtual-z qubit must be 1 or 2"):
-            PulseSequence(params=DEFAULT_PARAMS).with_virtual_z(qubit, 0.5, 0.0)
+            PulseSequence(params=DEFAULT_PARAMS).with_virtual_z(qubit, 0.5)
     for qubit in (1, np.int64(2)):
-        seq = PulseSequence(params=DEFAULT_PARAMS).with_virtual_z(qubit, 0.5, 0.0)
-        assert seq.virtual_z == ((qubit, 0.5, 0.0),)
+        seq = PulseSequence(params=DEFAULT_PARAMS).with_virtual_z(qubit, 0.5)
+        assert seq.virtual_z == ((qubit, 0.5),)
 
 
 def test_flip_qubit_must_be_integer_1_or_2():
@@ -170,8 +170,16 @@ def _fraction_amplitude_json():
     (lambda: PulseSegment(start=0.0, duration=-1.0), ValueError, "duration must be positive"),
     (_unsorted_sequence, ValueError, "segments must be sorted by start time"),
     (_fraction_amplitude_json, TypeError, "Object of type Fraction is not JSON serializable"),
+    # with_virtual_z passes the angle to the constructor's rule uncast
+    (lambda: PulseSequence(params=DEFAULT_PARAMS).with_virtual_z(1, True), ValueError,
+     "angle must be a finite number"),
+    (lambda: PulseSequence(params=DEFAULT_PARAMS).with_virtual_z(1, "0.5"), TypeError, "str"),
+    (lambda: PulseSequence(params=DEFAULT_PARAMS).with_virtual_z(1, b"1"), TypeError, "bytes"),
+    (lambda: PulseSequence(params=DEFAULT_PARAMS).with_virtual_z(1, None), TypeError, "None"),
 ], ids=["negative-wxx", "unknown-envelope", "square-with-rise", "negative-rise",
-        "zero-duration", "negative-duration", "unsorted-segments", "fraction-to-json"])
+        "zero-duration", "negative-duration", "unsorted-segments", "fraction-to-json",
+        "bool-virtual-z-angle", "str-virtual-z-angle", "bytes-virtual-z-angle",
+        "none-virtual-z-angle"])
 def test_model_rejects(build, error, message):
     with pytest.raises(error, match=message):
         build()
@@ -190,7 +198,7 @@ def test_bool_numbers_rejected():
     with pytest.raises(ValueError, match="finite number"):
         PulseSequence(params=DEFAULT_PARAMS, total_time=True)
     with pytest.raises(ValueError, match="finite number"):
-        PulseSequence(params=DEFAULT_PARAMS, virtual_z=((1, True, 0.0),))
+        PulseSequence(params=DEFAULT_PARAMS, virtual_z=((1, True),))
 
 
 def test_coupling_warning_names_the_caller():
@@ -376,7 +384,7 @@ def test_json_roundtrip():
         start=0.0, duration=125.6637, amp_y_1=0.0125,
         envelope=Envelope(kind="square"),
     )
-    seq = PulseSequence(params=p, segments=(seg,)).with_virtual_z(1, math.pi / 2, 1633.6281)
+    seq = PulseSequence(params=p, segments=(seg,)).with_virtual_z(1, math.pi / 2)
     text = sequence_to_json(seq)
     back = sequence_from_json(text)
     assert back == seq
@@ -384,12 +392,12 @@ def test_json_roundtrip():
     import json
     doc = json.loads(text)
     assert set(doc) >= {"schema", "w1z", "w2z", "wxx", "segments", "virtual_z"}
-    assert doc["schema"] == 1
+    assert doc["schema"] == 2
     seg_doc = doc["segments"][0]
     assert set(seg_doc) >= {"start", "duration", "q1", "q2", "envelope", "flip"}
     assert seg_doc["q1"] == {"x": 0.0, "y": 0.0125}
     assert seg_doc["flip"] is None
-    assert doc["virtual_z"][0] == {"qubit": 1, "angle": math.pi / 2, "t": 1633.6281}
+    assert doc["virtual_z"][0] == {"qubit": 1, "angle": math.pi / 2}
 
 
 @pytest.mark.parametrize("segments", [[1], {"a": 1}, [[0, 1]], "ab", [
@@ -402,13 +410,17 @@ def test_json_non_object_segment_rejected(segments):
 
 
 def test_json_schema_version():
-    # files written before the version field read as version 1; any other
-    # version is rejected rather than guessed at
+    # files written before the version field read as version 1, and so do
+    # version-1 files; any other version is rejected rather than guessed at
     seq = PulseSequence(params=DEFAULT_PARAMS, segments=(PulseSegment(0.0, 5.0, amp_y_1=0.01),))
     doc = json.loads(sequence_to_json(seq))
-    del doc["schema"]
-    assert sequence_from_json(json.dumps(doc)) == seq
-    for schema in (2, 0, 1.0, True, "1"):
+    for schema in (1, None):
+        if schema is None:
+            del doc["schema"]
+        else:
+            doc["schema"] = schema
+        assert sequence_from_json(json.dumps(doc)) == seq
+    for schema in (3, 0, 1.0, True, "1"):
         doc["schema"] = schema
         with pytest.raises(ValueError, match="unsupported sequence schema"):
             sequence_from_json(json.dumps(doc))
@@ -453,8 +465,8 @@ def json_sequences(draw):
             flip_at=flip_at, flip_qubit=flip_qubit,
             label=draw(st.sampled_from(("", "echo", "x90"))),
         ))
-    vz = tuple((draw(st.sampled_from((1, 2))), draw(st.floats(-10.0, 10.0)),
-                draw(st.floats(0.0, 1000.0))) for _ in range(draw(st.integers(0, 2))))
+    vz = tuple((draw(st.sampled_from((1, 2))), draw(st.floats(-10.0, 10.0)))
+               for _ in range(draw(st.integers(0, 2))))
     total = draw(st.floats(0.0, 1000.0))
     return PulseSequence(params=p, segments=tuple(segs), virtual_z=vz, total_time=total)
 
@@ -468,7 +480,7 @@ def test_json_round_trip_property(seq):
 
 
 @pytest.mark.parametrize("make", [
-    lambda: PulseSequence(params=DEFAULT_PARAMS).with_virtual_z(np.int64(2), 0.5, 0.0),
+    lambda: PulseSequence(params=DEFAULT_PARAMS).with_virtual_z(np.int64(2), 0.5),
     lambda: PulseSequence(params=DEFAULT_PARAMS, segments=(PulseSegment(
         0.0, 10.0, amp_y_1=0.01, amp_y_2=0.01, flip_at=5.0, flip_qubit=np.int64(1)),)),
     lambda: PulseSequence(params=DEFAULT_PARAMS,
