@@ -1,21 +1,23 @@
 """Exact numerical evolution of the two-qubit system in the lab frame.
 
 Two integrators build the running propagators U(t_k) from time 0 to each
-breakpoint t_k (segment edges, refocusing flips and a uniform grid of
-spacing t0_sync/8, so no envelope discontinuity lies inside an interval),
-with no rotating-wave approximation anywhere.  Both drives act through the
-sigma_x channels, so the lab-frame H(t) is a real symmetric 4x4 matrix at
-every t and all the arithmetic is real: a complex 4x4 matrix a + ib is
-carried as its real 8x8 form [[a, -b], [b, a]], and the real form of a
-product is the product of the real forms.
+breakpoint t_k (segment edges, ramp ends, refocusing flips and a uniform
+grid of spacing t0_sync/8, so no envelope discontinuity, nor a jump of a
+ramp's second derivative, lies inside an interval), with no rotating-wave
+approximation anywhere.  Both drives act through the sigma_x channels, so
+the lab-frame H(t) is a real symmetric 4x4 matrix at every t and all the
+arithmetic is real: a complex 4x4 matrix a + ib is carried as its real 8x8
+form [[a, -b], [b, a]], and the real form of a product is the product of
+the real forms.
 
 One pipeline serves both: an interval cut into n equal steps has the time
 ordered product of its step matrices as propagator.  A call's intervals are
-grouped by n, and each group is cut into chunks of at most 8192 steps; a
-chunk shares one sampling of H, and its steps are built and multiplied
-pairwise in batches of at most 512 steps.  A chunk or a batch holds one
-interval at least.  The two differ only in where they sample H and how
-they make a step:
+cut into rows of at most 512 steps, and the rows, longest first, into
+batches of at most 512 steps padded to their longest row; a chunk of
+batches, at most 8192 steps, shares one sampling of H.  A batch's steps
+are built flat, whatever their intervals, and each row's product is taken
+pairwise over its own row of an identity-padded stack.  The two differ
+only in where they sample H and how they make a step:
 
 - RK4 (``evolve``, ``propagator_of_sequence``) samples the half-step grid
   and makes classic fixed-step 4th-order Runge-Kutta steps, each
@@ -29,7 +31,7 @@ they make a step:
   form, whose degree a runtime truncation bound sets below 1e-16 (with
   scaling and squaring for a large ||Omega||), so it is exact to rounding;
   the oracle's order comes from the Magnus scheme and its convergence from
-  substep doubling, from 32 substeps per carrier period up to 4096.
+  substep doubling, from 40 substeps per carrier period up to 5120.
 
 When w0/delta is an integer, both carriers flip sign over t0_sync =
 2 pi/delta (w1z t0_sync = 2 pi (w0/delta + 1/2), w2z with -1/2).  A full
@@ -52,10 +54,11 @@ The RK4 route builds one interval per orbit of these relations (four sign
 pairs at p and the same four mirrored at 7 - p), keyed by _window_origins,
 and gathers every other interval's real form from it by one signed
 permutation of its 64 entries (_memo_tables); the result equals building
-every interval to rounding.  Ramps, intervals cut by an off-grid edge or
-flip, devices whose w0/delta is not an integer, and every oracle interval
-are built every time.  One tail records U rho0 U^dagger, divided by its
-trace, as the 15 real Pauli coefficients c_a of rho = (1 + sum_a c_a P_a)/4.
+every interval to rounding.  Ramps, intervals cut by an off-grid edge,
+ramp end or flip, devices whose w0/delta is not an integer, and every
+oracle interval are built every time.  One tail records U rho0 U^dagger,
+divided by its trace, as the 15 real Pauli coefficients c_a of
+rho = (1 + sum_a c_a P_a)/4.
 
 The private layers read the device from ``seq.params`` only.
 """
@@ -231,12 +234,20 @@ class StepPolicy:
 
 
 def _breakpoints(seq: PulseSequence) -> np.ndarray:
-    """Segment edges, flips and a uniform grid of spacing t0_sync/8."""
+    """Segment edges, ramp ends, flips and a uniform grid of spacing
+    t0_sync/8.  A ramp ends at start + rise and end - rise, the rise capped
+    at half the duration as Envelope.scale caps it; there the raised
+    cosine's second derivative jumps, which would lower either scheme's
+    order inside an interval."""
     spacing = seq.params.t0_sync / 8.0
     pts = {0.0, seq.total_time}
     for seg in seq.segments:
         pts.add(seg.start)
         pts.add(seg.end)
+        rise = min(seg.envelope.rise, 0.5 * seg.duration)
+        if rise > 0.0:
+            pts.add(seg.start + rise)
+            pts.add(seg.end - rise)
         if seg.flip_at is not None:
             pts.add(seg.flip_at)
     n = int(math.floor(seq.total_time / spacing + 1e-9))
@@ -297,9 +308,13 @@ def _complex_of(r: np.ndarray) -> np.ndarray:
     return r[..., :4, :4] + 1j * r[..., 4:, :4]
 
 
-def _half_steps(a: np.ndarray, h: np.ndarray, n: int) -> np.ndarray:
-    """The 2n + 1 times of n RK4 steps h from a, columns (k, 1)."""
-    return a + 0.5 * h * np.arange(2 * n + 1)
+def _half_steps(a: np.ndarray, h: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """The times (k, 2) of step j of RK4 steps h from a and of its midpoint,
+    for a, h and j of shape (k,): the half-step grid, two times a step."""
+    out, x, i = np.empty((a.size, 2)), 0.5 * h, 2 * j
+    out[:, 0] = a + x * i
+    out[:, 1] = a + x * (i + 1)
+    return out
 
 
 def _rk4_steps(hs: np.ndarray, h) -> np.ndarray:
@@ -309,13 +324,17 @@ def _rk4_steps(hs: np.ndarray, h) -> np.ndarray:
     grid (2n + 1 times along axis -3).  With A, M, B = H_a, H_m, H_b and
     x = h/2, Re S = I + h/6 (-2x (MA + MM + BM) + 2x^3 BMMA) and
     Im S = h/6 (2x^2 (MMA + BMM) - (A + 4M + B)).  Leading axes batch
-    intervals; h is a scalar or broadcasts against hs, as (k, 1, 1, 1).
+    intervals; h is a scalar or broadcasts against the (n, 4, 4) products.
 
     The sums are formed in place in five product arrays and copied once
     into the output's blocks, so that a batch's temporaries stay below
     glibc's heap trim threshold: with a fresh array per sum and per block
     (0.7 MB at the peak of a 450-step batch) the heap top was trimmed after
-    every warm benchmark gate op and faulted back in, 194 faults per op."""
+    every warm benchmark gate op and faulted back in, 194 faults per op.
+    A ufunc buffers a strided or broadcast operand, a full-size copy at
+    these sizes, so the samples are copied into free product arrays first,
+    the identity goes onto the diagonal one entry at a time and no ufunc
+    writes into the output."""
     a, m, b = hs[..., 0:-1:2, :, :], hs[..., 1::2, :, :], hs[..., 2::2, :, :]
     x = 0.5 * np.asarray(h, dtype=float)
     # powers by multiplication, which rounds alike in any batch; numpy's
@@ -336,17 +355,24 @@ def _rk4_steps(hs: np.ndarray, h) -> np.ndarray:
     bmma *= 2.0 * x3
     ma += bmma
     ma *= h / 6.0
-    ma += np.eye(4)
+    ma += 0.0  # -0.0 to +0.0 off the diagonal, as adding np.eye(4) does
+    for i in range(4):
+        ma[..., i, i] += 1.0
     mma *= 2.0 * x2
-    np.multiply(4.0, m, out=t)
-    t += a
-    t += b
+    np.copyto(t, m)
+    t *= 4.0
+    np.copyto(mm, a)
+    t += mm
+    np.copyto(mm, b)
+    t += mm
     mma -= t
     mma *= h / 6.0
+    del mm, t, bmma  # only Re S and Im S stay live beside the output
     out = np.empty(ma.shape[:-2] + (8, 8))
     out[..., :4, :4] = out[..., 4:, 4:] = ma
     out[..., 4:, :4] = mma
-    np.negative(mma, out=out[..., :4, 4:])
+    np.negative(mma, out=mma)
+    out[..., :4, 4:] = mma
     return out
 
 
@@ -367,39 +393,110 @@ def _time_ordered_product(mats: np.ndarray) -> np.ndarray:
 # four; sampling once per batch, with no chunk level, took gate_fidelity
 # 235.8 -> 185.8 ops/s and oracle_verify 63.7 -> 47.8 (6/6 pairs slower).
 # The cap bounds memory: an unmemoized CNOT on the paper's device would
-# sample 208 x 4203 H matrices (~112 MB) at once.
+# sample 208 x 4203 H matrices (~112 MB) at once.  A chunk's samples are
+# also the largest array, and glibc trims the heap above twice the largest
+# it has freed: with the oracle's chunk cut to one batch of 512 substeps
+# (196 KB of samples, 2 MB of build temporaries), a warm D evolve_oracle on
+# the paper's device took 53144 minor faults per call, against none.
 _CHUNK_STEPS = 8192
-# Steps built and multiplied per batch within a chunk (one interval at
-# least), so each RK4 interval (450 to 2101 steps) is a batch of its own:
-# _rk4_steps took 0.44 ms for one interval and 2.82 ms for four in one
-# batch; one batch per chunk took gate_fidelity 227.2 -> 182.7 ops/s and
-# oracle_verify 65.4 -> 54.7 (4/4 slower), peak RSS +1.6 and +6.1 MB.
+# Steps built and multiplied per batch, counted padded, and the longest
+# row: a power of two, so that a full row is a subtree of its interval's
+# pairwise product.  Each benchmark RK4 interval (450 steps) is a batch of
+# its own: _rk4_steps took 0.44 ms for one interval and 2.82 ms for four
+# in one batch; one batch per chunk took gate_fidelity 227.2 -> 182.7
+# ops/s and oracle_verify 65.4 -> 54.7 (4/4 slower), peak RSS +1.6 and
+# +6.1 MB.
 _BATCH_STEPS = 512
 
 
+def _ranks(lengths: np.ndarray) -> np.ndarray:
+    """0, 1, ..., n - 1 for each n in lengths, concatenated."""
+    return np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+
+
+def _padded_rows(mats: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The stack (k, max(lengths), 8, 8) whose row i holds the next
+    lengths[i] of mats, in order, and identities after them."""
+    width = lengths.max(initial=1)
+    rows = np.broadcast_to(np.eye(8), (lengths.size, width, 8, 8)).copy()
+    rows[np.arange(width) < lengths[:, None]] = mats
+    return rows
+
+
+def _batch_rows(mats: np.ndarray, lengths: np.ndarray, shared: int) -> np.ndarray:
+    """A batch's step matrices, flat, rows of lengths[i] steps (longest
+    first) and shared more slots each, as its stack of rows: a view where
+    every row has the same length, else identity-padded."""
+    if lengths[0] == lengths[-1]:
+        return mats.reshape(lengths.size, lengths[0] + shared, 8, 8)[:, :lengths[0]]
+    slots = lengths + shared
+    return _padded_rows(mats[_ranks(slots) < np.repeat(lengths, slots)], lengths)
+
+
 def _interval_products(seq: PulseSequence, a: np.ndarray, b: np.ndarray, h_target: float,
-                       nodes, steps) -> np.ndarray:
+                       nodes, steps, shared: int) -> np.ndarray:
     """Real forms of the propagators of the intervals [a_i, b_i], each of n
-    steps h (_interval_steps).  The intervals with equal n go in chunks of
-    max(1, _CHUNK_STEPS // n); a chunk shares one sampling of H at the
-    times nodes(a, h, n), a and h as (k, 1), and the step matrices
-    steps(H, h), h as (k, 1, 1, 1), of max(1, _BATCH_STEPS // n) of them
-    at a time are built and multiplied in time order."""
+    steps h (_interval_steps).
+
+    Each interval is cut into rows of at most _BATCH_STEPS steps.  The rows,
+    longest first, go in batches of as many as fit _BATCH_STEPS padded to
+    the first one's length, and runs of batches in chunks of at most
+    _CHUNK_STEPS steps (one batch at least).  A row of n steps is n + shared
+    slots, and a chunk's last row shared more: nodes(a, h, j) gives the q
+    sample times (k, q) of slots j, of intervals from a in steps h (each of
+    shape (k,)), and one _hamiltonians call samples all of a chunk's slots.
+    steps(hs, h) makes the step matrices of a batch's slots, flat, from
+    their q samples each and the shared samples after them, h per slot (or
+    one for all) as (k, 1, 1).  Each row's product is taken over its own
+    row of an identity-padded stack, and each interval's over the stack of
+    its rows' products.  Padding at a row's end multiplies exactly, and
+    each full row is a subtree of its interval's pairwise product, so every
+    product has the bits of building its interval alone."""
     counts, hs = _interval_steps(a, b, h_target)
-    prods = np.empty((counts.size, 8, 8))
-    # not np.unique: its first call imports numpy.ma, ~15 ms of set-up
-    for n in sorted(set(counts.tolist())):
-        group = np.flatnonzero(counts == n)
-        per_chunk, per = max(1, _CHUNK_STEPS // n), max(1, _BATCH_STEPS // n)
-        for first in range(0, group.size, per_chunk):
-            idx = group[first:first + per_chunk]
-            tg = nodes(a[idx, None], hs[idx, None], n)
-            ham = _hamiltonians(seq, a[idx, None], b[idx, None], tg)
-            for lo in range(0, idx.size, per):
-                sel = idx[lo:lo + per]
-                prods[sel] = _time_ordered_product(
-                    steps(ham[lo:lo + per], hs[sel, None, None, None]))
-    return prods
+    size = _BATCH_STEPS
+    # (interval, first step, steps) per row, in interval order; planned in
+    # Python, as numpy's per-call cost on these few rows was 5% of a gate op
+    rows = [(i, first, min(n - first, size)) for i, n in enumerate(counts.tolist())
+            for first in range(0, n, size)]
+    order = sorted(range(len(rows)), key=lambda r: rows[r][2], reverse=True)  # stable
+    batches, totals, start = [], [], 0
+    while start < len(order):
+        batches.append(order[start:start + size // rows[order[start]][2]])
+        totals.append(sum(rows[r][2] for r in batches[-1]))
+        start += len(batches[-1])
+    row_prods = np.empty((len(rows), 8, 8))
+    lo = 0
+    while lo < len(batches):
+        hi, total = lo + 1, totals[lo]
+        while hi < len(batches) and total + totals[hi] <= _CHUNK_STEPS:
+            total += totals[hi]
+            hi += 1
+        row_iv, first, row_n = (np.array(c) for c in zip(*(rows[r] for b in batches[lo:hi]
+                                                            for r in b)))
+        slots = row_n + shared
+        slots[-1] += shared
+        iv = np.repeat(row_iv, slots)
+        a_s = a[iv]
+        # sampled flat, in time order: broadcasting against a short last axis
+        # of q times a slot ran 20% slower, as did computing them along it
+        tg = nodes(a_s, hs[iv], np.repeat(first, slots) + _ranks(slots))
+        q = tg.shape[1]
+        ham = _hamiltonians(seq, np.repeat(a_s, q), np.repeat(b[iv], q), tg.ravel())
+        k0 = r0 = 0
+        for batch, steps_in in zip(batches[lo:hi], totals[lo:hi]):
+            n, h = row_n[r0:r0 + len(batch)], hs[row_iv[r0:r0 + len(batch)]]
+            k1 = k0 + steps_in + shared * n.size
+            # one step broadcast over all slots, where it can, is 13% cheaper
+            h = np.repeat(h, n + shared) if n.size > 1 and (h != h[0]).any() else h[:1]
+            # one expression, so that no batch's steps outlive it
+            row_prods[batch] = _time_ordered_product(_batch_rows(
+                steps(ham[q * k0:q * k1 + shared], h[:, None, None]), n, shared))
+            k0, r0 = k1, r0 + n.size
+        del ham  # before the next chunk samples
+        lo = hi
+    if len(rows) == counts.size:  # every interval is one row
+        return row_prods
+    return _time_ordered_product(_padded_rows(row_prods, (counts - 1) // size + 1))
 
 
 def _running_products(prods: np.ndarray) -> np.ndarray:
@@ -512,7 +609,7 @@ def _running_propagators(seq: PulseSequence, policy: StepPolicy,
     todo = np.flatnonzero(origin == np.arange(origin.size))  # the intervals to build
     with np.errstate(over="ignore", invalid="ignore"):  # divergence is checked below
         built = _interval_products(seq, bps[todo], bps[todo + 1], h_target, _half_steps,
-                                   _rk4_steps)
+                                   _rk4_steps, 1)
         prods = built.reshape(-1)[64 * np.searchsorted(todo, origin)[:, None] + _MEMO_INDEX[g]]
         prods *= _MEMO_SIGN[g]
         us = _running_products(prods.reshape(-1, 8, 8))
@@ -544,8 +641,8 @@ def evolve(
 ) -> Trajectory:
     """Fixed-step RK4 evolution of rho0 at ``policy`` (default ``StepPolicy()``).
 
-    Samples at every segment boundary and flip point plus a uniform grid
-    of spacing t0_sync/8.  The state at time t is U rho0 U^dagger divided
+    Samples at every segment boundary, ramp end and flip point plus a
+    uniform grid of spacing t0_sync/8.  The state at time t is U rho0 U^dagger divided
     by its trace, U = U(t) the propagator, since RK4 is not exactly
     unitary.  Grid intervals that repeat, up to a qubit's sign (a
     conjugation and a signed permutation) or a transpose, are stepped once
@@ -579,7 +676,7 @@ def propagator_of_sequence(
 _MAGNUS_NODES = (0.5 - math.sqrt(15.0) / 10.0, 0.5, 0.5 + math.sqrt(15.0) / 10.0)
 # The first pass takes this many substeps per smallest carrier period; each
 # further pass doubles it, at most this many times
-_ORACLE_SUBSTEPS = 32
+_ORACLE_SUBSTEPS = 40
 _ORACLE_DOUBLINGS = 7
 # W is scaled by 2^-s until max ||W||_1 <= _SERIES_NORM, and the series
 # truncated once its bound x^(2K+2)/(2K+2)! e^x is below _SERIES_TOL
@@ -590,11 +687,13 @@ _SERIES_TOL = 1e-16
 _EYE_COLS = np.tile(np.eye(8, 4), 2)
 
 
-def _magnus_nodes(a: np.ndarray, h: np.ndarray, n: int) -> np.ndarray:
-    """The Gauss nodes of n substeps h from a, (k, 1): all first, then all
-    second (the midpoints), then all third."""
-    base = a + h * np.arange(n)
-    return np.concatenate([base + c * h for c in _MAGNUS_NODES], -1)
+def _magnus_nodes(a: np.ndarray, h: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """The three Gauss nodes (k, 3) of substep j of substeps h from a, for
+    a, h and j of shape (k,)."""
+    out, base = np.empty((a.size, 3)), a + h * j
+    for col, c in enumerate(_MAGNUS_NODES):
+        out[:, col] = base + c * h
+    return out
 
 
 def _expm_skew(w: np.ndarray) -> np.ndarray:
@@ -633,7 +732,8 @@ def _expm_skew(w: np.ndarray) -> np.ndarray:
 
 def _magnus6_steps(hs: np.ndarray, h) -> np.ndarray:
     """Real forms of the sixth-order Magnus substeps exp(Omega) from the
-    real symmetric H_j at the _magnus_nodes along axis -3.
+    real symmetric H_j at each substep's three _magnus_nodes, in turn along
+    axis -3.
 
     With A_j = -i H_j: a1 = h A2, a2 = (sqrt(15) h/3)(A3 - A1) and
     a3 = (10 h/3)(A3 - 2 A2 + A1); C1 = [a1, a2], C2 = -[a1, 2 a3 + C1]/60
@@ -644,7 +744,7 @@ def _magnus6_steps(hs: np.ndarray, h) -> np.ndarray:
     Y and Z is YZ - (YZ)^dagger, its complex product YZ one real product.
     So Omega = R + iI, R antisymmetric and I symmetric, takes 7 real 4x4
     products."""
-    h1, h2, h3 = np.split(hs, 3, axis=-3)
+    h1, h2, h3 = (hs[..., j::3, :, :] for j in range(3))
     s1 = h * h2
     s2 = (math.sqrt(15.0) / 3.0) * h * (h3 - h1)
     s3 = (10.0 / 3.0) * h * (h3 - 2.0 * h2 + h1)
@@ -669,12 +769,12 @@ def evolve_oracle(p: SystemParams, seq: PulseSequence, rho0: DensityState) -> Tr
     from the real symmetric H at the substep's three Gauss nodes (its
     midpoint and the midpoint -/+ sqrt(15)/10 of the substep), exact to
     rounding from a series whose degree a truncation bound sets, and
-    carried as a real 8x8 form, in batches of at most 512 substeps unless
-    one interval alone holds more.  Each pass returns the running
-    propagators at the breakpoints, which become the trajectory as in
-    ``evolve``.  The first pass takes 32 substeps per smallest carrier
+    carried as a real 8x8 form, in batches of at most 512 substeps.  Each
+    pass returns the running propagators at the breakpoints, ramp ends
+    among them, which become the trajectory as in ``evolve``.  The first
+    pass takes 40 substeps per smallest carrier
     period, and the count is doubled until two successive final states
-    agree to trace distance < 1e-9, at most 7 times (4096 substeps per
+    agree to trace distance < 1e-9, at most 7 times (5120 substeps per
     period), else NoConvergence is raised.  Raises ValueError if ``p`` is
     not ``seq.params``.
     """
@@ -685,7 +785,7 @@ def evolve_oracle(p: SystemParams, seq: PulseSequence, rho0: DensityState) -> Tr
     for doublings in range(_ORACLE_DOUBLINGS + 1):
         h_target = StepPolicy(_ORACLE_SUBSTEPS << doublings).step_target(p)
         prods = _interval_products(seq, bps[:-1], bps[1:], h_target, _magnus_nodes,
-                                   _magnus6_steps)
+                                   _magnus6_steps, 0)
         traj = _trajectory(bps, _running_products(prods), rho0)
         if prev is not None and trace_distance(traj.final, prev.final) < 1e-9:
             return traj

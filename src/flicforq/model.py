@@ -321,9 +321,23 @@ def validate_sequence(p: SystemParams, seq: PulseSequence) -> list[Diagnostic]:
 #
 # The writer emits version 2.  The parser also reads version 1, also taken
 # for a file without a version, checking each ledger entry's unread time
-# "t" to be a finite number and dropping it; it rejects any other version.
+# "t" to be a finite number and dropping it; it rejects any other version,
+# and any key not named here, so that a misspelled field is an error rather
+# than a default.
 
 SCHEMA_VERSION = 2
+_LEDGER_KEYS = {1: ("qubit", "angle", "t"), SCHEMA_VERSION: ("qubit", "angle")}
+
+
+def _fields(what: str, d, keys: tuple) -> dict:
+    """d, one of ``what`` (a plural), a JSON object with no key outside
+    keys; else ValueError naming the first other key, or what d is."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{what} must be JSON objects, got {d!r}")
+    for key in d:
+        if key not in keys:
+            raise ValueError(f"unknown key {key!r} in {what}")
+    return d
 
 
 def _segment_to_dict(seg: PulseSegment) -> dict:
@@ -346,20 +360,21 @@ def _segment_to_dict(seg: PulseSegment) -> dict:
     return d
 
 
-def _segment_from_dict(d: dict) -> PulseSegment:
-    env_d = d.get("envelope", {"kind": "square"}) if isinstance(d, dict) else None
-    if not isinstance(env_d, dict):
-        raise ValueError(f"a segment and its envelope must be JSON objects, got {d!r}")
-    env = Envelope(kind=env_d["kind"], rise=env_d.get("rise", 0.0))
+def _segment_from_dict(d) -> PulseSegment:
+    d = _fields("segments", d, ("start", "duration", "q1", "q2", "envelope", "flip", "label"))
+    env_d = _fields("envelopes", d.get("envelope", {"kind": "square"}), ("kind", "rise"))
+    q1, q2 = (_fields("q1 and q2 amplitudes", d[f"q{q}"], ("x", "y")) for q in (1, 2))
     flip = d.get("flip")
+    if flip is not None:
+        _fields("flips", flip, ("t", "qubit"))
     return PulseSegment(
         start=d["start"],
         duration=d["duration"],
-        amp_x_1=d["q1"]["x"],
-        amp_y_1=d["q1"]["y"],
-        amp_x_2=d["q2"]["x"],
-        amp_y_2=d["q2"]["y"],
-        envelope=env,
+        amp_x_1=q1["x"],
+        amp_y_1=q1["y"],
+        amp_x_2=q2["x"],
+        amp_y_2=q2["y"],
+        envelope=Envelope(kind=env_d["kind"], rise=env_d.get("rise", 0.0)),
         flip_at=None if flip is None else flip["t"],
         flip_qubit=None if flip is None else flip["qubit"],
         label=d.get("label", ""),
@@ -394,13 +409,16 @@ def sequence_from_json(text: str) -> PulseSequence:
     doc = json.loads(text)
     if not isinstance(doc, dict):
         raise ValueError("a sequence file holds one JSON object")
+    _fields("sequence files", doc,
+            ("schema", "w1z", "w2z", "wxx", "segments", "virtual_z", "total_time"))
     schema = doc.get("schema", 1)
     if type(schema) is not int or schema not in (1, SCHEMA_VERSION):
         raise ValueError(f"unsupported sequence schema {schema!r}; "
                          f"this version reads schemas 1 and {SCHEMA_VERSION}")
     params = _params_from_doc(doc)
     segments = tuple(_segment_from_dict(d) for d in doc.get("segments", []))
-    entries = doc.get("virtual_z", [])
+    entries = [_fields(f"schema-{schema} virtual_z entries", e, _LEDGER_KEYS[schema])
+               for e in doc.get("virtual_z", [])]
     if schema == 1:
         for e in entries:
             _require_finite(t=e["t"])
@@ -413,4 +431,4 @@ def sequence_from_json(text: str) -> PulseSequence:
 
 
 def params_from_json(text: str) -> SystemParams:
-    return _params_from_doc(json.loads(text))
+    return _params_from_doc(_fields("params files", json.loads(text), ("w1z", "w2z", "wxx")))

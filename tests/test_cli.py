@@ -503,6 +503,78 @@ def test_malformed_sequence_exits_2(edit, message, tmp_path, capsys):
     assert "cannot read sequence file" in err and message in err
 
 
+def rename(d, old, new):
+    d[new] = d.pop(old)
+
+
+@pytest.mark.parametrize("edit, key", [
+    (lambda doc: rename(doc, "total_time", "totl_time"), "totl_time"),
+    (lambda doc: rename(doc["segments"][0], "flip", "flipp"), "flipp"),
+    (lambda doc: doc["segments"][0]["envelope"].update(rise_time=2.0), "rise_time"),
+    (lambda doc: doc["segments"][0]["q1"].update(z=0.01), "z"),
+    (lambda doc: rename(doc["segments"][0]["q2"], "x", "X"), "X"),
+    (lambda doc: doc["segments"][0]["flip"].update(time=1.0), "time"),
+    (lambda doc: doc.update(virtual_z=[{"qubit": 1, "angle": 1.0, "t": 0.0}]), "t"),
+    (lambda doc: doc.update(schema=1, virtual_z=[{"qubit": 1, "angle": 1.0, "t": 0.0,
+                                                  "tt": 0.0}]), "tt"),
+], ids=["top-level", "segment", "envelope", "q1", "q2", "flip", "schema-2-ledger-t",
+        "schema-1-ledger"])
+def test_unknown_sequence_key_exits_2(edit, key, tmp_path, capsys):
+    # a misspelled key used to be ignored and its field read as absent; a
+    # ledger entry's t is read, checked and dropped under schema 1 only
+    _, seq_json, _ = run(capsys, "compile", "xx_half")
+    doc = json.loads(seq_json)
+    edit(doc)
+    seq_file = tmp_path / "xx.json"
+    seq_file.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "fidelity", str(seq_file), "--word", "X1X2^1/2")
+    assert code == 2
+    assert out == ""
+    assert f"unknown key {key!r}" in err
+
+
+def test_misspelled_flip_and_total_time_exit_2(tmp_path, capsys):
+    # the compiled XX^1/2 with its segment's flip and its total_time
+    # misspelled read as an unflipped pulse ending with it, and scored a
+    # process fidelity of 0.506 with exit 0
+    _, seq_json, _ = run(capsys, "compile", "xx_half")
+    doc = json.loads(seq_json)
+    good = tmp_path / "good.json"
+    good.write_text(seq_json)
+    rename(doc["segments"][0], "flip", "flipp")
+    rename(doc, "total_time", "totl_time")
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "fidelity", str(good), "--word", "X1X2^1/2",
+                       "--steps-per-period", "800")
+    assert code == 0 and json.loads(out)["process"] > 0.99
+    code, out, err = run(capsys, "fidelity", str(bad), "--word", "X1X2^1/2",
+                         "--steps-per-period", "800")
+    assert code == 2
+    assert out == ""
+    assert "unknown key 'totl_time'" in err
+
+
+@pytest.mark.parametrize("text, key", [
+    ('{"w1z": 1.05, "w2z": 0.95, "wxx": 0.01, "wxxx": 0.02}', "wxxx"),
+    ('{"w1z": 1.05, "w2z": 0.95, "wxx": 0.01, "schema": 2}', "schema"),
+], ids=["typo", "sequence-key"])
+def test_params_unknown_key_exits_2(text, key, tmp_path, capsys):
+    pf = tmp_path / "params.json"
+    pf.write_text(text)
+    code, out, err = run(capsys, "compile", "x90", "--params", str(pf))
+    assert code == 2
+    assert out == ""
+    assert f"unknown key {key!r}" in err
+
+
+@pytest.mark.parametrize("gate", list(cli._GATES))
+def test_every_compile_output_reads_back(gate, tmp_path, capsys):
+    code, out, _ = run(capsys, "compile", gate)
+    assert code == 0
+    assert sequence_to_json(sequence_from_json(out)) == out.rstrip("\n")
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_fidelity_non_finite_min_exits_2(value, capsys):
     # a nan gate can never fire, so it used to exit 0 whatever the fidelity

@@ -272,7 +272,7 @@ def magnus6_omega(a1, a2, a3, h):
     return b1 + b3 / 12.0 + comm(-20.0 * b1 - b3 + c1, b2 + c2) / 240.0
 
 
-def reference_oracle(p, seq, rho0, substeps=32, max_doublings=7):
+def reference_oracle(p, seq, rho0, substeps=40, max_doublings=7):
     # the oracle one substep at a time: the Magnus exponent in complex
     # arithmetic, its exponential from the eigendecomposition of the
     # Hermitian i Omega, and rho conjugated by each substep in turn
@@ -337,30 +337,67 @@ def oracle_pass(seq, h_target):
     bps = _breakpoints(seq)
     return integrator._running_products(integrator._interval_products(
         seq, bps[:-1], bps[1:], h_target, integrator._magnus_nodes,
-        integrator._magnus6_steps))
+        integrator._magnus6_steps, 0))
 
 
 def test_oracle_is_sixth_order():
-    # on square pulses, whose every envelope edge and flip is a breakpoint,
-    # the error of the final propagator against a fine pass falls by 2^6
-    # per halving of the substep; a ramp's ends are no breakpoints, and the
-    # kink of its C1 envelope there would lower the order
-    segs = (
-        PulseSegment(start=0.0, duration=20.0, amp_y_1=0.04, amp_x_2=0.03,
-                     flip_at=9.0, flip_qubit=1),
-        PulseSegment(start=20.0, duration=6.0, amp_x_1=-0.03),
-    )
-    seq = PulseSequence(params=BENCH, segments=segs)
+    # every envelope edge, flip and ramp end is a breakpoint, so the error
+    # of the final propagator against a fine pass falls by 2^6 per halving
+    # of the substep, square or ramped; the ramp's ends, off the grid, are
+    # where its C1 envelope's second derivative jumps, which would lower the
+    # order inside an interval
+    grid = BENCH.t0_sync / 8
+    assert all(abs(t / grid - round(t / grid)) > 0.1 for t in (3.8, 16.2))
     period = 2.0 * math.pi / BENCH.w1z
-    ref = oracle_pass(seq, period / 2048)[-1]
-    errors = [np.max(np.abs(oracle_pass(seq, period / n)[-1] - ref)) for n in (16, 32, 64)]
-    assert all(48.0 <= coarse / fine <= 80.0 for coarse, fine in zip(errors, errors[1:]))
+    for envelope in (Envelope(), Envelope("raised-cosine-ramp", 3.8)):
+        segs = (
+            PulseSegment(start=0.0, duration=20.0, amp_y_1=0.04, amp_x_2=0.03,
+                         envelope=envelope, flip_at=9.0, flip_qubit=1),
+            PulseSegment(start=20.0, duration=6.0, amp_x_1=-0.03),
+        )
+        seq = PulseSequence(params=BENCH, segments=segs)
+        assert (3.8 in _breakpoints(seq)) == (envelope.rise > 0.0)
+        ref = oracle_pass(seq, period / 2048)[-1]
+        errors = [np.max(np.abs(oracle_pass(seq, period / n)[-1] - ref)) for n in (16, 32, 64)]
+        assert all(48.0 <= coarse / fine <= 80.0 for coarse, fine in zip(errors, errors[1:]))
+
+
+def test_breakpoints_include_ramp_ends():
+    # a ramp ends at start + rise and end - rise; where Envelope.scale caps
+    # the rise at half the duration, both ends are the segment's midpoint
+    grid = BENCH.t0_sync / 8
+    ramped = PulseSegment(start=grid, duration=5 * grid, amp_x_1=0.01,
+                          envelope=Envelope("raised-cosine-ramp", 1.3 * grid))
+    capped = PulseSegment(start=7 * grid, duration=3 * grid, amp_x_2=0.01,
+                          envelope=Envelope("raised-cosine-ramp", 2.2 * grid))
+    seq = PulseSequence(params=BENCH, segments=(ramped, capped), total_time=11 * grid)
+    bps = _breakpoints(seq)
+    ends = (2.3 * grid, 4.7 * grid, 8.5 * grid)
+    assert all(np.sum(np.abs(bps - t) <= 1e-12) == 1 for t in ends)
+    assert bps.size == 12 + len(ends)  # the grid points k grid, k = 0 .. 11, and the ends
+
+
+@pytest.mark.parametrize("build", [compile_D, compile_cnot], ids=["D", "cnot"])
+def test_oracle_takes_three_passes_on_the_paper_device(build, monkeypatch):
+    # D and the CNOT's XX^1/2 need more than 64 substeps per period and at
+    # most 80, so doubling from 40 stops after the pass at 160, where
+    # doubling from 32 stopped after the pass at 256
+    passes = []
+    real = integrator._interval_products
+
+    def spy_pass(seq, a, b, h_target, *scheme):
+        passes.append(h_target)
+        return real(seq, a, b, h_target, *scheme)
+
+    monkeypatch.setattr(integrator, "_interval_products", spy_pass)
+    evolve_oracle(DEFAULT_PARAMS, build(DEFAULT_PARAMS), DensityState.computational("10"))
+    period = 2.0 * math.pi / DEFAULT_PARAMS.w1z
+    assert [round(period / h) for h in passes] == [40, 80, 160]
 
 
 def test_oracle_matches_reference_across_chunks(monkeypatch):
-    # with the chunk cap lowered to two batches, the second pass samples H
-    # for some step count more than once, since the cap cuts its intervals
-    # into several chunks, and each pass spans several batches
+    # with the chunk cap lowered to two batches, every pass after the first
+    # samples H in several chunks, and some chunk mixes substep counts
     monkeypatch.setattr(integrator, "_CHUNK_STEPS", 2 * integrator._BATCH_STEPS)
     p, seq = BENCH, ramped_flip_sequence()
     period = 2.0 * math.pi / p.w1z
@@ -368,7 +405,7 @@ def test_oracle_matches_reference_across_chunks(monkeypatch):
     first = [_interval_steps(a, b, period / integrator._ORACLE_SUBSTEPS)[0]
              for a, b in zip(bps[:-1], bps[1:])]
     assert sum(first) > integrator._BATCH_STEPS
-    samplings = []  # per pass, the sample count per interval of each H sampling
+    samplings = []  # per pass, the substep counts of the intervals each H sampling holds
     real_pass, real_ham = integrator._interval_products, integrator._hamiltonians
 
     def spy_pass(*args):
@@ -376,21 +413,23 @@ def test_oracle_matches_reference_across_chunks(monkeypatch):
         return real_pass(*args)
 
     def spy_ham(seq, a, b, tg):
-        samplings[-1].append(tg.shape[-1])
+        counts, _ = sampled_steps(a, b, tg, 3)
+        samplings[-1].append(set(counts.tolist()))
         return real_ham(seq, a, b, tg)
 
     monkeypatch.setattr(integrator, "_interval_products", spy_pass)
     monkeypatch.setattr(integrator, "_hamiltonians", spy_ham)
     rho0 = random_state(np.random.default_rng(16))
     got = evolve_oracle(p, seq, rho0).coeffs
-    assert len(samplings[1]) > len(set(samplings[1]))
+    assert all(len(chunks) > 1 for chunks in samplings[1:])
+    assert any(len(counts) > 1 for chunks in samplings for counts in chunks)
     assert np.max(np.abs(got - reference_oracle(p, seq, rho0))) <= 1e-12
 
 
 def test_oracle_batches_chunks_without_eigh(monkeypatch):
     # every exponential comes from the series, each substep's exactly
     # once, in batches that span several intervals and stay within the
-    # batch cap unless one interval alone exceeds it
+    # batch cap
     def no_eigh(*args, **kwargs):
         raise AssertionError("the oracle called np.linalg.eigh")
 
@@ -415,7 +454,7 @@ def test_oracle_batches_chunks_without_eigh(monkeypatch):
     for counts, batches in passes:
         assert sum(batches) == sum(counts)
         assert len(batches) < len(counts)
-        assert all(b <= cap or b in counts for b in batches)
+        assert max(batches) <= cap
 
 
 def plain_propagators(p, seq, policy):
@@ -495,7 +534,7 @@ def both_axes_pair(p, windows):
     (DEFAULT_PARAMS, compile_cnot(DEFAULT_PARAMS), 12, 208, 1e-11),
     (device(3.9), square_pair(device(3.9), 3), 24, 24, 1e-13),
     (device(4 + 1e-9), square_pair(device(4 + 1e-9), 3), 24, 24, 1e-13),
-    (BENCH, square_pair(BENCH, 3, Envelope("raised-cosine-ramp", 10.0)), 12, 24, 1e-13),
+    (BENCH, square_pair(BENCH, 3, Envelope("raised-cosine-ramp", 10.0)), 14, 26, 1e-13),
 ], ids=["D", "x-layer", "y-layer", "gate_layer", "xy-both", "xx_half", "cnot-bench",
         "cnot-paper", "ratio-3.9", "ratio-4+1e-9", "ramped"])
 def test_window_reuse_and_fallback(p, seq, built, intervals, tol, monkeypatch):
@@ -506,18 +545,19 @@ def test_window_reuse_and_fallback(p, seq, built, intervals, tol, monkeypatch):
     # window: each qubit drives along one axis, so the mirror's sign on x is
     # that qubit's sign.  x and y on both qubits step a whole window, since
     # the mirror negates x and not y.  A device whose carriers do not flip
-    # over t0_sync steps every interval, and a ramped pulse its ramps every
-    # time and its flat top once per orbit.  A call's leading axes batch
-    # intervals.  The paper's CNOT reuses 12 products over 26 windows, so
-    # their rounding adds up: it keeps the 1e-11 of
-    # test_window_reuse_matches_plain_stepping.
+    # over t0_sync steps every interval, and a ramped pulse its ramps and
+    # both halves of each interval its off-grid ramp ends cut every time,
+    # and its flat top once per orbit.  The paper's CNOT reuses 12
+    # products over 26 windows, so their rounding adds up: it keeps the
+    # 1e-11 of test_window_reuse_matches_plain_stepping.
     intervals_built = []
+    real = integrator._interval_products
 
-    def counting(hs, h):
-        intervals_built.append(math.prod(hs.shape[:-3]))
-        return _rk4_steps(hs, h)
+    def counting(seq, a, *args):
+        intervals_built.append(a.size)
+        return real(seq, a, *args)
 
-    monkeypatch.setattr(integrator, "_rk4_steps", counting)
+    monkeypatch.setattr(integrator, "_interval_products", counting)
     u = propagator_of_sequence(p, seq, BENCH_POLICY)
     assert sum(intervals_built) == built
     assert _breakpoints(seq).size - 1 == intervals
@@ -613,12 +653,14 @@ def sync_grid_sequences(draw):
 
 
 def test_step_build_holds_few_temporaries():
-    # the step build forms its sums in place and writes its real forms
-    # once, so it holds 2.51 times its output's memory at its peak (the
-    # output, five (n, 4, 4) products and one ufunc buffer), against 3.26
-    # times when every sum and Re S and Im S were fresh arrays.  With those,
-    # the heap top was trimmed and faulted back in on every warm benchmark
-    # gate op (194 minor faults per op, against 0.1)
+    # the step build forms its sums in place, buffers no ufunc operand and
+    # frees three of its five (n, 4, 4) products before it writes its real
+    # forms, so it holds 1.51 times its output's memory at its peak (the
+    # output, Re S and Im S), against 2.51 times with the five products and
+    # a ufunc buffer live, and 3.26 times when every sum and Re S and Im S
+    # were fresh arrays.  With those, the heap top was trimmed and faulted
+    # back in on every warm benchmark gate op (194 minor faults per op,
+    # against 0.1)
     rng = np.random.default_rng(23)
     a = rng.normal(size=(1, 2 * 450 + 1, 4, 4))
     hs = a + a.swapaxes(-1, -2)
@@ -630,7 +672,7 @@ def test_step_build_holds_few_temporaries():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3 * size
+    assert peak < 1.6 * size
 
 
 @settings(max_examples=25)
@@ -760,12 +802,13 @@ def test_every_bench_gate_layer_builds_one_window_half(monkeypatch):
     # with x on one qubit and y on the other, where both qubits' signs
     # flipped together take 8
     built = []
+    real = integrator._interval_products
 
-    def counting(hs, h):
-        built[-1] += math.prod(hs.shape[:-3])
-        return _rk4_steps(hs, h)
+    def counting(seq, a, *args):
+        built[-1] += a.size
+        return real(seq, a, *args)
 
-    monkeypatch.setattr(integrator, "_rk4_steps", counting)
+    monkeypatch.setattr(integrator, "_interval_products", counting)
     for seq in bench_gate_layers(0.0):
         built.append(0)
         propagator_of_sequence(BENCH, seq, BENCH_POLICY)
@@ -807,10 +850,20 @@ def mixed_sequence(p):
     return PulseSequence(params=p, segments=segs, total_time=6.0 * s)
 
 
+def sampled_steps(a, b, tg, q):
+    """Per slot of q samples in one flat H sampling (RK4's two half-step
+    times or the oracle's three Gauss nodes, sqrt(15)/5 of a substep
+    apart), its interval's step count and its step index in it; RK4's slots
+    past a row's last step hold its end."""
+    a, b, tg = a[::q], b[::q], tg.reshape(-1, q)
+    h = (tg[:, -1] - tg[:, 0]) / (0.5 if q == 2 else math.sqrt(15.0) / 5.0)
+    return np.rint((b - a) / h).astype(int), np.rint((tg[:, 0] - a) / h).astype(int)
+
+
 def test_chunked_build_equals_plain_stepping(monkeypatch):
     # on a device without window reuse every interval is built, from
-    # several samplings of H and in batches of intervals of one step count
-    # each, yet each U(t_k) has the bits of stepping one interval at a time
+    # several samplings of H, some of them mixing step counts, yet each
+    # U(t_k) has the bits of stepping one interval at a time
     p = device(3.9)
     seq = mixed_sequence(p)
     bps = _breakpoints(seq)
@@ -821,23 +874,23 @@ def test_chunked_build_equals_plain_stepping(monkeypatch):
     real = integrator._hamiltonians
 
     def spy(seq, a, b, tg):
-        samplings.append(tg.shape)
+        counts, index = sampled_steps(a, b, tg, 2)
+        samplings.append(set(counts[index < counts].tolist()))
         return real(seq, a, b, tg)
 
     monkeypatch.setattr(integrator, "_hamiltonians", spy)
     got = integrator._running_propagators(seq, BENCH_POLICY, 1e-9)[1]
     assert len(samplings) >= 3
+    assert any(len(counts) > 1 for counts in samplings)
     monkeypatch.undo()
     assert np.array_equal(got, plain_propagators(p, seq, BENCH_POLICY))
 
 
-# per route, one pass over a sequence at a policy's step target, and the
-# steps a sampling of m times per interval holds
+# per route, one pass over a sequence at a policy's step target, the end
+# samples it shares per row and per chunk, and its samples per step
 ROUTES = {
-    "rk4": (lambda seq, policy: integrator._running_propagators(seq, policy, 1e-9),
-            lambda m: (m - 1) // 2),
-    "oracle": (lambda seq, policy: oracle_pass(seq, policy.step_target(seq.params)),
-               lambda m: m // 3),
+    "rk4": (lambda seq, policy: integrator._running_propagators(seq, policy, 1e-9), 1, 2),
+    "oracle": (lambda seq, policy: oracle_pass(seq, policy.step_target(seq.params)), 0, 3),
 }
 
 
@@ -853,26 +906,30 @@ CAP_CASES = {
     for route in ROUTES for name, case in CAP_CASES.items()
 ])
 def test_drive_samples_bounded_by_chunk_cap(route, p, seq, policy, monkeypatch):
-    # each sampling call covers intervals of one step count whose steps
-    # fit the cap, unless a single interval alone exceeds it (the fine
-    # policy's 11250-step grid intervals on the benchmark device)
+    # each sampling call holds at most the cap's steps, from several
+    # intervals, or from part of one where a single interval exceeds it
+    # (the fine policy's 11250-step grid intervals on the benchmark device)
     calls = []
     real = integrator._hamiltonians
-    run, steps_of = ROUTES[route]
+    run, shared, q = ROUTES[route]
 
     def spy(seq, a, b, tg):
-        calls.append(tg.shape)
+        counts, index = sampled_steps(a, b, tg, q)
+        inside = index < counts
+        # a row is an interval's run of at most _BATCH_STEPS steps
+        row = index[inside] // integrator._BATCH_STEPS
+        rows = len(set(zip(a[::q][inside].tolist(), row.tolist())))
+        calls.append((index.size - shared * (rows + 1), np.unique(a).size, counts.max()))
         return real(seq, a, b, tg)
 
     monkeypatch.setattr(integrator, "_hamiltonians", spy)
     run(seq, policy)
     cap = integrator._CHUNK_STEPS
-    steps = [(k, steps_of(m)) for k, m in calls]
-    assert all(k * n <= cap or k == 1 for k, n in steps)
+    assert all(steps <= cap for steps, _, _ in calls)
     if policy == BENCH_POLICY:
-        assert any(k > 1 for k, _ in steps)
+        assert any(intervals > 1 for _, intervals, _ in calls)
     else:
-        assert all(n > cap for _, n in steps)
+        assert all(longest > cap for _, _, longest in calls)
 
 
 def test_one_h_sampling_per_chunk(monkeypatch):
