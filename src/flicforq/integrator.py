@@ -13,11 +13,12 @@ the real forms.
 One pipeline serves both: an interval cut into n equal steps has the time
 ordered product of its step matrices as propagator.  A call's intervals are
 cut into rows of at most 512 steps, and the rows, longest first, into
-batches of at most 512 steps padded to their longest row; a chunk of
-batches, at most 8192 steps, shares one sampling of H.  A batch's steps
-are built flat, whatever their intervals, and each row's product is taken
-pairwise over its own row of an identity-padded stack.  The two differ
-only in where they sample H and how they make a step:
+rectangular batches: 512 // w rows, each padded to the first one's length
+w with identity steps.  A chunk of batches, at most 8192 padded steps,
+shares one sampling of H.  Each row's product goes into an (interval, row)
+stack of identities, whose pairwise product gives every interval's
+propagator.  The two differ only in where they sample H and how they make
+a step:
 
 - RK4 (``evolve``, ``propagator_of_sequence``) samples the half-step grid
   and makes classic fixed-step 4th-order Runge-Kutta steps, each
@@ -219,10 +220,9 @@ class StepPolicy:
     steps_per_period: int = 1600
 
     def __post_init__(self):
-        if self.steps_per_period < 1:
-            raise ValueError(
-                f"steps_per_period must be at least 1, got {self.steps_per_period}"
-            )
+        n = self.steps_per_period
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+            raise ValueError(f"steps_per_period must be an integer of at least 1, got {n!r}")
 
     def step_target(self, p: SystemParams) -> float:
         period = 2.0 * math.pi / p.w1z  # w1z > w2z: the smallest period
@@ -308,13 +308,10 @@ def _complex_of(r: np.ndarray) -> np.ndarray:
     return r[..., :4, :4] + 1j * r[..., 4:, :4]
 
 
-def _half_steps(a: np.ndarray, h: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """The times (k, 2) of step j of RK4 steps h from a and of its midpoint,
-    for a, h and j of shape (k,): the half-step grid, two times a step."""
-    out, x, i = np.empty((a.size, 2)), 0.5 * h, 2 * j
-    out[:, 0] = a + x * i
-    out[:, 1] = a + x * (i + 1)
-    return out
+def _half_steps(a: np.ndarray, h: np.ndarray, j: np.ndarray, w: int) -> np.ndarray:
+    """The half-step grid (k, 2w + 1) of w RK4 steps h from step j of
+    intervals from a, each of shape (k, 1): two times a step, and the end."""
+    return a + (0.5 * h) * (2 * j + np.arange(2 * w + 1))
 
 
 def _rk4_steps(hs: np.ndarray, h) -> np.ndarray:
@@ -324,7 +321,7 @@ def _rk4_steps(hs: np.ndarray, h) -> np.ndarray:
     grid (2n + 1 times along axis -3).  With A, M, B = H_a, H_m, H_b and
     x = h/2, Re S = I + h/6 (-2x (MA + MM + BM) + 2x^3 BMMA) and
     Im S = h/6 (2x^2 (MMA + BMM) - (A + 4M + B)).  Leading axes batch
-    intervals; h is a scalar or broadcasts against the (n, 4, 4) products.
+    intervals; h is a scalar or broadcasts against hs, as (k, 1, 1, 1).
 
     The sums are formed in place in five product arrays and copied once
     into the output's blocks, so that a batch's temporaries stay below
@@ -388,7 +385,7 @@ def _time_ordered_product(mats: np.ndarray) -> np.ndarray:
 
 # Figures: warm calls on a 2-core Xeon host, and medians of host-adjusted
 # ops_per_s from `perfbench/run.py --seconds 8` (seeds 3001-3006, variants
-# alternating).  Largest number of steps one chunk samples at once.  One
+# alternating).  Most padded steps one chunk samples at once.  One
 # _hamiltonians call took 175 us for one 450-step interval and 399 us for
 # four; sampling once per batch, with no chunk level, took gate_fidelity
 # 235.8 -> 185.8 ops/s and oracle_verify 63.7 -> 47.8 (6/6 pairs slower).
@@ -399,104 +396,68 @@ def _time_ordered_product(mats: np.ndarray) -> np.ndarray:
 # (196 KB of samples, 2 MB of build temporaries), a warm D evolve_oracle on
 # the paper's device took 53144 minor faults per call, against none.
 _CHUNK_STEPS = 8192
-# Steps built and multiplied per batch, counted padded, and the longest
-# row: a power of two, so that a full row is a subtree of its interval's
-# pairwise product.  Each benchmark RK4 interval (450 steps) is a batch of
-# its own: _rk4_steps took 0.44 ms for one interval and 2.82 ms for four
-# in one batch; one batch per chunk took gate_fidelity 227.2 -> 182.7
-# ops/s and oracle_verify 65.4 -> 54.7 (4/4 slower), peak RSS +1.6 and
-# +6.1 MB.
+# Most padded steps of a batch, a rectangle of rows built and multiplied
+# at once, and the longest row: a power of two, so that a full row is a
+# subtree of its interval's pairwise product.  Each benchmark RK4 interval
+# (450 steps) is a batch of its own: _rk4_steps took 0.44 ms for one
+# interval and 2.82 ms for four in one batch; one batch per chunk took
+# gate_fidelity 227.2 -> 182.7 ops/s and oracle_verify 65.4 -> 54.7 (4/4
+# slower), peak RSS +1.6 and +6.1 MB.
 _BATCH_STEPS = 512
 
 
-def _ranks(lengths: np.ndarray) -> np.ndarray:
-    """0, 1, ..., n - 1 for each n in lengths, concatenated."""
-    return np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-
-
-def _padded_rows(mats: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """The stack (k, max(lengths), 8, 8) whose row i holds the next
-    lengths[i] of mats, in order, and identities after them."""
-    width = lengths.max(initial=1)
-    rows = np.broadcast_to(np.eye(8), (lengths.size, width, 8, 8)).copy()
-    rows[np.arange(width) < lengths[:, None]] = mats
-    return rows
-
-
-def _batch_rows(mats: np.ndarray, lengths: np.ndarray, shared: int) -> np.ndarray:
-    """A batch's step matrices, flat, rows of lengths[i] steps (longest
-    first) and shared more slots each, as its stack of rows: a view where
-    every row has the same length, else identity-padded."""
-    if lengths[0] == lengths[-1]:
-        return mats.reshape(lengths.size, lengths[0] + shared, 8, 8)[:, :lengths[0]]
-    slots = lengths + shared
-    return _padded_rows(mats[_ranks(slots) < np.repeat(lengths, slots)], lengths)
-
-
 def _interval_products(seq: PulseSequence, a: np.ndarray, b: np.ndarray, h_target: float,
-                       nodes, steps, shared: int) -> np.ndarray:
+                       nodes, steps) -> np.ndarray:
     """Real forms of the propagators of the intervals [a_i, b_i], each of n
     steps h (_interval_steps).
 
-    Each interval is cut into rows of at most _BATCH_STEPS steps.  The rows,
-    longest first, go in batches of as many as fit _BATCH_STEPS padded to
-    the first one's length, and runs of batches in chunks of at most
-    _CHUNK_STEPS steps (one batch at least).  A row of n steps is n + shared
-    slots, and a chunk's last row shared more: nodes(a, h, j) gives the q
-    sample times (k, q) of slots j, of intervals from a in steps h (each of
-    shape (k,)), and one _hamiltonians call samples all of a chunk's slots.
-    steps(hs, h) makes the step matrices of a batch's slots, flat, from
-    their q samples each and the shared samples after them, h per slot (or
-    one for all) as (k, 1, 1).  Each row's product is taken over its own
-    row of an identity-padded stack, and each interval's over the stack of
-    its rows' products.  Padding at a row's end multiplies exactly, and
-    each full row is a subtree of its interval's pairwise product, so every
+    Each interval is cut into rows of at most _BATCH_STEPS steps.  The
+    rows, longest first, go in rectangular batches of _BATCH_STEPS // w
+    rows, w the first one's length, and runs of batches in chunks of at
+    most _CHUNK_STEPS padded steps (one batch at least).  nodes(a, h, j, w)
+    gives the (k, s) sample times of w steps h from step j of each row's
+    interval from a, each of shape (k, 1); one _hamiltonians call samples
+    all of a chunk's times.  steps(hs, h) makes a batch's (k, w) step
+    matrices from its (k, s) samples, h as (k, 1, 1, 1), and the steps past
+    a row's end are overwritten with the identity.  Each row's product goes
+    into an identity-initialised (interval, row) stack, whose pairwise
+    product is the result.  Identity padding multiplies exactly, and each
+    full row is a subtree of its interval's pairwise product, so every
     product has the bits of building its interval alone."""
     counts, hs = _interval_steps(a, b, h_target)
     size = _BATCH_STEPS
-    # (interval, first step, steps) per row, in interval order; planned in
+    # (interval, first step, steps) per row, longest first; planned in
     # Python, as numpy's per-call cost on these few rows was 5% of a gate op
-    rows = [(i, first, min(n - first, size)) for i, n in enumerate(counts.tolist())
-            for first in range(0, n, size)]
-    order = sorted(range(len(rows)), key=lambda r: rows[r][2], reverse=True)  # stable
-    batches, totals, start = [], [], 0
-    while start < len(order):
-        batches.append(order[start:start + size // rows[order[start]][2]])
-        totals.append(sum(rows[r][2] for r in batches[-1]))
-        start += len(batches[-1])
-    row_prods = np.empty((len(rows), 8, 8))
-    lo = 0
-    while lo < len(batches):
-        hi, total = lo + 1, totals[lo]
-        while hi < len(batches) and total + totals[hi] <= _CHUNK_STEPS:
-            total += totals[hi]
-            hi += 1
-        row_iv, first, row_n = (np.array(c) for c in zip(*(rows[r] for b in batches[lo:hi]
-                                                            for r in b)))
-        slots = row_n + shared
-        slots[-1] += shared
-        iv = np.repeat(row_iv, slots)
-        a_s = a[iv]
-        # sampled flat, in time order: broadcasting against a short last axis
-        # of q times a slot ran 20% slower, as did computing them along it
-        tg = nodes(a_s, hs[iv], np.repeat(first, slots) + _ranks(slots))
-        q = tg.shape[1]
-        ham = _hamiltonians(seq, np.repeat(a_s, q), np.repeat(b[iv], q), tg.ravel())
-        k0 = r0 = 0
-        for batch, steps_in in zip(batches[lo:hi], totals[lo:hi]):
-            n, h = row_n[r0:r0 + len(batch)], hs[row_iv[r0:r0 + len(batch)]]
-            k1 = k0 + steps_in + shared * n.size
-            # one step broadcast over all slots, where it can, is 13% cheaper
-            h = np.repeat(h, n + shared) if n.size > 1 and (h != h[0]).any() else h[:1]
-            # one expression, so that no batch's steps outlive it
-            row_prods[batch] = _time_ordered_product(_batch_rows(
-                steps(ham[q * k0:q * k1 + shared], h[:, None, None]), n, shared))
-            k0, r0 = k1, r0 + n.size
-        del ham  # before the next chunk samples
+    rows = sorted(((i, first, min(n - first, size)) for i, n in enumerate(counts.tolist())
+                   for first in range(0, n, size)), key=lambda row: -row[2])
+    iv, first, n = np.array(rows, dtype=int).reshape(-1, 3).T
+    a_r, h_r, j_r = a[iv, None], hs[iv, None], first[:, None]
+    chunks, area, lo = [], _CHUNK_STEPS, 0  # per chunk, its batches: rows (a slice), width
+    while lo < len(rows):
+        w = rows[lo][2]
+        hi = min(lo + size // w, len(rows))
+        area += (hi - lo) * w
+        if area > _CHUNK_STEPS:
+            chunks.append([])
+            area = (hi - lo) * w
+        chunks[-1].append((slice(lo, hi), w))
         lo = hi
-    if len(rows) == counts.size:  # every interval is one row
-        return row_prods
-    return _time_ordered_product(_padded_rows(row_prods, (counts - 1) // size + 1))
+    stack = np.empty((counts.size, (counts.max(initial=1) - 1) // size + 1, 8, 8))
+    stack[...] = np.eye(8)
+    for chunk in chunks:
+        tgs = [nodes(a_r[r], h_r[r], j_r[r], w) for r, w in chunk]
+        per = np.concatenate([np.repeat(iv[r], t.shape[1]) for (r, _), t in zip(chunk, tgs)])
+        ham = _hamiltonians(seq, a[per], b[per], np.concatenate([t.ravel() for t in tgs]))
+        k0 = 0
+        for (r, w), t in zip(chunk, tgs):
+            mats = steps(ham[k0:k0 + t.size].reshape(t.shape + (4, 4)), h_r[r, :, None, None])
+            if n[r.stop - 1] < w:
+                mats[np.arange(w) >= n[r, None]] = np.eye(8)
+            stack[iv[r], first[r] // size] = _time_ordered_product(mats)
+            del mats  # before the next batch builds its steps
+            k0 += t.size
+        del ham  # before the next chunk samples
+    return _time_ordered_product(stack)
 
 
 def _running_products(prods: np.ndarray) -> np.ndarray:
@@ -609,7 +570,7 @@ def _running_propagators(seq: PulseSequence, policy: StepPolicy,
     todo = np.flatnonzero(origin == np.arange(origin.size))  # the intervals to build
     with np.errstate(over="ignore", invalid="ignore"):  # divergence is checked below
         built = _interval_products(seq, bps[todo], bps[todo + 1], h_target, _half_steps,
-                                   _rk4_steps, 1)
+                                   _rk4_steps)
         prods = built.reshape(-1)[64 * np.searchsorted(todo, origin)[:, None] + _MEMO_INDEX[g]]
         prods *= _MEMO_SIGN[g]
         us = _running_products(prods.reshape(-1, 8, 8))
@@ -687,13 +648,11 @@ _SERIES_TOL = 1e-16
 _EYE_COLS = np.tile(np.eye(8, 4), 2)
 
 
-def _magnus_nodes(a: np.ndarray, h: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """The three Gauss nodes (k, 3) of substep j of substeps h from a, for
-    a, h and j of shape (k,)."""
-    out, base = np.empty((a.size, 3)), a + h * j
-    for col, c in enumerate(_MAGNUS_NODES):
-        out[:, col] = base + c * h
-    return out
+def _magnus_nodes(a: np.ndarray, h: np.ndarray, j: np.ndarray, w: int) -> np.ndarray:
+    """The three Gauss nodes of each of w substeps h from substep j of
+    intervals from a, each of shape (k, 1), substep after substep: (k, 3w)."""
+    base = (a + h * (j + np.arange(w)))[..., None]
+    return (base + h[..., None] * np.array(_MAGNUS_NODES)).reshape(a.shape[0], 3 * w)
 
 
 def _expm_skew(w: np.ndarray) -> np.ndarray:
@@ -785,7 +744,7 @@ def evolve_oracle(p: SystemParams, seq: PulseSequence, rho0: DensityState) -> Tr
     for doublings in range(_ORACLE_DOUBLINGS + 1):
         h_target = StepPolicy(_ORACLE_SUBSTEPS << doublings).step_target(p)
         prods = _interval_products(seq, bps[:-1], bps[1:], h_target, _magnus_nodes,
-                                   _magnus6_steps, 0)
+                                   _magnus6_steps)
         traj = _trajectory(bps, _running_products(prods), rho0)
         if prev is not None and trace_distance(traj.final, prev.final) < 1e-9:
             return traj

@@ -10,7 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import flicforq.integrator as integrator
@@ -337,7 +337,7 @@ def oracle_pass(seq, h_target):
     bps = _breakpoints(seq)
     return integrator._running_products(integrator._interval_products(
         seq, bps[:-1], bps[1:], h_target, integrator._magnus_nodes,
-        integrator._magnus6_steps, 0))
+        integrator._magnus6_steps))
 
 
 def test_oracle_is_sixth_order():
@@ -406,14 +406,16 @@ def test_oracle_matches_reference_across_chunks(monkeypatch):
              for a, b in zip(bps[:-1], bps[1:])]
     assert sum(first) > integrator._BATCH_STEPS
     samplings = []  # per pass, the substep counts of the intervals each H sampling holds
+    targets = []
     real_pass, real_ham = integrator._interval_products, integrator._hamiltonians
 
-    def spy_pass(*args):
+    def spy_pass(seq, a, b, h_target, *scheme):
         samplings.append([])
-        return real_pass(*args)
+        targets.append(h_target)
+        return real_pass(seq, a, b, h_target, *scheme)
 
     def spy_ham(seq, a, b, tg):
-        counts, _ = sampled_steps(a, b, tg, 3)
+        counts, _, _ = sampled_rows(a, b, tg, targets[-1], 3)
         samplings[-1].append(set(counts.tolist()))
         return real_ham(seq, a, b, tg)
 
@@ -426,10 +428,25 @@ def test_oracle_matches_reference_across_chunks(monkeypatch):
     assert np.max(np.abs(got - reference_oracle(p, seq, rho0))) <= 1e-12
 
 
+def batch_areas(counts):
+    """The padded steps of each batch _interval_products makes for
+    intervals of these step counts: rows of at most _BATCH_STEPS steps,
+    longest first, _BATCH_STEPS // w of them a batch, w the first one's."""
+    size = integrator._BATCH_STEPS
+    rows = sorted((min(n - first, size) for n in counts for first in range(0, n, size)),
+                  reverse=True)
+    areas, lo = [], 0
+    while lo < len(rows):
+        batch = rows[lo:lo + size // rows[lo]]
+        areas.append(len(batch) * rows[lo])
+        lo += len(batch)
+    return areas
+
+
 def test_oracle_batches_chunks_without_eigh(monkeypatch):
-    # every exponential comes from the series, each substep's exactly
-    # once, in batches that span several intervals and stay within the
-    # batch cap
+    # every exponential comes from the series, one per padded substep of
+    # each batch's rectangle, in batches that span several intervals and
+    # stay within the batch cap
     def no_eigh(*args, **kwargs):
         raise AssertionError("the oracle called np.linalg.eigh")
 
@@ -452,7 +469,8 @@ def test_oracle_batches_chunks_without_eigh(monkeypatch):
     cap = integrator._BATCH_STEPS
     assert len(passes) >= 2
     for counts, batches in passes:
-        assert sum(batches) == sum(counts)
+        assert batches == batch_areas(counts)
+        assert sum(batches) >= sum(counts)
         assert len(batches) < len(counts)
         assert max(batches) <= cap
 
@@ -850,14 +868,28 @@ def mixed_sequence(p):
     return PulseSequence(params=p, segments=segs, total_time=6.0 * s)
 
 
-def sampled_steps(a, b, tg, q):
-    """Per slot of q samples in one flat H sampling (RK4's two half-step
-    times or the oracle's three Gauss nodes, sqrt(15)/5 of a substep
-    apart), its interval's step count and its step index in it; RK4's slots
-    past a row's last step hold its end."""
-    a, b, tg = a[::q], b[::q], tg.reshape(-1, q)
-    h = (tg[:, -1] - tg[:, 0]) / (0.5 if q == 2 else math.sqrt(15.0) / 5.0)
-    return np.rint((b - a) / h).astype(int), np.rint((tg[:, 0] - a) / h).astype(int)
+def sampled_rows(a, b, tg, h_target, q):
+    """The rows of one H sampling at steps of at most h_target, each the
+    run of times one row of a rectangular batch samples: q = 2 for RK4's
+    half-step grid, 2w + 1 times for w padded steps, and q = 3 for the
+    oracle's three Gauss nodes a substep.  Per row: its interval's step
+    count, its first step and its padded steps w."""
+    n, h = _interval_steps(a, b, h_target)
+    u = (tg - a) / h  # in steps from the interval's start
+    if q == 2:
+        pos = np.rint(2.0 * u).astype(int)
+    else:
+        j = np.floor(u).astype(int)
+        first_node = integrator._MAGNUS_NODES[0]
+        pos = 3 * j + np.rint((u - j - first_node) / (0.5 - first_node)).astype(int)
+    # a row starts where the interval changes or the times skip or repeat,
+    # and, as a row holds at most _BATCH_STEPS steps, at every oracle
+    # substep _BATCH_STEPS k; RK4's next row repeats the last one's end
+    start = np.ones(tg.size, bool)
+    start[1:] = (a[1:] != a[:-1]) | (pos[1:] != pos[:-1] + 1) \
+        | ((q == 3) & (pos[1:] % (3 * integrator._BATCH_STEPS) == 0))
+    first = np.flatnonzero(start)
+    return n[first], pos[first] // q, np.diff(np.append(first, tg.size)) // q
 
 
 def test_chunked_build_equals_plain_stepping(monkeypatch):
@@ -874,8 +906,8 @@ def test_chunked_build_equals_plain_stepping(monkeypatch):
     real = integrator._hamiltonians
 
     def spy(seq, a, b, tg):
-        counts, index = sampled_steps(a, b, tg, 2)
-        samplings.append(set(counts[index < counts].tolist()))
+        counts, _, _ = sampled_rows(a, b, tg, BENCH_POLICY.step_target(p), 2)
+        samplings.append(set(counts.tolist()))
         return real(seq, a, b, tg)
 
     monkeypatch.setattr(integrator, "_hamiltonians", spy)
@@ -886,11 +918,68 @@ def test_chunked_build_equals_plain_stepping(monkeypatch):
     assert np.array_equal(got, plain_propagators(p, seq, BENCH_POLICY))
 
 
-# per route, one pass over a sequence at a policy's step target, the end
-# samples it shares per row and per chunk, and its samples per step
+# a ramped drive on both qubits with a flip, longer than any drawn intervals
+PIPELINE_SEQ = PulseSequence(params=BENCH, segments=(PulseSegment(
+    start=0.0, duration=400.0, amp_x_1=0.03, amp_y_2=-0.02,
+    envelope=Envelope("raised-cosine-ramp", 150.0), flip_at=210.0, flip_qubit=2),))
+# per scheme: its nodes and steps, its samples per step, and each
+# interval's product built alone from n steps h from a, with its tolerance
+SCHEMES = {
+    "rk4": (integrator._half_steps, _rk4_steps, 2,
+            lambda a, n, h: a + 0.5 * h * np.arange(2 * n + 1), 0.0),
+    "magnus": (integrator._magnus_nodes, integrator._magnus6_steps, 3,
+               lambda a, n, h: ((a + h * np.arange(n))[:, None]
+                                + h * np.array(integrator._MAGNUS_NODES)).ravel(), 1e-14),
+}
+
+
+@settings(max_examples=20)
+@given(intervals=st.lists(st.tuples(st.integers(1, 1500), st.floats(0.05, 1.0)), max_size=6),
+       start=st.floats(0.0, 300.0), chunk=st.sampled_from([512, 1024, 3000]),
+       scheme=st.sampled_from(sorted(SCHEMES)))
+@example(intervals=[], start=0.0, chunk=512, scheme="rk4")
+@example(intervals=[], start=0.0, chunk=512, scheme="magnus")
+def test_interval_products_equal_building_each_interval(intervals, start, chunk, scheme):
+    # intervals of 1-1500 steps are cut into rows at _BATCH_STEPS, batches
+    # mix row lengths and, with the chunk cap lowered, chunks split, yet
+    # RK4 gives each interval's product bit for bit, and the Magnus scheme,
+    # whose series degree each batch sets, to rounding; every batch and
+    # chunk stays within its cap, counted padded.  A zero-duration sequence
+    # has no interval: both schemes return an empty stack, sampling no H
+    nodes, steps, q, alone, tol = SCHEMES[scheme]
+    h_target = BENCH_POLICY.step_target(BENCH)
+    b = start + np.cumsum([(n - 1 + x) * h_target for n, x in intervals])
+    a = np.append(start, b[:-1])[:b.size]
+    batches, chunks = [], []
+    real_ham = integrator._hamiltonians
+
+    def counted_steps(hs, h):
+        batches.append(hs.shape[0] * (hs.shape[1] // q))
+        return steps(hs, h)
+
+    def spy_ham(seq, a, b, tg):
+        chunks.append(sampled_rows(a, b, tg, h_target, q)[2].sum())
+        return real_ham(seq, a, b, tg)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(integrator, "_CHUNK_STEPS", chunk)
+        mp.setattr(integrator, "_hamiltonians", spy_ham)
+        got = integrator._interval_products(PIPELINE_SEQ, a, b, h_target, nodes, counted_steps)
+    assert got.shape == (a.size, 8, 8)
+    assert a.size or not chunks
+    assert all(n <= integrator._BATCH_STEPS for n in batches)
+    assert all(n <= chunk for n in chunks) and sum(chunks) == sum(batches)
+    for x, y, u in zip(a, b, got):
+        n, h = _interval_steps(x, y, h_target)
+        want = _time_ordered_product(steps(_hamiltonians(PIPELINE_SEQ, x, y, alone(x, n, h)), h))
+        assert np.max(np.abs(u - want), initial=0.0) <= tol
+
+
+# per route, one pass over a sequence at a policy's step target, and its
+# samples per step
 ROUTES = {
-    "rk4": (lambda seq, policy: integrator._running_propagators(seq, policy, 1e-9), 1, 2),
-    "oracle": (lambda seq, policy: oracle_pass(seq, policy.step_target(seq.params)), 0, 3),
+    "rk4": (lambda seq, policy: integrator._running_propagators(seq, policy, 1e-9), 2),
+    "oracle": (lambda seq, policy: oracle_pass(seq, policy.step_target(seq.params)), 3),
 }
 
 
@@ -906,20 +995,21 @@ CAP_CASES = {
     for route in ROUTES for name, case in CAP_CASES.items()
 ])
 def test_drive_samples_bounded_by_chunk_cap(route, p, seq, policy, monkeypatch):
-    # each sampling call holds at most the cap's steps, from several
+    # each sampling call holds at most the cap's padded steps, from several
     # intervals, or from part of one where a single interval exceeds it
-    # (the fine policy's 11250-step grid intervals on the benchmark device)
+    # (the fine policy's 11250-step grid intervals on the benchmark device),
+    # in rows of at most _BATCH_STEPS padded steps that start a multiple of
+    # _BATCH_STEPS into their interval and cover it
     calls = []
     real = integrator._hamiltonians
-    run, shared, q = ROUTES[route]
+    run, q = ROUTES[route]
+    size = integrator._BATCH_STEPS
 
     def spy(seq, a, b, tg):
-        counts, index = sampled_steps(a, b, tg, q)
-        inside = index < counts
-        # a row is an interval's run of at most _BATCH_STEPS steps
-        row = index[inside] // integrator._BATCH_STEPS
-        rows = len(set(zip(a[::q][inside].tolist(), row.tolist())))
-        calls.append((index.size - shared * (rows + 1), np.unique(a).size, counts.max()))
+        counts, first, width = sampled_rows(a, b, tg, policy.step_target(p), q)
+        assert width.max() <= size and not (first % size).any()
+        assert (first + width >= np.minimum(counts, first + size)).all()
+        calls.append((width.sum(), np.unique(a).size, counts.max()))
         return real(seq, a, b, tg)
 
     monkeypatch.setattr(integrator, "_hamiltonians", spy)
@@ -1117,9 +1207,11 @@ def test_oracle_raises_no_convergence(monkeypatch):
 
 
 def test_step_policy_rejects_non_positive():
-    for steps in (0, -5):
-        with pytest.raises(ValueError):
+    # a step count is an integer, not a bool, of at least 1
+    for steps in (0, -5, np.int64(0), float("nan"), float("inf"), True, 800.0, "800"):
+        with pytest.raises(ValueError, match="steps_per_period"):
             StepPolicy(steps_per_period=steps)
+    assert StepPolicy(np.int64(800)).step_target(BENCH) == StepPolicy(800).step_target(BENCH)
 
 
 def test_oracle_zero_duration():
