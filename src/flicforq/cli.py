@@ -130,17 +130,22 @@ _GATES = {
 }
 
 
+def _invalid(seq: PulseSequence) -> bool:
+    """Print the sequence's validation diagnostics to stderr; whether any
+    of them is an error."""
+    diags = validate_sequence(seq.params, seq)
+    for d in diags:
+        print(f"{d.severity}: {d.message}", file=sys.stderr)
+    return any(d.severity == "error" for d in diags)
+
+
 def cmd_compile(args) -> int:
     p = _load_params(args.params)
     try:
         seq = _GATES[args.gate](p)
     except ValueError as exc:
         raise SchemaError(f"cannot compile {args.gate}: {exc}") from exc
-    diags = validate_sequence(p, seq)
-    errors = [d for d in diags if d.severity == "error"]
-    for d in diags:
-        print(f"{d.severity}: {d.message}", file=sys.stderr)
-    if errors:
+    if _invalid(seq):
         return EXIT_VALIDATION
     with _output(args.out) as fh:
         _emit(sequence_to_json(seq), fh)
@@ -151,6 +156,8 @@ def cmd_simulate(args) -> int:
     seq = _read("sequence", args.sequence, sequence_from_json)
     p = seq.params
     rho0 = _parse_state(args.state)
+    if _invalid(seq):
+        return EXIT_VALIDATION
     traj = evolve(p, seq, rho0, StepPolicy(steps_per_period=args.steps_per_period))
     if args.frame == "rotating":
         traj = to_rotating_frame(traj, p)
@@ -175,6 +182,8 @@ def cmd_fidelity(args) -> int:
         word = parse_word(args.word)
     except ValueError as exc:
         raise SchemaError(f"bad target word: {exc}") from exc
+    if _invalid(seq):
+        return EXIT_VALIDATION
     with _output(args.out) as fh:  # opened first: a bad path wastes no integration
         u = gate_unitary(seq, StepPolicy(steps_per_period=args.steps_per_period))
         report = gate_fidelity(u, word, align_local_z=not args.no_align)

@@ -23,6 +23,8 @@ import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
+import numpy as np
+
 from .model import (PulseSegment, PulseSequence, SystemParams, _require_qubit, check_device,
                     on_sync_grid)
 
@@ -193,9 +195,12 @@ def insert_decoupling(p: SystemParams, seq: PulseSequence, index: int) -> PulseS
     coupling-accrued rotation of the idle qubit refocuses while the echo
     pair composes to the identity on it.  Adds 2*(4*pi/delta) of time;
     everything after the host shifts accordingly.  Raises ValueError if
-    ``p`` is not ``seq.params`` and IndexError if ``index`` names no segment.
+    ``p`` is not ``seq.params`` or ``index`` is not an integer (a bool is
+    not), and IndexError if ``index`` names no segment.
     """
     check_device(p, seq)
+    if isinstance(index, bool) or not isinstance(index, (int, np.integer)):
+        raise ValueError(f"segment index must be an integer, got {index!r}")
     if not 0 <= index < len(seq.segments):
         raise IndexError(f"segment index {index} is outside 0 .. {len(seq.segments) - 1}")
     seg = seq.segments[index]

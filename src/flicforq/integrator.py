@@ -53,13 +53,17 @@ M a = (-ax1, ay1, -ax2, ay2), time reversed; as S(B, M, A)^T = S(A, M, B)
 for the RK4 step of real symmetric samples, that transposes the product.
 The RK4 route builds one interval per orbit of these relations (four sign
 pairs at p and the same four mirrored at 7 - p), keyed by _window_origins,
-and gathers every other interval's real form from it by one signed
-permutation of its 64 entries (_memo_tables); the result equals building
-every interval to rounding.  Ramps, intervals cut by an off-grid edge,
-ramp end or flip, devices whose w0/delta is not an integer, and every
-oracle interval are built every time.  One tail records U rho0 U^dagger,
-divided by its trace, as the 15 real Pauli coefficients c_a of
-rho = (1 + sum_a c_a P_a)/4.
+and takes every other interval's real form R from its origin's by the
+relations that tell the two apart.  On R, conj is the sign mask
+[[1, -1], [-1, 1]] of the 4x4 blocks, so the mirror is R^T times that
+mask, and qubit q's sign takes R's rows and columns in diag(S_q, S_q)'s
+permutation, times its signs and the mask.  Both only move entries and
+flip signs, so an inf or a -0.0 is carried up to sign, where matmuls by
+S_q would turn 0 inf into nan; the result equals building every interval
+to rounding.  Ramps, intervals cut by an off-grid edge, ramp end or
+flip, devices whose w0/delta is not an integer, and every oracle interval
+are built every time.  One tail records U rho0 U^dagger, divided by its
+trace, as the 15 real Pauli coefficients c_a of rho = (1 + sum_a c_a P_a)/4.
 
 The private layers read the device from ``seq.params`` only.
 """
@@ -196,6 +200,8 @@ class Trajectory:
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
         c = np.asarray(self.coeffs, dtype=float)
+        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(c))):
+            raise ValueError("sample times and coefficients must be finite")
         if np.any(np.diff(t) <= 0):
             raise ValueError("sample times must be strictly increasing")
         if c.shape != (t.size, 15):
@@ -235,19 +241,16 @@ class StepPolicy:
 
 def _breakpoints(seq: PulseSequence) -> np.ndarray:
     """Segment edges, ramp ends, flips and a uniform grid of spacing
-    t0_sync/8.  A ramp ends at start + rise and end - rise, the rise capped
-    at half the duration as Envelope.scale caps it; there the raised
-    cosine's second derivative jumps, which would lower either scheme's
-    order inside an interval."""
+    t0_sync/8.  A ramp ends at the ends of its segment's flat_top; there the
+    raised cosine's second derivative jumps, which would lower either
+    scheme's order inside an interval."""
     spacing = seq.params.t0_sync / 8.0
     pts = {0.0, seq.total_time}
     for seg in seq.segments:
         pts.add(seg.start)
         pts.add(seg.end)
-        rise = min(seg.envelope.rise, 0.5 * seg.duration)
-        if rise > 0.0:
-            pts.add(seg.start + rise)
-            pts.add(seg.end - rise)
+        if seg.envelope.rise > 0.0:
+            pts.update(seg.flat_top)
         if seg.flip_at is not None:
             pts.add(seg.flip_at)
     n = int(math.floor(seq.total_time / spacing + 1e-9))
@@ -471,39 +474,22 @@ _Z_SIGNS = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
 _MIRROR_SIGNS = (-1.0, 1.0, -1.0, 1.0)
 # w0/delta and the grid points within this relative distance count as exact
 _SYNC_RTOL = 1e-13
-
-
-def _memo_tables() -> tuple[np.ndarray, np.ndarray]:
-    """The window memo's relations as signed permutations of a real form's
-    64 entries, (8, 64) each: for the group element g = f1 + 2 f2 + 4 m,
-    entry j of the image of the real form R is sign[g, j] R[index[g, j]].
-
-    f_q is qubit q's sign, U -> S_q conj(U) S_q^T with S_1 = X1 Y2 and
-    S_2 = Y1 X2 taken real (iY = ZX), and m the mirror, U -> U^T.  On R,
-    conj is the mask [[1, -1], [-1, 1]] of 4x4 blocks, U^T that mask on
-    R^T, and S_q acts as diag(S_q, S_q).  The three commute and square to
-    the identity, and f1 f2 is the Z1Z2 conjugation."""
-    mask = np.kron([[1.0, -1.0], [-1.0, 1.0]], np.ones((4, 4)))
-    flips = [np.kron(np.eye(2), (1j * _BASIS[IDX[lab]]).real) for lab in ("XY", "YX")]
-    images = []
-    for g in range(8):
-        r = np.arange(1.0, 65.0).reshape(8, 8)  # +-(j + 1) marks entry j and its sign
-        if g & 4:
-            r = r.T * mask
-        for q, s in enumerate(flips):
-            if g >> q & 1:
-                r = s @ (r * mask) @ s.T
-        images.append(r.ravel())
-    images = np.array(images)
-    return np.abs(images).astype(int) - 1, np.sign(images)
-
-
-_MEMO_INDEX, _MEMO_SIGN = _memo_tables()
+# conj on a real form: the sign mask [[1, -1], [-1, 1]] of its 4x4 blocks
+_CONJ_MASK = np.kron([[1.0, -1.0], [-1.0, 1.0]], np.ones((4, 4)))
+# qubit q's sign, U -> S_q conj(U) S_q^T with S_1 = X1 Y2 and S_2 = Y1 X2
+# taken real (iY = ZX), on real forms R: row i of diag(S_q, S_q) holds one
+# entry +-1, in column perm[i], so entry (i, j) of the image is
+# R[perm[i], perm[j]] times the signs of rows i and j and conj's mask
+_SIGN_FLIPS = [np.kron(np.eye(2), (1j * _BASIS[IDX[lab]]).real) for lab in ("XY", "YX")]
+_QUBIT_SIGNS = [(abs(s).argmax(axis=1), np.outer(s.sum(1), s.sum(1)) * _CONJ_MASK)
+                for s in _SIGN_FLIPS]
 
 
 def _window_origins(seq: PulseSequence, bps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per breakpoint interval, its origin and the group element g of
-    _memo_tables that takes the origin's propagator to its own.
+    """Per breakpoint interval, its origin and the group element
+    g = f1 + 2 f2 + 4 m of the memo's relations (module docstring: f_q
+    qubit q's sign, m the mirror) that takes the origin's propagator to its
+    own.
 
     A full flat grid interval (module docstring) at window w = k // 8 and
     position p = k mod 8 under amplitudes a gets a key in closed form.  The
@@ -521,17 +507,16 @@ def _window_origins(seq: PulseSequence, bps: np.ndarray) -> tuple[np.ndarray, np
     r = seq.params.w0 / seq.params.delta
     spacing = seq.params.t0_sync / 8.0
     k = np.rint(a / spacing)
-    full = (abs(r - round(r)) <= _SYNC_RTOL * r) \
-        & np.isclose(a, k * spacing, rtol=_SYNC_RTOL, atol=0.0) \
-        & np.isclose(b, (k + 1) * spacing, rtol=_SYNC_RTOL, atol=0.0)
+    lo, hi = k * spacing, (k + 1) * spacing  # the nearest grid interval
+    full = (abs(r - round(r)) <= _SYNC_RTOL * r) & (abs(a - lo) <= _SYNC_RTOL * lo) \
+        & (abs(b - hi) <= _SYNC_RTOL * hi)
     mid = 0.5 * (a + b)
     for seg in seq.segments:
-        # Envelope.scale's cap of the rise at duration/2 leaves no flat top
-        # for an interval to fit, so the cap changes nothing here
-        rise = seg.envelope.rise
-        if rise > 0.0:
-            full &= (mid < seg.start) | (mid > seg.end) \
-                | ((a >= seg.start + rise) & (b <= seg.end - rise))
+        # only ramps: a square segment's edge can sit an ulp past the grid
+        # point that stands for it among the breakpoints
+        if seg.envelope.rise > 0.0:
+            top_a, top_b = seg.flat_top
+            full &= (mid < seg.start) | (mid > seg.end) | ((a >= top_a) & (b <= top_b))
     # flat envelopes are 1, so sampling at the midpoints gives each
     # interval's constant amplitudes and flip signs
     amps = np.stack(drive_amplitudes_at(seq, mid, mid), axis=1)
@@ -559,11 +544,12 @@ def _running_propagators(seq: PulseSequence, policy: StepPolicy,
     """Breakpoints t_k and the RK4 propagators U(t_k) from time 0 to each.
 
     Only the intervals that are their own origin (_window_origins) are
-    built; each interval's real form is then gathered from its origin's
-    by the signed permutation of its group element (_memo_tables), the
-    identity for the built ones.  Raises StepTooCoarse if the unitarity
-    defect of any U(t_k), not only the final one (on the CNOT an earlier one
-    is up to 1.3 times larger), exceeds max_defect or is not finite."""
+    built.  Every other interval's real form is its origin's under the
+    relations its group element sets (module docstring): each qubit's sign,
+    a permutation of rows and columns times signs, and the mirror, a
+    transpose times conj's mask.  Raises StepTooCoarse if the unitarity
+    defect of any U(t_k), not only the final one (on the CNOT an earlier
+    one is up to 1.3 times larger), exceeds max_defect or is not finite."""
     h_target = policy.step_target(seq.params)
     bps = _breakpoints(seq)
     origin, g = _window_origins(seq, bps)
@@ -571,9 +557,12 @@ def _running_propagators(seq: PulseSequence, policy: StepPolicy,
     with np.errstate(over="ignore", invalid="ignore"):  # divergence is checked below
         built = _interval_products(seq, bps[todo], bps[todo + 1], h_target, _half_steps,
                                    _rk4_steps)
-        prods = built.reshape(-1)[64 * np.searchsorted(todo, origin)[:, None] + _MEMO_INDEX[g]]
-        prods *= _MEMO_SIGN[g]
-        us = _running_products(prods.reshape(-1, 8, 8))
+        prods = built[np.searchsorted(todo, origin)]
+        for q, (perm, signs) in enumerate(_QUBIT_SIGNS):
+            f = (g >> q & 1) == 1
+            prods[f] = prods[f][:, perm[:, None], perm] * signs
+        prods[g >= 4] = prods[g >= 4].swapaxes(1, 2) * _CONJ_MASK
+        us = _running_products(prods)
     defect = _unitarity_defect(us)
     if not defect <= max_defect:  # nan compares false, so it fails too
         raise StepTooCoarse(f"the propagator diverged from unitarity: "

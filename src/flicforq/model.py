@@ -181,10 +181,16 @@ class PulseSegment:
             if not (self.start < self.flip_at < self.start + self.duration):
                 raise ValueError("flip_at must lie strictly inside the segment")
             _require_qubit("flip_qubit", self.flip_qubit)
+        elif self.flip_qubit is not None:  # JSON could not carry it without flip_at
+            raise ValueError(f"flip_qubit {self.flip_qubit!r} needs a flip_at")
 
     @property
     def end(self) -> float:
         return self.start + self.duration
+
+    @property
+    def flat_top(self) -> tuple[float, float]:  # the rise capped as Envelope.scale caps it
+        return self.start + (rise := min(self.envelope.rise, 0.5 * self.duration)), self.end - rise
 
     def drives_qubit(self, q: int) -> bool:
         """Whether qubit q, the integer 1 or 2 (else ValueError), is driven."""
@@ -237,6 +243,8 @@ def check_device(p: SystemParams, seq: PulseSequence) -> None:
 
 
 def on_sync_grid(p: SystemParams, t: float) -> bool:
+    if not math.isfinite(t):  # no grid point is inf or nan
+        return False
     m = round(t / p.t0_sync)
     return abs(t - m * p.t0_sync) <= GRID_RTOL * max(abs(t), p.t0_sync)
 

@@ -10,7 +10,8 @@ import pytest
 import flicforq.cli as cli
 from flicforq.cli import main
 from flicforq.compiler import compile_cnot, insert_decoupling
-from flicforq.model import DEFAULT_PARAMS, Diagnostic, sequence_from_json, sequence_to_json
+from flicforq.model import (DEFAULT_PARAMS, Diagnostic, PulseSegment, PulseSequence,
+                            sequence_from_json, sequence_to_json)
 
 DATA = Path(__file__).resolve().parent / "data"
 CNOT_WORD = "X2^1/2 Y1^1/2 X1X2^1/2 Y1^-1/2 Z1^1/2"
@@ -111,6 +112,34 @@ def test_compile_validation_error_exits_3(monkeypatch, capsys):
     assert code == 3
     assert out == ""
     assert "error: forced error" in err
+
+
+def invalid_sequence_json():
+    """Two overlaps on qubit 1 and a two-qubit pulse off the t0_sync grid:
+    three validation errors."""
+    p = DEFAULT_PARAMS
+    return sequence_to_json(PulseSequence(params=p, segments=(
+        PulseSegment(start=0.0, duration=20.0, amp_x_1=0.01),
+        PulseSegment(start=10.0, duration=20.0, amp_y_1=0.01),
+        PulseSegment(start=0.4 * p.t0_sync, duration=p.t0_sync, amp_y_1=0.05, amp_y_2=0.05),
+    )))
+
+
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--out"),
+    ("fidelity", "--word", "X1^1/2", "--out"),
+], ids=["simulate", "fidelity"])
+def test_invalid_sequence_exits_3(argv, tmp_path, capsys):
+    # simulate and fidelity validate the file as compile validates its
+    # output; they used to integrate it and exit 0
+    seq_file = tmp_path / "bad.json"
+    seq_file.write_text(invalid_sequence_json())
+    out_file = tmp_path / "out"
+    code, out, err = run(capsys, argv[0], str(seq_file), *argv[1:], str(out_file))
+    assert code == 3
+    assert out == "" and not out_file.exists()
+    assert err.count("error: ") == 3
+    assert "not on the t0_sync" in err and err.count("overlap on qubit 1") == 2
 
 
 @pytest.mark.parametrize("gate, code", [("d", 2), ("xx_half", 2), ("cnot", 2), ("x90", 0)])

@@ -156,6 +156,13 @@ def test_one_qubit_errors():
         compile_one_qubit(P, 1, "y", 0.51 * math.pi, 0.0)
     with pytest.raises(OffGridStart):
         compile_one_qubit(P, 1, "y", math.pi / 2, 0.5 * P.t0_sync)
+    # a non-finite start is on no grid; it used to raise OverflowError or
+    # round's ValueError on nan
+    for start in (math.inf, -math.inf, math.nan):
+        with pytest.raises(OffGridStart):
+            compile_one_qubit(P, 1, "x", 0.1, start)
+        with pytest.raises(OffGridStart):
+            compile_D(P, start)
     with pytest.raises(ValueError):
         compile_one_qubit(P, 3, "y", 0.1, 0.0)
     with pytest.raises(ValueError):
@@ -366,14 +373,24 @@ def test_insert_remove_round_trip_property(case):
     assert back.virtual_z == seq.virtual_z
 
 
-@pytest.mark.parametrize("index", [-1, -3, 2, 10])
-def test_insert_decoupling_index_out_of_range(index):
+@pytest.mark.parametrize("index, error, message", [
+    (-1, IndexError, r"segment index -1 is outside 0 \.\. 1"),
+    (-3, IndexError, r"segment index -3 is outside 0 \.\. 1"),
+    (2, IndexError, r"segment index 2 is outside 0 \.\. 1"),
+    (10, IndexError, r"segment index 10 is outside 0 \.\. 1"),
+    (np.int64(2), IndexError, r"segment index 2 is outside 0 \.\. 1"),
+    (True, ValueError, "segment index must be an integer, got True"),
+    (1.0, ValueError, "segment index must be an integer, got 1.0"),
+    ("1", ValueError, "segment index must be an integer, got '1'"),
+], ids=["-1", "-3", "2", "10", "numpy-2", "True", "1.0", "str-1"])
+def test_insert_decoupling_index_out_of_range(index, error, message):
     # a negative index used to count from the end (-3 acted as 1, -1 broke
-    # the start order) and a large one raised the tuple's bare IndexError
+    # the start order) and a large one raised the tuple's bare IndexError;
+    # True echoed segment 1 and 1.0 failed on the tuple's TypeError
     host = compile_one_qubit(P, 1, "y", math.pi / 2, 0.0)
     tail = compile_one_qubit(P, 2, "x", math.pi / 2, 4 * P.t0_sync)
     seq = PulseSequence(params=P, segments=(host, tail))
-    with pytest.raises(IndexError, match=r"segment index -?\d+ is outside 0 \.\. 1"):
+    with pytest.raises(error, match=message):
         insert_decoupling(P, seq, index)
 
 

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -702,6 +703,62 @@ def test_window_memo_matches_plain_stepping(seq):
     assert np.max(np.abs(us - plain_propagators(seq.params, seq, BENCH_POLICY))) <= 1e-13
 
 
+def memo_forms(seq, plant):
+    """The real forms _running_propagators multiplies, one per breakpoint
+    interval, at BENCH_POLICY.  Each built one is first made the real form
+    of its first block column, as the two copies of a block in a product
+    of real forms round apart; where plant is set, it then gets an inf at
+    (0, 1), a -inf at (2, 5) and a -0.0 at (6, 3), and the run must fail
+    the unitarity gate."""
+    got = []
+    build, multiply = integrator._interval_products, integrator._running_products
+
+    def exact(*args):
+        out = build(*args)
+        out = _real_form(out[:, :4, :4], out[:, 4:, :4])
+        if plant:
+            out[:, 0, 1], out[:, 2, 5], out[:, 6, 3] = math.inf, -math.inf, -0.0
+        return out
+
+    def capture(prods):
+        got.append(prods.copy())
+        return multiply(prods)
+
+    with mock.patch.object(integrator, "_interval_products", exact), \
+            mock.patch.object(integrator, "_running_products", capture):
+        if plant:
+            with pytest.raises(StepTooCoarse):
+                integrator._running_propagators(seq, BENCH_POLICY, 1e-9)
+        else:
+            integrator._running_propagators(seq, BENCH_POLICY, 1e-9)
+    return got[0]
+
+
+@settings(max_examples=25, derandomize=True)
+@given(seq=sync_grid_sequences())
+def test_window_memo_applies_its_relations(seq):
+    # each reused interval's real form equals its origin's under the
+    # relations done in complex 4x4 arithmetic: S_q conj(U) S_q^T for each
+    # qubit's sign and U^T for the mirror.  With an inf and a -0.0 in every
+    # built form, each entry of a reused one is still + or - one entry of
+    # its origin's, none of them nan, where the matmuls above would make
+    # 0 inf a nan
+    origin, g = integrator._window_origins(seq, _breakpoints(seq))
+    reused = np.flatnonzero(origin != np.arange(origin.size))
+    forms, planted = memo_forms(seq, False), memo_forms(seq, True)
+    for i in reused.tolist():
+        u = _complex_of(forms[origin[i]])
+        for q in (1, 2):
+            if g[i] >> (q - 1) & 1:
+                u = QUBIT_SIGNS[q] @ u.conj() @ QUBIT_SIGNS[q].T
+        if g[i] & 4:
+            u = u.T
+        assert np.array_equal(forms[i], _real_form(u.real, u.imag))
+        assert not np.isnan(planted[i]).any()
+        assert np.array_equal(np.sort(np.abs(planted[i]), axis=None),
+                              np.sort(np.abs(planted[origin[i]]), axis=None))
+
+
 @settings(max_examples=50)
 @given(seq=sync_grid_sequences())
 def test_pointwise_amplitudes_match_interval_form(seq):
@@ -1191,8 +1248,19 @@ PURE_00 = DensityState.computational("00")
      r"coeffs shape must be \(n_samples, 15\)"),
     (lambda: Trajectory(times=[0.0], coeffs=np.zeros((1, 15)), frame="interaction"),
      "bad frame tag 'interaction'"),
+    # np.diff(t) <= 0 is false for nan, and DensityState rejects these
+    # coefficients
+    (lambda: Trajectory(times=[0.0, math.nan], coeffs=np.zeros((2, 15))),
+     "sample times and coefficients must be finite"),
+    (lambda: Trajectory(times=[0.0, math.inf], coeffs=np.zeros((2, 15))),
+     "sample times and coefficients must be finite"),
+    (lambda: Trajectory(times=[0.0], coeffs=np.full((1, 15), math.nan)),
+     "sample times and coefficients must be finite"),
+    (lambda: Trajectory(times=[0.0], coeffs=np.full((1, 15), -math.inf)),
+     "sample times and coefficients must be finite"),
 ], ids=["matrix-shape", "matrix-trace", "matrix-hermitian", "basis-label", "negative-eigenvalue",
-        "purity-above-1", "times-not-increasing", "coeffs-shape", "frame-tag"])
+        "purity-above-1", "times-not-increasing", "coeffs-shape", "frame-tag", "nan-time",
+        "inf-time", "nan-coeffs", "inf-coeffs"])
 def test_state_and_trajectory_rejections(build, message):
     with pytest.raises(ValueError, match=message):
         build()

@@ -168,6 +168,9 @@ def _fraction_amplitude_json():
      "rise must be non-negative"),
     (lambda: PulseSegment(start=0.0, duration=0.0), ValueError, "duration must be positive"),
     (lambda: PulseSegment(start=0.0, duration=-1.0), ValueError, "duration must be positive"),
+    # sequence_to_json writes no flip without flip_at, so it would be lost
+    (lambda: PulseSegment(start=0.0, duration=1.0, amp_x_1=0.01, flip_qubit=2), ValueError,
+     "flip_qubit 2 needs a flip_at"),
     (_unsorted_sequence, ValueError, "segments must be sorted by start time"),
     (_fraction_amplitude_json, TypeError, "Object of type Fraction is not JSON serializable"),
     # with_virtual_z passes the angle to the constructor's rule uncast
@@ -177,8 +180,8 @@ def _fraction_amplitude_json():
     (lambda: PulseSequence(params=DEFAULT_PARAMS).with_virtual_z(1, b"1"), TypeError, "bytes"),
     (lambda: PulseSequence(params=DEFAULT_PARAMS).with_virtual_z(1, None), TypeError, "None"),
 ], ids=["negative-wxx", "unknown-envelope", "square-with-rise", "negative-rise",
-        "zero-duration", "negative-duration", "unsorted-segments", "fraction-to-json",
-        "bool-virtual-z-angle", "str-virtual-z-angle", "bytes-virtual-z-angle",
+        "zero-duration", "negative-duration", "flip-qubit-without-flip-at", "unsorted-segments",
+        "fraction-to-json", "bool-virtual-z-angle", "str-virtual-z-angle", "bytes-virtual-z-angle",
         "none-virtual-z-angle"])
 def test_model_rejects(build, error, message):
     with pytest.raises(error, match=message):
