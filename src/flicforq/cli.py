@@ -302,7 +302,8 @@ def _build_parser() -> argparse.ArgumentParser:
     w = sub.add_parser("sweep", help="metric over a (delta, wxx) grid")
     w.add_argument("grid", help="JSON list of {delta, wxx} points")
     w.add_argument("--metric", required=True, choices=list(_METRICS))
-    w.add_argument("--jobs", type=_positive_int, default=os.cpu_count() or 1)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    w.add_argument("--jobs", type=_positive_int, default=cpus or 1)
     w.add_argument("--out")
     w.add_argument("--steps-per-period", **steps_flag)
     w.set_defaults(func=cmd_sweep)

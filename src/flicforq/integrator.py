@@ -35,34 +35,37 @@ a step:
   substep doubling, from 40 substeps per carrier period up to 5120.
 
 When w0/delta is an integer, both carriers flip sign over t0_sync =
-2 pi/delta (w1z t0_sync = 2 pi (w0/delta + 1/2), w2z with -1/2).  A full
-interval [k s, (k+1) s] of the s = t0_sync/8 grid over which every active
-segment is flat (square, or inside its ramp's flat top, where the envelope
-is 1), at window position p = k mod 8 under constant amplitudes
-a = (ax1, ay1, ax2, ay2), then obeys four relations, each exact for the
-RK4 product itself, so reuse moves a propagator by rounding only.
+2 pi/delta (w1z t0_sync = 2 pi (w0/delta + 1/2), w2z with -1/2), and four
+relations hold, each exact for the RK4 product itself, so reuse moves a
+propagator by rounding only.  A full interval [k s, (k+1) s] of the
+s = t0_sync/8 grid over which every active segment is flat (square, or
+inside its ramp's flat top, where the envelope is 1) has window position
+p = k mod 8 and constant amplitudes a = (ax1, ay1, ax2, ay2).
 Shift: a shift by t0_sync negates cos and sin, the same as negating a.
 Sign of qubit q = 1, 2: negating (ax_q, ay_q) gives H' = -S_q H S_q^T, with
 S_1 = X1 Y2 and S_2 = Y1 X2 taken as real signed permutations (iY = ZX),
 so U' = S_q conj(U) S_q^T: on negated samples the RK4 step is exactly
 conj(S), as Re S is even in the samples and Im S odd, and conjugating by a
 signed permutation only moves entries.  The two signs together are the
-Z1Z2 conjugation.  Mirror: t -> t0_sync - t sends cos(w_q t) to -cos and
-sin to sin, so it maps position p under a to 7 - p under
-M a = (-ax1, ay1, -ax2, ay2), time reversed; as S(B, M, A)^T = S(A, M, B)
-for the RK4 step of real symmetric samples, that transposes the product.
-The RK4 route builds one interval per orbit of these relations (four sign
-pairs at p and the same four mirrored at 7 - p), keyed by _window_origins,
-and takes every other interval's real form R from its origin's by the
-relations that tell the two apart.  On R, conj is the sign mask
-[[1, -1], [-1, 1]] of the 4x4 blocks, so the mirror is R^T times that
-mask, and qubit q's sign takes R's rows and columns in diag(S_q, S_q)'s
-permutation, times its signs and the mask.  Both only move entries and
-flip signs, so an inf or a -0.0 is carried up to sign, where matmuls by
-S_q would turn 0 inf into nan; the result equals building every interval
-to rounding.  Ramps, intervals cut by an off-grid edge, ramp end or
-flip, devices whose w0/delta is not an integer, and every oracle interval
-are built every time.  One tail records U rho0 U^dagger, divided by its
+Z1Z2 conjugation.  Mirror: t -> 2c - t, c = m t0_sync/2, sends cos(w_q t)
+to (-1)^m cos and sin to -(-1)^m sin; as S(B, M, A)^T = S(A, M, B) for the
+RK4 step of real symmetric samples, reversed time transposes the product.
+The window mirror (m = 1) maps position p under a to 7 - p under
+M a = (-ax1, ay1, -ax2, ay2).  The sequence mirror, where every segment
+and flip is centred on c = total_time/2, maps each interval of the second
+half to its partner in the first, ramps included, with qubit q's sign
+where its drive's term changes sign (on x for odd m, on y for even m, the
+other way round after a flip at c).  The RK4 route builds one interval per
+orbit of these relations, keyed by _window_origins, and takes every other
+interval's real form R from its origin's by the relations that tell the
+two apart.  On R, conj is the sign mask [[1, -1], [-1, 1]] of the 4x4
+blocks, so the mirror is R^T times that mask, and qubit q's sign takes
+R's rows and columns in diag(S_q, S_q)'s permutation, times its signs and
+the mask.  Both only move entries and flip signs, so an inf or a -0.0 is
+carried up to sign, where matmuls by S_q would turn 0 inf into nan; the
+result equals building every interval to rounding.  Any other interval,
+devices whose w0/delta is not an integer, and every oracle interval are
+built every time.  One tail records U rho0 U^dagger, divided by its
 trace, as the 15 real Pauli coefficients c_a of rho = (1 + sum_a c_a P_a)/4.
 
 The private layers read the device from ``seq.params`` only.
@@ -470,8 +473,6 @@ def _running_products(prods: np.ndarray) -> np.ndarray:
 
 # The Z1 and Z2 eigenvalues of |00>, |01>, |10> and |11>, one row each
 _Z_SIGNS = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
-# the window mirror's action on (ax1, ay1, ax2, ay2)
-_MIRROR_SIGNS = (-1.0, 1.0, -1.0, 1.0)
 # w0/delta and the grid points within this relative distance count as exact
 _SYNC_RTOL = 1e-13
 # conj on a real form: the sign mask [[1, -1], [-1, 1]] of its 4x4 blocks
@@ -487,29 +488,35 @@ _QUBIT_SIGNS = [(abs(s).argmax(axis=1), np.outer(s.sum(1), s.sum(1)) * _CONJ_MAS
 
 def _window_origins(seq: PulseSequence, bps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per breakpoint interval, its origin and the group element
-    g = f1 + 2 f2 + 4 m of the memo's relations (module docstring: f_q
-    qubit q's sign, m the mirror) that takes the origin's propagator to its
-    own.
+    g = f1 + 2 f2 + 4 f_m of the memo's relations (module docstring: f_q
+    qubit q's sign, f_m the mirror) that takes the origin's propagator to
+    its own.
 
     A full flat grid interval (module docstring) at window w = k // 8 and
     position p = k mod 8 under amplitudes a gets a key in closed form.  The
     shift folds into the amplitudes: the interval is window 0's under
-    n = (-1)^w a.  The mirror folds into the position: where p > 3, m is
+    n = (-1)^w a.  The mirror folds into the position: where p > 3, f_m is
     set and the key takes 7 - p and M n.  Each qubit's sign folds into its
-    pair (ax_q, ay_q) of M^m n: with lead_q the pair's first nonzero entry
+    pair (ax_q, ay_q) of M^f_m n: with lead_q the pair's first nonzero entry
     (0 if none), f_q is set and the key takes the pair negated where
     lead_q < 0 (an undriven qubit's sign is a symmetry, and its bit stays
     clear).  So intervals share a key exactly when one orbit holds them;
     the first is the origin, and as the relations are commuting involutions
-    the element relative to it is an XOR."""
+    the element relative to it is an XOR.
+
+    Sequence mirror: if an interval is not full and every breakpoint,
+    segment and flip of a driven qubit is centred on total_time/2 =
+    m t0_sync/2, each such i of the second half takes N - 1 - i's origin
+    and element ^ 4 ^ sigma, bit q of sigma set where the mirror negates
+    qubit q's drive, unless a qubit's channels disagree (x and y, say)."""
     a, b = bps[:-1], bps[1:]
     # both carriers flip over t0_sync when w0/delta is an integer to rounding
     r = seq.params.w0 / seq.params.delta
+    periodic = abs(r - round(r)) <= _SYNC_RTOL * r
     spacing = seq.params.t0_sync / 8.0
     k = np.rint(a / spacing)
     lo, hi = k * spacing, (k + 1) * spacing  # the nearest grid interval
-    full = (abs(r - round(r)) <= _SYNC_RTOL * r) & (abs(a - lo) <= _SYNC_RTOL * lo) \
-        & (abs(b - hi) <= _SYNC_RTOL * hi)
+    full = periodic & (abs(a - lo) <= _SYNC_RTOL * lo) & (abs(b - hi) <= _SYNC_RTOL * hi)
     mid = 0.5 * (a + b)
     for seg in seq.segments:
         # only ramps: a square segment's edge can sit an ulp past the grid
@@ -522,7 +529,7 @@ def _window_origins(seq: PulseSequence, bps: np.ndarray) -> tuple[np.ndarray, np
     amps = np.stack(drive_amplitudes_at(seq, mid, mid), axis=1)
     pos = k % 8
     amps[k // 8 % 2 == 1] *= -1.0
-    amps[pos > 3] *= _MIRROR_SIGNS
+    amps[pos > 3] *= (-1.0, 1.0, -1.0, 1.0)  # M
     pairs = amps.reshape(-1, 2, 2)  # a view: per interval and qubit, (ax, ay)
     flips = np.where(pairs[..., 0] != 0.0, pairs[..., 0], pairs[..., 1]) < 0.0
     pairs[flips] *= -1.0
@@ -530,7 +537,22 @@ def _window_origins(seq: PulseSequence, bps: np.ndarray) -> tuple[np.ndarray, np
     first: dict = {}
     keys = enumerate(zip(full.tolist(), np.minimum(pos, 7 - pos).tolist(), amps.tolist()))
     origin = np.array([first.setdefault((p, *n), i) if f else i for i, (f, p, n) in keys], int)
-    return origin, g ^ g[origin]
+    g ^= g[origin]
+    span, n, t0 = seq.total_time, a.size, seq.params.t0_sync
+    m = round(span / t0)  # the sequence mirror's centre span/2 is m t0/2
+    if full.all() or not periodic or m < 1 or np.any(abs(np.concatenate([
+            bps + bps[::-1], [m * t0], [seg.start + seg.end for seg in seq.segments],
+            [2.0 * seg.flip_at for seg in seq.segments  # the flips that act
+             if seg.flip_at is not None and seg.drives_qubit(seg.flip_qubit)]])
+            - span) > _SYNC_RTOL * span):
+        return origin, g
+    # per driven channel, its qubit and whether the mirror negates its term
+    bits = {(q, int(c == "y") ^ m % 2 ^ (seg.flip_qubit == q)) for seg in seq.segments
+            for q in (1, 2) for c in "xy" if getattr(seg, f"amp_{c}_{q}") != 0.0}
+    if len({q for q, _ in bits}) == len(bits):  # each qubit's channels agree
+        i = n // 2 + np.flatnonzero(~full[n // 2:])  # n is even: span/2 is a grid point
+        origin[i], g[i] = origin[n - 1 - i], g[n - 1 - i] ^ 4 ^ sum(f << q - 1 for q, f in bits)
+    return origin, g
 
 
 def _unitarity_defect(u: np.ndarray) -> float:
@@ -592,12 +614,11 @@ def evolve(
     """Fixed-step RK4 evolution of rho0 at ``policy`` (default ``StepPolicy()``).
 
     Samples at every segment boundary, ramp end and flip point plus a
-    uniform grid of spacing t0_sync/8.  The state at time t is U rho0 U^dagger divided
-    by its trace, U = U(t) the propagator, since RK4 is not exactly
-    unitary.  Grid intervals that repeat, up to a qubit's sign (a
-    conjugation and a signed permutation) or a transpose, are stepped once
-    per call (see the module docstring).
-    Deterministic: identical inputs yield bit-identical trajectories.
+    uniform grid of spacing t0_sync/8.  The state at time t is U rho0
+    U^dagger divided by its trace, U = U(t) the propagator, since RK4 is not
+    exactly unitary.  Intervals that repeat up to the memo's relations are
+    stepped once per call (module docstring).  Deterministic: identical
+    inputs yield bit-identical trajectories.
     Raises ValueError if ``p`` is not ``seq.params``, and StepTooCoarse if
     the unitarity defect of any U(t) exceeds 1e-6 (_UNITARITY_BOUND), the
     bound ``gate_fidelity`` applies to any unitary it scores.
@@ -614,7 +635,7 @@ def propagator_of_sequence(
 ) -> np.ndarray:
     """Lab-frame unitary of the full sequence (RK4 on the Schrodinger
     equation for the propagator at ``policy``, default ``StepPolicy()``),
-    with repeating grid intervals stepped once per call as in ``evolve``.
+    with repeating intervals stepped once per call as in ``evolve``.
     Raises StepTooCoarse if its unitarity defect, or that of a running
     propagator on the way, exceeds 1e-9, and ValueError if ``p`` is not
     ``seq.params``."""
@@ -732,12 +753,12 @@ def evolve_oracle(p: SystemParams, seq: PulseSequence, rho0: DensityState) -> Tr
     prev = None
     for doublings in range(_ORACLE_DOUBLINGS + 1):
         h_target = StepPolicy(_ORACLE_SUBSTEPS << doublings).step_target(p)
-        prods = _interval_products(seq, bps[:-1], bps[1:], h_target, _magnus_nodes,
-                                   _magnus6_steps)
-        traj = _trajectory(bps, _running_products(prods), rho0)
-        if prev is not None and trace_distance(traj.final, prev.final) < 1e-9:
-            return traj
-        prev = traj
+        us = _running_products(_interval_products(seq, bps[:-1], bps[1:], h_target,
+                                                  _magnus_nodes, _magnus6_steps))
+        final = _trajectory(bps[-1:], us[-1:], rho0).final  # all a pass not returned needs
+        if prev is not None and trace_distance(final, prev) < 1e-9:
+            return _trajectory(bps, us, rho0)
+        prev = final
     raise NoConvergence(
         f"oracle final state did not converge after {_ORACLE_DOUBLINGS} doublings"
     )

@@ -132,12 +132,15 @@ class Envelope:
         if self.rise < 0:
             raise ValueError("rise must be non-negative")
 
+    def capped_rise(self, duration: float) -> float:  # a short pulse is all ramp
+        return min(self.rise, 0.5 * duration)
+
     def scale(self, tau, duration):
         """Scale factor at time tau after segment start (vectorized)."""
         tau = np.asarray(tau, dtype=float)
         if self.kind == "square" or self.rise == 0.0:
             return np.where((tau >= 0) & (tau <= duration), 1.0, 0.0)
-        rise = min(self.rise, 0.5 * duration)
+        rise = self.capped_rise(duration)
         up = 0.5 * (1.0 - np.cos(np.pi * np.clip(tau / rise, 0.0, 1.0)))
         down = 0.5 * (1.0 - np.cos(np.pi * np.clip((duration - tau) / rise, 0.0, 1.0)))
         return np.where((tau >= 0) & (tau <= duration), np.minimum(up, down), 0.0)
@@ -189,8 +192,8 @@ class PulseSegment:
         return self.start + self.duration
 
     @property
-    def flat_top(self) -> tuple[float, float]:  # the rise capped as Envelope.scale caps it
-        return self.start + (rise := min(self.envelope.rise, 0.5 * self.duration)), self.end - rise
+    def flat_top(self) -> tuple[float, float]:
+        return self.start + (rise := self.envelope.capped_rise(self.duration)), self.end - rise
 
     def drives_qubit(self, q: int) -> bool:
         """Whether qubit q, the integer 1 or 2 (else ValueError), is driven."""

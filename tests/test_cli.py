@@ -755,3 +755,20 @@ def test_sweep_pool_no_larger_than_grid(points, jobs, workers, tmp_path, capsys,
     assert code == 0
     assert opened == ([] if workers is None else [workers])
     assert len(out.strip().splitlines()) == points + 1
+
+
+@pytest.mark.parametrize("affinity, cpu_count, jobs", [
+    ({0, 3}, 64, 2), (None, 64, 64), (None, None, 1),
+], ids=["pinned", "no-affinity", "unknown"])
+def test_sweep_jobs_default_counts_usable_cpus(affinity, cpu_count, jobs, monkeypatch):
+    # --jobs defaults to the CPUs this process may use, not the host's, so
+    # a pinned process starts no more workers than it has CPUs; where the
+    # platform has no affinity call it falls back to os.cpu_count(), and to
+    # one job where that is unknown.  Only the parser runs: no worker starts
+    if affinity is None:
+        monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: affinity)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpu_count)
+    args = cli._build_parser().parse_args(["sweep", "grid.json", "--metric", "cnot_error"])
+    assert args.jobs == jobs

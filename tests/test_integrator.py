@@ -542,6 +542,24 @@ def both_axes_pair(p, windows):
     return PulseSequence(params=p, segments=(seg,))
 
 
+RAMP = Envelope("raised-cosine-ramp", 10.0)
+
+
+def ramped_pair(p, **changes):
+    """square_pair over three windows with ramps of 10, its one segment
+    changed by changes."""
+    seq = square_pair(p, 3, RAMP)
+    return replace(seq, segments=(replace(seq.segments[0], **changes),))
+
+
+def off_centre_pair(p):
+    """The ramped pair on qubit 1 beside a square pulse on qubit 2 over the
+    first two of its three windows: the breakpoints stay symmetric."""
+    return PulseSequence(params=p, segments=(
+        PulseSegment(start=0.0, duration=3 * p.t0_sync, amp_y_1=p.delta / 2, envelope=RAMP),
+        PulseSegment(start=0.0, duration=2 * p.t0_sync, amp_y_2=p.delta / 2)))
+
+
 @pytest.mark.parametrize("p, seq, built, intervals, tol", [
     (BENCH, compile_D(BENCH), 4, 160, 1e-13),
     (BENCH, gate_layer(BENCH, "xx"), 4, 16, 1e-13),
@@ -553,9 +571,19 @@ def both_axes_pair(p, windows):
     (DEFAULT_PARAMS, compile_cnot(DEFAULT_PARAMS), 12, 208, 1e-11),
     (device(3.9), square_pair(device(3.9), 3), 24, 24, 1e-13),
     (device(4 + 1e-9), square_pair(device(4 + 1e-9), 3), 24, 24, 1e-13),
-    (BENCH, square_pair(BENCH, 3, Envelope("raised-cosine-ramp", 10.0)), 14, 26, 1e-13),
+    (BENCH, square_pair(BENCH, 3, RAMP), 9, 26, 1e-13),
+    (BENCH, ramped_pair(BENCH, flip_at=1.5 * BENCH.t0_sync, flip_qubit=1), 9, 26, 1e-13),
+    (BENCH, ramped_pair(BENCH, flip_at=1.625 * BENCH.t0_sync, flip_qubit=1), 14, 26, 1e-13),
+    (BENCH, ramped_pair(BENCH, amp_x_1=0.3 * BENCH.delta), 18, 26, 1e-13),
+    (BENCH, off_centre_pair(BENCH), 18, 26, 1e-13),
+    (device(3.9), square_pair(device(3.9), 3, RAMP), 26, 26, 1e-13),
+    (BENCH, square_pair(BENCH, 3, Envelope("raised-cosine-ramp", 3 * BENCH.t0_sync / 8 + 1e-10)),
+     12, 24, 1e-13),
+    (BENCH, square_pair(BENCH, 2.5, RAMP), 14, 22, 1e-13),
 ], ids=["D", "x-layer", "y-layer", "gate_layer", "xy-both", "xx_half", "cnot-bench",
-        "cnot-paper", "ratio-3.9", "ratio-4+1e-9", "ramped"])
+        "cnot-paper", "ratio-3.9", "ratio-4+1e-9", "ramped", "ramped-flip-centre",
+        "ramped-flip-off-centre", "ramped-mixed-axis", "ramped-off-centre", "ramped-ratio-3.9",
+        "ramp-ends-merged", "ramped-centre-off-sync"])
 def test_window_reuse_and_fallback(p, seq, built, intervals, tol, monkeypatch):
     # a grid interval is stepped once per orbit under the window shift, each
     # qubit's sign (S_q conj(U) S_q^T) and the window mirror (a transpose).
@@ -564,11 +592,17 @@ def test_window_reuse_and_fallback(p, seq, built, intervals, tol, monkeypatch):
     # window: each qubit drives along one axis, so the mirror's sign on x is
     # that qubit's sign.  x and y on both qubits step a whole window, since
     # the mirror negates x and not y.  A device whose carriers do not flip
-    # over t0_sync steps every interval, and a ramped pulse its ramps and
-    # both halves of each interval its off-grid ramp ends cut every time,
-    # and its flat top once per orbit.  The paper's CNOT reuses 12
-    # products over 26 windows, so their rounding adds up: it keeps the
-    # 1e-11 of test_window_reuse_matches_plain_stepping.
+    # over t0_sync steps every interval.  A ramped pulse centred on a
+    # multiple of t0_sync/2 builds its flat top once per orbit, and its
+    # ramps, with both halves of each interval their off-grid ends cut,
+    # once for both ends (the sequence mirror, a transpose), also with a
+    # flip at the centre; an off-centre flip or segment, a qubit driven
+    # along x and y, a device whose carriers do not flip, a ramp end 1e-10
+    # past a grid point (the breakpoints keep the grid point on one side
+    # and the ramp end on the other) and a centre at 1.25 t0_sync, where
+    # the carriers are neither even nor odd, build both ramps.  The
+    # paper's CNOT reuses 12 products over 26 windows, so their rounding
+    # adds up: it keeps the 1e-11 of test_window_reuse_matches_plain_stepping.
     intervals_built = []
     real = integrator._interval_products
 
@@ -669,6 +703,52 @@ def sync_grid_sequences(draw):
         start += steps
     return PulseSequence(params=p, segments=tuple(segs),
                          total_time=(start + draw(st.integers(0, 4))) * s)
+
+
+@st.composite
+def centred_sequences(draw):
+    """1-3 segments centred on t_c = m t0_sync/2, m in 1..4, of a device
+    whose w0/delta is an integer in 2..6, and total_time 2 t_c: each
+    reaching to a grid point or between two, square or ramped (the rise on
+    the grid or off it, or capped at half the duration); driving qubit 1,
+    2 or both with random signs, each qubit along one axis in every
+    segment, or now and then along both; with a flip at t_c, off it, or
+    none."""
+    p = device(draw(st.integers(2, 6)))
+    s = p.t0_sync / 8
+    centre = 4 * draw(st.integers(1, 4))  # t_c in grid steps s
+    axes = {q: draw(st.sampled_from(("x", "y", "x", "y", "xy"))) for q in (1, 2)}
+    segs = []
+    # segment j's amplitudes are +-0.05 2^j delta, so that no segments
+    # cancel on a qubit, flipped or not
+    for j in range(draw(st.integers(1, 3))):
+        half = draw(st.integers(1, centre)) - draw(st.sampled_from((0.0, 0.0, 0.37)))
+        amps = {}
+        for q in draw(st.sampled_from(((1,), (2,), (1, 2)))):
+            for c in axes[q]:
+                amps[f"amp_{c}_{q}"] = draw(st.sampled_from((-1, 1))) * 0.05 * 2 ** j * p.delta
+        envelope = Envelope()
+        if draw(st.sampled_from((False, True, True))):
+            rise = draw(st.sampled_from((1.0, 0.37, 1.5, 1.2 * half))) * s
+            envelope = Envelope("raised-cosine-ramp", rise)
+        flip_at = flip_qubit = None
+        shift = draw(st.sampled_from((None, None, None, 0.0, 0.0, 0.5 * half, -0.25 * half)))
+        if shift is not None:
+            flip_at, flip_qubit = (centre + shift) * s, draw(st.sampled_from((1, 2)))
+        segs.append(PulseSegment(start=(centre - half) * s, duration=2 * half * s, **amps,
+                                 envelope=envelope, flip_at=flip_at, flip_qubit=flip_qubit))
+    segs.sort(key=lambda seg: seg.start)
+    return PulseSequence(params=p, segments=tuple(segs), total_time=2 * centre * s)
+
+
+@settings(max_examples=40, derandomize=True)
+@given(seq=centred_sequences())
+def test_sequence_mirror_matches_plain_stepping(seq):
+    # every running propagator, where a ramp interval of the second half
+    # is its partner's in the first under the sequence mirror: a transpose
+    # and each qubit's sign, as its drive's carrier and flip turn it
+    us = integrator._running_propagators(seq, BENCH_POLICY, 1e-9)[1]
+    assert np.max(np.abs(us - plain_propagators(seq.params, seq, BENCH_POLICY))) <= 1e-13
 
 
 def test_step_build_holds_few_temporaries():
@@ -777,10 +857,11 @@ def orbit_table_origins(seq, bps):
     """The reference memo plan: each full flat grid interval under its
     window-0 amplitudes n = (-1)^(k // 8) a, looked up in a table that
     lists the eight images of every orbit with their group elements
-    g = f1 + 2 f2 + 4 m: the four sign pairs (p, F n) at p, F negating
+    g = f1 + 2 f2 + 4 f_m: the four sign pairs (p, F n) at p, F negating
     qubit 1's pair where f1 is set and qubit 2's where f2 is, and the same
     four mirrored, (7 - p, M F n); the first interval of an orbit is its
-    origin."""
+    origin.  Then the sequence mirror, found by sampling the amplitudes at
+    reflected times."""
     a, b = bps[:-1], bps[1:]
     p = seq.params
     r = p.w0 / p.delta
@@ -812,6 +893,31 @@ def orbit_table_origins(seq, bps):
                 seen.setdefault((7 - pos if g & 4 else pos, *(s * x for s, x in zip(signs, n))),
                                 (i, g))
         origin[i], element[i] = seen[(pos, *n)]
+    # the sequence mirror t -> span - t about span/2 = m t0_sync/2 sends
+    # (cos, sin) of each carrier to (-1)^m (cos, -sin), so where sampling
+    # finds amps(span - t) = sign_q (-1)^m (ax_q(t), -ay_q(t)) for each
+    # qubit q at points inside every interval, the second half's intervals
+    # that are not full take their partners' propagators transposed, with
+    # the sign bits where sign_q = -1
+    span, n = seq.total_time, a.size
+    m = round(span / p.t0_sync)
+    if abs(r - round(r)) > rtol * r or m < 1 \
+            or not np.isclose(span, m * p.t0_sync, rtol=rtol, atol=0.0) \
+            or not np.allclose(bps + bps[::-1], span, rtol=rtol, atol=0.0):
+        return origin, element
+    t = (a[:, None] + (b - a)[:, None] * np.array([0.1, 0.3, 0.5, 0.7, 0.9])).ravel()
+    fwd, rev = (np.array(drive_amplitudes_at(seq, x, x)).reshape(2, 2, -1) for x in (t, span - t))
+    carrier = (-1.0) ** m * np.array([[1.0], [-1.0]])
+    sigma = 0
+    for q in (0, 1):
+        signs = [sign for sign in (1.0, -1.0)
+                 if np.allclose(rev[q], sign * carrier * fwd[q], rtol=0.0, atol=1e-12)]
+        if not signs:
+            return origin, element
+        sigma |= (signs[0] < 0) << q
+    for i in range(n):
+        if 2 * i > n - 1 and not full[i]:
+            origin[i], element[i] = origin[n - 1 - i], element[n - 1 - i] ^ 4 ^ sigma
     return origin, element
 
 
@@ -828,6 +934,26 @@ def test_window_origins_match_orbit_table_on_sync_grid(seq):
     # the closed-form keys against the eight-image table, group elements
     # included (also where a qubit is not driven, whose sign bit the table
     # clears)
+    assert_plan_matches_orbit_table(seq)
+
+
+def off_centre_idle_flip():
+    """A centred ramped x pulse on qubit 1 that flips qubit 2, which it does
+    not drive, at an off-centre grid point."""
+    p = device(2)
+    s = p.t0_sync / 8
+    return PulseSequence(params=p, total_time=8 * s, segments=(PulseSegment(
+        start=2 * s, duration=4 * s, amp_x_1=-0.2 * p.delta,
+        envelope=Envelope("raised-cosine-ramp", 0.37 * s), flip_at=5 * s, flip_qubit=2),))
+
+
+@settings(max_examples=100, derandomize=True)
+@given(seq=centred_sequences())
+@example(seq=off_centre_idle_flip())
+def test_window_origins_match_orbit_table_on_centred_sequences(seq):
+    # the sequence mirror's segment rules against the reference's sampled
+    # amplitudes at reflected times; a flip of a qubit the segment does not
+    # drive changes no amplitude, so it need not be centred
     assert_plan_matches_orbit_table(seq)
 
 

@@ -316,6 +316,20 @@ def test_envelope_raised_cosine():
     assert np.all((s >= 0) & (s <= 1))
 
 
+@pytest.mark.parametrize("rise, top", [(10.0, (12.0, 42.0)), (30.0, (27.0, 27.0))],
+                         ids=["flat-top", "capped"])
+def test_flat_top_is_where_the_envelope_is_one(rise, top):
+    # the ramp and the flat top read one cap: a rise beyond half the
+    # duration leaves a pulse that is all ramp, its peak in the middle
+    seg = PulseSegment(start=2.0, duration=50.0, amp_x_1=0.1,
+                       envelope=Envelope(kind="raised-cosine-ramp", rise=rise))
+    assert seg.envelope.capped_rise(seg.duration) == min(rise, 25.0)
+    assert seg.flat_top == top
+    tau = np.linspace(0.0, 50.0, 501)
+    flat = seg.envelope.scale(tau, seg.duration) == 1.0
+    assert np.array_equal(flat, (tau >= top[0] - 2.0) & (tau <= top[1] - 2.0))
+
+
 def test_validate_empty_sequence():
     # the nominal-0.2 devices get no ratio warning, however delta rounds
     for p in (DEFAULT_PARAMS, SystemParams(w1z=1.025, w2z=0.975, wxx=0.01),
