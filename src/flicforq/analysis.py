@@ -24,12 +24,14 @@ from .compiler import compile_one_qubit, insert_decoupling
 from .integrator import (
     DensityState,
     StepPolicy,
+    _STATE_TOL,
     _UNITARITY_BOUND,
     _Z_SIGNS,
+    _running_propagators,
+    _trajectory,
     _unitarity_defect,
     _z_phases,
     compose_virtual_z,
-    evolve,
     to_rotating_frame,
 )
 from .model import PulseSequence, SystemParams, _require_qubit
@@ -48,7 +50,6 @@ __all__ = [
     "report_to_json",
 ]
 
-POSITIVITY_TOL = 1e-6
 _RESONANCE_TOL = 1e-9  # a sideband gap at most this large counts as resonant
 
 
@@ -71,15 +72,15 @@ _YY = PauliString(1, "Y", "Y").matrix()
 
 
 def concurrence(rho: DensityState) -> float:
-    """Wootters concurrence of the two-qubit state."""
-    if rho.min_eigenvalue() < -POSITIVITY_TOL:
-        raise NegativeEigenvalue(
-            f"min eigenvalue {rho.min_eigenvalue():.3e} below -{POSITIVITY_TOL}"
-        )
-    m = rho.to_matrix()
-    r = m @ _YY @ m.conj() @ _YY
-    lam = np.sort(np.linalg.eigvals(r).real)[::-1]
-    lam = np.sqrt(np.clip(lam, 0.0, None))
+    """Wootters concurrence of the two-qubit state.  One eigendecomposition
+    rho = V diag(p) V^dagger checks positivity to _STATE_TOL and factors
+    rho = W W^dagger, W = V diag(sqrt p); Wootters' lambdas are then the
+    singular values of W^T (Y Y) W, with no square root of rounding noise."""
+    p, v = np.linalg.eigh(rho.to_matrix())
+    if p[0] < -_STATE_TOL:
+        raise NegativeEigenvalue(f"min eigenvalue {p[0]:.3e} below -{_STATE_TOL:g}")
+    w = v * np.sqrt(np.clip(p, 0.0, None))
+    lam = np.linalg.svd(w.T @ _YY @ w, compute_uv=False)
     return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
 
 
@@ -236,19 +237,20 @@ def one_qubit_error_budget(
     (the error the decoupling echo addresses).  Each is
     1 - (1 + b.n)/2 = (1 - b.n)/2, the infidelity of the qubit's reduced
     rotating-frame state, Bloch vector b, against the pure state with
-    Bloch vector n.  The closed-form
-    parasitic-angle expression arccos(wxx * 4*pi/delta) is reported
-    verbatim where defined and null where its argument exceeds 1.  The
-    evolutions step at ``policy`` (default ``StepPolicy()``).
+    Bloch vector n.  The closed-form parasitic-angle expression
+    arccos(wxx * 4*pi/delta) is reported verbatim where defined and null
+    where its argument exceeds 1.  One RK4 run at ``policy`` (default
+    ``StepPolicy()``) serves both spectators; it raises StepTooCoarse
+    where ``evolve`` would.
     """
-    seg = compile_one_qubit(p, 1, "y", math.pi / 2, 0.0)
-    seq = PulseSequence(params=p, segments=(seg,))
+    seq = PulseSequence(params=p, segments=(compile_one_qubit(p, 1, "y", math.pi / 2, 0.0),))
     if echo:
         seq = insert_decoupling(p, seq, 0)
+    bps, us = _running_propagators(seq, policy, _UNITARITY_BOUND)
     per_spectator = {}
     for key, spec in (("0", _BLOCH_0), ("+", _BLOCH_PLUS)):
-        traj = evolve(p, seq, DensityState.product_bloch(_BLOCH_0, spec), policy)
-        rot = to_rotating_frame(traj, p).final
+        rho0 = DensityState.product_bloch(_BLOCH_0, spec)
+        rot = to_rotating_frame(_trajectory(bps[-1:], us[-1:], rho0), p).final
         per_spectator[key] = {
             "target_infidelity": float(0.5 * (1.0 - reduced_bloch(rot, 1) @ _BLOCH_TARGET)),
             "spectator_infidelity": float(0.5 * (1.0 - reduced_bloch(rot, 2) @ spec)),
@@ -258,9 +260,7 @@ def one_qubit_error_budget(
     return {
         "parasitic_angle_formula": formula,
         "target_infidelity": max(v["target_infidelity"] for v in per_spectator.values()),
-        "spectator_infidelity": max(
-            v["spectator_infidelity"] for v in per_spectator.values()
-        ),
+        "spectator_infidelity": max(v["spectator_infidelity"] for v in per_spectator.values()),
         "per_spectator": per_spectator,
         "echo": echo,
         "gate_time": seq.total_time,

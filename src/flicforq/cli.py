@@ -41,6 +41,7 @@ from .model import (
     DEFAULT_PARAMS,
     PulseSequence,
     SystemParams,
+    _fields,
     _require_finite,
     params_from_json,
     sequence_from_json,
@@ -223,7 +224,8 @@ def _sweep_point(task) -> tuple[float, str | None]:
 
 def cmd_sweep(args) -> int:
     points = _read("grid", args.grid, lambda text: [
-        (pt["delta"], pt["wxx"]) for pt in json.loads(text)])
+        (point["delta"], point["wxx"])
+        for point in (_fields("grid points", pt, ("delta", "wxx")) for pt in json.loads(text))])
     tasks = []
     for d, w in points:
         try:  # the model's rule for numbers: no bool, string, null or non-finite value

@@ -22,7 +22,15 @@ from flicforq.analysis import (
 from flicforq import analysis
 from flicforq.analysis import _align_phases
 from flicforq.compiler import compile_cnot, compile_one_qubit, insert_decoupling
-from flicforq.integrator import DensityState, StepPolicy, evolve, frame_unitary, gate_unitary
+from flicforq.integrator import (
+    DensityState,
+    StepPolicy,
+    StepTooCoarse,
+    evolve,
+    frame_unitary,
+    gate_unitary,
+    to_rotating_frame,
+)
 from flicforq.model import DEFAULT_PARAMS, PulseSequence, SystemParams
 from flicforq.pauli import PauliString, RotationWord, build_cnot_word, word_unitary
 
@@ -99,7 +107,55 @@ def test_concurrence_product_states_zero():
             rng.normal(size=2) + 1j * rng.normal(size=2),
         )
         s = DensityState.from_ket(psi)
-        assert concurrence(s) == pytest.approx(0.0, abs=1e-8)
+        assert concurrence(s) == pytest.approx(0.0, abs=1e-13)
+
+
+def closed_form_concurrence(psi):
+    """2 |psi00 psi11 - psi01 psi10| of the normalized ket."""
+    psi = psi / np.linalg.norm(psi)
+    return 2.0 * abs(psi[0] * psi[3] - psi[1] * psi[2])
+
+
+UNIT = st.floats(-1.0, 1.0)
+
+
+def complex_vector(n):
+    return st.lists(UNIT, min_size=2 * n, max_size=2 * n).map(
+        lambda xs: np.array(xs[:n]) + 1j * np.array(xs[n:]))
+
+
+def unit_vector(n):
+    return complex_vector(n).filter(lambda v: np.linalg.norm(v) > 0.1).map(
+        lambda v: v / np.linalg.norm(v))
+
+
+# a product of two unit kets plus a perturbation of norm at most 1e-3
+NEAR_PRODUCT_KETS = st.builds(lambda a, b, e, size: np.kron(a, b) + size * e,
+                              unit_vector(2), unit_vector(2), unit_vector(4), st.floats(0.0, 1e-3))
+GENERAL_KETS = unit_vector(4)
+
+
+@settings(max_examples=200)
+@given(psi=st.one_of(NEAR_PRODUCT_KETS, GENERAL_KETS))
+def test_concurrence_matches_pure_state_closed_form(psi):
+    # near-product kets put rho's three small eigenvalues at rounding level
+    assert abs(concurrence(DensityState.from_ket(psi)) - closed_form_concurrence(psi)) <= 1e-13
+
+
+@pytest.mark.parametrize("p", np.linspace(0.0, 1.0, 25).tolist() + [1.0 / 3.0])
+def test_concurrence_werner_states(p):
+    phi = np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2.0)
+    rho = p * np.outer(phi, phi) + (1.0 - p) * np.eye(4) / 4.0
+    assert abs(concurrence(DensityState.from_matrix(rho)) - max(0.0, (3.0 * p - 1.0) / 2.0)) <= 1e-14
+
+
+def test_concurrence_is_frame_invariant():
+    # the rotating frame is a local unitary, which leaves concurrence unchanged
+    seq = PulseSequence(params=P, segments=(compile_one_qubit(P, 1, "x", math.pi / 2, 0.0),))
+    lab = evolve(P, seq, DensityState.computational("00"), QUICK)
+    rot = to_rotating_frame(lab, P)
+    for c_lab, c_rot in zip(lab.coeffs, rot.coeffs):
+        assert abs(concurrence(DensityState(c_lab)) - concurrence(DensityState(c_rot))) <= 1e-14
 
 
 def test_concurrence_rejects_negative():
@@ -107,6 +163,18 @@ def test_concurrence_rejects_negative():
     c[2] = 2.0  # rho = (1 + 2*Z1)/4 has a -1/4 eigenvalue
     with pytest.raises(NegativeEigenvalue):
         concurrence(DensityState(c))
+
+
+@pytest.mark.parametrize("excess, negative", [(2e-9, False), (4e-8, True)])
+def test_concurrence_positivity_is_the_state_tolerance(excess, negative):
+    # |00>'s coefficients scaled by 1 + e: min eigenvalue -e/4, against the
+    # state layer's 1e-9
+    s = DensityState(DensityState.computational("00").c * (1.0 + excess))
+    if negative:
+        with pytest.raises(NegativeEigenvalue, match="below -1e-09"):
+            concurrence(s)
+    else:
+        assert concurrence(s) == pytest.approx(0.0, abs=1e-13)
 
 
 def test_gate_fidelity_exact_self():
@@ -493,6 +561,47 @@ def test_error_budget_matches_ket_reference(echo):
     for key, fields in ref.items():
         for name, value in fields.items():
             assert abs(rep["per_spectator"][key][name] - value) <= 1e-14
+
+
+def budget_by_evolve(p, echo, policy):
+    """The budget's per-spectator dict as two separate evolve runs, one per
+    spectator, each taken into the rotating frame."""
+    seq = PulseSequence(params=p, segments=(compile_one_qubit(p, 1, "y", math.pi / 2, 0.0),))
+    if echo:
+        seq = insert_decoupling(p, seq, 0)
+    out = {}
+    for key, spec in (("0", (0.0, 0.0, 1.0)), ("+", (1.0, 0.0, 0.0))):
+        traj = evolve(p, seq, DensityState.product_bloch((0.0, 0.0, 1.0), spec), policy)
+        rot = to_rotating_frame(traj, p).final
+        out[key] = {
+            "target_infidelity": float(0.5 * (1.0 - reduced_bloch(rot, 1) @ (-1.0, 0.0, 0.0))),
+            "spectator_infidelity": float(0.5 * (1.0 - reduced_bloch(rot, 2) @ spec)),
+        }
+    return out
+
+
+@pytest.mark.parametrize("echo", [False, True], ids=["plain", "echo"])
+@pytest.mark.parametrize("p", [P, SystemParams(1.07, 0.93, 0.01)], ids=["paper", "w0-delta-7.14"])
+def test_error_budget_one_run_matches_two_evolves(p, echo, monkeypatch):
+    calls = []
+    running_propagators = analysis._running_propagators
+
+    def spy(*args):
+        calls.append(args)
+        return running_propagators(*args)
+
+    monkeypatch.setattr(analysis, "_running_propagators", spy)
+    rep = one_qubit_error_budget(p, echo=echo, policy=QUICK)
+    assert len(calls) == 1
+    assert rep["per_spectator"] == budget_by_evolve(p, echo, QUICK)
+
+
+def test_error_budget_too_coarse_raises_as_evolve_does():
+    coarse = StepPolicy(steps_per_period=60)
+    with pytest.raises(StepTooCoarse):
+        budget_by_evolve(P, False, coarse)
+    with pytest.raises(StepTooCoarse):
+        one_qubit_error_budget(P, policy=coarse)
 
 
 def test_report_json_schema():

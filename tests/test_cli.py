@@ -691,6 +691,26 @@ def test_sweep_invalid_point_exits_2(point, tmp_path, capsys, monkeypatch):
     assert integrated == []
 
 
+@pytest.mark.parametrize("point, message", [
+    ('{"delta": 0.1, "wxx": 0.01, "wxz": 3}', "unknown key 'wxz' in grid points"),
+    ('{"delta": 0.1, "wx": 0.01}', "unknown key 'wx' in grid points"),
+    ('[0.1, 0.01]', "grid points must be JSON objects"),
+    ('5', "grid points must be JSON objects"),
+], ids=["extra-key", "misspelled", "list", "number"])
+def test_sweep_grid_point_keys_exit_2(point, message, tmp_path, capsys, monkeypatch):
+    # a grid point is read like every other input object: an unknown key is
+    # named, not ignored, and no point is integrated
+    integrated = []
+    monkeypatch.setitem(cli._METRICS, "cnot_error", lambda p, policy: integrated.append(p))
+    grid = tmp_path / "grid.json"
+    grid.write_text(f'[{{"delta": 0.1, "wxx": 0.01}}, {point}]')
+    code, out, err = run(capsys, "sweep", str(grid), "--metric", "cnot_error", "--jobs", "1")
+    assert code == 2
+    assert out == ""
+    assert message in err
+    assert integrated == []
+
+
 def test_sweep_integer_grid_values_match_floats(tmp_path, capsys):
     outputs = []
     for text in ('[{"delta": 1, "wxx": 0}, {"delta": 1, "wxx": 0.1}]',
