@@ -159,7 +159,10 @@ def cmd_simulate(args) -> int:
     rho0 = _parse_state(args.state)
     if _invalid(seq):
         return EXIT_VALIDATION
-    traj = evolve(p, seq, rho0, StepPolicy(steps_per_period=args.steps_per_period))
+    try:
+        traj = evolve(p, seq, rho0, StepPolicy(steps_per_period=args.steps_per_period))
+    except (OverflowError, ValueError) as exc:  # a step count beyond int64 or float
+        raise SchemaError(f"--steps-per-period {args.steps_per_period}: {exc}") from exc
     if args.frame == "rotating":
         traj = to_rotating_frame(traj, p)
     with _output(args.out) as fh:
@@ -186,7 +189,10 @@ def cmd_fidelity(args) -> int:
     if _invalid(seq):
         return EXIT_VALIDATION
     with _output(args.out) as fh:  # opened first: a bad path wastes no integration
-        u = gate_unitary(seq, StepPolicy(steps_per_period=args.steps_per_period))
+        try:
+            u = gate_unitary(seq, StepPolicy(steps_per_period=args.steps_per_period))
+        except (OverflowError, ValueError) as exc:  # as in simulate
+            raise SchemaError(f"--steps-per-period {args.steps_per_period}: {exc}") from exc
         report = gate_fidelity(u, word, align_local_z=not args.no_align)
         _emit(report_to_json(report), fh)
     if args.min is not None and report.process < args.min:

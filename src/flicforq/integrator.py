@@ -102,7 +102,7 @@ __all__ = [
 
 IDX = {lab: i for i, lab in enumerate(TWO_QUBIT_LABELS)}
 _BASIS = basis_matrices()  # (15, 4, 4)
-_STATE_TOL = 1e-9  # rounding allowed below eigenvalue 0 and outside purity [1/4, 1]
+_STATE_TOL = 1e-9  # rounding allowed in trace, hermiticity, norms, eigenvalues >= 0 and purity
 _UNITARITY_BOUND = 1e-6  # largest unitarity defect in evolve and gate_fidelity
 
 
@@ -141,9 +141,9 @@ class DensityState:
         rho = np.asarray(rho, dtype=complex)
         if rho.shape != (4, 4):
             raise ValueError("rho must be 4x4")
-        if abs(np.trace(rho) - 1.0) > 1e-9:
+        if abs(np.trace(rho) - 1.0) > _STATE_TOL:
             raise ValueError("rho must have unit trace")
-        if np.max(np.abs(rho - rho.conj().T)) > 1e-9:
+        if np.max(np.abs(rho - rho.conj().T)) > _STATE_TOL:
             raise ValueError("rho must be Hermitian")
         c = np.real(np.einsum("aij,ji->a", _BASIS, rho))
         return cls(c)
@@ -167,7 +167,7 @@ class DensityState:
         b1 = np.asarray(b1, dtype=float)
         b2 = np.asarray(b2, dtype=float)
         for b in (b1, b2):
-            if b.shape != (3,) or np.linalg.norm(b) > 1 + 1e-9:
+            if b.shape != (3,) or np.linalg.norm(b) > 1 + _STATE_TOL:
                 raise ValueError("Bloch vectors must be 3-vectors of norm <= 1")
         c = np.zeros(15)
         c[0:3] = b1
@@ -269,8 +269,10 @@ def _breakpoints(seq: PulseSequence) -> np.ndarray:
 def _interval_steps(a, b, h_target: float):
     """Per interval [a, b], scalars or arrays, the number n of equal steps
     of at most h_target, and the step (b - a) / n."""
-    n = np.maximum(1, np.ceil((b - a) / h_target - 1e-9).astype(int))
-    return n, (b - a) / n
+    n = np.maximum(1.0, np.ceil((b - a) / h_target - 1e-9))
+    if np.any(n >= 2.0 ** 63):  # beyond int64, where the cast would wrap
+        raise ValueError(f"{np.max(n):.3g} steps in one interval do not fit an int64")
+    return n.astype(int), (b - a) / n
 
 
 def _hamiltonians(seq: PulseSequence, a, b, tg: np.ndarray) -> np.ndarray:
@@ -547,8 +549,8 @@ def _window_origins(seq: PulseSequence, bps: np.ndarray) -> tuple[np.ndarray, np
             - span) > _SYNC_RTOL * span):
         return origin, g
     # per driven channel, its qubit and whether the mirror negates its term
-    bits = {(q, int(c == "y") ^ m % 2 ^ (seg.flip_qubit == q)) for seg in seq.segments
-            for q in (1, 2) for c in "xy" if getattr(seg, f"amp_{c}_{q}") != 0.0}
+    bits = {(k // 2 + 1, k % 2 ^ m % 2 ^ (seg.flip_qubit == k // 2 + 1))
+            for seg in seq.segments for k, amp in enumerate(seg.amplitudes) if amp != 0.0}
     if len({q for q, _ in bits}) == len(bits):  # each qubit's channels agree
         i = n // 2 + np.flatnonzero(~full[n // 2:])  # n is even: span/2 is a grid point
         origin[i], g[i] = origin[n - 1 - i], g[n - 1 - i] ^ 4 ^ sum(f << q - 1 for q, f in bits)

@@ -136,14 +136,15 @@ class Envelope:
         return min(self.rise, 0.5 * duration)
 
     def scale(self, tau, duration):
-        """Scale factor at time tau after segment start (vectorized)."""
+        """The envelope's shape at tau after segment start (vectorized), defined on
+        [0, duration]; drive_amplitudes_at decides where a segment acts."""
         tau = np.asarray(tau, dtype=float)
         if self.kind == "square" or self.rise == 0.0:
-            return np.where((tau >= 0) & (tau <= duration), 1.0, 0.0)
+            return np.ones_like(tau)
         rise = self.capped_rise(duration)
         up = 0.5 * (1.0 - np.cos(np.pi * np.clip(tau / rise, 0.0, 1.0)))
         down = 0.5 * (1.0 - np.cos(np.pi * np.clip((duration - tau) / rise, 0.0, 1.0)))
-        return np.where((tau >= 0) & (tau <= duration), np.minimum(up, down), 0.0)
+        return np.minimum(up, down)
 
 
 @dataclass(frozen=True)
@@ -195,12 +196,15 @@ class PulseSegment:
     def flat_top(self) -> tuple[float, float]:
         return self.start + (rise := self.envelope.capped_rise(self.duration)), self.end - rise
 
+    @property
+    def amplitudes(self) -> tuple[float, float, float, float]:
+        """The channel order (ax1, ay1, ax2, ay2) that every sampler reads."""
+        return self.amp_x_1, self.amp_y_1, self.amp_x_2, self.amp_y_2
+
     def drives_qubit(self, q: int) -> bool:
         """Whether qubit q, the integer 1 or 2 (else ValueError), is driven."""
         _require_qubit("qubit", q)
-        if q == 1:
-            return self.amp_x_1 != 0.0 or self.amp_y_1 != 0.0
-        return self.amp_x_2 != 0.0 or self.amp_y_2 != 0.0
+        return any(amp != 0.0 for amp in self.amplitudes[2 * q - 2:2 * q])
 
     @property
     def is_two_qubit(self) -> bool:
@@ -252,35 +256,29 @@ def on_sync_grid(p: SystemParams, t: float) -> bool:
     return abs(t - m * p.t0_sync) <= GRID_RTOL * max(abs(t), p.t0_sync)
 
 
-def drive_amplitudes_at(seq: PulseSequence, t, mid: float | np.ndarray):
-    """Envelope-scaled, flip-signed amplitudes (ax1, ay1, ax2, ay2) at time t.
+def drive_amplitudes_at(seq: PulseSequence, t, mid: float | np.ndarray) -> np.ndarray:
+    """Envelope-scaled, flip-signed amplitudes at time t, one (4, ...)
+    array in the order of PulseSegment.amplitudes.
 
-    Vectorized over t.  Segments never overlap per channel, so summing the
-    per-segment contributions is exact.  Segment activity and flip signs
-    are decided at ``mid``: one time for every t, or one per sample,
-    broadcast against t.  Sampling an interval with no envelope
-    discontinuity strictly inside it with ``mid`` at its midpoint gives its
-    end points the one-sided limit from inside the interval; ``mid = t``
-    samples each time on its own.
+    Vectorized over t.  Segments never overlap per channel and an undriven
+    channel adds nothing, so summing per segment is exact.  Activity at
+    ``mid`` is the only on/off rule, and flip signs are decided there too:
+    one time for every t, or one per sample, broadcast against t.  Sampling
+    an interval with no envelope discontinuity strictly inside it with
+    ``mid`` at its midpoint gives its end points the one-sided limit from
+    inside the interval; ``mid = t`` samples each time on its own.
     """
     t = np.asarray(t, dtype=float)
-    amps = [np.zeros_like(t) for _ in range(4)]
+    amps = np.zeros((4,) + t.shape)
     for seg in seq.segments:
         active = (seg.start <= mid) & (mid <= seg.end)
         if not np.any(active):
             continue
-        env = seg.envelope.scale(np.clip(t - seg.start, 0.0, seg.duration), seg.duration) * active
-        flip1 = flip2 = 1.0
-        if seg.flip_at is not None:
-            post = np.where(mid >= seg.flip_at, -1.0, 1.0)
-            if seg.flip_qubit == 1:
-                flip1 = post
-            else:
-                flip2 = post
-        amps[0] = amps[0] + env * flip1 * seg.amp_x_1
-        amps[1] = amps[1] + env * flip1 * seg.amp_y_1
-        amps[2] = amps[2] + env * flip2 * seg.amp_x_2
-        amps[3] = amps[3] + env * flip2 * seg.amp_y_2
+        env = seg.envelope.scale(t - seg.start, seg.duration) * active
+        flipped = env if seg.flip_at is None else env * np.where(mid >= seg.flip_at, -1.0, 1.0)
+        for k, amp in enumerate(seg.amplitudes):
+            if amp != 0.0:
+                amps[k] += (flipped if seg.flip_qubit == k // 2 + 1 else env) * amp
     return amps
 
 

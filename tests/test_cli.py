@@ -351,6 +351,34 @@ def test_fidelity_diverged_propagator_exits_4(tmp_path, capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize("steps", [str(10**21), str(10**400)],
+                         ids=["beyond-int64", "beyond-float"])
+@pytest.mark.parametrize("command", ["simulate", "fidelity"])
+def test_step_count_too_fine_exits_2(command, steps, tmp_path, capsys):
+    # a count beyond int64 used to run one step per interval and exit 4 on
+    # the unitarity gate, and one beyond float to end in a traceback
+    _, seq_json, _ = run(capsys, "compile", "x90")
+    seq_file = tmp_path / "x90.json"
+    seq_file.write_text(seq_json)
+    args = {"simulate": ("--out", str(tmp_path / "t.csv")), "fidelity": ("--word", "X1^1/2")}
+    code, out, err = run(capsys, command, str(seq_file), *args[command],
+                         "--steps-per-period", steps)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: --steps-per-period {steps}: ")
+    assert not (tmp_path / "t.csv").exists()
+
+
+def test_sweep_step_count_beyond_int64_is_nan_row(tmp_path, capsys):
+    grid = tmp_path / "grid.json"
+    grid.write_text('[{"delta": 0.1, "wxx": 0.01}]')
+    code, out, err = run(capsys, "sweep", str(grid), "--metric", "d_concurrence", "--jobs", "1",
+                         "--steps-per-period", str(10**21))
+    assert code == 4
+    assert out == "delta,wxx,metric\n0.1,0.01,nan\n"
+    assert "do not fit an int64" in err
+
+
 def test_fidelity_xx_half(tmp_path, capsys):
     _, seq_json, _ = run(capsys, "compile", "xx_half")
     seq_file = tmp_path / "xx.json"

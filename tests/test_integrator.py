@@ -1408,6 +1408,18 @@ def test_step_policy_rejects_non_positive():
     assert StepPolicy(np.int64(800)).step_target(BENCH) == StepPolicy(800).step_target(BENCH)
 
 
+def test_step_counts_beyond_int64_are_refused(monkeypatch):
+    # cast to int64 they would wrap to INT64_MIN and run as one step per
+    # interval; they are refused before any interval is sampled
+    seq = PulseSequence(params=BENCH, segments=(compile_one_qubit(BENCH, 1, "x", 1.1, 0.0),))
+    monkeypatch.setattr(integrator, "_hamiltonians", mock.Mock(side_effect=AssertionError))
+    policy = StepPolicy(steps_per_period=10**30)
+    for run in (lambda: propagator_of_sequence(BENCH, seq, policy),
+                lambda: evolve(BENCH, seq, PURE_00, policy)):
+        with pytest.raises(ValueError, match=r"e\+\d+ steps in one interval do not fit an int64"):
+            run()
+
+
 def test_oracle_zero_duration():
     p = DEFAULT_PARAMS
     seq = PulseSequence(params=p, total_time=0.0)

@@ -24,7 +24,7 @@ from flicforq.model import (
 )
 from flicforq.integrator import _hamiltonians
 from flicforq.pauli import basis_matrices
-from lab_frame import IDX, hamiltonian_at
+from lab_frame import IDX, drive_amplitudes, hamiltonian_at, masked_scale
 
 
 def coeffs_to_matrix(h):
@@ -91,6 +91,74 @@ def test_drive_amplitudes_per_sample_mid_matches_scalar():
     per_interval = [np.array(drive_amplitudes_at(seq, t, mid=m)) for t, m in zip(ts, mids)]
     got = drive_amplitudes_at(seq, np.concatenate(ts), mid=np.repeat(mids, 5))
     assert np.array_equal(np.array(got), np.concatenate(per_interval, axis=1))
+
+
+CHANNEL = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-0.1, 0.1))
+
+
+@st.composite
+def drive_segments(draw):
+    """A segment on both qubits, any channels zero, square or ramped (a
+    rise of half the duration or more leaves it all ramp), perhaps
+    flipping either qubit."""
+    start = draw(st.floats(0.0, 40.0))
+    duration = draw(st.floats(0.5, 30.0))
+    envelope = draw(st.one_of(
+        st.just(Envelope()),
+        st.builds(Envelope, st.just("raised-cosine-ramp"), st.floats(0.1, 1.5 * duration))))
+    flip = draw(st.one_of(st.none(), st.tuples(st.floats(0.05, 0.95), st.sampled_from([1, 2]))))
+    return PulseSegment(
+        start=start, duration=duration, envelope=envelope,
+        amp_x_1=draw(CHANNEL), amp_y_1=draw(CHANNEL),
+        amp_x_2=draw(CHANNEL), amp_y_2=draw(CHANNEL),
+        flip_at=None if flip is None else start + flip[0] * duration,
+        flip_qubit=None if flip is None else flip[1],
+    )
+
+
+@st.composite
+def sampled_drives(draw):
+    """1-4 segments, which may overlap on any qubit, and times t and
+    midpoints: each segment's edges and flip, a few ulps either side of
+    them, and times anywhere; scalars, a vector with one midpoint or one per
+    sample, or rows of samples with one midpoint per row."""
+    segs = sorted(draw(st.lists(drive_segments(), min_size=1, max_size=4)),
+                  key=lambda seg: seg.start)
+    seq = PulseSequence(params=DEFAULT_PARAMS, segments=tuple(segs))
+    edges = [x for seg in segs for x in (seg.start, seg.end, seg.flip_at) if x is not None]
+    time = st.one_of(
+        st.builds(lambda x, k: x + k * np.spacing(x), st.sampled_from(edges), st.integers(-3, 3)),
+        st.floats(0.0, seq.total_time + 5.0))
+    shape = draw(st.sampled_from(["scalar", "one mid", "per sample", "rows"]))
+    if shape == "scalar":
+        return seq, draw(time), draw(time)
+    t = np.array(draw(st.lists(time, min_size=6, max_size=6)))
+    if shape == "one mid":
+        return seq, t, draw(time)
+    if shape == "per sample":
+        return seq, t, np.array(draw(st.lists(time, min_size=6, max_size=6)))
+    return seq, t.reshape(3, 2), np.array(draw(st.lists(time, min_size=3, max_size=3)))[:, None]
+
+
+@settings(max_examples=200)
+@given(case=sampled_drives())
+def test_drive_amplitudes_bit_equal_to_per_channel_reference(case):
+    # activity at mid is the sampler's only on/off rule: the reference also
+    # clips t - start to the segment and masks the envelope outside it, and
+    # sums every channel, undriven ones too, yet the bits agree everywhere
+    seq, t, mid = case
+    got = drive_amplitudes_at(seq, t, mid)
+    want = np.array(drive_amplitudes(seq, t, mid))
+    assert got.shape == want.shape == (4,) + np.shape(t)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_segment_amplitudes_hold_the_channel_order():
+    seg = PulseSegment(start=0.0, duration=1.0, amp_x_1=0.1, amp_y_1=0.2, amp_x_2=0.3,
+                       amp_y_2=0.4)
+    assert seg.amplitudes == (0.1, 0.2, 0.3, 0.4)
+    with pytest.raises(AttributeError):
+        seg.amplitudes = (0.0,) * 4
 
 
 def test_non_finite_rejected():
@@ -314,6 +382,10 @@ def test_envelope_raised_cosine():
     tau = np.linspace(0, 100, 201)
     s = env.scale(tau, 100.0)
     assert np.all((s >= 0) & (s <= 1))
+    # on [0, duration] the shape is the value a range test used to mask
+    for env, duration in ((env, 100.0), (Envelope("raised-cosine-ramp", 70.0), 100.0),
+                          (Envelope(), 100.0)):
+        assert env.scale(tau, duration).tobytes() == masked_scale(env, tau, duration).tobytes()
 
 
 @pytest.mark.parametrize("rise, top", [(10.0, (12.0, 42.0)), (30.0, (27.0, 27.0))],
