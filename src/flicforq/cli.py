@@ -161,7 +161,7 @@ def cmd_simulate(args) -> int:
         return EXIT_VALIDATION
     try:
         traj = evolve(p, seq, rho0, StepPolicy(steps_per_period=args.steps_per_period))
-    except (OverflowError, ValueError) as exc:  # a step count beyond int64 or float
+    except ValueError as exc:  # a step count beyond int64 or float
         raise SchemaError(f"--steps-per-period {args.steps_per_period}: {exc}") from exc
     if args.frame == "rotating":
         traj = to_rotating_frame(traj, p)
@@ -191,7 +191,7 @@ def cmd_fidelity(args) -> int:
     with _output(args.out) as fh:  # opened first: a bad path wastes no integration
         try:
             u = gate_unitary(seq, StepPolicy(steps_per_period=args.steps_per_period))
-        except (OverflowError, ValueError) as exc:  # as in simulate
+        except ValueError as exc:  # as in simulate
             raise SchemaError(f"--steps-per-period {args.steps_per_period}: {exc}") from exc
         report = gate_fidelity(u, word, align_local_z=not args.no_align)
         _emit(report_to_json(report), fh)

@@ -1,11 +1,12 @@
 """Gate-to-pulse compilation for the fixed-coupling two-qubit device.
 
 Gates are realized as resonant drive segments timed on the synchrony grid
-t_m = m * 2*pi/delta.  One-qubit pi/2 rotations use quadrature amplitude
-delta/8 over 4*pi/delta; the entangling pulses drive both qubits at
-amplitude delta/2 for 4*pi/wxx, with an optional mid-pulse sign flip on
-qubit 2 that refocuses the sigma-z sigma-z factor and leaves a square root
-of X1X2.
+t_m = m * 2*pi/delta.  One rotation rule makes every one-qubit pulse, the
+decoupling echoes included: a rotation by theta is quadrature amplitude
+(theta/(pi/2)) * delta/8 over 4*pi/delta.  The entangling pulses drive both
+qubits at amplitude delta/2 for 4*pi/wxx, with an optional mid-pulse sign
+flip on qubit 2 that refocuses the sigma-z sigma-z factor and leaves a
+square root of X1X2.
 
 Which quadrature turns a qubit about +x rather than -x, and which square
 root of X1X2 the refocused pulse lands on, follow from the lab-frame
@@ -103,13 +104,23 @@ def calibrate(p: SystemParams) -> Calibration:
     return Calibration(x_sign=-1.0, y_sign=1.0, xx_sign=-1.0)
 
 
+def _rotation(p: SystemParams, qubit: int, axis: str, angle: float, start: float,
+              label: str) -> PulseSegment:
+    """The rotation rule: qubit ``qubit`` turned by ``angle`` about ``axis``
+    with amplitude sign * (angle/(pi/2)) * delta/8 over 2*t0_sync = 4*pi/delta,
+    the sign read from ``calibrate``."""
+    cal = calibrate(p)
+    sign = cal.x_sign if axis == "x" else cal.y_sign
+    return PulseSegment(start=start, duration=2 * p.t0_sync, label=label,
+                        **{f"amp_{axis}_{qubit}": sign * (angle / HALF_PI) * p.delta / 8})
+
+
 def compile_one_qubit(
     p: SystemParams, qubit: int, axis: str, angle: float, start: float
 ) -> PulseSegment:
     """A resonant rotation of qubit 1 or 2 (an integer, else ValueError) by
-    ``angle`` about x or y.
-
-    Fixed duration 2*t0_sync = 4*pi/delta; the rotation angle is set by the
+    ``angle`` about x or y, made by the rotation rule every one-qubit pulse
+    shares: fixed duration 2*t0_sync = 4*pi/delta, the angle set by the
     amplitude (angle/(pi/2)) * delta/8, signed per calibration.  Angles
     beyond pi/2 must be composed from multiple segments.
     """
@@ -122,17 +133,7 @@ def compile_one_qubit(
         )
     if not on_sync_grid(p, start):
         raise OffGridStart(f"start {start:.6f} is not on the 2*pi/delta grid")
-    cal = calibrate(p)
-    sign = cal.x_sign if axis == "x" else cal.y_sign
-    amp = sign * (angle / HALF_PI) * p.delta / 8
-    frac = angle / math.pi
-    label = f"{axis.upper()}{qubit}^{frac:g}"
-    return PulseSegment(
-        start=start,
-        duration=2 * p.t0_sync,
-        label=label,
-        **{f"amp_{axis}_{qubit}": amp},
-    )
+    return _rotation(p, qubit, axis, angle, start, f"{axis.upper()}{qubit}^{angle / math.pi:g}")
 
 
 def compile_D(p: SystemParams, start: float = 0.0) -> PulseSequence:
@@ -172,12 +173,10 @@ def compile_cnot(p: SystemParams) -> PulseSequence:
     -1 the surrounding Y1 pulse signs are swapped, which leaves the overall
     gate unchanged up to the aligned local z phases.
     """
-    cal = calibrate(p)
-    s = cal.xx_sign
-    t2 = 2 * p.t0_sync
-    seg3 = compile_xx_half(p, 2 * t2).segments[0]
+    s = calibrate(p).xx_sign
     seg1 = compile_one_qubit(p, 2, "x", HALF_PI, 0.0)
-    seg2 = compile_one_qubit(p, 1, "y", s * HALF_PI, t2)
+    seg2 = compile_one_qubit(p, 1, "y", s * HALF_PI, seg1.end)
+    seg3 = compile_xx_half(p, seg2.end).segments[0]
     seg4 = compile_one_qubit(p, 1, "y", -s * HALF_PI, seg3.end)
     return PulseSequence(params=p, segments=(seg1, seg2, seg3, seg4)).with_virtual_z(1, HALF_PI)
 
@@ -189,14 +188,15 @@ def _is_one_qubit(seg: PulseSegment) -> bool:
 def insert_decoupling(p: SystemParams, seq: PulseSequence, index: int) -> PulseSequence:
     """Protect the idle qubit during a one-qubit pulse with an echo.
 
-    The host segment is split in half; a pi pulse on the idle qubit
-    (amplitude delta/4 over 4*pi/delta) goes between the halves and a
-    second, sign-reversed pi pulse follows the second half, so the
+    The host segment is split in half; a pi rotation of the idle qubit about
+    x, made by the rotation rule of ``compile_one_qubit``, goes between the
+    halves and a -pi rotation follows the second half, so the
     coupling-accrued rotation of the idle qubit refocuses while the echo
-    pair composes to the identity on it.  Adds 2*(4*pi/delta) of time;
+    pair composes to the identity on it.  Adds two echo lengths of time;
     everything after the host shifts accordingly.  Raises ValueError if
-    ``p`` is not ``seq.params`` or ``index`` is not an integer (a bool is
-    not), and IndexError if ``index`` names no segment.
+    ``p`` is not ``seq.params``, ``index`` is not an integer (a bool is
+    not) or the host is ramped, and IndexError if ``index`` names no
+    segment.
     """
     check_device(p, seq)
     if isinstance(index, bool) or not isinstance(index, (int, np.integer)):
@@ -208,23 +208,17 @@ def insert_decoupling(p: SystemParams, seq: PulseSequence, index: int) -> PulseS
         raise NotOneQubitSegment(
             f"segment {index} does not drive exactly one qubit without a flip"
         )
-    if seg.envelope.kind != "square":
+    if seg.envelope.rise > 0.0:
         raise ValueError("decoupling requires a square host envelope")
     idle = 2 if seg.drives_qubit(1) else 1
-    t_pi = 2 * p.t0_sync
     half = 0.5 * seg.duration
+    echo_a = _rotation(p, idle, "x", -math.pi, seg.start + half, "echo")
     host_a = replace(seg, duration=half)
-    host_b = replace(seg, start=seg.start + half + t_pi, duration=half)
-    echo_a = PulseSegment(
-        start=seg.start + half, duration=t_pi, label="echo",
-        **{f"amp_x_{idle}": p.delta / 4},
-    )
-    echo_b = PulseSegment(
-        start=seg.end + t_pi, duration=t_pi, label="echo",
-        **{f"amp_x_{idle}": -p.delta / 4},
-    )
-    after = tuple(replace(s, start=s.start + 2 * t_pi,
-                          flip_at=None if s.flip_at is None else s.flip_at + 2 * t_pi)
+    host_b = replace(seg, start=echo_a.end, duration=half)
+    echo_b = _rotation(p, idle, "x", math.pi, seg.end + echo_a.duration, "echo")
+    shift = 2 * echo_a.duration
+    after = tuple(replace(s, start=s.start + shift,
+                          flip_at=None if s.flip_at is None else s.flip_at + shift)
                   for s in seq.segments[index + 1:])
     return replace(seq, segments=seq.segments[:index] + (host_a, echo_a, host_b, echo_b) + after,
-                   total_time=seq.total_time + 2 * t_pi)
+                   total_time=seq.total_time + shift)

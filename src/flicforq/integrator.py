@@ -74,6 +74,7 @@ The private layers read the device from ``seq.params`` only.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -232,6 +233,8 @@ class StepPolicy:
         n = self.steps_per_period
         if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
             raise ValueError(f"steps_per_period must be an integer of at least 1, got {n!r}")
+        if n > sys.float_info.max:  # step_target divides by it as a float
+            raise ValueError(f"steps_per_period must be at most {sys.float_info.max:.3g}")
 
     def step_target(self, p: SystemParams) -> float:
         period = 2.0 * math.pi / p.w1z  # w1z > w2z: the smallest period

@@ -139,7 +139,7 @@ class Envelope:
         """The envelope's shape at tau after segment start (vectorized), defined on
         [0, duration]; drive_amplitudes_at decides where a segment acts."""
         tau = np.asarray(tau, dtype=float)
-        if self.kind == "square" or self.rise == 0.0:
+        if self.rise == 0.0:
             return np.ones_like(tau)
         rise = self.capped_rise(duration)
         up = 0.5 * (1.0 - np.cos(np.pi * np.clip(tau / rise, 0.0, 1.0)))

@@ -22,7 +22,7 @@ from flicforq.compiler import (
     compile_xx_half,
     insert_decoupling,
 )
-from flicforq import integrator
+from flicforq import compiler, integrator
 from flicforq.integrator import StepPolicy, frame_unitary, gate_unitary, propagator_of_sequence
 from flicforq.model import (
     DEFAULT_PARAMS,
@@ -399,6 +399,46 @@ def test_insert_decoupling_rejects_ramped_host():
     ramped = replace(host, envelope=Envelope("raised-cosine-ramp", 0.1 * host.duration))
     with pytest.raises(ValueError, match="decoupling requires a square host envelope"):
         insert_decoupling(P, PulseSequence(params=P, segments=(ramped,)), 0)
+
+
+def test_insert_decoupling_accepts_zero_rise_ramp():
+    # "ramped" means rise > 0, the rule the breakpoints and the window memo
+    # use; a zero-rise ramp is a square pulse, and its echoed sequence
+    # integrates bit for bit as the square host's does
+    host = compile_one_qubit(P, 1, "y", math.pi / 2, 0.0)
+    flat = replace(host, envelope=Envelope("raised-cosine-ramp", 0.0))
+    runs = [integrator._running_propagators(
+        insert_decoupling(P, PulseSequence(params=P, segments=(seg,)), 0), POLICY, 1e-9)
+        for seg in (host, flat)]
+    np.testing.assert_array_equal(runs[0][0], runs[1][0])
+    np.testing.assert_array_equal(runs[0][1], runs[1][1])
+
+
+ECHO_DEVICES = [DEFAULT_PARAMS, SystemParams(1.125, 0.875, 0.025),
+                SystemParams(1.1, 0.9, 0.02), SystemParams(1.06, 0.95, 0.01)]
+
+
+@pytest.mark.parametrize("p", ECHO_DEVICES, ids=["default", "bench", "1.1", "1.06"])
+@pytest.mark.parametrize("qubit, axis", [(1, "x"), (1, "y"), (2, "x"), (2, "y")])
+def test_echoes_are_pi_rotations_of_the_compiler_rule(p, qubit, axis):
+    # the -pi and +pi rotations of the one-qubit rule on the idle qubit's x
+    # channel: exactly +delta/4 and then -delta/4, each as long as a
+    # compiled one-qubit pulse
+    host = compile_one_qubit(p, qubit, axis, math.pi / 2, 0.0)
+    out = insert_decoupling(p, PulseSequence(params=p, segments=(host,)), 0)
+    for echo, amp in ((out.segments[1], p.delta / 4), (out.segments[3], -p.delta / 4)):
+        assert echo.amplitudes == ((0.0, 0.0, amp, 0.0) if qubit == 1 else (amp, 0.0, 0.0, 0.0))
+        assert echo.duration == host.duration and echo.label == "echo"
+
+
+def test_echoes_follow_the_calibrated_x_sign(monkeypatch):
+    # the echoes read calibrate's x sign through the one rotation rule: with
+    # it flipped to +1 they read -delta/4 and then +delta/4
+    monkeypatch.setattr(compiler, "calibrate",
+                        lambda p: Calibration(x_sign=1.0, y_sign=1.0, xx_sign=-1.0))
+    host = compile_one_qubit(P, 1, "y", math.pi / 2, 0.0)
+    out = insert_decoupling(P, PulseSequence(params=P, segments=(host,)), 0)
+    assert (out.segments[1].amp_x_2, out.segments[3].amp_x_2) == (-P.delta / 4, P.delta / 4)
 
 
 def test_insert_decoupling_rejects_two_qubit():

@@ -1408,6 +1408,13 @@ def test_step_policy_rejects_non_positive():
     assert StepPolicy(np.int64(800)).step_target(BENCH) == StepPolicy(800).step_target(BENCH)
 
 
+def test_step_policy_rejects_counts_beyond_float():
+    # step_target divides by the count as a float, which used to raise
+    # OverflowError there; the policy refuses it when it is built
+    with pytest.raises(ValueError, match="steps_per_period"):
+        StepPolicy(steps_per_period=10**400)
+
+
 def test_step_counts_beyond_int64_are_refused(monkeypatch):
     # cast to int64 they would wrap to INT64_MIN and run as one step per
     # interval; they are refused before any interval is sampled
