@@ -4,10 +4,12 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 import flicforq.cli as cli
+import flicforq.integrator as integrator
 from flicforq.cli import main
 from flicforq.compiler import compile_cnot, insert_decoupling
 from flicforq.model import (DEFAULT_PARAMS, Diagnostic, PulseSegment, PulseSequence,
@@ -366,6 +368,25 @@ def test_step_count_too_fine_exits_2(command, steps, tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith(f"error: --steps-per-period {steps}: ")
+    assert not (tmp_path / "t.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "fidelity"])
+def test_step_total_beyond_the_budget_exits_2(command, tmp_path, capsys, monkeypatch):
+    # the integrator's step budget lowered, so that a regression plans no
+    # real one; the total is refused before H is sampled
+    monkeypatch.setattr(integrator, "_STEP_BUDGET", 1000)
+    monkeypatch.setattr(integrator, "_hamiltonians", mock.Mock(side_effect=AssertionError))
+    _, seq_json, _ = run(capsys, "compile", "x90")
+    seq_file = tmp_path / "x90.json"
+    seq_file.write_text(seq_json)
+    args = {"simulate": ("--out", str(tmp_path / "t.csv")), "fidelity": ("--word", "X1^1/2")}
+    code, out, err = run(capsys, command, str(seq_file), *args[command],
+                         "--steps-per-period", "1600")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --steps-per-period 1600: ")
+    assert "steps exceed the budget of 1000 steps a call" in err
     assert not (tmp_path / "t.csv").exists()
 
 

@@ -50,6 +50,7 @@ from flicforq.integrator import (
     _real_form,
     _rk4_steps,
     _time_ordered_product,
+    _unitarity_defect,
 )
 from flicforq.model import (
     DEFAULT_PARAMS,
@@ -273,10 +274,13 @@ def magnus6_omega(a1, a2, a3, h):
     return b1 + b3 / 12.0 + comm(-20.0 * b1 - b3 + c1, b2 + c2) / 240.0
 
 
-def reference_oracle(p, seq, rho0, substeps=40, max_doublings=7):
+def reference_oracle(p, seq, rho0, substeps=20, max_doublings=8):
     # the oracle one substep at a time: the Magnus exponent in complex
     # arithmetic, its exponential from the eigendecomposition of the
-    # Hermitian i Omega, and rho conjugated by each substep in turn
+    # Hermitian i Omega, and rho conjugated by each substep in turn.  Each
+    # pass doubles every interval's first-pass count; once every state is
+    # within trace distance 63e-9 of the last pass's, the states' Richardson
+    # step rho_f + (rho_f - rho_c)/63 is returned
     def expm(omega):
         lam, vec = np.linalg.eigh(1j * omega)
         return np.einsum("nij,nj,nkj->nik", vec, np.exp(-1j * lam), vec.conj())
@@ -284,24 +288,25 @@ def reference_oracle(p, seq, rho0, substeps=40, max_doublings=7):
     shift = math.sqrt(15.0) / 10.0
     bps = _breakpoints(seq)
     period = 2.0 * math.pi / max(p.w1z, p.w2z)
+    first = [_interval_steps(a, b, period / substeps)[0] for a, b in zip(bps[:-1], bps[1:])]
     prev = None
-    n = substeps
-    for _ in range(max_doublings + 1):
+    for k in range(max_doublings + 1):
         rho = rho0.to_matrix()
-        states = [rho0.c]
-        for a, b in zip(bps[:-1], bps[1:]):
-            m, h = _interval_steps(a, b, period / n)
-            base = a + h * np.arange(m)
+        rhos = [rho]
+        for a, b, m in zip(bps[:-1], bps[1:], first):
+            h = (b - a) / (m << k)
+            base = a + h * np.arange(m << k)
             mid = 0.5 * (a + b)
             a1, a2, a3 = (-1j * lab_hamiltonian(p, seq, base + c * h, mid)
                           for c in (0.5 - shift, 0.5, 0.5 + shift))
             for u in expm(magnus6_omega(a1, a2, a3, h)):
                 rho = u @ rho @ u.conj().T
-            states.append(np.real(np.einsum("aij,ji->a", _BASIS, rho)))
-        if prev is not None and 0.5 * np.sum(np.abs(np.linalg.eigvalsh(rho - prev))) < 1e-9:
-            return np.array(states)
-        prev = rho
-        n *= 2
+            rhos.append(rho)
+        rhos = np.array(rhos)
+        if prev is not None and all(0.5 * np.sum(np.abs(np.linalg.eigvalsh(d))) < 63e-9
+                                    for d in rhos - prev):
+            return np.real(np.einsum("aij,nji->na", _BASIS, rhos + (rhos - prev) / 63.0))
+        prev = rhos
     raise NoConvergence("reference oracle did not converge")
 
 
@@ -322,8 +327,8 @@ def test_oracle_matches_per_substep_reference():
 
 def ramped_flip_sequence():
     """A ramped segment with an off-grid flip and an overlapping square one
-    on the benchmark device; every oracle pass holds more substeps than one
-    batch."""
+    on the benchmark device; every oracle pass after the first holds more
+    substeps than one batch."""
     segs = (
         PulseSegment(start=0.0, duration=30.0, amp_x_1=0.05, amp_y_1=-0.02,
                      envelope=Envelope("raised-cosine-ramp", 6.0), flip_at=13.3, flip_qubit=1),
@@ -380,43 +385,48 @@ def test_breakpoints_include_ramp_ends():
 
 @pytest.mark.parametrize("build", [compile_D, compile_cnot], ids=["D", "cnot"])
 def test_oracle_takes_three_passes_on_the_paper_device(build, monkeypatch):
-    # D and the CNOT's XX^1/2 need more than 64 substeps per period and at
-    # most 80, so doubling from 40 stops after the pass at 160, where
-    # doubling from 32 stopped after the pass at 256
+    # on D and the CNOT's XX^1/2 the passes at 20 and 40 substeps per
+    # period differ by more than 63e-9, those at 40 and 80 by less, so
+    # doubling from 20 stops after the pass at 80, every interval at 20,
+    # 40 and 80 times its first-pass count over 20
     passes = []
     real = integrator._interval_products
 
     def spy_pass(seq, a, b, h_target, *scheme):
-        passes.append(h_target)
+        passes.append(_interval_steps(a, b, h_target)[0])
         return real(seq, a, b, h_target, *scheme)
 
     monkeypatch.setattr(integrator, "_interval_products", spy_pass)
-    evolve_oracle(DEFAULT_PARAMS, build(DEFAULT_PARAMS), DensityState.computational("10"))
-    period = 2.0 * math.pi / DEFAULT_PARAMS.w1z
-    assert [round(period / h) for h in passes] == [40, 80, 160]
+    seq = build(DEFAULT_PARAMS)
+    evolve_oracle(DEFAULT_PARAMS, seq, DensityState.computational("10"))
+    bps = _breakpoints(seq)
+    first = _interval_steps(bps[:-1], bps[1:], 2.0 * math.pi / DEFAULT_PARAMS.w1z / 20)[0]
+    assert [set((20 * n / first).tolist()) for n in passes] == [{20.0}, {40.0}, {80.0}]
 
 
 def test_oracle_matches_reference_across_chunks(monkeypatch):
-    # with the chunk cap lowered to two batches, every pass after the first
-    # samples H in several chunks, and some chunk mixes substep counts
-    monkeypatch.setattr(integrator, "_CHUNK_STEPS", 2 * integrator._BATCH_STEPS)
+    # with the chunk cap lowered to one batch, every pass after the first
+    # samples H in several chunks, and some chunk mixes substep counts; the
+    # first pass (385 substeps at 20 per period) fits one batch, the second
+    # does not
+    monkeypatch.setattr(integrator, "_CHUNK_STEPS", integrator._BATCH_STEPS)
     p, seq = BENCH, ramped_flip_sequence()
     period = 2.0 * math.pi / p.w1z
     bps = _breakpoints(seq)
-    first = [_interval_steps(a, b, period / integrator._ORACLE_SUBSTEPS)[0]
-             for a, b in zip(bps[:-1], bps[1:])]
-    assert sum(first) > integrator._BATCH_STEPS
+    first = _interval_steps(bps[:-1], bps[1:], period / integrator._ORACLE_SUBSTEPS)[0]
+    assert first.sum() <= integrator._BATCH_STEPS < 2 * first.sum()
     samplings = []  # per pass, the substep counts of the intervals each H sampling holds
-    targets = []
+    targets = []  # per pass, each interval's substep target by its start
     real_pass, real_ham = integrator._interval_products, integrator._hamiltonians
 
     def spy_pass(seq, a, b, h_target, *scheme):
         samplings.append([])
-        targets.append(h_target)
+        targets.append(dict(zip(a.tolist(), h_target.tolist())))
         return real_pass(seq, a, b, h_target, *scheme)
 
     def spy_ham(seq, a, b, tg):
-        counts, _, _ = sampled_rows(a, b, tg, targets[-1], 3)
+        h_target = np.array([targets[-1][x] for x in a.tolist()])
+        counts, _, _ = sampled_rows(a, b, tg, h_target, 3)
         samplings[-1].append(set(counts.tolist()))
         return real_ham(seq, a, b, tg)
 
@@ -424,7 +434,7 @@ def test_oracle_matches_reference_across_chunks(monkeypatch):
     monkeypatch.setattr(integrator, "_hamiltonians", spy_ham)
     rho0 = random_state(np.random.default_rng(16))
     got = evolve_oracle(p, seq, rho0).coeffs
-    assert all(len(chunks) > 1 for chunks in samplings[1:])
+    assert len(samplings) >= 2 and all(len(chunks) > 1 for chunks in samplings[1:])
     assert any(len(counts) > 1 for chunks in samplings for counts in chunks)
     assert np.max(np.abs(got - reference_oracle(p, seq, rho0))) <= 1e-12
 
@@ -455,7 +465,7 @@ def test_oracle_batches_chunks_without_eigh(monkeypatch):
     real_pass, real_expm = integrator._interval_products, integrator._expm_skew
 
     def spy_pass(seq, a, b, h_target, *scheme):
-        passes.append(([_interval_steps(x, y, h_target)[0] for x, y in zip(a, b)], []))
+        passes.append((_interval_steps(a, b, h_target)[0].tolist(), []))
         return real_pass(seq, a, b, h_target, *scheme)
 
     def spy_expm(w):
@@ -1328,6 +1338,37 @@ def test_generated_sequences_unitary_and_match_oracle(seq, seed):
         assert trace_distance(t1.state(i), t2.state(i)) <= 1e-7
 
 
+def test_oracle_doubles_intervals_shorter_than_a_substep(monkeypatch):
+    # each ramp of this pulse is one interval of 0.098, shorter than a
+    # substep at 20 or 40 per period (0.25 and 0.13): with one substep
+    # length per pass it would get one substep in both passes, whose
+    # difference says nothing of its error, and the trajectory would be
+    # 1.0e-6 off; each interval doubles its own first-pass count instead
+    s = WIDE.t0_sync / 8
+    seg = PulseSegment(start=0.0, duration=0.6 * s, amp_x_1=0.125, amp_y_1=-0.075,
+                       envelope=Envelope("raised-cosine-ramp", 0.098))
+    seq = PulseSequence(params=WIDE, segments=(seg,))
+    bps = _breakpoints(seq)
+    period = 2.0 * math.pi / WIDE.w1z
+    assert np.diff(bps).min() < period / 40
+    extrapolated = []
+    real = integrator._trajectory
+
+    def spy(bps, us, rho0):
+        extrapolated.append(us)
+        return real(bps, us, rho0)
+
+    monkeypatch.setattr(integrator, "_trajectory", spy)
+    rho0 = random_state(np.random.default_rng(19))
+    got = evolve_oracle(WIDE, seq, rho0)
+    ref = real(bps, oracle_pass(seq, period / 2560), rho0)
+    assert max(trace_distance(got.state(i), ref.state(i)) for i in range(bps.size)) <= 1e-9
+    # U_f + (U_f - U_c)/63 is not exactly unitary; its defect is second
+    # order in the passes' difference
+    assert len(extrapolated) == 1
+    assert _unitarity_defect(extrapolated[0]) <= 1e-13
+
+
 def test_wrong_device_rejected():
     # every public function that takes a device beside a sequence checks it
     p = DEFAULT_PARAMS
@@ -1424,6 +1465,26 @@ def test_step_counts_beyond_int64_are_refused(monkeypatch):
     for run in (lambda: propagator_of_sequence(BENCH, seq, policy),
                 lambda: evolve(BENCH, seq, PURE_00, policy)):
         with pytest.raises(ValueError, match=r"e\+\d+ steps in one interval do not fit an int64"):
+            run()
+
+
+def test_step_totals_beyond_the_budget_are_refused(monkeypatch):
+    # a total that fits int64 but not memory is refused before any row is
+    # planned: fidelity on x90 at 2e16 steps per period would plan about
+    # 1e13 rows
+    budget = integrator._STEP_BUDGET
+    assert _interval_steps(0.0, np.ones(4), 4.0 / budget)[0].sum() == budget
+    with pytest.raises(ValueError, match=r"1\.34e\+09 steps exceed the budget of 1073741824"):
+        _interval_steps(0.0, np.ones(5), 4.0 / budget)
+    # end to end with the budget lowered, so that a regression plans no
+    # real one: every route refuses before it samples H
+    monkeypatch.setattr(integrator, "_STEP_BUDGET", 10)
+    monkeypatch.setattr(integrator, "_hamiltonians", mock.Mock(side_effect=AssertionError))
+    seq = PulseSequence(params=BENCH, segments=(compile_one_qubit(BENCH, 1, "x", 1.1, 0.0),))
+    for run in (lambda: propagator_of_sequence(BENCH, seq, BENCH_POLICY),
+                lambda: evolve(BENCH, seq, PURE_00, BENCH_POLICY),
+                lambda: evolve_oracle(BENCH, seq, PURE_00)):
+        with pytest.raises(ValueError, match=r"steps exceed the budget of 10 steps a call"):
             run()
 
 
