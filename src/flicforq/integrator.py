@@ -25,15 +25,15 @@ a step:
   interval's product equal bit for bit to building it alone.  A run any of
   whose propagators is further from unitary than the caller's bound raises
   StepTooCoarse.
-- The oracle (``evolve_oracle``) samples the three Gauss nodes of each
-  substep and makes sixth-order Magnus steps exp(Omega) (Blanes, Casas and
-  Ros, BIT 40, 434 (2000)), Omega from seven real 4x4 products.  Each
-  exp(Omega) is a cos/sinc Horner series in the square of Omega's real 8x8
-  form, whose degree a runtime truncation bound sets below 1e-16 (with
-  scaling and squaring for a large ||Omega||), so it is exact to rounding;
-  the oracle's order comes from the Magnus scheme.  It stops at an estimated
-  error below 1e-9 at every breakpoint, from 20 substeps per carrier
-  period, each interval's count doubled, Richardson-extrapolated.
+- The oracle (``evolve_oracle``) samples three Gauss nodes of real substeps
+  only, none for padding, and makes sixth-order Magnus steps exp(Omega)
+  (Blanes, Casas and Ros, BIT 40, 434 (2000)), Omega from seven real 4x4
+  products.  Each exp(Omega) is a cos/sinc Horner series in the square of
+  Omega's real 8x8 form, whose degree a runtime truncation bound sets below
+  1e-16 (with scaling and squaring for a large ||Omega||), so it is exact to
+  rounding; the oracle's order comes from the Magnus scheme.  It stops at an
+  estimated error below 1e-9 at every breakpoint, from 20 substeps per
+  carrier period, each interval's count doubled, Richardson-extrapolated.
 
 When w0/delta is an integer, both carriers flip sign over t0_sync =
 2 pi/delta (w1z t0_sync = 2 pi (w0/delta + 1/2), w2z with -1/2), and four
@@ -435,15 +435,16 @@ def _interval_products(seq: PulseSequence, a: np.ndarray, b: np.ndarray, h_targe
     rows, longest first, go in rectangular batches of _BATCH_STEPS // w
     rows, w the first one's length, and runs of batches in chunks of at
     most _CHUNK_STEPS padded steps (one batch at least).  nodes(a, h, j, w)
-    gives the (k, s) sample times of w steps h from step j of each row's
-    interval from a, each of shape (k, 1); one _hamiltonians call samples
-    all of a chunk's times.  steps(hs, h) makes a batch's (k, w) step
-    matrices from its (k, s) samples, h as (k, 1, 1, 1), and the steps past
-    a row's end are overwritten with the identity.  Each row's product goes
-    into an identity-initialised (interval, row) stack, whose pairwise
-    product is the result.  Identity padding multiplies exactly, and each
-    full row is a subtree of its interval's pairwise product, so every
-    product has the bits of building its interval alone."""
+    gives the sample times of w steps h from step j of each row's interval
+    from a, each of shape (k, 1): a (k, s) grid whose steps share samples,
+    or (k, w, q), each step's own, taken for real steps only, one step a
+    row; one _hamiltonians call samples a chunk's times.  steps(hs, h)
+    makes k rows' (k, w) step matrices from their (k, s) samples, h as
+    (k, 1, 1, 1); steps past a row's end are the identity.  Each row's
+    product goes into an identity-initialised (interval, row) stack, whose
+    pairwise product is the result.  Identity padding multiplies exactly,
+    and each full row is a subtree of its interval's pairwise product, so
+    every product has the bits of building its interval alone."""
     counts, hs = _interval_steps(a, b, h_target)
     size = _BATCH_STEPS
     # (interval, first step, steps) per row, longest first; planned in
@@ -465,14 +466,22 @@ def _interval_products(seq: PulseSequence, a: np.ndarray, b: np.ndarray, h_targe
     stack = np.empty((counts.size, (counts.max(initial=1) - 1) // size + 1, 8, 8))
     stack[...] = np.eye(8)
     for chunk in chunks:
-        tgs = [nodes(a_r[r], h_r[r], j_r[r], w) for r, w in chunk]
-        per = np.concatenate([np.repeat(iv[r], t.shape[1]) for (r, _), t in zip(chunk, tgs)])
-        ham = _hamiltonians(seq, a[per], b[per], np.concatenate([t.ravel() for t in tgs]))
+        cells = []  # per batch: its real steps, the rows its samples are taken as, their times
+        for r, w in chunk:
+            t, real = nodes(a_r[r], h_r[r], j_r[r], w), np.arange(w) < n[r, None]
+            cells.append((real, r, t) if t.ndim == 2  # a grid whose steps share samples
+                         else (real, r.start + np.nonzero(real)[0], t[real]))
+        per = np.concatenate([np.repeat(iv[rows], t.shape[1]) for _, rows, t in cells])
+        ham = _hamiltonians(seq, a[per], b[per], np.concatenate([t.ravel() for *_, t in cells]))
         k0 = 0
-        for (r, w), t in zip(chunk, tgs):
-            mats = steps(ham[k0:k0 + t.size].reshape(t.shape + (4, 4)), h_r[r, :, None, None])
+        for (r, w), (real, rows, t) in zip(chunk, cells):
+            mats = steps(ham[k0:k0 + t.size].reshape(t.shape + (4, 4)), h_r[rows, :, None, None])
+            if mats.shape[1] < w:  # the real steps, one to a row, into the rectangle
+                mats, built = np.empty(real.shape + (8, 8)), mats
+                mats[real] = built[:, 0]
+                del built
             if n[r.stop - 1] < w:
-                mats[np.arange(w) >= n[r, None]] = np.eye(8)
+                mats[~real] = np.eye(8)
             stack[iv[r], first[r] // size] = _time_ordered_product(mats)
             del mats  # before the next batch builds its steps
             k0 += t.size
@@ -664,24 +673,24 @@ _MAGNUS_NODES = (0.5 - math.sqrt(15.0) / 10.0, 0.5, 0.5 + math.sqrt(15.0) / 10.0
 _ORACLE_SUBSTEPS = 20
 _ORACLE_DOUBLINGS = 8
 # W is scaled by 2^-s until max ||W||_1 <= _SERIES_NORM, and the series
-# truncated once its bound x^(2K+2)/(2K+2)! e^x is below _SERIES_TOL
+# truncated once its bound x^(2K+2)/(2K+2)! e^x is below _SERIES_TOL, at
+# degree 9 at most, whose Horner terms j are [I/(2j)!, I/(2j+1)!], I = [I; 0]
 _SERIES_NORM = 1.0
 _SERIES_TOL = 1e-16
-# [I; 0] twice: the first block column of the real form of I, both series'
-# degree-0 term
-_EYE_COLS = np.tile(np.eye(8, 4), 2)
+_SERIES_TERMS = [np.tile(np.eye(8, 4), 2) * np.repeat(
+    [1.0 / math.factorial(2 * j), 1.0 / math.factorial(2 * j + 1)], 4) for j in range(10)]
 
 
 def _magnus_nodes(a: np.ndarray, h: np.ndarray, j: np.ndarray, w: int) -> np.ndarray:
     """The three Gauss nodes of each of w substeps h from substep j of
-    intervals from a, each of shape (k, 1), substep after substep: (k, 3w)."""
+    intervals from a, each of shape (k, 1): (k, w, 3)."""
     base = (a + h * (j + np.arange(w)))[..., None]
-    return (base + h[..., None] * np.array(_MAGNUS_NODES)).reshape(a.shape[0], 3 * w)
+    return base + h[..., None] * np.array(_MAGNUS_NODES)
 
 
-def _expm_skew(w: np.ndarray) -> np.ndarray:
-    """exp(W) for a stack of real 8x8 forms W of anti-Hermitian 4x4
-    matrices Omega = -iG, G Hermitian, so each W is antisymmetric.
+def _expm_skew(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """exp(W) for the real 8x8 forms W of anti-Hermitian 4x4 matrices
+    Omega = re + i im = -iG, G Hermitian, so each W is antisymmetric.
 
     With X = W^2, exp(W) = C + W S for the Horner series
     C = sum_j X^j/(2j)! and S = sum_j X^j/(2j+1)!, the real forms of cos G
@@ -691,19 +700,19 @@ def _expm_skew(w: np.ndarray) -> np.ndarray:
     for which the truncation bound x^(2K+2)/(2K+2)! e^x, x = max ||W||_1
     over the batch, is below 1e-16, so the result is exact to rounding.  A
     batch with x above 1 is scaled by 2^-s first and its real forms squared
-    s times."""
+    s times.  The oracle's batches hold real substeps only, no padding."""
+    w = _real_form(re, im)
     x = float(np.einsum("...ij->...j", np.abs(w)).max(initial=0.0))
     s = math.ceil(math.log2(x / _SERIES_NORM)) if x > _SERIES_NORM else 0
-    w, x = w / 2.0 ** s, x / 2.0 ** s
+    if s:  # W is copied only to be scaled
+        w, x = w / 2.0 ** s, x / 2.0 ** s
     k, bound = 0, 0.5 * x * x * math.exp(x)
     while bound > _SERIES_TOL:
         k += 1
         bound *= x * x / ((2 * k + 1) * (2 * k + 2))
-    terms = [_EYE_COLS * np.repeat([1.0 / math.factorial(2 * j),
-                                    1.0 / math.factorial(2 * j + 1)], 4) for j in range(k + 1)]
     xx = w @ w
-    acc = np.broadcast_to(terms[k], w.shape)
-    for term in reversed(terms[:k]):
+    acc = np.broadcast_to(_SERIES_TERMS[k], w.shape)
+    for term in reversed(_SERIES_TERMS[:k]):
         acc = xx @ acc
         acc += term
     col = acc[..., :4] + w @ acc[..., 4:]  # exp(W)'s first block column
@@ -724,25 +733,23 @@ def _magnus6_steps(hs: np.ndarray, h) -> np.ndarray:
     -i S_k with S_k real symmetric, and every commutator of two matrices
     that are each symmetric or antisymmetric is one product P and its
     transpose, P - P^T or P + P^T.  The last commutator of anti-Hermitian
-    Y and Z is YZ - (YZ)^dagger, its complex product YZ one real product.
-    So Omega = R + iI, R antisymmetric and I symmetric, takes 7 real 4x4
-    products."""
+    Y and Z is YZ - (YZ)^dagger, and YZ takes four real products.  So
+    Omega = R + iI, R antisymmetric and I symmetric, takes 7 real 4x4
+    products: S1 S2, S1 S3 and S1 C1, then the four of YZ."""
     h1, h2, h3 = (hs[..., j::3, :, :] for j in range(3))
     s1 = h * h2
     s2 = (math.sqrt(15.0) / 3.0) * h * (h3 - h1)
     s3 = (10.0 / 3.0) * h * (h3 - 2.0 * h2 + h1)
     p = s1 @ s2
     c1 = p.swapaxes(-1, -2) - p  # C1 = -[S1, S2]
-    t, u = np.split(s1 @ np.concatenate([s3, c1], -1), 2, axis=-1)
-    # C2 = [S1, S3]/30 + i [S1, C1]/60
-    c2r = (t - t.swapaxes(-1, -2)) / 30.0
-    c2i = (u + u.swapaxes(-1, -2)) / 60.0
-    # Y = C1 + i (20 S1 + S3) and Z = C2r + i (C2i - S2); Y's real form
-    # times [Zr; Zi] is [Qr; Qi], YZ = Qr + i Qi
-    q = _real_form(c1, 20.0 * s1 + s3) @ np.concatenate([c2r, c2i - s2], -2)
-    qr, qi = q[..., :4, :], q[..., 4:, :]
-    return _expm_skew(_real_form((qr - qr.swapaxes(-1, -2)) / 240.0,
-                                 (qi + qi.swapaxes(-1, -2)) / 240.0 - s1 - s3 / 12.0))
+    t, u = s1 @ s3, s1 @ c1
+    c2r = (t - t.swapaxes(-1, -2)) / 30.0  # C2 = [S1, S3]/30 + i [S1, C1]/60
+    # Y = C1 + i (20 S1 + S3) and Z = C2r + i (C2i - S2): YZ = Qr + i Qi
+    yi, zi = 20.0 * s1 + s3, (u + u.swapaxes(-1, -2)) / 60.0 - s2
+    qr = c1 @ c2r - yi @ zi
+    qi = c1 @ zi + yi @ c2r
+    return _expm_skew((qr - qr.swapaxes(-1, -2)) / 240.0,
+                      (qi + qi.swapaxes(-1, -2)) / 240.0 - s1 - s3 / 12.0)
 
 
 def evolve_oracle(p: SystemParams, seq: PulseSequence, rho0: DensityState) -> Trajectory:
@@ -848,6 +855,6 @@ def write_trajectory_csv(traj: Trajectory, fh, full: bool = False) -> None:
     """
     ncols = 15 if full else 6
     fh.write((_CSV_FULL if full else _CSV_SHORT) + "\n")
-    for t, row in zip(traj.times, traj.coeffs):
-        vals = ",".join(f"{x:.12g}" for x in row[:ncols])
-        fh.write(f"{t:.12g},{traj.frame},{vals}\n")
+    row = f"%.12g,{traj.frame}" + ",%.12g" * ncols + "\n"
+    for t, c in zip(traj.times.tolist(), traj.coeffs[:, :ncols].tolist()):
+        fh.write(row % (t, *c))

@@ -46,6 +46,7 @@ PAULI_1Q = {
     "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
+_KRON = {(a, b): np.kron(ma, mb) for a, ma in PAULI_1Q.items() for b, mb in PAULI_1Q.items()}
 
 # Single-qubit products sigma_a * sigma_b = phase * sigma_c.
 _MUL_1Q = {
@@ -94,7 +95,7 @@ class PauliString:
 
     def matrix(self) -> np.ndarray:
         """4x4 matrix of the string in the |00>,|01>,|10>,|11> basis."""
-        return self.phase * np.kron(PAULI_1Q[self.factor1], PAULI_1Q[self.factor2])
+        return self.phase * _KRON[self.factor1, self.factor2]
 
     def commutes_with(self, other: "PauliString") -> bool:
         anti = 0

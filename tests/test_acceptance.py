@@ -146,8 +146,9 @@ def test_criterion_7_error_trends():
     # segment that a stronger coupling buys cannot lower the error; the
     # (wxx/delta)^2 leakage into the one-qubit and refocused pulses raises it.
     # evolve_oracle reproduces the RK4 CNOT basis-state fidelities at both
-    # couplings to 7.3e-10 at TREND_POLICY, so the rise is the model's, not
-    # the integrator's.
+    # couplings to 8.8e-10 at TREND_POLICY (its final states taken through
+    # the RK4 report's frame, ledger and alignment phases), so the rise is
+    # the model's, not the integrator's.
     def cnot_error(wxx):
         p = SystemParams(w1z=1.05, w2z=0.95, wxx=wxx)
         seq = compile_cnot(p)

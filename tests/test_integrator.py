@@ -214,7 +214,7 @@ def random_anti_hermitian(rng, n):
 def test_expm_batch_matches_scipy():
     w = 0.37 * random_anti_hermitian(np.random.default_rng(8), 6)
     assert np.array_equal(w, -w.transpose(0, 2, 1))
-    got = _complex_of(_expm_skew(w))
+    got = _complex_of(_expm_skew(w[:, :4, :4], w[:, 4:, :4]))
     for x, e in zip(w, got):
         assert np.max(np.abs(e - scipy.linalg.expm(_complex_of(x)))) < 1e-12
 
@@ -226,7 +226,7 @@ def test_expm_batch_series_and_squaring_match_scipy(norm):
     # where its degree is highest, and scaling and squaring above it
     w = random_anti_hermitian(np.random.default_rng(15), 8)
     w *= norm / np.max(np.sum(np.abs(w), axis=-2), axis=-1)[:, None, None]
-    got = _complex_of(_expm_skew(w))
+    got = _complex_of(_expm_skew(w[:, :4, :4], w[:, 4:, :4]))
     for x, e in zip(w, got):
         assert np.max(np.abs(e - scipy.linalg.expm(_complex_of(x)))) <= 1e-14
 
@@ -272,6 +272,41 @@ def magnus6_omega(a1, a2, a3, h):
     c1 = comm(b1, b2)
     c2 = -comm(b1, 2.0 * b3 + c1) / 60.0
     return b1 + b3 / 12.0 + comm(-20.0 * b1 - b3 + c1, b2 + c2) / 240.0
+
+
+def magnus6_exponent_reference(hs, h):
+    """Omega's real and imaginary parts by a six-product formula, the
+    reference for _magnus6_steps' seven: S1 S3 and S1 C1 as one product
+    S1 [S3, C1], and YZ as the real form of Y times [Zr; Zi]."""
+    h1, h2, h3 = (hs[..., j::3, :, :] for j in range(3))
+    s1 = h * h2
+    s2 = (math.sqrt(15.0) / 3.0) * h * (h3 - h1)
+    s3 = (10.0 / 3.0) * h * (h3 - 2.0 * h2 + h1)
+    p = s1 @ s2
+    c1 = p.swapaxes(-1, -2) - p
+    t, u = np.split(s1 @ np.concatenate([s3, c1], -1), 2, axis=-1)
+    c2r = (t - t.swapaxes(-1, -2)) / 30.0
+    c2i = (u + u.swapaxes(-1, -2)) / 60.0
+    q = _real_form(c1, 20.0 * s1 + s3) @ np.concatenate([c2r, c2i - s2], -2)
+    qr, qi = q[..., :4, :], q[..., 4:, :]
+    return ((qr - qr.swapaxes(-1, -2)) / 240.0,
+            (qi + qi.swapaxes(-1, -2)) / 240.0 - s1 - s3 / 12.0)
+
+
+@pytest.mark.parametrize("h", [1e-3, 0.03, 0.1, 0.3])
+@pytest.mark.parametrize("shape, h_shape", [
+    ((3 * 40,), ()),  # one flat stack, as the oracle builds its real substeps
+    ((17, 3), (17, 1)),  # rows of one substep each
+    ((5, 3 * 64), (5, 1)),  # a rectangle of rows
+])
+def test_magnus6_steps_match_the_six_product_formula(h, shape, h_shape):
+    # the seven plain products give Omega, and so exp(Omega), to rounding
+    rng = np.random.default_rng(31)
+    a = rng.normal(size=shape + (4, 4))
+    hs = a + a.swapaxes(-1, -2)
+    step = h * rng.uniform(0.5, 1.0, size=h_shape + (1, 1))
+    want = _expm_skew(*magnus6_exponent_reference(hs, step))
+    assert np.max(np.abs(integrator._magnus6_steps(hs, step) - want)) <= 1e-15
 
 
 def reference_oracle(p, seq, rho0, substeps=20, max_doublings=8):
@@ -439,25 +474,25 @@ def test_oracle_matches_reference_across_chunks(monkeypatch):
     assert np.max(np.abs(got - reference_oracle(p, seq, rho0))) <= 1e-12
 
 
-def batch_areas(counts):
-    """The padded steps of each batch _interval_products makes for
-    intervals of these step counts: rows of at most _BATCH_STEPS steps,
-    longest first, _BATCH_STEPS // w of them a batch, w the first one's."""
+def batch_steps(counts):
+    """The real steps of each batch _interval_products makes for intervals
+    of these step counts: rows of at most _BATCH_STEPS steps, longest
+    first, _BATCH_STEPS // w of them a batch, w the first one's."""
     size = integrator._BATCH_STEPS
     rows = sorted((min(n - first, size) for n in counts for first in range(0, n, size)),
                   reverse=True)
-    areas, lo = [], 0
+    steps, lo = [], 0
     while lo < len(rows):
         batch = rows[lo:lo + size // rows[lo]]
-        areas.append(len(batch) * rows[lo])
+        steps.append(sum(batch))
         lo += len(batch)
-    return areas
+    return steps
 
 
 def test_oracle_batches_chunks_without_eigh(monkeypatch):
-    # every exponential comes from the series, one per padded substep of
-    # each batch's rectangle, in batches that span several intervals and
-    # stay within the batch cap
+    # every exponential comes from the series, one per real substep of each
+    # batch, none for the identity steps that pad its rectangle, in batches
+    # that span several intervals and stay within the batch cap
     def no_eigh(*args, **kwargs):
         raise AssertionError("the oracle called np.linalg.eigh")
 
@@ -468,9 +503,9 @@ def test_oracle_batches_chunks_without_eigh(monkeypatch):
         passes.append((_interval_steps(a, b, h_target)[0].tolist(), []))
         return real_pass(seq, a, b, h_target, *scheme)
 
-    def spy_expm(w):
-        passes[-1][1].append(w.size // 64)  # one 8x8 exponential per substep
-        return real_expm(w)
+    def spy_expm(re, im):
+        passes[-1][1].append(re.size // 16)  # one 4x4 exponent per substep
+        return real_expm(re, im)
 
     monkeypatch.setattr(np.linalg, "eigh", no_eigh)
     monkeypatch.setattr(integrator, "_interval_products", spy_pass)
@@ -480,8 +515,8 @@ def test_oracle_batches_chunks_without_eigh(monkeypatch):
     cap = integrator._BATCH_STEPS
     assert len(passes) >= 2
     for counts, batches in passes:
-        assert batches == batch_areas(counts)
-        assert sum(batches) >= sum(counts)
+        assert batches == batch_steps(counts)
+        assert sum(batches) == sum(counts)
         assert len(batches) < len(counts)
         assert max(batches) <= cap
 
@@ -1137,8 +1172,10 @@ def test_interval_products_equal_building_each_interval(intervals, start, chunk,
     # mix row lengths and, with the chunk cap lowered, chunks split, yet
     # RK4 gives each interval's product bit for bit, and the Magnus scheme,
     # whose series degree each batch sets, to rounding; every batch and
-    # chunk stays within its cap, counted padded.  A zero-duration sequence
-    # has no interval: both schemes return an empty stack, sampling no H
+    # chunk stays within its cap, counted padded for RK4 and in real
+    # substeps for the Magnus scheme, which samples and builds only those.
+    # A zero-duration sequence has no interval: both schemes return an
+    # empty stack, sampling no H
     nodes, steps, q, alone, tol = SCHEMES[scheme]
     h_target = BENCH_POLICY.step_target(BENCH)
     b = start + np.cumsum([(n - 1 + x) * h_target for n, x in intervals])
@@ -1652,3 +1689,21 @@ def test_csv_output():
     header = buf.getvalue().splitlines()[0]
     assert header.endswith("c_zx,c_zy,c_zz")
     assert len(header.split(",")) == 17
+
+
+@pytest.mark.parametrize("frame", ["lab", "rotating"])
+@pytest.mark.parametrize("full", [False, True])
+def test_csv_rows_match_per_value_formatting(frame, full):
+    # one format string a row writes what formatting each value with
+    # f"{x:.12g}" wrote, signed zeros, tiny and long values included
+    rng = np.random.default_rng(41)
+    coeffs = rng.uniform(-1.0, 1.0, size=(6, 15))
+    coeffs[0, :4] = (-0.0, 1e-17, 123456789.123, -2.5e-300)
+    traj = Trajectory(times=np.array([0.0, 1e-17, 0.5, 3.0, 123456789.123, 1e300]),
+                      coeffs=coeffs, frame=frame)
+    buf = io.StringIO()
+    write_trajectory_csv(traj, buf, full=full)
+    ncols = 15 if full else 6
+    want = [f"{t:.12g},{frame}," + ",".join(f"{x:.12g}" for x in c[:ncols])
+            for t, c in zip(traj.times, traj.coeffs)]
+    assert buf.getvalue().splitlines()[1:] == want

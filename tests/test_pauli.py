@@ -52,6 +52,18 @@ def test_multiply_examples():
     assert pauli_multiply(s("ZZ"), s("XX")) == expected
 
 
+@pytest.mark.parametrize("phase", PHASES)
+def test_matrix_equals_kron_of_factors(phase):
+    # the matrices come from a table of the 16 factor products, bit for
+    # bit the phase times their Kronecker product, and a fresh array each
+    for a, b in itertools.product(FACTORS, FACTORS):
+        m = PauliString(phase, a, b).matrix()
+        assert np.array_equal(m, phase * np.kron(PAULI_1Q[a], PAULI_1Q[b]))
+        m[0, 0] = 7.0
+        assert np.array_equal(PauliString(phase, a, b).matrix(),
+                              phase * np.kron(PAULI_1Q[a], PAULI_1Q[b]))
+
+
 def test_multiply_closure_exhaustive():
     # all 256 unit-phase-free products against the 4x4 matrix oracle
     strings = [s(a + b) for a in FACTORS for b in FACTORS]
