@@ -31,9 +31,10 @@ a step:
   products.  Each exp(Omega) is a cos/sinc Horner series in the square of
   Omega's real 8x8 form, whose degree a runtime truncation bound sets below
   1e-16 (with scaling and squaring for a large ||Omega||), so it is exact to
-  rounding; the oracle's order comes from the Magnus scheme.  It stops at an
-  estimated error below 1e-9 at every breakpoint, from 20 substeps per
-  carrier period, each interval's count doubled, Richardson-extrapolated.
+  rounding; the oracle's order comes from the Magnus scheme.  From 20
+  substeps per carrier period, each interval's count doubled per pass, its
+  Richardson-extrapolated U(t_k) stop at an estimated error below 1e-9 (in
+  the spectral norm) that bounds every state's trace distance.
 
 When w0/delta is an integer, both carriers flip sign over t0_sync =
 2 pi/delta (w1z t0_sync = 2 pi (w0/delta + 1/2), w2z with -1/2), and four
@@ -207,8 +208,8 @@ class Trajectory:
         c = np.asarray(self.coeffs, dtype=float)
         if not (np.all(np.isfinite(t)) and np.all(np.isfinite(c))):
             raise ValueError("sample times and coefficients must be finite")
-        if np.any(np.diff(t) <= 0):
-            raise ValueError("sample times must be strictly increasing")
+        if t.ndim != 1 or np.any(np.diff(t) <= 0):  # (n, 1) times would pass np.diff
+            raise ValueError("sample times must be strictly increasing along one axis")
         if c.shape != (t.size, 15):
             raise ValueError("coeffs shape must be (n_samples, 15)")
         if self.frame not in ("lab", "rotating"):
@@ -277,14 +278,12 @@ _STEP_BUDGET = 2 ** 30
 
 
 def _interval_steps(a, b, h_target):
-    """Per interval [a, b], scalars or arrays, the number n of equal steps
-    of at most h_target, a scalar or an array, and the step (b - a) / n."""
+    """Per interval [a, b], scalars or arrays, the least number of equal
+    steps of at most h_target."""
     n = np.maximum(1.0, np.ceil((b - a) / h_target - 1e-9))
     if np.any(n >= 2.0 ** 63):  # beyond int64, where the cast would wrap
         raise ValueError(f"{np.max(n):.3g} steps in one interval do not fit an int64")
-    if n.sum() > _STEP_BUDGET:
-        raise ValueError(f"{n.sum():.3g} steps exceed the budget of {_STEP_BUDGET} steps a call")
-    return n.astype(int), (b - a) / n
+    return n.astype(int)
 
 
 def _hamiltonians(seq: PulseSequence, a, b, tg: np.ndarray) -> np.ndarray:
@@ -426,10 +425,10 @@ _CHUNK_STEPS = 8192
 _BATCH_STEPS = 512
 
 
-def _interval_products(seq: PulseSequence, a: np.ndarray, b: np.ndarray, h_target,
+def _interval_products(seq: PulseSequence, a: np.ndarray, b: np.ndarray, counts: np.ndarray,
                        nodes, steps) -> np.ndarray:
-    """Real forms of the propagators of the intervals [a_i, b_i], each of n
-    steps h (_interval_steps), h_target a scalar or one per interval.
+    """Real forms of the propagators of the intervals [a_i, b_i], each cut
+    into counts_i equal steps; a total beyond _STEP_BUDGET is refused.
 
     Each interval is cut into rows of at most _BATCH_STEPS steps.  The
     rows, longest first, go in rectangular batches of _BATCH_STEPS // w
@@ -445,8 +444,10 @@ def _interval_products(seq: PulseSequence, a: np.ndarray, b: np.ndarray, h_targe
     pairwise product is the result.  Identity padding multiplies exactly,
     and each full row is a subtree of its interval's pairwise product, so
     every product has the bits of building its interval alone."""
-    counts, hs = _interval_steps(a, b, h_target)
-    size = _BATCH_STEPS
+    total = counts.sum(dtype=float)  # a float, which cannot wrap
+    if total > _STEP_BUDGET:
+        raise ValueError(f"{total:.3g} steps exceed the budget of {_STEP_BUDGET} steps a call")
+    hs, size = (b - a) / counts, _BATCH_STEPS
     # (interval, first step, steps) per row, longest first; planned in
     # Python, as numpy's per-call cost on these few rows was 5% of a gate op
     rows = sorted(((i, first, min(n - first, size)) for i, n in enumerate(counts.tolist())
@@ -595,13 +596,13 @@ def _running_propagators(seq: PulseSequence, policy: StepPolicy,
     transpose times conj's mask.  Raises StepTooCoarse if the unitarity
     defect of any U(t_k), not only the final one (on the CNOT an earlier
     one is up to 1.3 times larger), exceeds max_defect or is not finite."""
-    h_target = policy.step_target(seq.params)
     bps = _breakpoints(seq)
     origin, g = _window_origins(seq, bps)
     todo = np.flatnonzero(origin == np.arange(origin.size))  # the intervals to build
+    a, b = bps[todo], bps[todo + 1]
     with np.errstate(over="ignore", invalid="ignore"):  # divergence is checked below
-        built = _interval_products(seq, bps[todo], bps[todo + 1], h_target, _half_steps,
-                                   _rk4_steps)
+        counts = _interval_steps(a, b, policy.step_target(seq.params))
+        built = _interval_products(seq, a, b, counts, _half_steps, _rk4_steps)
         prods = built[np.searchsorted(todo, origin)]
         for q, (perm, signs) in enumerate(_QUBIT_SIGNS):
             f = (g >> q & 1) == 1
@@ -752,42 +753,41 @@ def _magnus6_steps(hs: np.ndarray, h) -> np.ndarray:
                       (qi + qi.swapaxes(-1, -2)) / 240.0 - s1 - s3 / 12.0)
 
 
+def _oracle_propagators(seq: PulseSequence) -> tuple[np.ndarray, np.ndarray]:
+    """Breakpoints t_k and the oracle's propagators U(t_k) from time 0 to
+    each.  Each pass doubles every interval's substep count, from 20 per
+    smallest carrier period, at most 8 times.  A sixth-order error falls by
+    2^6 a doubling, so once ||U_f - U_c||_2 < 63e-9 at every breakpoint
+    (the spectral norm), U_f + (U_f - U_c)/63 has an estimated error below
+    1e-9 that bounds every state's trace distance."""
+    bps = _breakpoints(seq)
+    a, b = bps[:-1], bps[1:]
+    first = _interval_steps(a, b, StepPolicy(_ORACLE_SUBSTEPS).step_target(seq.params))
+    fine = None
+    for doublings in range(_ORACLE_DOUBLINGS + 1):
+        coarse, fine = fine, _running_products(_interval_products(
+            seq, a, b, first << doublings, _magnus_nodes, _magnus6_steps))
+        if coarse is not None and np.linalg.norm(fine - coarse, 2, axis=(1, 2)).max() < 63e-9:
+            return bps, fine + (fine - coarse) / 63.0
+    raise NoConvergence(f"oracle did not converge after {_ORACLE_DOUBLINGS} doublings")
+
+
 def evolve_oracle(p: SystemParams, seq: PulseSequence, rho0: DensityState) -> Trajectory:
     """Piecewise-exponential propagator oracle, independent of the RK4 route.
 
     Each substep is the sixth-order Magnus exponential exp(Omega) built
     from the real symmetric H at the substep's three Gauss nodes (its
     midpoint and the midpoint -/+ sqrt(15)/10 of the substep), exact to
-    rounding from a series whose degree a truncation bound sets, and
-    carried as a real 8x8 form, in batches of at most 512 substeps.  A pass
-    gives the running propagators U(t_k) at the breakpoints, ramp ends
-    among them.  The first cuts each interval as 20 substeps per smallest
-    carrier period would, and each further pass doubles every interval's
-    own count, at most 8 times (5120 per period, else NoConvergence),
-    until the estimated error is below 1e-9 at every breakpoint: as a
-    sixth-order error falls by 2^6 a doubling, each state of the finer pass
-    is within trace distance 63e-9 of the coarser one's.  The trajectory,
-    as in ``evolve``, is that of their Richardson step U_f + (U_f - U_c)/63.
+    rounding.  Passes from 20 substeps per carrier period, each doubling
+    every interval's own count (at most to 5120, else NoConvergence), stop
+    once the running propagators U(t_k) have an estimated error below 1e-9
+    that bounds every state's trace distance, whatever rho0.  The
+    trajectory, as in ``evolve``, is that of their Richardson step.
     Raises ValueError if ``p`` is not ``seq.params``.
     """
     check_device(p, seq)
     rho0.validate()
-    bps = _breakpoints(seq)
-    a, b, rho = bps[:-1], bps[1:], rho0.to_matrix()
-    n0 = _interval_steps(a, b, StepPolicy(_ORACLE_SUBSTEPS).step_target(p))[0]
-    prev = None
-    for doublings in range(_ORACLE_DOUBLINGS + 1):
-        us = _running_products(_interval_products(seq, a, b, (b - a) / (n0 << doublings),
-                                                  _magnus_nodes, _magnus6_steps))
-        rhos = us @ rho @ us.conj().swapaxes(1, 2)
-        # per breakpoint, the trace distance of its state to the coarser pass's
-        tds = np.inf if prev is None else 0.5 * np.abs(np.linalg.eigvalsh(rhos - prev[1])).sum(1)
-        if np.max(tds) < 63e-9:
-            return _trajectory(bps, us + (us - prev[0]) / 63.0, rho0)
-        prev = us, rhos
-    raise NoConvergence(
-        f"oracle states did not converge after {_ORACLE_DOUBLINGS} doublings"
-    )
+    return _trajectory(*_oracle_propagators(seq), rho0)
 
 
 # ---------------------------------------------------------------------------

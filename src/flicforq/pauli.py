@@ -32,7 +32,6 @@ __all__ = [
     "build_cnot_word",
     "equal_up_to_global_phase",
     "parse_word",
-    "format_word",
 ]
 
 
@@ -272,27 +271,3 @@ def parse_word(text: str) -> RotationWord:
             raise ValueError(f"bad exponent in token {token!r}") from exc
         elements.append((axis, exponent))
     return RotationWord(tuple(elements))
-
-
-def _format_axis(axis: PauliString) -> str:
-    parts = []
-    if axis.factor1 != "I":
-        parts.append(axis.factor1 + "1")
-    if axis.factor2 != "I":
-        parts.append(axis.factor2 + "2")
-    return "".join(parts)
-
-
-def format_word(w: RotationWord) -> str:
-    """Inverse of parse_word; exponents rendered as reduced fractions."""
-    tokens = []
-    for axis, exponent in w:
-        frac = Fraction(exponent).limit_denominator(1000)
-        if float(frac) != exponent:
-            text = repr(exponent)
-        elif frac.denominator == 1:
-            text = str(frac.numerator)
-        else:
-            text = f"{frac.numerator}/{frac.denominator}"
-        tokens.append(f"{_format_axis(axis)}^{text}")
-    return " ".join(tokens)

@@ -192,7 +192,8 @@ def test_step_product_matches_sequential_rk4():
     u = np.eye(4, dtype=complex)
     bps = _breakpoints(seq)
     for a, b in zip(bps[:-1], bps[1:]):
-        n, h = _interval_steps(a, b, QUICK.step_target(p))
+        n = _interval_steps(a, b, QUICK.step_target(p))
+        h = (b - a) / n
         mid = 0.5 * (a + b)
         for j in range(n):
             t = a + j * h
@@ -309,13 +310,13 @@ def test_magnus6_steps_match_the_six_product_formula(h, shape, h_shape):
     assert np.max(np.abs(integrator._magnus6_steps(hs, step) - want)) <= 1e-15
 
 
-def reference_oracle(p, seq, rho0, substeps=20, max_doublings=8):
+def reference_oracle(p, seq, substeps=20, max_doublings=8):
     # the oracle one substep at a time: the Magnus exponent in complex
     # arithmetic, its exponential from the eigendecomposition of the
-    # Hermitian i Omega, and rho conjugated by each substep in turn.  Each
-    # pass doubles every interval's first-pass count; once every state is
-    # within trace distance 63e-9 of the last pass's, the states' Richardson
-    # step rho_f + (rho_f - rho_c)/63 is returned
+    # Hermitian i Omega, and U multiplied by each substep in turn.  Each
+    # pass doubles every interval's first-pass count; once every U(t_k) is
+    # within 63e-9 of the last pass's in the spectral norm, their Richardson
+    # step U_f + (U_f - U_c)/63 is returned
     def expm(omega):
         lam, vec = np.linalg.eigh(1j * omega)
         return np.einsum("nij,nj,nkj->nik", vec, np.exp(-1j * lam), vec.conj())
@@ -323,31 +324,37 @@ def reference_oracle(p, seq, rho0, substeps=20, max_doublings=8):
     shift = math.sqrt(15.0) / 10.0
     bps = _breakpoints(seq)
     period = 2.0 * math.pi / max(p.w1z, p.w2z)
-    first = [_interval_steps(a, b, period / substeps)[0] for a, b in zip(bps[:-1], bps[1:])]
+    first = [_interval_steps(a, b, period / substeps) for a, b in zip(bps[:-1], bps[1:])]
     prev = None
     for k in range(max_doublings + 1):
-        rho = rho0.to_matrix()
-        rhos = [rho]
+        u = np.eye(4, dtype=complex)
+        us = [u]
         for a, b, m in zip(bps[:-1], bps[1:], first):
             h = (b - a) / (m << k)
             base = a + h * np.arange(m << k)
             mid = 0.5 * (a + b)
             a1, a2, a3 = (-1j * lab_hamiltonian(p, seq, base + c * h, mid)
                           for c in (0.5 - shift, 0.5, 0.5 + shift))
-            for u in expm(magnus6_omega(a1, a2, a3, h)):
-                rho = u @ rho @ u.conj().T
-            rhos.append(rho)
-        rhos = np.array(rhos)
-        if prev is not None and all(0.5 * np.sum(np.abs(np.linalg.eigvalsh(d))) < 63e-9
-                                    for d in rhos - prev):
-            return np.real(np.einsum("aij,nji->na", _BASIS, rhos + (rhos - prev) / 63.0))
-        prev = rhos
+            for step in expm(magnus6_omega(a1, a2, a3, h)):
+                u = step @ u
+            us.append(u)
+        us = np.array(us)
+        if prev is not None and all(np.linalg.norm(d, 2) < 63e-9 for d in us - prev):
+            return us + (us - prev) / 63.0
+        prev = us
     raise NoConvergence("reference oracle did not converge")
+
+
+def lab_states(us, rho0):
+    """The Pauli coefficients of U rho0 U^dagger, divided by its trace, per U."""
+    rhos = us @ rho0.to_matrix() @ us.conj().swapaxes(1, 2)
+    rhos /= np.trace(rhos, axis1=1, axis2=2).real[:, None, None]
+    return np.real(np.einsum("aij,nji->na", _BASIS, rhos))
 
 
 def test_oracle_matches_per_substep_reference():
     # the interval products, shared with the RK4 route, against the
-    # substep-by-substep conjugation
+    # substep-by-substep product
     p = DEFAULT_PARAMS
     segs = (
         PulseSegment(start=0.0, duration=20.0, amp_y_1=0.04, amp_x_2=0.03,
@@ -357,7 +364,7 @@ def test_oracle_matches_per_substep_reference():
     seq = PulseSequence(params=p, segments=segs)
     rho0 = random_state(np.random.default_rng(14))
     got = evolve_oracle(p, seq, rho0).coeffs
-    assert np.max(np.abs(got - reference_oracle(p, seq, rho0))) <= 1e-12
+    assert np.max(np.abs(got - lab_states(reference_oracle(p, seq), rho0))) <= 1e-12
 
 
 def ramped_flip_sequence():
@@ -372,13 +379,13 @@ def ramped_flip_sequence():
     return PulseSequence(params=BENCH, segments=segs)
 
 
-def oracle_pass(seq, h_target):
-    """The oracle's running propagators U(t_k) from one pass of substeps of
-    at most h_target."""
+def oracle_pass(seq, substeps):
+    """The oracle's running propagators U(t_k) from one pass of substeps,
+    each interval cut as that many per smallest carrier period would."""
     bps = _breakpoints(seq)
+    counts = _interval_steps(bps[:-1], bps[1:], StepPolicy(substeps).step_target(seq.params))
     return integrator._running_products(integrator._interval_products(
-        seq, bps[:-1], bps[1:], h_target, integrator._magnus_nodes,
-        integrator._magnus6_steps))
+        seq, bps[:-1], bps[1:], counts, integrator._magnus_nodes, integrator._magnus6_steps))
 
 
 def test_oracle_is_sixth_order():
@@ -389,7 +396,6 @@ def test_oracle_is_sixth_order():
     # order inside an interval
     grid = BENCH.t0_sync / 8
     assert all(abs(t / grid - round(t / grid)) > 0.1 for t in (3.8, 16.2))
-    period = 2.0 * math.pi / BENCH.w1z
     for envelope in (Envelope(), Envelope("raised-cosine-ramp", 3.8)):
         segs = (
             PulseSegment(start=0.0, duration=20.0, amp_y_1=0.04, amp_x_2=0.03,
@@ -398,8 +404,8 @@ def test_oracle_is_sixth_order():
         )
         seq = PulseSequence(params=BENCH, segments=segs)
         assert (3.8 in _breakpoints(seq)) == (envelope.rise > 0.0)
-        ref = oracle_pass(seq, period / 2048)[-1]
-        errors = [np.max(np.abs(oracle_pass(seq, period / n)[-1] - ref)) for n in (16, 32, 64)]
+        ref = oracle_pass(seq, 2048)[-1]
+        errors = [np.max(np.abs(oracle_pass(seq, n)[-1] - ref)) for n in (16, 32, 64)]
         assert all(48.0 <= coarse / fine <= 80.0 for coarse, fine in zip(errors, errors[1:]))
 
 
@@ -423,20 +429,24 @@ def test_oracle_takes_three_passes_on_the_paper_device(build, monkeypatch):
     # on D and the CNOT's XX^1/2 the passes at 20 and 40 substeps per
     # period differ by more than 63e-9, those at 40 and 80 by less, so
     # doubling from 20 stops after the pass at 80, every interval at 20,
-    # 40 and 80 times its first-pass count over 20
+    # 40 and 80 times its first-pass count over 20.  The rule reads the
+    # operators, so the maximally mixed state, which every U leaves as it
+    # is, takes as many passes as |10>
     passes = []
     real = integrator._interval_products
 
-    def spy_pass(seq, a, b, h_target, *scheme):
-        passes.append(_interval_steps(a, b, h_target)[0])
-        return real(seq, a, b, h_target, *scheme)
+    def spy_pass(seq, a, b, counts, *scheme):
+        passes.append(counts)
+        return real(seq, a, b, counts, *scheme)
 
     monkeypatch.setattr(integrator, "_interval_products", spy_pass)
     seq = build(DEFAULT_PARAMS)
-    evolve_oracle(DEFAULT_PARAMS, seq, DensityState.computational("10"))
     bps = _breakpoints(seq)
-    first = _interval_steps(bps[:-1], bps[1:], 2.0 * math.pi / DEFAULT_PARAMS.w1z / 20)[0]
-    assert [set((20 * n / first).tolist()) for n in passes] == [{20.0}, {40.0}, {80.0}]
+    first = _interval_steps(bps[:-1], bps[1:], 2.0 * math.pi / DEFAULT_PARAMS.w1z / 20)
+    for rho0 in (DensityState.computational("10"), DensityState(np.zeros(15))):
+        passes.clear()
+        evolve_oracle(DEFAULT_PARAMS, seq, rho0)
+        assert [set((20 * n / first).tolist()) for n in passes] == [{20.0}, {40.0}, {80.0}]
 
 
 def test_oracle_matches_reference_across_chunks(monkeypatch):
@@ -448,21 +458,21 @@ def test_oracle_matches_reference_across_chunks(monkeypatch):
     p, seq = BENCH, ramped_flip_sequence()
     period = 2.0 * math.pi / p.w1z
     bps = _breakpoints(seq)
-    first = _interval_steps(bps[:-1], bps[1:], period / integrator._ORACLE_SUBSTEPS)[0]
+    first = _interval_steps(bps[:-1], bps[1:], period / integrator._ORACLE_SUBSTEPS)
     assert first.sum() <= integrator._BATCH_STEPS < 2 * first.sum()
     samplings = []  # per pass, the substep counts of the intervals each H sampling holds
-    targets = []  # per pass, each interval's substep target by its start
+    plans = []  # per pass, its interval starts and substep counts
     real_pass, real_ham = integrator._interval_products, integrator._hamiltonians
 
-    def spy_pass(seq, a, b, h_target, *scheme):
+    def spy_pass(seq, a, b, counts, *scheme):
         samplings.append([])
-        targets.append(dict(zip(a.tolist(), h_target.tolist())))
-        return real_pass(seq, a, b, h_target, *scheme)
+        plans.append((a, counts))
+        return real_pass(seq, a, b, counts, *scheme)
 
     def spy_ham(seq, a, b, tg):
-        h_target = np.array([targets[-1][x] for x in a.tolist()])
-        counts, _, _ = sampled_rows(a, b, tg, h_target, 3)
-        samplings[-1].append(set(counts.tolist()))
+        starts, counts = plans[-1]
+        n, _, _ = sampled_rows(a, b, tg, counts[np.searchsorted(starts, a)], 3)
+        samplings[-1].append(set(n.tolist()))
         return real_ham(seq, a, b, tg)
 
     monkeypatch.setattr(integrator, "_interval_products", spy_pass)
@@ -471,7 +481,52 @@ def test_oracle_matches_reference_across_chunks(monkeypatch):
     got = evolve_oracle(p, seq, rho0).coeffs
     assert len(samplings) >= 2 and all(len(chunks) > 1 for chunks in samplings[1:])
     assert any(len(counts) > 1 for chunks in samplings for counts in chunks)
-    assert np.max(np.abs(got - reference_oracle(p, seq, rho0))) <= 1e-12
+    assert np.max(np.abs(got - lab_states(reference_oracle(p, seq), rho0))) <= 1e-12
+
+
+def test_evolve_oracle_is_the_trajectory_of_its_propagators():
+    # evolve_oracle maps the propagator core's U(t_k) onto rho0 through
+    # the tail evolve uses, and does nothing else
+    seq = ramped_flip_sequence()
+    rho0 = random_state(np.random.default_rng(20))
+    got = evolve_oracle(BENCH, seq, rho0)
+    want = integrator._trajectory(*integrator._oracle_propagators(seq), rho0)
+    assert got.frame == want.frame == "lab"
+    assert np.array_equal(got.times, want.times) and np.array_equal(got.coeffs, want.coeffs)
+
+
+@pytest.mark.parametrize("build", [lambda: compile_D(DEFAULT_PARAMS),
+                                   lambda: compile_cnot(DEFAULT_PARAMS), ramped_flip_sequence],
+                         ids=["D", "cnot", "ramped-flip"])
+def test_oracle_propagators_within_1e9_of_a_fine_pass(build):
+    # the stop rule's estimate holds as an operator bound: every
+    # extrapolated U(t_k) is within 1e-9, in the spectral norm, of a pass
+    # at 2560 substeps per period
+    seq = build()
+    bps, us = integrator._oracle_propagators(seq)
+    assert np.array_equal(bps, _breakpoints(seq))
+    assert np.linalg.norm(us - oracle_pass(seq, 2560), 2, axis=(1, 2)).max() <= 1e-9
+
+
+def test_oracle_stop_rule_takes_the_spectral_norm(monkeypatch):
+    # ||U_f - U_c||_2 bounds every state's trace distance, so the rule
+    # needs no stricter norm: on this benchmark pulse pair the passes at 20
+    # and 40 substeps per period differ by 0.55 of 63e-9 in the spectral
+    # norm, and by 1.03 of it in the Frobenius norm, which would take a
+    # third pass
+    passes = []
+    real = integrator._interval_products
+
+    def counting(*args):
+        passes.append(args[3])
+        return real(*args)
+
+    monkeypatch.setattr(integrator, "_interval_products", counting)
+    seq = PulseSequence(params=BENCH, segments=(
+        compile_one_qubit(BENCH, 1, "y", 1.4290925842890267, 0.0),
+        compile_one_qubit(BENCH, 2, "y", 0.39883989668835507, 0.0)))
+    integrator._oracle_propagators(seq)
+    assert len(passes) == 2
 
 
 def batch_steps(counts):
@@ -492,26 +547,27 @@ def batch_steps(counts):
 def test_oracle_batches_chunks_without_eigh(monkeypatch):
     # every exponential comes from the series, one per real substep of each
     # batch, none for the identity steps that pad its rectangle, in batches
-    # that span several intervals and stay within the batch cap
+    # that span several intervals and stay within the batch cap; the stop
+    # rule reads the operators, with no state's eigenvalues
     def no_eigh(*args, **kwargs):
-        raise AssertionError("the oracle called np.linalg.eigh")
+        raise AssertionError("the oracle called np.linalg.eigh or eigvalsh")
 
     passes = []
     real_pass, real_expm = integrator._interval_products, integrator._expm_skew
 
-    def spy_pass(seq, a, b, h_target, *scheme):
-        passes.append((_interval_steps(a, b, h_target)[0].tolist(), []))
-        return real_pass(seq, a, b, h_target, *scheme)
+    def spy_pass(seq, a, b, counts, *scheme):
+        passes.append((counts.tolist(), []))
+        return real_pass(seq, a, b, counts, *scheme)
 
     def spy_expm(re, im):
         passes[-1][1].append(re.size // 16)  # one 4x4 exponent per substep
         return real_expm(re, im)
 
     monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_eigh)
     monkeypatch.setattr(integrator, "_interval_products", spy_pass)
     monkeypatch.setattr(integrator, "_expm_skew", spy_expm)
-    seq = ramped_flip_sequence()
-    evolve_oracle(BENCH, seq, random_state(np.random.default_rng(17)))
+    integrator._oracle_propagators(ramped_flip_sequence())
     cap = integrator._BATCH_STEPS
     assert len(passes) >= 2
     for counts, batches in passes:
@@ -526,7 +582,8 @@ def plain_propagators(p, seq, policy):
     us = [np.eye(8)]
     bps = _breakpoints(seq)
     for a, b in zip(bps[:-1], bps[1:]):
-        n, h = _interval_steps(a, b, policy.step_target(p))
+        n = _interval_steps(a, b, policy.step_target(p))
+        h = (b - a) / n
         tg = a + 0.5 * h * np.arange(2 * n + 1)
         us.append(_time_ordered_product(_rk4_steps(_hamiltonians(seq, a, b, tg), h)) @ us[-1])
     return _complex_of(np.array(us))
@@ -704,7 +761,8 @@ def test_negating_one_qubit_conjugates_a_flat_interval(q, axes):
             if key[-1] != str(q) or key[4] in axes}
     flipped = {key: -v if key[-1] == str(q) else v for key, v in amps.items()}
     a, b = 3 * BENCH.t0_sync / 8, 4 * BENCH.t0_sync / 8
-    n, h = _interval_steps(a, b, BENCH_POLICY.step_target(BENCH))
+    n = _interval_steps(a, b, BENCH_POLICY.step_target(BENCH))
+    h = (b - a) / n
     tg = a + 0.5 * h * np.arange(2 * n + 1)
     us = []
     for signed in (amps, flipped):
@@ -1096,14 +1154,14 @@ def mixed_sequence(p):
     return PulseSequence(params=p, segments=segs, total_time=6.0 * s)
 
 
-def sampled_rows(a, b, tg, h_target, q):
-    """The rows of one H sampling at steps of at most h_target, each the
-    run of times one row of a rectangular batch samples: q = 2 for RK4's
-    half-step grid, 2w + 1 times for w padded steps, and q = 3 for the
-    oracle's three Gauss nodes a substep.  Per row: its interval's step
-    count, its first step and its padded steps w."""
-    n, h = _interval_steps(a, b, h_target)
-    u = (tg - a) / h  # in steps from the interval's start
+def sampled_rows(a, b, tg, n, q):
+    """The rows of one H sampling, whose times tg each lie in an interval
+    [a, b] of n steps; a row is the run of times one row of a rectangular
+    batch samples: q = 2 for RK4's half-step grid, 2w + 1 times for w
+    padded steps, and q = 3 for the oracle's three Gauss nodes a substep.
+    Per row: its interval's step count, its first step and its padded
+    steps w."""
+    u = (tg - a) / ((b - a) / n)  # in steps from the interval's start
     if q == 2:
         pos = np.rint(2.0 * u).astype(int)
     else:
@@ -1127,14 +1185,14 @@ def test_chunked_build_equals_plain_stepping(monkeypatch):
     p = device(3.9)
     seq = mixed_sequence(p)
     bps = _breakpoints(seq)
-    counts = [_interval_steps(a, b, BENCH_POLICY.step_target(p))[0]
-              for a, b in zip(bps[:-1], bps[1:])]
+    counts = _interval_steps(bps[:-1], bps[1:], BENCH_POLICY.step_target(p)).tolist()
     assert len(set(counts)) >= 4
     samplings = []
     real = integrator._hamiltonians
 
     def spy(seq, a, b, tg):
-        counts, _, _ = sampled_rows(a, b, tg, BENCH_POLICY.step_target(p), 2)
+        n = _interval_steps(a, b, BENCH_POLICY.step_target(p))
+        counts, _, _ = sampled_rows(a, b, tg, n, 2)
         samplings.append(set(counts.tolist()))
         return real(seq, a, b, tg)
 
@@ -1180,6 +1238,7 @@ def test_interval_products_equal_building_each_interval(intervals, start, chunk,
     h_target = BENCH_POLICY.step_target(BENCH)
     b = start + np.cumsum([(n - 1 + x) * h_target for n, x in intervals])
     a = np.append(start, b[:-1])[:b.size]
+    counts = np.array([n for n, _ in intervals], dtype=int)
     batches, chunks = [], []
     real_ham = integrator._hamiltonians
 
@@ -1187,20 +1246,20 @@ def test_interval_products_equal_building_each_interval(intervals, start, chunk,
         batches.append(hs.shape[0] * (hs.shape[1] // q))
         return steps(hs, h)
 
-    def spy_ham(seq, a, b, tg):
-        chunks.append(sampled_rows(a, b, tg, h_target, q)[2].sum())
-        return real_ham(seq, a, b, tg)
+    def spy_ham(seq, x, y, tg):
+        chunks.append(sampled_rows(x, y, tg, counts[np.searchsorted(a, x)], q)[2].sum())
+        return real_ham(seq, x, y, tg)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(integrator, "_CHUNK_STEPS", chunk)
         mp.setattr(integrator, "_hamiltonians", spy_ham)
-        got = integrator._interval_products(PIPELINE_SEQ, a, b, h_target, nodes, counted_steps)
+        got = integrator._interval_products(PIPELINE_SEQ, a, b, counts, nodes, counted_steps)
     assert got.shape == (a.size, 8, 8)
     assert a.size or not chunks
     assert all(n <= integrator._BATCH_STEPS for n in batches)
     assert all(n <= chunk for n in chunks) and sum(chunks) == sum(batches)
-    for x, y, u in zip(a, b, got):
-        n, h = _interval_steps(x, y, h_target)
+    for x, y, n, u in zip(a, b, counts, got):
+        h = (y - x) / n
         want = _time_ordered_product(steps(_hamiltonians(PIPELINE_SEQ, x, y, alone(x, n, h)), h))
         assert np.max(np.abs(u - want), initial=0.0) <= tol
 
@@ -1209,7 +1268,7 @@ def test_interval_products_equal_building_each_interval(intervals, start, chunk,
 # samples per step
 ROUTES = {
     "rk4": (lambda seq, policy: integrator._running_propagators(seq, policy, 1e-9), 2),
-    "oracle": (lambda seq, policy: oracle_pass(seq, policy.step_target(seq.params)), 3),
+    "oracle": (lambda seq, policy: oracle_pass(seq, policy.steps_per_period), 3),
 }
 
 
@@ -1236,7 +1295,8 @@ def test_drive_samples_bounded_by_chunk_cap(route, p, seq, policy, monkeypatch):
     size = integrator._BATCH_STEPS
 
     def spy(seq, a, b, tg):
-        counts, first, width = sampled_rows(a, b, tg, policy.step_target(p), q)
+        n = _interval_steps(a, b, policy.step_target(p))
+        counts, first, width = sampled_rows(a, b, tg, n, q)
         assert width.max() <= size and not (first % size).any()
         assert (first + width >= np.minimum(counts, first + size)).all()
         calls.append((width.sum(), np.unique(a).size, counts.max()))
@@ -1265,9 +1325,9 @@ def test_one_h_sampling_per_chunk(monkeypatch):
     passes = []  # per call, its total steps and its H samplings
     real_pass, real_ham = integrator._interval_products, integrator._hamiltonians
 
-    def spy_pass(seq, a, b, h_target, *scheme):
-        passes.append([int(_interval_steps(a, b, h_target)[0].sum()), 0])
-        return real_pass(seq, a, b, h_target, *scheme)
+    def spy_pass(seq, a, b, counts, *scheme):
+        passes.append([int(counts.sum()), 0])
+        return real_pass(seq, a, b, counts, *scheme)
 
     def spy_ham(*args):
         passes[-1][1] += 1
@@ -1398,7 +1458,7 @@ def test_oracle_doubles_intervals_shorter_than_a_substep(monkeypatch):
     monkeypatch.setattr(integrator, "_trajectory", spy)
     rho0 = random_state(np.random.default_rng(19))
     got = evolve_oracle(WIDE, seq, rho0)
-    ref = real(bps, oracle_pass(seq, period / 2560), rho0)
+    ref = real(bps, oracle_pass(seq, 2560), rho0)
     assert max(trace_distance(got.state(i), ref.state(i)) for i in range(bps.size)) <= 1e-9
     # U_f + (U_f - U_c)/63 is not exactly unitary; its defect is second
     # order in the passes' difference
@@ -1448,6 +1508,9 @@ PURE_00 = DensityState.computational("00")
     (lambda: DensityState(PURE_00.c * (1.0 + 3e-9)).validate(), "purity .* out of range"),
     (lambda: Trajectory(times=[0.0, 0.0], coeffs=np.zeros((2, 15))),
      "sample times must be strictly increasing"),
+    # np.diff of (n, 1) times runs along their length-1 axis, so it is empty
+    (lambda: Trajectory(times=[[1.0], [0.0]], coeffs=np.zeros((2, 15))),
+     "sample times must be strictly increasing along one axis"),
     (lambda: Trajectory(times=[0.0, 1.0], coeffs=np.zeros((2, 14))),
      r"coeffs shape must be \(n_samples, 15\)"),
     (lambda: Trajectory(times=[0.0], coeffs=np.zeros((1, 15)), frame="interaction"),
@@ -1463,8 +1526,8 @@ PURE_00 = DensityState.computational("00")
     (lambda: Trajectory(times=[0.0], coeffs=np.full((1, 15), -math.inf)),
      "sample times and coefficients must be finite"),
 ], ids=["matrix-shape", "matrix-trace", "matrix-hermitian", "basis-label", "negative-eigenvalue",
-        "purity-above-1", "times-not-increasing", "coeffs-shape", "frame-tag", "nan-time",
-        "inf-time", "nan-coeffs", "inf-coeffs"])
+        "purity-above-1", "times-not-increasing", "times-2d", "coeffs-shape", "frame-tag",
+        "nan-time", "inf-time", "nan-coeffs", "inf-coeffs"])
 def test_state_and_trajectory_rejections(build, message):
     with pytest.raises(ValueError, match=message):
         build()
@@ -1506,18 +1569,24 @@ def test_step_counts_beyond_int64_are_refused(monkeypatch):
 
 
 def test_step_totals_beyond_the_budget_are_refused(monkeypatch):
-    # a total that fits int64 but not memory is refused before any row is
-    # planned: fidelity on x90 at 2e16 steps per period would plan about
-    # 1e13 rows
-    budget = integrator._STEP_BUDGET
-    assert _interval_steps(0.0, np.ones(4), 4.0 / budget)[0].sum() == budget
-    with pytest.raises(ValueError, match=r"1\.34e\+09 steps exceed the budget of 1073741824"):
-        _interval_steps(0.0, np.ones(5), 4.0 / budget)
-    # end to end with the budget lowered, so that a regression plans no
-    # real one: every route refuses before it samples H
+    # a total that fits int64 but not memory is refused where the rows are
+    # planned, before any is: fidelity on x90 at 2e16 steps per period
+    # would plan about 1e13 rows.  The budget is lowered, so that a
+    # regression plans no real one, and sampling H fails the test
     monkeypatch.setattr(integrator, "_STEP_BUDGET", 10)
     monkeypatch.setattr(integrator, "_hamiltonians", mock.Mock(side_effect=AssertionError))
     seq = PulseSequence(params=BENCH, segments=(compile_one_qubit(BENCH, 1, "x", 1.1, 0.0),))
+
+    def plan(counts):
+        a = np.arange(len(counts), dtype=float)
+        return integrator._interval_products(seq, a, a + 1.0, np.array(counts),
+                                             integrator._half_steps, _rk4_steps)
+
+    with pytest.raises(AssertionError):  # at the budget, the rows are planned and H sampled
+        plan([4, 6])
+    with pytest.raises(ValueError, match="11 steps exceed the budget of 10 steps a call"):
+        plan([5, 6])
+    # end to end, every route refuses before it samples H
     for run in (lambda: propagator_of_sequence(BENCH, seq, BENCH_POLICY),
                 lambda: evolve(BENCH, seq, PURE_00, BENCH_POLICY),
                 lambda: evolve_oracle(BENCH, seq, PURE_00)):

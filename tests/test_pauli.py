@@ -15,7 +15,6 @@ from flicforq.pauli import (
     build_D,
     conjugate_pauli,
     equal_up_to_global_phase,
-    format_word,
     parse_word,
     pauli_multiply,
     word_unitary,
@@ -256,31 +255,29 @@ def test_pauli_rejections(call, message):
         call()
 
 
-def test_parse_format_roundtrip():
-    text = "X2^1/2 Y1^1/2 X1X2^1/2 Y1^-1/2 Z1^1/2"
-    w = parse_word(text)
-    assert w == build_cnot_word()
-    assert format_word(w) == text
+def test_parse_cnot_word():
+    assert parse_word("X2^1/2 Y1^1/2 X1X2^1/2 Y1^-1/2 Z1^1/2") == build_cnot_word()
 
 
-AXIS_TEXTS = [f + "1" for f in "XYZ"] + [f + "2" for f in "XYZ"] \
-    + [f1 + "1" + f2 + "2" for f1 in "XYZ" for f2 in "XYZ"]
-EXPONENT_TEXTS = st.one_of(
-    st.builds(lambda n, d: f"{n}/{d}", st.integers(-2000, 2000), st.integers(1, 2000)),
-    st.integers(-5, 5).map(str),
-    st.floats(-4.0, 4.0).map(repr),
+# each axis text with the unit-phase Pauli string it names
+AXES = {f + "1": PauliString(1, f, "I") for f in "XYZ"} \
+    | {f + "2": PauliString(1, "I", f) for f in "XYZ"} \
+    | {f1 + "1" + f2 + "2": PauliString(1, f1, f2) for f1 in "XYZ" for f2 in "XYZ"}
+# each exponent text with the float it names
+EXPONENTS = st.one_of(
+    st.builds(lambda n, d: (f"{n}/{d}", n / d), st.integers(-2000, 2000), st.integers(1, 2000)),
+    st.integers(-5, 5).map(lambda n: (str(n), float(n))),
+    st.floats(-4.0, 4.0).map(lambda x: (repr(x), x)),
 )
 
 
 @settings(max_examples=50)
-@given(tokens=st.lists(st.tuples(st.sampled_from(AXIS_TEXTS), EXPONENT_TEXTS), max_size=6))
-def test_parse_format_round_trip_property(tokens):
-    # reduced fractions of denominator <= 1000 print as fractions, every
-    # other exponent as its shortest repr; both parse back to the same float
-    w = parse_word(" ".join(f"{axis}^{expo}" for axis, expo in tokens))
-    text = format_word(w)
-    assert parse_word(text) == w
-    assert format_word(parse_word(text)) == text
+@given(tokens=st.lists(st.tuples(st.sampled_from(sorted(AXES)), EXPONENTS), max_size=6))
+def test_parse_word_property(tokens):
+    # fractions, integers and float reprs parse to the correctly rounded
+    # float they name, each on the axis its text names, in order
+    w = parse_word(" ".join(f"{axis}^{text}" for axis, (text, _) in tokens))
+    assert w == RotationWord(tuple((AXES[axis], value) for axis, (_, value) in tokens))
 
 
 def test_parse_rejects_bad_tokens():
