@@ -42,6 +42,7 @@ from .model import (
     PulseSequence,
     SystemParams,
     _fields,
+    _items,
     _require_finite,
     params_from_json,
     sequence_from_json,
@@ -231,7 +232,8 @@ def _sweep_point(task) -> tuple[float, str | None]:
 def cmd_sweep(args) -> int:
     points = _read("grid", args.grid, lambda text: [
         (point["delta"], point["wxx"])
-        for point in (_fields("grid points", pt, ("delta", "wxx")) for pt in json.loads(text))])
+        for point in (_fields("grid points", pt, ("delta", "wxx"))
+                      for pt in _items("grid points", json.loads(text)))])
     tasks = []
     for d, w in points:
         try:  # the model's rule for numbers: no bool, string, null or non-finite value

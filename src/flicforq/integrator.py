@@ -70,6 +70,17 @@ devices whose w0/delta is not an integer, and every oracle interval are
 built every time.  One tail records U rho0 U^dagger, divided by its
 trace, as the 15 real Pauli coefficients c_a of rho = (1 + sum_a c_a P_a)/4.
 
+Across calls, RK4 keeps each full interval it builds in one process-wide
+store, keyed by its record: the exact float64 bytes of (w1z, w2z, wxx, a, b,
+steps, ax1, ay1, ax2, ay2 at the midpoint).  Every H sample of a full
+interval is those amplitudes times the carriers, and its product has the
+bits of building it alone, so the record fixes its real form and a stored
+one changes no result.  The store is a ring of 2048 slots in one array
+(1 MB), the oldest overwritten first, and a dict from record to slot, behind
+one lock: a numpy buffer per entry fragmented glibc's heap, about 400 minor
+faults per oracle_verify op once it held a few hundred ops' entries,
+against under 1.
+
 The private layers read the device from ``seq.params`` only.
 """
 
@@ -77,6 +88,7 @@ from __future__ import annotations
 
 import math
 import sys
+import threading
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -271,7 +283,8 @@ def _breakpoints(seq: PulseSequence) -> np.ndarray:
     return np.asarray(dedup)
 
 
-# Most steps of one call's intervals in all.  There the row plan holds 2**21
+# Most steps one call builds in all, steps of stored intervals not counted
+# (_stored_products).  There the row plan holds 2**21
 # rows of 512 steps, 1.7 GB with the (interval, row) stack (1.6 bytes a step,
 # measured on the CNOT), and RK4 at 0.4 us a step (2-core Xeon) 7 minutes.
 _STEP_BUDGET = 2 ** 30
@@ -510,11 +523,12 @@ _QUBIT_SIGNS = [(abs(s).argmax(axis=1), np.outer(s.sum(1), s.sum(1)) * _CONJ_MAS
                 for s in _SIGN_FLIPS]
 
 
-def _window_origins(seq: PulseSequence, bps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per breakpoint interval, its origin and the group element
+def _window_origins(seq: PulseSequence, bps: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Per breakpoint interval, its origin, the group element
     g = f1 + 2 f2 + 4 f_m of the memo's relations (module docstring: f_q
     qubit q's sign, f_m the mirror) that takes the origin's propagator to
-    its own.
+    its own, whether it is a full flat grid interval, and its amplitudes at
+    the midpoint, one row each.
 
     A full flat grid interval (module docstring) at window w = k // 8 and
     position p = k mod 8 under amplitudes a gets a key in closed form.  The
@@ -550,8 +564,8 @@ def _window_origins(seq: PulseSequence, bps: np.ndarray) -> tuple[np.ndarray, np
             full &= (mid < seg.start) | (mid > seg.end) | ((a >= top_a) & (b <= top_b))
     # flat envelopes are 1, so sampling at the midpoints gives each
     # interval's constant amplitudes and flip signs
-    amps = np.stack(drive_amplitudes_at(seq, mid, mid), axis=1)
-    pos = k % 8
+    raw = np.stack(drive_amplitudes_at(seq, mid, mid), axis=1)
+    amps, pos = raw.copy(), k % 8
     amps[k // 8 % 2 == 1] *= -1.0
     amps[pos > 3] *= (-1.0, 1.0, -1.0, 1.0)  # M
     pairs = amps.reshape(-1, 2, 2)  # a view: per interval and qubit, (ax, ay)
@@ -569,14 +583,48 @@ def _window_origins(seq: PulseSequence, bps: np.ndarray) -> tuple[np.ndarray, np
             [2.0 * seg.flip_at for seg in seq.segments  # the flips that act
              if seg.flip_at is not None and seg.drives_qubit(seg.flip_qubit)]])
             - span) > _SYNC_RTOL * span):
-        return origin, g
+        return origin, g, full, raw
     # per driven channel, its qubit and whether the mirror negates its term
     bits = {(k // 2 + 1, k % 2 ^ m % 2 ^ (seg.flip_qubit == k // 2 + 1))
             for seg in seq.segments for k, amp in enumerate(seg.amplitudes) if amp != 0.0}
     if len({q for q, _ in bits}) == len(bits):  # each qubit's channels agree
         i = n // 2 + np.flatnonzero(~full[n // 2:])  # n is even: span/2 is a grid point
         origin[i], g[i] = origin[n - 1 - i], g[n - 1 - i] ^ 4 ^ sum(f << q - 1 for q, f in bits)
-    return origin, g
+    return origin, g, full, raw
+
+
+class _IntervalStore:
+    """Built full intervals' real forms (module docstring) in a ring of slots
+    of one array, the oldest overwritten first, and per record its slot."""
+
+    def __init__(self, capacity: int):
+        self.forms, self.keys, self.slots = np.empty((capacity, 8, 8)), [None] * capacity, {}
+        self.next, self.lock = 0, threading.Lock()  # keys: per slot, its record
+
+
+_STORE = _IntervalStore(2048)  # 1 MB
+
+
+def _stored_products(seq: PulseSequence, a, b, counts, full, amps) -> np.ndarray:
+    """RK4 _interval_products; a full interval is read from _STORE, or put there once built."""
+    p, store = seq.params, _STORE
+    device = np.array([p.w1z, p.w2z, p.wxx]).tobytes()
+    records = np.column_stack((a, b, counts, amps))
+    keys = [device + row.tobytes() if f else None for row, f in zip(records, full.tolist())]
+    with store.lock:
+        slots = np.array([store.slots.get(key, -1) for key in keys], dtype=int)
+        out = store.forms[np.maximum(slots, 0)]  # a copy; each miss is built below
+    miss = slots < 0
+    if miss.any():
+        out[miss] = _interval_products(seq, a[miss], b[miss], counts[miss],
+                                       _half_steps, _rk4_steps)
+    with store.lock:
+        for i in np.flatnonzero(full & miss).tolist():
+            if keys[i] not in store.slots:  # another thread may have stored it
+                slot, store.next = store.next, (store.next + 1) % len(store.keys)
+                store.slots.pop(store.keys[slot], None)
+                store.keys[slot], store.slots[keys[i]], store.forms[slot] = keys[i], slot, out[i]
+    return out
 
 
 def _unitarity_defect(u: np.ndarray) -> float:
@@ -590,19 +638,20 @@ def _running_propagators(seq: PulseSequence, policy: StepPolicy,
     """Breakpoints t_k and the RK4 propagators U(t_k) from time 0 to each.
 
     Only the intervals that are their own origin (_window_origins) are
-    built.  Every other interval's real form is its origin's under the
-    relations its group element sets (module docstring): each qubit's sign,
-    a permutation of rows and columns times signs, and the mirror, a
-    transpose times conj's mask.  Raises StepTooCoarse if the unitarity
+    built, the full ones unless stored (_stored_products).  Every other
+    interval's real form is its origin's under the relations its group
+    element sets (module docstring): each qubit's sign, a permutation of
+    rows and columns times signs, and the mirror, a transpose times conj's
+    mask.  Raises StepTooCoarse if the unitarity
     defect of any U(t_k), not only the final one (on the CNOT an earlier
     one is up to 1.3 times larger), exceeds max_defect or is not finite."""
     bps = _breakpoints(seq)
-    origin, g = _window_origins(seq, bps)
+    origin, g, full, amps = _window_origins(seq, bps)
     todo = np.flatnonzero(origin == np.arange(origin.size))  # the intervals to build
     a, b = bps[todo], bps[todo + 1]
     with np.errstate(over="ignore", invalid="ignore"):  # divergence is checked below
         counts = _interval_steps(a, b, policy.step_target(seq.params))
-        built = _interval_products(seq, a, b, counts, _half_steps, _rk4_steps)
+        built = _stored_products(seq, a, b, counts, full[todo], amps[todo])
         prods = built[np.searchsorted(todo, origin)]
         for q, (perm, signs) in enumerate(_QUBIT_SIGNS):
             f = (g >> q & 1) == 1
@@ -641,8 +690,9 @@ def evolve(
     uniform grid of spacing t0_sync/8.  The state at time t is U rho0
     U^dagger divided by its trace, U = U(t) the propagator, since RK4 is not
     exactly unitary.  Intervals that repeat up to the memo's relations are
-    stepped once per call (module docstring).  Deterministic: identical
-    inputs yield bit-identical trajectories.
+    stepped once per call, and a full grid interval that the store still
+    holds from an earlier call is read (module docstring).  Deterministic:
+    identical inputs yield bit-identical trajectories, whatever ran before.
     Raises ValueError if ``p`` is not ``seq.params``, and StepTooCoarse if
     the unitarity defect of any U(t) exceeds 1e-6 (_UNITARITY_BOUND), the
     bound ``gate_fidelity`` applies to any unitary it scores.
@@ -659,7 +709,7 @@ def propagator_of_sequence(
 ) -> np.ndarray:
     """Lab-frame unitary of the full sequence (RK4 on the Schrodinger
     equation for the propagator at ``policy``, default ``StepPolicy()``),
-    with repeating intervals stepped once per call as in ``evolve``.
+    with intervals reused within and across calls as in ``evolve``.
     Raises StepTooCoarse if its unitarity defect, or that of a running
     propagator on the way, exceeds 1e-9, and ValueError if ``p`` is not
     ``seq.params``."""

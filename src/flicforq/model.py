@@ -349,6 +349,14 @@ def _fields(what: str, d, keys: tuple) -> dict:
     return d
 
 
+def _items(what: str, x) -> list:
+    """x, a JSON list of ``what`` (a plural), whose entries _fields checks;
+    else ValueError saying what x is."""
+    if not isinstance(x, list):
+        raise ValueError(f"{what} must be JSON objects in a JSON list, got {x!r}")
+    return x
+
+
 def _segment_to_dict(seg: PulseSegment) -> dict:
     env: dict = {"kind": seg.envelope.kind}
     if seg.envelope.kind != "square":
@@ -425,9 +433,9 @@ def sequence_from_json(text: str) -> PulseSequence:
         raise ValueError(f"unsupported sequence schema {schema!r}; "
                          f"this version reads schemas 1 and {SCHEMA_VERSION}")
     params = _params_from_doc(doc)
-    segments = tuple(_segment_from_dict(d) for d in doc.get("segments", []))
+    segments = tuple(_segment_from_dict(d) for d in _items("segments", doc.get("segments", [])))
     entries = [_fields(f"schema-{schema} virtual_z entries", e, _LEDGER_KEYS[schema])
-               for e in doc.get("virtual_z", [])]
+               for e in _items("virtual_z entries", doc.get("virtual_z", []))]
     if schema == 1:
         for e in entries:
             _require_finite(t=e["t"])

@@ -374,7 +374,9 @@ def test_step_count_too_fine_exits_2(command, steps, tmp_path, capsys):
 @pytest.mark.parametrize("command", ["simulate", "fidelity"])
 def test_step_total_beyond_the_budget_exits_2(command, tmp_path, capsys, monkeypatch):
     # the integrator's step budget lowered, so that a regression plans no
-    # real one; the total is refused before H is sampled
+    # real one; the total is refused before H is sampled, from an empty
+    # interval store, as the budget counts only the steps a call builds
+    monkeypatch.setattr(integrator, "_STORE", integrator._IntervalStore(8))
     monkeypatch.setattr(integrator, "_STEP_BUDGET", 1000)
     monkeypatch.setattr(integrator, "_hamiltonians", mock.Mock(side_effect=AssertionError))
     _, seq_json, _ = run(capsys, "compile", "x90")
@@ -709,10 +711,14 @@ def test_sweep_uncoupled_point_is_nan_row(metric, tmp_path, capsys):
 
 
 def test_sweep_bad_grid_exits_2(tmp_path, capsys):
+    # a grid is a JSON list: an object, a single point among them, or a
+    # string is refused, not read as its keys or characters
     grid = tmp_path / "grid.json"
-    grid.write_text('{"not": "a list"}')
-    code, _, err = run(capsys, "sweep", str(grid), "--metric", "d_concurrence")
-    assert code == 2
+    for text in ('{"not": "a list"}', '{}', '{"delta": 0.1, "wxx": 0.01}', '"ab"'):
+        grid.write_text(text)
+        code, out, err = run(capsys, "sweep", str(grid), "--metric", "d_concurrence")
+        assert code == 2, text
+        assert "a JSON list" in err and out == "", text
 
 
 @pytest.mark.parametrize("point", [

@@ -4,7 +4,9 @@ import math
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from unittest import mock
 
@@ -64,6 +66,19 @@ from flicforq.model import (
 from lab_frame import hamiltonian_at
 
 QUICK = StepPolicy(steps_per_period=300)
+
+
+def fresh_store(capacity=len(integrator._STORE.keys)):
+    """A patch that gives the RK4 route an empty interval store."""
+    return mock.patch.object(integrator, "_STORE", integrator._IntervalStore(capacity))
+
+
+@pytest.fixture(autouse=True)
+def cold_store():
+    # each test starts from an empty store, so that a spy that counts built
+    # intervals or H samplings sees every build, whatever ran before
+    with fresh_store():
+        yield
 
 
 def random_state(rng):
@@ -908,7 +923,7 @@ def memo_forms(seq, plant):
         return multiply(prods)
 
     with mock.patch.object(integrator, "_interval_products", exact), \
-            mock.patch.object(integrator, "_running_products", capture):
+            mock.patch.object(integrator, "_running_products", capture), fresh_store():
         if plant:
             with pytest.raises(StepTooCoarse):
                 integrator._running_propagators(seq, BENCH_POLICY, 1e-9)
@@ -926,7 +941,7 @@ def test_window_memo_applies_its_relations(seq):
     # built form, each entry of a reused one is still + or - one entry of
     # its origin's, none of them nan, where the matmuls above would make
     # 0 inf a nan
-    origin, g = integrator._window_origins(seq, _breakpoints(seq))
+    origin, g, *_ = integrator._window_origins(seq, _breakpoints(seq))
     reused = np.flatnonzero(origin != np.arange(origin.size))
     forms, planted = memo_forms(seq, False), memo_forms(seq, True)
     for i in reused.tolist():
@@ -1120,6 +1135,179 @@ def test_every_bench_gate_layer_builds_one_window_half(monkeypatch):
     assert built == [4] * 256
 
 
+def cold_runs(cases):
+    """Per (seq, policy), its U(t_k), each built from an empty store."""
+    out = []
+    for seq, policy in cases:
+        with fresh_store():
+            out.append(integrator._running_propagators(seq, policy, 1e-9)[1])
+    return out
+
+
+def store_cases(which):
+    if which == "gate-layers":
+        return [(seq, BENCH_POLICY) for seq in bench_gate_layers(0.0)]
+    seqs = [seq for p in (DEFAULT_PARAMS, BENCH) for seq in (
+        compile_cnot(p), insert_decoupling(p, compile_cnot(p), 0), compile_D(p), compile_xx_half(p))]
+    return [(seq, policy) for policy in (StepPolicy(), BENCH_POLICY) for seq in seqs]
+
+
+@pytest.mark.parametrize("which", ["gate-layers", "gates"])
+def test_interval_store_is_transparent(which):
+    # a stored interval's real form has the bits of building it: every
+    # U(t_k) is that of a run from an empty store, with the store filled in
+    # order, warm, warm in reverse order, and with 3 slots, fewer than the
+    # 4 full intervals or more that each call builds, so a call evicts its
+    # own entries
+    cases = store_cases(which)
+    want = cold_runs(cases)
+    order = list(range(len(cases)))
+    with fresh_store():
+        for run in (order, order, order[::-1]):
+            for i in run:
+                assert np.array_equal(
+                    integrator._running_propagators(*cases[i], 1e-9)[1], want[i]), i
+        # the 256 gate layers have 1024 distinct full intervals, 4 each
+        assert len(integrator._STORE.slots) == (1024 if which == "gate-layers" else 112)
+    with fresh_store(3):
+        for i in order:
+            assert np.array_equal(integrator._running_propagators(*cases[i], 1e-9)[1], want[i]), i
+        assert len(integrator._STORE.slots) == 3
+
+
+def keyed_segment(**changes):
+    return replace(PulseSegment(start=0.0, duration=20.0, amp_x_1=0.03, amp_y_1=-0.02,
+                                amp_x_2=0.015, amp_y_2=0.025), **changes)
+
+
+# an interval record, (device, segment, a, b, steps), and per key field one
+# that differs from it in that field only
+KEYED = (BENCH, keyed_segment(), 1.0, 1.7, 40)
+KEY_FIELDS = {
+    "w1z": (replace(BENCH, w1z=1.2),) + KEYED[1:],
+    "w2z": (replace(BENCH, w2z=0.8),) + KEYED[1:],
+    "wxx": (replace(BENCH, wxx=0.03),) + KEYED[1:],
+    "a": KEYED[:2] + (1.05,) + KEYED[3:],
+    "b": KEYED[:3] + (1.75, 40),
+    "steps": KEYED[:4] + (41,),
+    **{name: (BENCH, keyed_segment(**{name: 0.01})) + KEYED[2:]
+       for name in ("amp_x_1", "amp_y_1", "amp_x_2", "amp_y_2")},
+}
+
+
+def stored(p, seg, a, b, n):
+    """One full interval's real form through the store."""
+    seq = PulseSequence(params=p, segments=(seg,))
+    amps = np.stack(drive_amplitudes_at(seq, 0.5 * (a + b), 0.5 * (a + b)))
+    return integrator._stored_products(seq, np.array([a]), np.array([b]), np.array([n]),
+                                       np.array([True]), amps[None])[0]
+
+
+@pytest.mark.parametrize("field", sorted(KEY_FIELDS))
+def test_interval_store_keys_every_field(field):
+    # an interval that differs from a stored one in one field of its record
+    # alone is built, not read, whichever the field: its form differs from
+    # the stored one's, and a warm store gives the bits of an empty one
+    first, other = stored(*KEYED), stored(*KEY_FIELDS[field])
+    with fresh_store():
+        stored(*KEYED)
+        assert np.array_equal(stored(*KEY_FIELDS[field]), other)
+        assert len(integrator._STORE.slots) == 2
+    assert not np.array_equal(first, other)
+
+
+def test_interval_store_keeps_devices_and_policies_apart():
+    # a device that differs only in wxx, on the same segments, and a policy
+    # with another step count share no entry
+    segs = gate_layer(BENCH).segments
+    cases = [(PulseSequence(params=p, segments=segs), policy)
+             for p in (BENCH, replace(BENCH, wxx=0.02))
+             for policy in (BENCH_POLICY, StepPolicy(801))]
+    want = cold_runs(cases)
+    with fresh_store():
+        for (seq, policy), u in zip(cases, want):
+            assert np.array_equal(integrator._running_propagators(seq, policy, 1e-9)[1], u)
+        assert len(integrator._STORE.slots) == 4 * len(cases)
+
+
+@pytest.mark.parametrize("rise", [0.1, 0.25, 0.37])
+def test_interval_store_shared_by_square_and_ramped_pulses(rise, monkeypatch):
+    # a square segment over the grid intervals of a ramp's flat top reads
+    # their forms where the ramp stored them, and the ramp reads the
+    # square's, each with the bits of a run from an empty store
+    s = BENCH.t0_sync / 8
+    pulse = compile_one_qubit(BENCH, 1, "x", math.pi / 4, 0.0)
+    ramp = replace(pulse, envelope=Envelope("raised-cosine-ramp", rise * pulse.duration))
+    k0, k1 = math.ceil(ramp.flat_top[0] / s), math.floor(ramp.flat_top[1] / s)
+    square = PulseSegment(start=k0 * s, duration=(k1 - k0) * s, amp_x_1=ramp.amp_x_1)
+    seqs = [PulseSequence(params=BENCH, segments=(seg,), total_time=ramp.end)
+            for seg in (ramp, square)]
+    cases = [(seq, BENCH_POLICY) for seq in seqs]
+    want = cold_runs(cases)
+    built = []
+    real = integrator._interval_products
+
+    def counting(seq, a, *args):
+        built[-1] += a.size
+        return real(seq, a, *args)
+
+    monkeypatch.setattr(integrator, "_interval_products", counting)
+
+    def builds(i):
+        built.append(0)
+        assert np.array_equal(integrator._running_propagators(seqs[i], BENCH_POLICY, 1e-9)[1],
+                              want[i])
+        return built[-1]
+
+    for first, second in ((0, 1), (1, 0)):
+        with fresh_store():
+            builds(first)
+            warm = builds(second)
+        with fresh_store():
+            assert warm < builds(second)
+
+
+class YieldingDict(dict):
+    """A dict that lets other threads run inside each lookup and update."""
+
+    def get(self, *args):
+        time.sleep(0)
+        return super().get(*args)
+
+    def pop(self, *args):
+        time.sleep(0)
+        return super().pop(*args)
+
+
+def test_interval_store_shared_by_threads():
+    # four threads, more than the cores, over overlapping gate layers, with
+    # 5 slots that they all evict, a short switch interval and a switch
+    # inside every lookup and eviction, give the serial results and leave
+    # each record's slot holding that record
+    cases = store_cases("gate-layers")[:48]
+    want = cold_runs(cases)
+
+    def work(indices):
+        return [(i, integrator._running_propagators(*cases[i], 1e-9)[1])
+                for _ in range(2) for i in indices]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with fresh_store(5), ThreadPoolExecutor(4) as pool:
+            store = integrator._STORE
+            store.slots = YieldingDict()
+            runs = [pool.submit(work, range(k, k + 24)) for k in (0, 8, 16, 24)]
+            results = [item for run in runs for item in run.result(timeout=120)]
+            assert len(store.slots) == 5
+            assert all(store.keys[slot] == key for key, slot in store.slots.items())
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(results) == 192
+    for i, u in results:
+        assert np.array_equal(u, want[i]), i
+
+
 @pytest.mark.parametrize("seq", [
     PulseSequence(params=BENCH, total_time=0.0),
     square_pair(device(3.9), 1),
@@ -1130,7 +1318,7 @@ def test_every_bench_gate_layer_builds_one_window_half(monkeypatch):
 def test_window_origins_with_empty_memo(seq):
     # with nothing to reuse every interval is its own origin under the
     # identity, in integer columns, also when there is no interval at all
-    origin, g = integrator._window_origins(seq, _breakpoints(seq))
+    origin, g, *_ = integrator._window_origins(seq, _breakpoints(seq))
     assert origin.dtype.kind == "i" and g.dtype.kind == "i"
     assert np.array_equal(origin, np.arange(origin.size))
     assert not g.any()

@@ -489,11 +489,17 @@ def test_json_roundtrip():
     assert doc["virtual_z"][0] == {"qubit": 1, "angle": math.pi / 2}
 
 
-@pytest.mark.parametrize("segments", [[1], {"a": 1}, [[0, 1]], "ab", [
-    {"start": 0.0, "duration": 1.0, "q1": {"x": 0.0, "y": 0.0}, "q2": {"x": 0.0, "y": 0.0},
-     "envelope": 1}]], ids=["number", "object", "list", "string", "envelope"])
-def test_json_non_object_segment_rejected(segments):
-    doc = {"w1z": 1.05, "w2z": 0.95, "wxx": 0.01, "segments": segments}
+@pytest.mark.parametrize("key, value", [
+    ("segments", [1]), ("segments", {"a": 1}), ("segments", [[0, 1]]), ("segments", "ab"),
+    ("segments", [{"start": 0.0, "duration": 1.0, "q1": {"x": 0.0, "y": 0.0},
+                   "q2": {"x": 0.0, "y": 0.0}, "envelope": 1}]),
+    ("segments", {}), ("segments", ""), ("virtual_z", ""), ("virtual_z", {})],
+    ids=["number", "object", "list", "string", "envelope", "empty-object", "empty-string",
+         "virtual-z-string", "virtual-z-object"])
+def test_json_non_object_segment_rejected(key, value):
+    # segments and virtual_z are JSON lists of objects: an empty object or
+    # string is not read as no entries
+    doc = {"w1z": 1.05, "w2z": 0.95, "wxx": 0.01, key: value}
     with pytest.raises(ValueError, match="must be JSON objects"):
         sequence_from_json(json.dumps(doc))
 
