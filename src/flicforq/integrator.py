@@ -38,8 +38,7 @@ a step:
 
 When w0/delta is an integer, both carriers flip sign over t0_sync =
 2 pi/delta (w1z t0_sync = 2 pi (w0/delta + 1/2), w2z with -1/2), and four
-relations hold, each exact for the RK4 product itself, so reuse moves a
-propagator by rounding only.  A full interval [k s, (k+1) s] of the
+relations hold for the RK4 product.  A full interval [k s, (k+1) s] of the
 s = t0_sync/8 grid over which every active segment is flat (square, or
 inside its ramp's flat top, where the envelope is 1) has window position
 p = k mod 8 and constant amplitudes a = (ax1, ay1, ax2, ay2).
@@ -47,39 +46,54 @@ Shift: a shift by t0_sync negates cos and sin, the same as negating a.
 Sign of qubit q = 1, 2: negating (ax_q, ay_q) gives H' = -S_q H S_q^T, with
 S_1 = X1 Y2 and S_2 = Y1 X2 taken as real signed permutations (iY = ZX),
 so U' = S_q conj(U) S_q^T: on negated samples the RK4 step is exactly
-conj(S), as Re S is even in the samples and Im S odd, and conjugating by a
-signed permutation only moves entries.  The two signs together are the
-Z1Z2 conjugation.  Mirror: t -> 2c - t, c = m t0_sync/2, sends cos(w_q t)
-to (-1)^m cos and sin to -(-1)^m sin; as S(B, M, A)^T = S(A, M, B) for the
-RK4 step of real symmetric samples, reversed time transposes the product.
-The window mirror (m = 1) maps position p under a to 7 - p under
-M a = (-ax1, ay1, -ax2, ay2).  The sequence mirror, where every segment
-and flip is centred on c = total_time/2, maps each interval of the second
-half to its partner in the first, ramps included, with qubit q's sign
-where its drive's term changes sign (on x for odd m, on y for even m, the
-other way round after a flip at c).  The RK4 route builds one interval per
-orbit of these relations, keyed by _window_origins, and takes every other
-interval's real form R from its origin's by the relations that tell the
-two apart.  On R, conj is the sign mask [[1, -1], [-1, 1]] of the 4x4
-blocks, so the mirror is R^T times that mask, and qubit q's sign takes
-R's rows and columns in diag(S_q, S_q)'s permutation, times its signs and
-the mask.  Both only move entries and flip signs, so an inf or a -0.0 is
-carried up to sign, where matmuls by S_q would turn 0 inf into nan; the
-result equals building every interval to rounding.  Any other interval,
-devices whose w0/delta is not an integer, and every oracle interval are
-built every time.  One tail records U rho0 U^dagger, divided by its
-trace, as the 15 real Pauli coefficients c_a of rho = (1 + sum_a c_a P_a)/4.
+conj(S), as Re S is even in the samples and Im S odd.  The two signs
+together are the Z1Z2 conjugation: negating all of a gives
+H' = Z1Z2 H Z1Z2 entry for entry.  Mirror: t -> 2c - t, c = m t0_sync/2,
+sends cos(w_q t) to (-1)^m cos and sin to -(-1)^m sin; as
+S(B, M, A)^T = S(A, M, B) for the RK4 step of real symmetric samples,
+reversed time transposes the product.  The window mirror (m = 1) maps
+position p under a to 7 - p under M a = (-ax1, ay1, -ax2, ay2).  The
+sequence mirror, where every segment and flip is centred on
+c = total_time/2, maps each interval of the second half to its partner in
+the first, ramps included, with qubit q's sign where its drive's term
+changes sign (on x for odd m, on y for even m, the other way round after
+a flip at c).  Measured against building each interval, only Z1Z2 is
+exact bit for bit: a diagonal +-1 conjugation gives every term of every
+sum in the step build and the products the same sign, so they round
+alike.  One qubit's sign permutes the samples, whose products then sum in
+another order, and the shift and the mirror sample other times: on random
+amplitudes of both devices they moved an interval by up to 3e-14 and
+1e-14.  So where a qubit is undriven, either sign of it fits, and the
+memo takes the one that makes Z1Z2.
+
+The RK4 route builds one interval per orbit of these relations, keyed by
+_window_origins, and takes every other interval's real form R from its
+origin's by the relations that tell the two apart.  On R, conj is the
+sign mask [[1, -1], [-1, 1]] of the 4x4 blocks, so the mirror is R^T
+times that mask, and qubit q's sign takes R's rows and columns in
+diag(S_q, S_q)'s permutation, times its signs and the mask.  Both only
+move entries and flip signs, so an inf or a -0.0 is carried up to sign,
+where matmuls by S_q would turn 0 inf into nan; the result equals
+building every interval to rounding.  Any other interval, devices whose
+w0/delta is not an integer, and every oracle interval are built every
+time.  One tail records U rho0 U^dagger, divided by its trace, as the 15
+real Pauli coefficients c_a of rho = (1 + sum_a c_a P_a)/4.
 
 Across calls, RK4 keeps each full interval it builds in one process-wide
 store, keyed by its record: the exact float64 bytes of (w1z, w2z, wxx, a, b,
-steps, ax1, ay1, ax2, ay2 at the midpoint).  Every H sample of a full
-interval is those amplitudes times the carriers, and its product has the
-bits of building it alone, so the record fixes its real form and a stored
-one changes no result.  The store is a ring of 2048 slots in one array
-(1 MB), the oldest overwritten first, and a dict from record to slot, behind
-one lock: a numpy buffer per entry fragmented glibc's heap, about 400 minor
-faults per oracle_verify op once it held a few hundred ops' entries,
-against under 1.
+steps, ax1, ay1, ax2, ay2 at the midpoint), the amplitudes times the sign
+that makes the first nonzero one positive, plus 0.0 so that no -0.0 is
+keyed.  Every H sample of a full interval is those amplitudes times the
+carriers, and its product has the bits of building it alone, so the record
+fixes its real form up to Z1Z2, which is exact: a record that was negated
+reads and stores its form times the Z1Z2 mask d_i d_j, d = diag(Z1Z2) in
+both blocks, and a stored one changes no result.  So a gate layer and its
+negated twin share one build, and one qubit's sign, the shift and the
+mirror, which are not exact, are left to the memo within a call.  The
+store is a ring of 2048 slots in one array (1 MB), the oldest overwritten
+first, and a dict from record to slot, behind one lock: a numpy buffer per
+entry fragmented glibc's heap, about 400 minor faults per oracle_verify op
+once it held a few hundred ops' entries, against under 1.
 
 The private layers read the device from ``seq.params`` only.
 """
@@ -521,6 +535,8 @@ _CONJ_MASK = np.kron([[1.0, -1.0], [-1.0, 1.0]], np.ones((4, 4)))
 _SIGN_FLIPS = [np.kron(np.eye(2), (1j * _BASIS[IDX[lab]]).real) for lab in ("XY", "YX")]
 _QUBIT_SIGNS = [(abs(s).argmax(axis=1), np.outer(s.sum(1), s.sum(1)) * _CONJ_MASK)
                 for s in _SIGN_FLIPS]
+# the Z1Z2 conjugation on real forms: entry (i, j) times d_i d_j, d = diag(Z1Z2) in both blocks
+_Z1Z2_MASK = np.kron(np.ones((2, 2)), np.outer(_Z_SIGNS.prod(1), _Z_SIGNS.prod(1)))
 
 
 def _window_origins(seq: PulseSequence, bps: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -537,16 +553,19 @@ def _window_origins(seq: PulseSequence, bps: np.ndarray) -> tuple[np.ndarray, ..
     set and the key takes 7 - p and M n.  Each qubit's sign folds into its
     pair (ax_q, ay_q) of M^f_m n: with lead_q the pair's first nonzero entry
     (0 if none), f_q is set and the key takes the pair negated where
-    lead_q < 0 (an undriven qubit's sign is a symmetry, and its bit stays
-    clear).  So intervals share a key exactly when one orbit holds them;
-    the first is the origin, and as the relations are commuting involutions
-    the element relative to it is an XOR.
+    lead_q < 0.  An undriven qubit's sign is a symmetry, so its bit follows
+    the other qubit's (both clear where neither is driven): the two signs
+    together are the exact Z1Z2, where one alone moves the interval by
+    up to 3e-14 (module docstring).  So intervals share a key exactly when
+    one orbit holds them; the first is the origin, and as the relations are
+    commuting involutions the element relative to it is an XOR.
 
     Sequence mirror: if an interval is not full and every breakpoint,
     segment and flip of a driven qubit is centred on total_time/2 =
     m t0_sync/2, each such i of the second half takes N - 1 - i's origin
     and element ^ 4 ^ sigma, bit q of sigma set where the mirror negates
-    qubit q's drive, unless a qubit's channels disagree (x and y, say)."""
+    qubit q's drive (a qubit no segment drives follows the other's),
+    unless a qubit's channels disagree (x and y, say)."""
     a, b = bps[:-1], bps[1:]
     # both carriers flip over t0_sync when w0/delta is an integer to rounding
     r = seq.params.w0 / seq.params.delta
@@ -569,7 +588,8 @@ def _window_origins(seq: PulseSequence, bps: np.ndarray) -> tuple[np.ndarray, ..
     amps[k // 8 % 2 == 1] *= -1.0
     amps[pos > 3] *= (-1.0, 1.0, -1.0, 1.0)  # M
     pairs = amps.reshape(-1, 2, 2)  # a view: per interval and qubit, (ax, ay)
-    flips = np.where(pairs[..., 0] != 0.0, pairs[..., 0], pairs[..., 1]) < 0.0
+    lead = np.where(pairs[..., 0] != 0.0, pairs[..., 0], pairs[..., 1])
+    flips = np.where(lead == 0.0, lead[:, ::-1], lead) < 0.0  # an idle qubit's follows
     pairs[flips] *= -1.0
     g = flips @ np.array([1, 2]) + 4 * (pos > 3)
     first: dict = {}
@@ -588,8 +608,10 @@ def _window_origins(seq: PulseSequence, bps: np.ndarray) -> tuple[np.ndarray, ..
     bits = {(k // 2 + 1, k % 2 ^ m % 2 ^ (seg.flip_qubit == k // 2 + 1))
             for seg in seq.segments for k, amp in enumerate(seg.amplitudes) if amp != 0.0}
     if len({q for q, _ in bits}) == len(bits):  # each qubit's channels agree
+        f = dict(bits)  # an idle qubit's bit follows the other's
+        sigma = f.get(1, f.get(2, 0)) + 2 * f.get(2, f.get(1, 0))
         i = n // 2 + np.flatnonzero(~full[n // 2:])  # n is even: span/2 is a grid point
-        origin[i], g[i] = origin[n - 1 - i], g[n - 1 - i] ^ 4 ^ sum(f << q - 1 for q, f in bits)
+        origin[i], g[i] = origin[n - 1 - i], g[n - 1 - i] ^ 4 ^ sigma
     return origin, g, full, raw
 
 
@@ -606,15 +628,22 @@ _STORE = _IntervalStore(2048)  # 1 MB
 
 
 def _stored_products(seq: PulseSequence, a, b, counts, full, amps) -> np.ndarray:
-    """RK4 _interval_products; a full interval is read from _STORE, or put there once built."""
+    """RK4 _interval_products; a full interval is read from _STORE, or put there once built.
+
+    A full interval is keyed by its record with the amplitudes folded to a
+    positive first nonzero one (module docstring); one that was negated
+    reads, and is stored as, its twin's real form times _Z1Z2_MASK."""
     p, store = seq.params, _STORE
     device = np.array([p.w1z, p.w2z, p.wxx]).tobytes()
-    records = np.column_stack((a, b, counts, amps))
+    # a negated record is its twin's under Z1Z2; + 0.0 turns -0.0 to +0.0
+    neg = amps[np.arange(len(amps)), (amps != 0.0).argmax(axis=1)] < 0.0
+    records = np.column_stack((a, b, counts, np.where(neg[:, None], -amps, amps) + 0.0))
     keys = [device + row.tobytes() if f else None for row, f in zip(records, full.tolist())]
     with store.lock:
         slots = np.array([store.slots.get(key, -1) for key in keys], dtype=int)
         out = store.forms[np.maximum(slots, 0)]  # a copy; each miss is built below
     miss = slots < 0
+    out[neg] *= _Z1Z2_MASK
     if miss.any():
         out[miss] = _interval_products(seq, a[miss], b[miss], counts[miss],
                                        _half_steps, _rk4_steps)
@@ -623,7 +652,8 @@ def _stored_products(seq: PulseSequence, a, b, counts, full, amps) -> np.ndarray
             if keys[i] not in store.slots:  # another thread may have stored it
                 slot, store.next = store.next, (store.next + 1) % len(store.keys)
                 store.slots.pop(store.keys[slot], None)
-                store.keys[slot], store.slots[keys[i]], store.forms[slot] = keys[i], slot, out[i]
+                store.keys[slot], store.slots[keys[i]] = keys[i], slot
+                store.forms[slot] = out[i] * _Z1Z2_MASK if neg[i] else out[i]
     return out
 
 
@@ -691,7 +721,9 @@ def evolve(
     U^dagger divided by its trace, U = U(t) the propagator, since RK4 is not
     exactly unitary.  Intervals that repeat up to the memo's relations are
     stepped once per call, and a full grid interval that the store still
-    holds from an earlier call is read (module docstring).  Deterministic:
+    holds from an earlier call, under its own amplitudes or all of them
+    negated (the exact Z1Z2 conjugation), is read (module docstring).
+    Deterministic:
     identical inputs yield bit-identical trajectories, whatever ran before.
     Raises ValueError if ``p`` is not ``seq.params``, and StepTooCoarse if
     the unitarity defect of any U(t) exceeds 1e-6 (_UNITARITY_BOUND), the

@@ -788,6 +788,34 @@ def test_negating_one_qubit_conjugates_a_flat_interval(q, axes):
     assert np.max(np.abs(us[1] - s @ us[0].conj() @ s.T)) <= 1e-14
 
 
+AMPLITUDE = st.one_of(st.just(0.0), st.floats(-0.3, 0.3, allow_nan=False))
+
+
+@settings(max_examples=30, derandomize=True)
+@given(p=st.sampled_from([BENCH, DEFAULT_PARAMS]),
+       policy=st.sampled_from([BENCH_POLICY, StepPolicy()]),
+       k=st.integers(0, 15), amps=st.tuples(*[AMPLITUDE] * 4))
+def test_negating_all_amplitudes_is_the_exact_z1z2_conjugation(p, policy, k, amps):
+    # negating all four amplitudes gives H' = Z1Z2 H Z1Z2 entry for entry,
+    # and conjugating by a diagonal +-1 matrix gives every term of every sum
+    # of the step build and the pairwise products the same sign: a full
+    # grid interval's product at -a is the Z1Z2 mask of its product at a
+    # bit for bit, which lets the interval store keep one form for both
+    s = p.t0_sync / 8
+    a, b = np.array([k * s]), np.array([(k + 1) * s])
+    counts = _interval_steps(a, b, policy.step_target(p))
+    forms = []
+    for sign in (1.0, -1.0):
+        drive = {name: sign * x * p.delta
+                 for name, x in zip(("amp_x_1", "amp_y_1", "amp_x_2", "amp_y_2"), amps)}
+        seq = PulseSequence(params=p, segments=(PulseSegment(start=0.0, duration=16 * s, **drive),))
+        forms.append(integrator._interval_products(seq, a, b, counts, integrator._half_steps,
+                                                   integrator._rk4_steps))
+    if any(amps):  # with no drive the store keys no sign, and zero entries' signs differ
+        assert forms[1].tobytes() == (forms[0] * integrator._Z1Z2_MASK).tobytes()
+    assert np.array_equal(forms[1], forms[0] * integrator._Z1Z2_MASK)
+
+
 @st.composite
 def sync_grid_sequences(draw):
     """1-3 segments on the t0_sync/8 grid of a device whose w0/delta is an
@@ -859,8 +887,22 @@ def centred_sequences(draw):
     return PulseSequence(params=p, segments=tuple(segs), total_time=2 * centre * s)
 
 
+def idle_qubit_ramp():
+    """A ramped x pulse on qubit 2 alone, over 22 of the 32 grid steps of a
+    w0/delta = 3 device, centred on 2 t0_sync.  With qubit 1's sign bit
+    left clear, the memo took qubit 2's sign S_2 (exact to rounding only) for
+    its ramps' partners and flat top and read 1.08e-13 from plain stepping;
+    with the bit following qubit 2's, the exact Z1Z2, 7.9e-14."""
+    p = device(3)
+    s = p.t0_sync / 8
+    return PulseSequence(params=p, total_time=32 * s, segments=(PulseSegment(
+        start=5 * s, duration=22 * s, amp_x_2=0.05 * p.delta,
+        envelope=Envelope("raised-cosine-ramp", 1.5 * s)),))
+
+
 @settings(max_examples=40, derandomize=True)
 @given(seq=centred_sequences())
+@example(seq=idle_qubit_ramp())
 def test_sequence_mirror_matches_plain_stepping(seq):
     # every running propagator, where a ramp interval of the second half
     # is its partner's in the first under the sequence mirror: a transpose
@@ -1002,9 +1044,11 @@ def orbit_table_origins(seq, bps):
     for i in np.flatnonzero(full).tolist():
         pos, n = int(k[i]) % 8, tuple(amps[i].tolist())
         if (pos, n) not in seen:
-            # setdefault keeps the first, the least g: where qubit q is not
-            # driven, the images with and without f_q coincide
-            for g in range(8):
+            # setdefault keeps the first: where qubit q is not driven, the
+            # images with and without f_q coincide, and the one kept has f_q
+            # equal to the other qubit's bit (both clear where neither is
+            # driven), so the two signs together are Z1Z2, which is exact
+            for g in sorted(range(8), key=lambda g: ((g ^ g >> 1) & 1, g)):
                 signs = (-1.0 if g & 1 else 1.0,) * 2 + (-1.0 if g & 2 else 1.0,) * 2
                 if g & 4:
                     signs = tuple(s * m for s, m in zip(signs, (-1.0, 1.0, -1.0, 1.0)))
@@ -1026,13 +1070,14 @@ def orbit_table_origins(seq, bps):
     t = (a[:, None] + (b - a)[:, None] * np.array([0.1, 0.3, 0.5, 0.7, 0.9])).ravel()
     fwd, rev = (np.array(drive_amplitudes_at(seq, x, x)).reshape(2, 2, -1) for x in (t, span - t))
     carrier = (-1.0) ** m * np.array([[1.0], [-1.0]])
-    sigma = 0
-    for q in (0, 1):
-        signs = [sign for sign in (1.0, -1.0)
-                 if np.allclose(rev[q], sign * carrier * fwd[q], rtol=0.0, atol=1e-12)]
-        if not signs:
-            return origin, element
-        sigma |= (signs[0] < 0) << q
+    signs = [[sign for sign in (1.0, -1.0)
+              if np.allclose(rev[q], sign * carrier * fwd[q], rtol=0.0, atol=1e-12)]
+             for q in (0, 1)]
+    if not all(signs):
+        return origin, element
+    # a qubit that both signs fit is not driven: its bit follows the other's
+    bit = [None if len(s) == 2 else s[0] < 0 for s in signs]
+    sigma = sum(bool(bit[q] if bit[q] is not None else bit[1 - q]) << q for q in (0, 1))
     for i in range(n):
         if 2 * i > n - 1 and not full[i]:
             origin[i], element[i] = origin[n - 1 - i], element[n - 1 - i] ^ 4 ^ sigma
@@ -1130,7 +1175,8 @@ def test_every_bench_gate_layer_builds_one_window_half(monkeypatch):
     monkeypatch.setattr(integrator, "_interval_products", counting)
     for seq in bench_gate_layers(0.0):
         built.append(0)
-        propagator_of_sequence(BENCH, seq, BENCH_POLICY)
+        with fresh_store():  # the in-call memo alone, not a negated twin's record
+            propagator_of_sequence(BENCH, seq, BENCH_POLICY)
         assert _breakpoints(seq).size - 1 == 16
     assert built == [4] * 256
 
@@ -1167,12 +1213,38 @@ def test_interval_store_is_transparent(which):
             for i in run:
                 assert np.array_equal(
                     integrator._running_propagators(*cases[i], 1e-9)[1], want[i]), i
-        # the 256 gate layers have 1024 distinct full intervals, 4 each
-        assert len(integrator._STORE.slots) == (1024 if which == "gate-layers" else 112)
+        # the 256 gate layers build 4 full intervals each, a negated twin's
+        # 4 with the same records: 512
+        assert len(integrator._STORE.slots) == (512 if which == "gate-layers" else 112)
     with fresh_store(3):
         for i in order:
             assert np.array_equal(integrator._running_propagators(*cases[i], 1e-9)[1], want[i]), i
         assert len(integrator._STORE.slots) == 3
+
+
+def test_interval_store_shares_negated_gate_layers(monkeypatch):
+    # a layer's negated twin (x or y by -k1 pi/8 and -k2 pi/8; turn index
+    # j of 8 goes to 7 - j, so layer i's twin is i ^ 0b1110111) reads its
+    # twin's records under Z1Z2: in one store the 256 layers build 512
+    # intervals, a layer run right after its twin builds none, and every
+    # U(t_k) has the bits of its run from an empty store
+    cases = store_cases("gate-layers")
+    want = cold_runs(cases)
+    built = []
+    real = integrator._interval_products
+
+    def counting(seq, a, *args):
+        built[-1] += a.size
+        return real(seq, a, *args)
+
+    monkeypatch.setattr(integrator, "_interval_products", counting)
+    with fresh_store():
+        for i in (j for i in range(256) if i < i ^ 0b1110111 for j in (i, i ^ 0b1110111)):
+            built.append(0)
+            us = integrator._running_propagators(*cases[i], 1e-9)[1]
+            assert us.tobytes() == want[i].tobytes(), i
+        assert len(integrator._STORE.slots) == 512
+    assert built == [4, 0] * 128
 
 
 def keyed_segment(**changes):
@@ -1214,6 +1286,21 @@ def test_interval_store_keys_every_field(field):
         assert np.array_equal(stored(*KEY_FIELDS[field]), other)
         assert len(integrator._STORE.slots) == 2
     assert not np.array_equal(first, other)
+
+
+@pytest.mark.parametrize("amp_y_2", [0.0, 0.025], ids=["qubit-1", "x1-y2"])
+def test_interval_store_folds_signed_zeros(amp_y_2):
+    # a record's undriven channels are +0.0, so its negated twin's fold
+    # carries -0.0 there, (k, -0.0, -0.0, -0.0) for (x, -k) on qubit 1
+    # alone: as raw bytes not the key of (k, 0, 0, 0), so the fold adds 0.0.
+    # The twin reads the one slot, with the bits of building it
+    twin = keyed_segment(amp_y_1=0.0, amp_x_2=0.0, amp_y_2=-amp_y_2)
+    other = replace(twin, amp_x_1=-twin.amp_x_1, amp_y_2=amp_y_2)
+    want = stored(BENCH, other, 1.0, 1.7, 40)
+    with fresh_store():
+        stored(BENCH, twin, 1.0, 1.7, 40)
+        assert stored(BENCH, other, 1.0, 1.7, 40).tobytes() == want.tobytes()
+        assert len(integrator._STORE.slots) == 1
 
 
 def test_interval_store_keeps_devices_and_policies_apart():
