@@ -80,20 +80,18 @@ time.  One tail records U rho0 U^dagger, divided by its trace, as the 15
 real Pauli coefficients c_a of rho = (1 + sum_a c_a P_a)/4.
 
 Across calls, RK4 keeps each full interval it builds in one process-wide
-store, keyed by its record: the exact float64 bytes of (w1z, w2z, wxx, a, b,
-steps, ax1, ay1, ax2, ay2 at the midpoint), the amplitudes times the sign
-that makes the first nonzero one positive, plus 0.0 so that no -0.0 is
-keyed.  Every H sample of a full interval is those amplitudes times the
-carriers, and its product has the bits of building it alone, so the record
-fixes its real form up to Z1Z2, which is exact: a record that was negated
-reads and stores its form times the Z1Z2 mask d_i d_j, d = diag(Z1Z2) in
-both blocks, and a stored one changes no result.  So a gate layer and its
-negated twin share one build, and one qubit's sign, the shift and the
-mirror, which are not exact, are left to the memo within a call.  The
-store is a ring of 2048 slots in one array (1 MB), the oldest overwritten
-first, and a dict from record to slot, behind one lock: a numpy buffer per
-entry fragmented glibc's heap, about 400 minor faults per oracle_verify op
-once it held a few hundred ops' entries, against under 1.
+store, keyed in the memo's terms by the float64 bytes of (w1z, w2z, wxx,
+a, b, steps, its folded amplitudes plus 0.0, so that no -0.0 is keyed,
+and whether its element sets exactly one qubit's sign).  A full
+interval's H samples are its amplitudes times the carriers, so only an
+interval and its Z1Z2 twin, all amplitudes negated, share a key.  A slot
+keeps its builder's sign bits, and a reader whose bits are the other two
+takes its orbit's elements ^ 3: a gate layer and its negated twin share
+one build, bit for bit, while the inexact relations stay within a call.
+The store is a ring of 2048 slots in one array (1 MB), the oldest
+overwritten first, and a dict from record to slot, behind one lock: a
+numpy buffer per entry fragmented glibc's heap, about 400 minor faults per
+oracle_verify op once it held a few hundred ops' entries, against under 1.
 
 The private layers read the device from ``seq.params`` only.
 """
@@ -277,8 +275,12 @@ def _breakpoints(seq: PulseSequence) -> np.ndarray:
     """Segment edges, ramp ends, flips and a uniform grid of spacing
     t0_sync/8.  A ramp ends at the ends of its segment's flat_top; there the
     raised cosine's second derivative jumps, which would lower either
-    scheme's order inside an interval."""
-    spacing = seq.params.t0_sync / 8.0
+    scheme's order inside an interval.  Each interval is a row of steps at
+    least, so more grid intervals than _STEP_BUDGET's rows are refused from
+    total_time alone, before the grid is built."""
+    spacing, cap = seq.params.t0_sync / 8.0, _STEP_BUDGET // _BATCH_STEPS
+    if (n := math.floor(seq.total_time / spacing + 1e-9)) > cap:
+        raise ValueError(f"{n:.3g} grid intervals exceed the {cap} rows of {_STEP_BUDGET} steps")
     pts = {0.0, seq.total_time}
     for seg in seq.segments:
         pts.add(seg.start)
@@ -287,7 +289,6 @@ def _breakpoints(seq: PulseSequence) -> np.ndarray:
             pts.update(seg.flat_top)
         if seg.flip_at is not None:
             pts.add(seg.flip_at)
-    n = int(math.floor(seq.total_time / spacing + 1e-9))
     pts.update(k * spacing for k in range(n + 1))
     out = sorted(t for t in pts if 0.0 <= t <= seq.total_time + 1e-12)
     dedup = [out[0]]
@@ -297,10 +298,10 @@ def _breakpoints(seq: PulseSequence) -> np.ndarray:
     return np.asarray(dedup)
 
 
-# Most steps one call builds in all, steps of stored intervals not counted
-# (_stored_products).  There the row plan holds 2**21
-# rows of 512 steps, 1.7 GB with the (interval, row) stack (1.6 bytes a step,
-# measured on the CNOT), and RK4 at 0.4 us a step (2-core Xeon) 7 minutes.
+# Most steps one call builds in all, stored ones not counted (_stored_products);
+# its 2**21 rows of 512 steps also cap the grid (_breakpoints).  They take
+# 1.7 GB with the (interval, row) stack (1.6 bytes a step, measured on the
+# CNOT), and RK4 at 0.4 us a step (2-core Xeon) 7 minutes.
 _STEP_BUDGET = 2 ** 30
 
 
@@ -535,16 +536,14 @@ _CONJ_MASK = np.kron([[1.0, -1.0], [-1.0, 1.0]], np.ones((4, 4)))
 _SIGN_FLIPS = [np.kron(np.eye(2), (1j * _BASIS[IDX[lab]]).real) for lab in ("XY", "YX")]
 _QUBIT_SIGNS = [(abs(s).argmax(axis=1), np.outer(s.sum(1), s.sum(1)) * _CONJ_MASK)
                 for s in _SIGN_FLIPS]
-# the Z1Z2 conjugation on real forms: entry (i, j) times d_i d_j, d = diag(Z1Z2) in both blocks
-_Z1Z2_MASK = np.kron(np.ones((2, 2)), np.outer(_Z_SIGNS.prod(1), _Z_SIGNS.prod(1)))
 
 
 def _window_origins(seq: PulseSequence, bps: np.ndarray) -> tuple[np.ndarray, ...]:
     """Per breakpoint interval, its origin, the group element
     g = f1 + 2 f2 + 4 f_m of the memo's relations (module docstring: f_q
     qubit q's sign, f_m the mirror) that takes the origin's propagator to
-    its own, whether it is a full flat grid interval, and its amplitudes at
-    the midpoint, one row each.
+    its own, whether it is a full flat grid interval, its key's amplitudes
+    and its element relative to the key, one row each.
 
     A full flat grid interval (module docstring) at window w = k // 8 and
     position p = k mod 8 under amplitudes a gets a key in closed form.  The
@@ -583,19 +582,18 @@ def _window_origins(seq: PulseSequence, bps: np.ndarray) -> tuple[np.ndarray, ..
             full &= (mid < seg.start) | (mid > seg.end) | ((a >= top_a) & (b <= top_b))
     # flat envelopes are 1, so sampling at the midpoints gives each
     # interval's constant amplitudes and flip signs
-    raw = np.stack(drive_amplitudes_at(seq, mid, mid), axis=1)
-    amps, pos = raw.copy(), k % 8
+    amps, pos = np.stack(drive_amplitudes_at(seq, mid, mid), axis=1), k % 8
     amps[k // 8 % 2 == 1] *= -1.0
     amps[pos > 3] *= (-1.0, 1.0, -1.0, 1.0)  # M
     pairs = amps.reshape(-1, 2, 2)  # a view: per interval and qubit, (ax, ay)
     lead = np.where(pairs[..., 0] != 0.0, pairs[..., 0], pairs[..., 1])
     flips = np.where(lead == 0.0, lead[:, ::-1], lead) < 0.0  # an idle qubit's follows
     pairs[flips] *= -1.0
-    g = flips @ np.array([1, 2]) + 4 * (pos > 3)
+    element = flips @ np.array([1, 2]) + 4 * (pos > 3)
     first: dict = {}
     keys = enumerate(zip(full.tolist(), np.minimum(pos, 7 - pos).tolist(), amps.tolist()))
     origin = np.array([first.setdefault((p, *n), i) if f else i for i, (f, p, n) in keys], int)
-    g ^= g[origin]
+    g = element ^ element[origin]
     span, n, t0 = seq.total_time, a.size, seq.params.t0_sync
     m = round(span / t0)  # the sequence mirror's centre span/2 is m t0/2
     if full.all() or not periodic or m < 1 or np.any(abs(np.concatenate([
@@ -603,7 +601,7 @@ def _window_origins(seq: PulseSequence, bps: np.ndarray) -> tuple[np.ndarray, ..
             [2.0 * seg.flip_at for seg in seq.segments  # the flips that act
              if seg.flip_at is not None and seg.drives_qubit(seg.flip_qubit)]])
             - span) > _SYNC_RTOL * span):
-        return origin, g, full, raw
+        return origin, g, full, amps, element
     # per driven channel, its qubit and whether the mirror negates its term
     bits = {(k // 2 + 1, k % 2 ^ m % 2 ^ (seg.flip_qubit == k // 2 + 1))
             for seg in seq.segments for k, amp in enumerate(seg.amplitudes) if amp != 0.0}
@@ -612,38 +610,34 @@ def _window_origins(seq: PulseSequence, bps: np.ndarray) -> tuple[np.ndarray, ..
         sigma = f.get(1, f.get(2, 0)) + 2 * f.get(2, f.get(1, 0))
         i = n // 2 + np.flatnonzero(~full[n // 2:])  # n is even: span/2 is a grid point
         origin[i], g[i] = origin[n - 1 - i], g[n - 1 - i] ^ 4 ^ sigma
-    return origin, g, full, raw
+    return origin, g, full, amps, element
 
 
 class _IntervalStore:
-    """Built full intervals' real forms (module docstring) in a ring of slots
-    of one array, the oldest overwritten first, and per record its slot."""
+    """Built full intervals' real forms and sign bits (module docstring) in a
+    ring of slots, the oldest overwritten first, and per record its slot."""
 
     def __init__(self, capacity: int):
         self.forms, self.keys, self.slots = np.empty((capacity, 8, 8)), [None] * capacity, {}
-        self.next, self.lock = 0, threading.Lock()  # keys: per slot, its record
+        self.signs, self.next, self.lock = np.zeros(capacity, int), 0, threading.Lock()
 
 
 _STORE = _IntervalStore(2048)  # 1 MB
 
 
-def _stored_products(seq: PulseSequence, a, b, counts, full, amps) -> np.ndarray:
-    """RK4 _interval_products; a full interval is read from _STORE, or put there once built.
-
-    A full interval is keyed by its record with the amplitudes folded to a
-    positive first nonzero one (module docstring); one that was negated
-    reads, and is stored as, its twin's real form times _Z1Z2_MASK."""
-    p, store = seq.params, _STORE
+def _stored_products(seq: PulseSequence, a, b, counts, full, amps, elements) -> tuple:
+    """RK4 _interval_products, a full interval read from _STORE or put there
+    once built, keyed by _window_origins' amplitudes and elements (module
+    docstring), and per interval the element, 0 or 3 (Z1Z2), to its own."""
+    p, store, signs = seq.params, _STORE, elements & 3
     device = np.array([p.w1z, p.w2z, p.wxx]).tobytes()
-    # a negated record is its twin's under Z1Z2; + 0.0 turns -0.0 to +0.0
-    neg = amps[np.arange(len(amps)), (amps != 0.0).argmax(axis=1)] < 0.0
-    records = np.column_stack((a, b, counts, np.where(neg[:, None], -amps, amps) + 0.0))
+    # + 0.0 turns -0.0 to +0.0; signs 1 and 2 set exactly one qubit's sign
+    records = np.column_stack((a, b, counts, amps + 0.0, signs % 3 > 0))
     keys = [device + row.tobytes() if f else None for row, f in zip(records, full.tolist())]
     with store.lock:
         slots = np.array([store.slots.get(key, -1) for key in keys], dtype=int)
-        out = store.forms[np.maximum(slots, 0)]  # a copy; each miss is built below
+        out, z = store.forms[slots], (signs ^ store.signs[slots]) * (slots >= 0)  # copies
     miss = slots < 0
-    out[neg] *= _Z1Z2_MASK
     if miss.any():
         out[miss] = _interval_products(seq, a[miss], b[miss], counts[miss],
                                        _half_steps, _rk4_steps)
@@ -653,8 +647,8 @@ def _stored_products(seq: PulseSequence, a, b, counts, full, amps) -> np.ndarray
                 slot, store.next = store.next, (store.next + 1) % len(store.keys)
                 store.slots.pop(store.keys[slot], None)
                 store.keys[slot], store.slots[keys[i]] = keys[i], slot
-                store.forms[slot] = out[i] * _Z1Z2_MASK if neg[i] else out[i]
-    return out
+                store.forms[slot], store.signs[slot] = out[i], signs[i]
+    return out, z
 
 
 def _unitarity_defect(u: np.ndarray) -> float:
@@ -672,17 +666,19 @@ def _running_propagators(seq: PulseSequence, policy: StepPolicy,
     interval's real form is its origin's under the relations its group
     element sets (module docstring): each qubit's sign, a permutation of
     rows and columns times signs, and the mirror, a transpose times conj's
-    mask.  Raises StepTooCoarse if the unitarity
-    defect of any U(t_k), not only the final one (on the CNOT an earlier
-    one is up to 1.3 times larger), exceeds max_defect or is not finite."""
+    mask; an origin read from its Z1Z2 twin's slot adds both qubits' signs.
+    Raises StepTooCoarse if the unitarity defect of any U(t_k), not only the
+    final one (on the CNOT an earlier one is up to 1.3 times larger),
+    exceeds max_defect or is not finite."""
     bps = _breakpoints(seq)
-    origin, g, full, amps = _window_origins(seq, bps)
+    origin, g, full, amps, elements = _window_origins(seq, bps)
     todo = np.flatnonzero(origin == np.arange(origin.size))  # the intervals to build
     a, b = bps[todo], bps[todo + 1]
     with np.errstate(over="ignore", invalid="ignore"):  # divergence is checked below
         counts = _interval_steps(a, b, policy.step_target(seq.params))
-        built = _stored_products(seq, a, b, counts, full[todo], amps[todo])
-        prods = built[np.searchsorted(todo, origin)]
+        built, z = _stored_products(seq, a, b, counts, full[todo], amps[todo], elements[todo])
+        member = np.searchsorted(todo, origin)
+        prods, g = built[member], g ^ z[member]
         for q, (perm, signs) in enumerate(_QUBIT_SIGNS):
             f = (g >> q & 1) == 1
             prods[f] = prods[f][:, perm[:, None], perm] * signs
@@ -720,11 +716,10 @@ def evolve(
     uniform grid of spacing t0_sync/8.  The state at time t is U rho0
     U^dagger divided by its trace, U = U(t) the propagator, since RK4 is not
     exactly unitary.  Intervals that repeat up to the memo's relations are
-    stepped once per call, and a full grid interval that the store still
-    holds from an earlier call, under its own amplitudes or all of them
-    negated (the exact Z1Z2 conjugation), is read (module docstring).
-    Deterministic:
-    identical inputs yield bit-identical trajectories, whatever ran before.
+    stepped once per call, and a full grid interval that the store holds
+    from an earlier call, or its Z1Z2 twin (all amplitudes negated), is
+    read (module docstring).  Deterministic: identical inputs yield
+    bit-identical trajectories, whatever ran before.
     Raises ValueError if ``p`` is not ``seq.params``, and StepTooCoarse if
     the unitarity defect of any U(t) exceeds 1e-6 (_UNITARITY_BOUND), the
     bound ``gate_fidelity`` applies to any unitary it scores.

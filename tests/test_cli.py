@@ -375,9 +375,11 @@ def test_step_count_too_fine_exits_2(command, steps, tmp_path, capsys):
 def test_step_total_beyond_the_budget_exits_2(command, tmp_path, capsys, monkeypatch):
     # the integrator's step budget lowered, so that a regression plans no
     # real one; the total is refused before H is sampled, from an empty
-    # interval store, as the budget counts only the steps a call builds
+    # interval store, as the budget counts only the steps a call builds.
+    # The budget's rows, 16, cap the grid, and the x90 spans 16 grid
+    # intervals, of which the memo builds 4 of 2100 steps
     monkeypatch.setattr(integrator, "_STORE", integrator._IntervalStore(8))
-    monkeypatch.setattr(integrator, "_STEP_BUDGET", 1000)
+    monkeypatch.setattr(integrator, "_STEP_BUDGET", 16 * integrator._BATCH_STEPS)
     monkeypatch.setattr(integrator, "_hamiltonians", mock.Mock(side_effect=AssertionError))
     _, seq_json, _ = run(capsys, "compile", "x90")
     seq_file = tmp_path / "x90.json"
@@ -388,8 +390,29 @@ def test_step_total_beyond_the_budget_exits_2(command, tmp_path, capsys, monkeyp
     assert code == 2
     assert out == ""
     assert err.startswith("error: --steps-per-period 1600: ")
-    assert "steps exceed the budget of 1000 steps a call" in err
+    assert "8.4e+03 steps exceed the budget of 8192 steps a call" in err
     assert not (tmp_path / "t.csv").exists()
+
+
+def test_grid_beyond_the_cap_exits_2_or_is_nan_row(tmp_path, capsys, monkeypatch):
+    # the paper device's CNOT spans 208 grid intervals, more than the rows
+    # of a step budget lowered to 64 rows: simulate exits 2 and sweep writes
+    # a nan row and exits 4, refused before the grid is built
+    monkeypatch.setattr(integrator, "_STEP_BUDGET", 64 * integrator._BATCH_STEPS)
+    monkeypatch.setattr(integrator, "_window_origins", mock.Mock(side_effect=AssertionError))
+    message = "208 grid intervals exceed the 64 rows of 32768 steps"
+    _, seq_json, _ = run(capsys, "compile", "cnot")
+    seq_file = tmp_path / "cnot.json"
+    seq_file.write_text(seq_json)
+    code, out, err = run(capsys, "simulate", str(seq_file), "--out", str(tmp_path / "t.csv"))
+    assert (code, out) == (2, "")
+    assert message in err
+    assert not (tmp_path / "t.csv").exists()
+    grid = tmp_path / "grid.json"
+    grid.write_text('[{"delta": 0.1, "wxx": 0.01}]')
+    code, out, err = run(capsys, "sweep", str(grid), "--metric", "cnot_error", "--jobs", "1")
+    assert (code, out) == (4, "delta,wxx,metric\n0.1,0.01,nan\n")
+    assert message in err
 
 
 def test_sweep_step_count_beyond_int64_is_nan_row(tmp_path, capsys):
@@ -698,6 +721,26 @@ def test_sweep_failed_points_same_in_pool(tmp_path, capsys):
             assert err.count("failed") == 2
             csvs.append(out_file.read_bytes())
         assert csvs[0] == csvs[1] == b"delta,wxx,metric\n0.1,0.01,nan\n0.25,0.025,nan\n", steps
+
+
+def test_sweep_csv_same_in_process_and_pool(tmp_path, capsys, monkeypatch):
+    # a grid that repeats a device: in process the repeat reads the
+    # interval store, in a pool it may run in a worker that has not seen
+    # it; each run from an empty store, the CSVs are byte-identical
+    grid = tmp_path / "grid.json"
+    grid.write_text('[{"delta": 0.1, "wxx": 0.01}, {"delta": 0.25, "wxx": 0.025}, '
+                    '{"delta": 0.1, "wxx": 0.01}]')
+    csvs = []
+    for jobs in ("2", "1"):
+        monkeypatch.setattr(integrator, "_STORE", integrator._IntervalStore(2048))
+        out_file = tmp_path / f"sweep-{jobs}.csv"
+        code, _, err = run(capsys, "sweep", str(grid), "--metric", "cnot_error",
+                           "--jobs", jobs, "--out", str(out_file))
+        assert (code, err) == (0, "")
+        csvs.append(out_file.read_bytes())
+    assert csvs[0] == csvs[1]
+    rows = csvs[0].decode().splitlines()
+    assert len(rows) == 4 and rows[1] == rows[3]
 
 
 @pytest.mark.parametrize("metric", ["cnot_error", "d_concurrence"])

@@ -789,6 +789,8 @@ def test_negating_one_qubit_conjugates_a_flat_interval(q, axes):
 
 
 AMPLITUDE = st.one_of(st.just(0.0), st.floats(-0.3, 0.3, allow_nan=False))
+# the Z1Z2 conjugation on real forms: entry (i, j) times d_i d_j, d = diag(Z1Z2) in both blocks
+Z1Z2_MASK = np.kron(np.ones((2, 2)), np.outer(*[integrator._Z_SIGNS.prod(1)] * 2))
 
 
 @settings(max_examples=30, derandomize=True)
@@ -812,8 +814,8 @@ def test_negating_all_amplitudes_is_the_exact_z1z2_conjugation(p, policy, k, amp
         forms.append(integrator._interval_products(seq, a, b, counts, integrator._half_steps,
                                                    integrator._rk4_steps))
     if any(amps):  # with no drive the store keys no sign, and zero entries' signs differ
-        assert forms[1].tobytes() == (forms[0] * integrator._Z1Z2_MASK).tobytes()
-    assert np.array_equal(forms[1], forms[0] * integrator._Z1Z2_MASK)
+        assert forms[1].tobytes() == (forms[0] * Z1Z2_MASK).tobytes()
+    assert np.array_equal(forms[1], forms[0] * Z1Z2_MASK)
 
 
 @st.composite
@@ -943,13 +945,14 @@ def test_window_memo_matches_plain_stepping(seq):
     assert np.max(np.abs(us - plain_propagators(seq.params, seq, BENCH_POLICY))) <= 1e-13
 
 
-def memo_forms(seq, plant):
-    """The real forms _running_propagators multiplies, one per breakpoint
-    interval, at BENCH_POLICY.  Each built one is first made the real form
-    of its first block column, as the two copies of a block in a product
-    of real forms round apart; where plant is set, it then gets an inf at
-    (0, 1), a -inf at (2, 5) and a -0.0 at (6, 3), and the run must fail
-    the unitarity gate."""
+def memo_forms(seqs, plant):
+    """Per sequence of seqs, run in turn through one empty store, the real
+    forms _running_propagators multiplies, one per breakpoint interval, at
+    BENCH_POLICY.  Each built one is first made the real form of its first
+    block column, as the two copies of a block in a product of real forms
+    round apart; where plant is set, it then gets an inf at (0, 1), a -inf
+    at (2, 5) and a -0.0 at (6, 3), and each run must fail the unitarity
+    gate."""
     got = []
     build, multiply = integrator._interval_products, integrator._running_products
 
@@ -966,12 +969,13 @@ def memo_forms(seq, plant):
 
     with mock.patch.object(integrator, "_interval_products", exact), \
             mock.patch.object(integrator, "_running_products", capture), fresh_store():
-        if plant:
-            with pytest.raises(StepTooCoarse):
+        for seq in seqs:
+            if plant:
+                with pytest.raises(StepTooCoarse):
+                    integrator._running_propagators(seq, BENCH_POLICY, 1e-9)
+            else:
                 integrator._running_propagators(seq, BENCH_POLICY, 1e-9)
-        else:
-            integrator._running_propagators(seq, BENCH_POLICY, 1e-9)
-    return got[0]
+    return got
 
 
 @settings(max_examples=25, derandomize=True)
@@ -985,7 +989,7 @@ def test_window_memo_applies_its_relations(seq):
     # 0 inf a nan
     origin, g, *_ = integrator._window_origins(seq, _breakpoints(seq))
     reused = np.flatnonzero(origin != np.arange(origin.size))
-    forms, planted = memo_forms(seq, False), memo_forms(seq, True)
+    (forms,), (planted,) = memo_forms([seq], False), memo_forms([seq], True)
     for i in reused.tolist():
         u = _complex_of(forms[origin[i]])
         for q in (1, 2):
@@ -997,6 +1001,30 @@ def test_window_memo_applies_its_relations(seq):
         assert not np.isnan(planted[i]).any()
         assert np.array_equal(np.sort(np.abs(planted[i]), axis=None),
                               np.sort(np.abs(planted[origin[i]]), axis=None))
+
+
+def negated(seq):
+    """seq's Z1Z2 twin: every nonzero drive amplitude negated."""
+    names = ("amp_x_1", "amp_y_1", "amp_x_2", "amp_y_2")
+    return replace(seq, segments=tuple(
+        replace(seg, **{name: -getattr(seg, name) for name in names if getattr(seg, name)})
+        for seg in seq.segments))
+
+
+@settings(max_examples=25, derandomize=True)
+@given(seq=sync_grid_sequences())
+def test_window_memo_applies_z1z2_from_a_twins_slot(seq):
+    # run right after its Z1Z2 twin, a sequence reads each full origin from
+    # the slot the twin built, whose sign bits are the other two, and XORs
+    # element 3 into its orbit's.  Every full interval's form is then the
+    # twin's times the Z1Z2 mask where it is driven, and the twin's where it
+    # is not, bit for bit, also with an inf and a -0.0 planted in every
+    # built form: element 3 only moves entries and flips signs
+    _, _, full, amps, _ = integrator._window_origins(seq, _breakpoints(seq))
+    mask = np.where(amps[full].any(axis=1)[:, None, None], Z1Z2_MASK, 1.0)
+    for plant in (False, True):
+        theirs, ours = memo_forms([negated(seq), seq], plant)
+        assert ours[full].tobytes() == (theirs[full] * mask).tobytes()
 
 
 @settings(max_examples=50)
@@ -1253,7 +1281,9 @@ def keyed_segment(**changes):
 
 
 # an interval record, (device, segment, a, b, steps), and per key field one
-# that differs from it in that field only
+# that differs from it in that field only: each device frequency, a, b, the
+# step count, each of the memo's folded amplitudes, and the sign bit, here
+# qubit 1's pair negated, which the memo folds to the same amplitudes
 KEYED = (BENCH, keyed_segment(), 1.0, 1.7, 40)
 KEY_FIELDS = {
     "w1z": (replace(BENCH, w1z=1.2),) + KEYED[1:],
@@ -1264,15 +1294,19 @@ KEY_FIELDS = {
     "steps": KEYED[:4] + (41,),
     **{name: (BENCH, keyed_segment(**{name: 0.01})) + KEYED[2:]
        for name in ("amp_x_1", "amp_y_1", "amp_x_2", "amp_y_2")},
+    "one-sign": (BENCH, keyed_segment(amp_x_1=-0.03, amp_y_1=0.02)) + KEYED[2:],
 }
 
 
 def stored(p, seg, a, b, n):
-    """One full interval's real form through the store."""
+    """One full interval's real form through the store, under the element it
+    is read with (the Z1Z2 mask for 3); its folded amplitudes and element
+    are the memo's for [a, b], a grid interval's at window position 0."""
     seq = PulseSequence(params=p, segments=(seg,))
-    amps = np.stack(drive_amplitudes_at(seq, 0.5 * (a + b), 0.5 * (a + b)))
-    return integrator._stored_products(seq, np.array([a]), np.array([b]), np.array([n]),
-                                       np.array([True]), amps[None])[0]
+    _, _, _, amps, elements = integrator._window_origins(seq, np.array([a, b]))
+    form, z = integrator._stored_products(seq, np.array([a]), np.array([b]), np.array([n]),
+                                          np.array([True]), amps, elements)
+    return form[0] * Z1Z2_MASK if z[0] else form[0]
 
 
 @pytest.mark.parametrize("field", sorted(KEY_FIELDS))
@@ -1290,10 +1324,12 @@ def test_interval_store_keys_every_field(field):
 
 @pytest.mark.parametrize("amp_y_2", [0.0, 0.025], ids=["qubit-1", "x1-y2"])
 def test_interval_store_folds_signed_zeros(amp_y_2):
-    # a record's undriven channels are +0.0, so its negated twin's fold
-    # carries -0.0 there, (k, -0.0, -0.0, -0.0) for (x, -k) on qubit 1
-    # alone: as raw bytes not the key of (k, 0, 0, 0), so the fold adds 0.0.
-    # The twin reads the one slot, with the bits of building it
+    # the memo's fold negates a pair's undriven channel to -0.0: (x, k) on
+    # qubit 1 folds to (k, 0, 0, 0) and its twin (x, -k) to
+    # (k, -0.0, -0.0, -0.0), an idle qubit 2 following qubit 1's sign, and
+    # with y on qubit 2 one -0.0 sits on each side.  As raw bytes these are
+    # not one key, so the store adds 0.0.  The twin reads the one slot under
+    # element 3, with the bits of building it
     twin = keyed_segment(amp_y_1=0.0, amp_x_2=0.0, amp_y_2=-amp_y_2)
     other = replace(twin, amp_x_1=-twin.amp_x_1, amp_y_2=amp_y_2)
     want = stored(BENCH, other, 1.0, 1.7, 40)
@@ -1301,6 +1337,22 @@ def test_interval_store_folds_signed_zeros(amp_y_2):
         stored(BENCH, twin, 1.0, 1.7, 40)
         assert stored(BENCH, other, 1.0, 1.7, 40).tobytes() == want.tobytes()
         assert len(integrator._STORE.slots) == 1
+
+
+def test_interval_store_keeps_one_qubits_sign_apart():
+    # x by pi/8 on qubit 1 and y by pi/4 on qubit 2, then the layer with x
+    # by -pi/8: the memo folds both layers' intervals to the same amplitudes,
+    # but one qubit's sign is exact only to rounding, so the records differ
+    # in the sign bit and share no slot, and each run keeps the bits of its
+    # run from an empty store
+    cases = [(PulseSequence(params=BENCH, segments=(
+        compile_one_qubit(BENCH, 1, "x", k1 * math.pi / 8, 0.0),
+        compile_one_qubit(BENCH, 2, "y", math.pi / 4, 0.0))), BENCH_POLICY) for k1 in (1, -1)]
+    want = cold_runs(cases)
+    with fresh_store():
+        for case, u in zip(cases, want):
+            assert integrator._running_propagators(*case, 1e-9)[1].tobytes() == u.tobytes()
+        assert len(integrator._STORE.slots) == 8
 
 
 def test_interval_store_keeps_devices_and_policies_apart():
@@ -1861,12 +1913,36 @@ def test_step_totals_beyond_the_budget_are_refused(monkeypatch):
         plan([4, 6])
     with pytest.raises(ValueError, match="11 steps exceed the budget of 10 steps a call"):
         plan([5, 6])
-    # end to end, every route refuses before it samples H
-    for run in (lambda: propagator_of_sequence(BENCH, seq, BENCH_POLICY),
-                lambda: evolve(BENCH, seq, PURE_00, BENCH_POLICY),
-                lambda: evolve_oracle(BENCH, seq, PURE_00)):
-        with pytest.raises(ValueError, match=r"steps exceed the budget of 10 steps a call"):
-            run()
+    # end to end, every route refuses before it samples H: the x90's grid
+    # at the grid cap (no row fits 10 steps), and a pulse shorter than one
+    # grid interval, which the cap admits, at the step budget
+    short = PulseSequence(params=BENCH, segments=(PulseSegment(start=0.0, duration=3.0,
+                                                               amp_x_1=0.01),))
+    for s, message in ((seq, "16 grid intervals exceed the 0 rows of 10 steps"),
+                       (short, "steps exceed the budget of 10 steps a call")):
+        for run in (lambda: propagator_of_sequence(BENCH, s, BENCH_POLICY),
+                    lambda: evolve(BENCH, s, PURE_00, BENCH_POLICY),
+                    lambda: evolve_oracle(BENCH, s, PURE_00)):
+            with pytest.raises(ValueError, match=message):
+                run()
+
+
+def test_grids_beyond_the_cap_are_refused_before_they_are_built(monkeypatch):
+    # each grid interval is one row of steps at least, so a sequence whose
+    # t0_sync/8 grid has more intervals than the step budget has rows, here
+    # 64, is refused from total_time alone on every route: no breakpoints
+    # are handed on, so neither the memo nor the interval build is reached
+    monkeypatch.setattr(integrator, "_STEP_BUDGET", 64 * integrator._BATCH_STEPS)
+    monkeypatch.setattr(integrator, "_window_origins", mock.Mock(side_effect=AssertionError))
+    monkeypatch.setattr(integrator, "_interval_products", mock.Mock(side_effect=AssertionError))
+    s, message = BENCH.t0_sync / 8, "65 grid intervals exceed the 64 rows of 32768 steps"
+    for run in (lambda seq: propagator_of_sequence(BENCH, seq, BENCH_POLICY),
+                lambda seq: evolve(BENCH, seq, PURE_00, BENCH_POLICY),
+                lambda seq: evolve_oracle(BENCH, seq, PURE_00)):
+        with pytest.raises(ValueError, match=message):
+            run(PulseSequence(params=BENCH, total_time=65 * s))
+        with pytest.raises(AssertionError):  # at the cap, the grid is handed on
+            run(PulseSequence(params=BENCH, total_time=64 * s))
 
 
 def test_oracle_zero_duration():
