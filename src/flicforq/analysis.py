@@ -1,14 +1,14 @@
 """Metrics: reduced Bloch vectors, concurrence, gate fidelities, sideband
 resonance arithmetic, and the one-qubit error budget.
 
-Gate fidelities are computed up to local z phases (which are free in an
-architecture with virtual z bookkeeping) and a global phase.  With
-M = conj(U_ideal) * U_sim elementwise, the trace Tr(U_ideal^dag Zl U_sim Zr)
-is the sum of the 16 entries of M, each turned by a fixed +-1 combination
-of the four half-phases.  Its modulus is maximized from the 8 best points
-of a pi/4 grid, ranked with the first phase set in closed form, one start
-per row of a phase array; full Newton steps on all four phases are the
-only update.
+Gate fidelities are computed up to local z phases (free with virtual z
+bookkeeping) and a global phase.  With M = conj(U_ideal) * U_sim
+elementwise, Tr(U_ideal^dag Zl U_sim Zr) is the sum of the aligned entries
+E, each entry of M turned by a fixed +-1 combination of the four
+half-phases.  Its modulus is maximized from the 8 best points of a pi/4
+grid, ranked with the first phase set in closed form, by full Newton steps
+on all four phases.  The process fidelity |sum E|^2/16 and each basis
+state's, the squared column sum of E, are read off E at the maximum.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from .integrator import (
     _running_propagators,
     _trajectory,
     _unitarity_defect,
-    _z_phases,
     compose_virtual_z,
     to_rotating_frame,
 )
@@ -96,8 +95,9 @@ class FidelityReport:
 # qubit 1 (f1, t1) or qubit 2 (f2, t2) is |0> in the row i (left phases) or
 # in the column j (right phases), - where it is |1>.
 _SIGNS = np.hstack([np.repeat(_Z_SIGNS, 4, axis=0), np.tile(_Z_SIGNS, (4, 1))])
-# S_k S_l per entry, so that sum_m E_m S_mk S_ml = (E @ _SIGN_PAIRS)[4k + l]
-_SIGN_PAIRS = (_SIGNS[:, :, np.newaxis] * _SIGNS[:, np.newaxis, :]).reshape(16, 16)
+# [S | S (x) S], so that sum_m E_m S_mk = (E @ _SIGN_SUMS)[k] and
+# sum_m E_m S_mk S_ml = (E @ _SIGN_SUMS)[4 + 4k + l]
+_SIGN_SUMS = np.hstack([_SIGNS, np.einsum("mk,ml->mkl", _SIGNS, _SIGNS).reshape(16, 16)])
 # the entries where the sign of f1 is + (first column) and - (second)
 _F1_HALVES = (_SIGNS[:, :1] == np.array([1.0, -1.0])).astype(complex)
 # the pi/4 grid in (f2, t1, t2) with f1 = 0, and its per-entry phase factors
@@ -108,21 +108,16 @@ _MAX_ITER = 50
 _SHIFT_FLOOR = 1e-12  # shift of the Newton matrix, whose entries reach ~16
 _DECREMENT_TOL = 1e-13  # a row has converged when its Newton decrement is below
 _RISE_TOL = 1e-15  # this and its last step raised f by less than this
-_EYE4 = np.eye(4)
 
 
-def _shifted_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve (a_r + 1e-12 I) x_r = b_r for each row r, a_r = -Hessian."""
-    return np.linalg.solve(a + _SHIFT_FLOOR * _EYE4, b[..., np.newaxis])[..., 0]
+def _align_phases(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The z phases that maximize f = |Tr(Ui^dag Zl(f1,f2) Us Zr(t1,t2))|^2/16,
+    and the aligned entries E at them, 4x4 like m = conj(Ui) * Us.
 
-
-def _align_phases(u_ideal: np.ndarray, u_sim: np.ndarray) -> tuple[np.ndarray, float]:
-    """Maximize f = |Tr(Ui^dag Zl(f1,f2) Us Zr(t1,t2))|^2/16 over the z phases.
-
-    With M = conj(Ui) * Us elementwise, flattened, and a row th of phases
-    (f1, f2, t1, t2), the trace is E.sum() for E = M * exp(i/2 th S^T),
-    S the fixed 16x4 sign matrix _SIGNS.  Its gradient in th is
-    (i/2) E S and its Hessian -(1/4) E (S (x) S); those of f follow.
+    With M = m flattened and a row th of phases (f1, f2, t1, t2), the trace
+    is E.sum() for E = M * exp(i/2 th S^T), S the fixed 16x4 sign matrix
+    _SIGNS, so f = |E.sum()|^2/16.  Its gradient in th is (i/2) E S and its
+    Hessian -(1/4) E (S (x) S); one product E @ [S | S (x) S] gives both.
 
     The starts are ranked on the pi/4 grid in (f2, t1, t2).  Along f1 the
     trace is A e^{i f1/2} + B e^{-i f1/2}, A and B the sums of E (at
@@ -130,14 +125,14 @@ def _align_phases(u_ideal: np.ndarray, u_sim: np.ndarray) -> tuple[np.ndarray, f
     largest modulus is |A| + |B|, at f1 = arg(B) - arg(A).  The 8 grid
     points with the largest |A| + |B| (ties in grid order) become the rows,
     each with that f1.  Every iteration takes one full Newton step on all
-    four phases (_shifted_solve) where it does not lower f.  A row stops
-    once a step would lower f, once its Newton decrement is below 1e-13 and
-    its last step raised f by less than 1e-15, or after 50 iterations.  The
-    first best row wins.  Its phases are returned wrapped into (-pi, pi]:
-    a shift by 2 pi flips the sign of one z matrix, which changes the trace
-    by a global phase only.
+    four phases, solved with the Newton matrix shifted by 1e-12, where it
+    does not lower f.  A row stops once a step would lower f, once its
+    Newton decrement is below 1e-13 and its last step raised f by less
+    than 1e-15, or after 50 iterations.  The first best row wins.  Its
+    phases are returned wrapped into (-pi, pi]: a shift by 2 pi flips the
+    sign of one z matrix, which changes the trace by a global phase only.
     """
-    m = (u_ideal.conj() * u_sim).ravel()
+    m = m.ravel()
     grid = m * _GRID_FACTORS
     halves = grid @ _F1_HALVES
     top = np.argsort(-np.abs(halves).sum(1), kind="stable")[:_N_STARTS]
@@ -150,27 +145,26 @@ def _align_phases(u_ideal: np.ndarray, u_sim: np.ndarray) -> tuple[np.ndarray, f
     for _ in range(_MAX_ITER):
         # 32 times the gradient of f and minus its Hessian; the factor
         # cancels in the Newton step
-        trace = e.sum(1)
-        es = e @ _SIGNS
-        grad = -2.0 * (trace.conj()[:, np.newaxis] * es).imag
-        neg_hess = ((trace.conj()[:, np.newaxis] * (e @ _SIGN_PAIRS)).real.reshape(-1, 4, 4)
+        conj_trace = e.sum(1).conj()[:, np.newaxis]
+        sums = e @ _SIGN_SUMS
+        es = sums[:, :4]
+        grad = -2.0 * (conj_trace * es).imag
+        neg_hess = ((conj_trace * sums[:, 4:]).real.reshape(-1, 4, 4)
                     - (es.conj()[:, :, np.newaxis] * es[:, np.newaxis, :]).real)
-        delta = _shifted_solve(neg_hess, grad)
+        delta = np.linalg.solve(neg_hess + _SHIFT_FLOOR * np.eye(4), grad[..., np.newaxis])[..., 0]
         decrement = np.einsum("rk,rk->r", grad, delta) / 32.0
         ph_trial = ph + delta
         e_trial = m * np.exp(0.5j * (ph_trial @ _SIGNS.T))
         f_trial = np.abs(e_trial.sum(1)) ** 2 / 16.0
         take = active & (f_trial >= f)
         converged = (decrement < _DECREMENT_TOL) & (f_trial - f < _RISE_TOL)
-        ph = np.where(take[:, np.newaxis], ph_trial, ph)
-        e = np.where(take[:, np.newaxis], e_trial, e)
-        f = np.where(take, f_trial, f)
+        ph[take], e[take], f[take] = ph_trial[take], e_trial[take], f_trial[take]
         active = take & ~converged
         if not active.any():
             break
     best = int(np.argmax(f))
     wrapped = np.pi - np.mod(np.pi - ph[best], 2.0 * np.pi)  # in [-pi, pi]
-    return np.where(wrapped <= -np.pi, np.pi, wrapped), float(f[best])
+    return np.where(wrapped <= -np.pi, np.pi, wrapped), e[best].reshape(4, 4)
 
 
 def gate_fidelity(
@@ -178,20 +172,18 @@ def gate_fidelity(
 ) -> FidelityReport:
     """Process and per-basis-state fidelity of a simulated unitary against
     the ideal rotation word, quotienting global phase and (optionally)
-    local z phases on both sides."""
+    local z phases on both sides.  Both are read off the aligned entries
+    E = conj(U_ideal) * Zl U_sim Zr (E = conj(U_ideal) * U_sim unaligned):
+    the process fidelity is |sum E|^2/16 and basis state b's is
+    |<U_ideal e_b, Zl U_sim Zr e_b>|^2, the squared column sum b of E."""
     u_sim = np.asarray(u_sim, dtype=complex)
     defect = _unitarity_defect(u_sim)
     if not defect <= _UNITARITY_BOUND:  # also rejects nan
         raise NotUnitary(f"unitarity defect {defect:.3e} exceeds 1e-6")
-    u_ideal = word_unitary(word)
-    if align_local_z:
-        ph, process = _align_phases(u_ideal, u_sim)
-    else:
-        ph = np.zeros(4)
-        process = abs(np.trace(u_ideal.conj().T @ u_sim)) ** 2 / 16.0
-    # per basis state b, |<U_ideal e_b, Zl U_sim Zr e_b>|^2, Zl and Zr as scalings
-    u_adj = _z_phases(ph[0], ph[1])[:, np.newaxis] * u_sim * _z_phases(ph[2], ph[3])
-    overlaps = np.abs(np.sum(u_ideal.conj() * u_adj, axis=0)) ** 2
+    m = word_unitary(word).conj() * u_sim
+    ph, e = _align_phases(m) if align_local_z else (np.zeros(4), m)
+    process = abs(e.sum()) ** 2 / 16.0
+    overlaps = np.abs(e.sum(0)) ** 2
     per_state = {key: float(f) for key, f in zip(("00", "01", "10", "11"), overlaps)}
     notes = [
         f"alignment {'on' if align_local_z else 'off'}; "

@@ -32,6 +32,7 @@ from .integrator import (
     DensityState,
     StepPolicy,
     StepTooCoarse,
+    _GridBeyondCap,
     evolve,
     gate_unitary,
     to_rotating_frame,
@@ -93,6 +94,14 @@ def _output(path: str | None):
 
 def _emit(text: str, fh) -> None:
     fh.write(text if text.endswith("\n") else text + "\n")
+
+
+def _refusal(args, exc: ValueError) -> SchemaError:
+    """An integrator refusal, naming the sequence file for a grid beyond the
+    cap and the flag for a step count beyond int64 or float or the budget."""
+    if isinstance(exc, _GridBeyondCap):
+        return SchemaError(f"sequence file {args.sequence}: {exc}")
+    return SchemaError(f"--steps-per-period {args.steps_per_period}: {exc}")
 
 
 def _parse_state(spec: str) -> DensityState:
@@ -162,8 +171,8 @@ def cmd_simulate(args) -> int:
         return EXIT_VALIDATION
     try:
         traj = evolve(p, seq, rho0, StepPolicy(steps_per_period=args.steps_per_period))
-    except ValueError as exc:  # a step count beyond int64 or float
-        raise SchemaError(f"--steps-per-period {args.steps_per_period}: {exc}") from exc
+    except ValueError as exc:
+        raise _refusal(args, exc) from exc
     if args.frame == "rotating":
         traj = to_rotating_frame(traj, p)
     with _output(args.out) as fh:
@@ -192,8 +201,8 @@ def cmd_fidelity(args) -> int:
     with _output(args.out) as fh:  # opened first: a bad path wastes no integration
         try:
             u = gate_unitary(seq, StepPolicy(steps_per_period=args.steps_per_period))
-        except ValueError as exc:  # as in simulate
-            raise SchemaError(f"--steps-per-period {args.steps_per_period}: {exc}") from exc
+        except ValueError as exc:
+            raise _refusal(args, exc) from exc
         report = gate_fidelity(u, word, align_local_z=not args.no_align)
         _emit(report_to_json(report), fh)
     if args.min is not None and report.process < args.min:

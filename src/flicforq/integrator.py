@@ -145,6 +145,10 @@ class WrongFrame(ValueError):
     """Frame transformation applied to data in the wrong frame."""
 
 
+class _GridBeyondCap(ValueError):
+    """More grid intervals than the step budget has rows, at any step policy."""
+
+
 # ---------------------------------------------------------------------------
 # State and trajectory types
 
@@ -280,7 +284,8 @@ def _breakpoints(seq: PulseSequence) -> np.ndarray:
     total_time alone, before the grid is built."""
     spacing, cap = seq.params.t0_sync / 8.0, _STEP_BUDGET // _BATCH_STEPS
     if (n := math.floor(seq.total_time / spacing + 1e-9)) > cap:
-        raise ValueError(f"{n:.3g} grid intervals exceed the {cap} rows of {_STEP_BUDGET} steps")
+        raise _GridBeyondCap(
+            f"{n:.3g} grid intervals exceed the {cap} rows of {_STEP_BUDGET} steps")
     pts = {0.0, seq.total_time}
     for seg in seq.segments:
         pts.add(seg.start)

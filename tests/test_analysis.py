@@ -323,9 +323,15 @@ def align_cases():
     return pairs
 
 
+def aligned(u_ideal, u_sim):
+    # the phases and f = |E.sum()|^2/16 off the aligned entries E
+    ph, e = _align_phases(u_ideal.conj() * u_sim)
+    return ph, abs(e.sum()) ** 2 / 16.0
+
+
 def test_align_phases_matches_sequential():
     for u_ideal, u_sim in align_cases():
-        ph, f = _align_phases(u_ideal, u_sim)
+        ph, f = aligned(u_ideal, u_sim)
         ref_ph, ref_f = sequential_align(u_ideal, u_sim)
         assert f == pytest.approx(ref_f, abs=1e-12)
         gap = per_state(u_ideal, u_sim, ph) - per_state(u_ideal, u_sim, ref_ph)
@@ -335,7 +341,7 @@ def test_align_phases_matches_sequential():
 def test_align_phases_wrapped():
     # reported phases are canonical, and wrapping them keeps the fidelity
     for u_ideal, u_sim in align_cases():
-        ph, f = _align_phases(u_ideal, u_sim)
+        ph, f = aligned(u_ideal, u_sim)
         assert np.all((-math.pi < ph) & (ph <= math.pi))
         trace = np.trace(u_ideal.conj().T @ with_z_phases(u_sim, ph))
         assert abs(trace) ** 2 / 16.0 == pytest.approx(f, abs=1e-12)
@@ -420,6 +426,17 @@ def test_gate_fidelity_per_state_matches_ket_reference():
             assert max(abs(rep.per_state[k] - ref[k]) for k in ref) <= 1e-14
 
 
+def test_gate_fidelity_unaligned_process_is_the_trace():
+    # alignment off, the process fidelity is |Tr(U_ideal^dag U)|^2/16 and
+    # the reported phases are zero
+    cnot = build_cnot_word()
+    for u in random_unitaries(9, 20):
+        rep = gate_fidelity(u, cnot, align_local_z=False)
+        ref = abs(np.trace(word_unitary(cnot).conj().T @ u)) ** 2 / 16.0
+        assert abs(rep.process - ref) <= 1e-15
+        assert rep.alignment == (0.0, 0.0, 0.0, 0.0)
+
+
 def test_gate_fidelity_disjoint_support():
     # conj(U_ideal) * U_sim is zero, so every alignment gives a zero trace
     xx = np.eye(4)[::-1]  # X1X2
@@ -435,21 +452,22 @@ def test_alignment_converges_in_few_newton_iterations(monkeypatch):
     # one Newton solve per iteration on at most 8 rows: from the ranked grid
     # starts full Newton steps converge in a few iterations
     calls = []
-    real = analysis._shifted_solve
+    real = np.linalg.solve
 
     def spy(a, b):
         calls.append(len(a))
         return real(a, b)
 
-    monkeypatch.setattr(analysis, "_shifted_solve", spy)
+    monkeypatch.setattr(analysis.np.linalg, "solve", spy)
     layer = PulseSequence(params=BENCH, segments=(
         compile_one_qubit(BENCH, 1, "x", math.pi / 8, 0.0),
         compile_one_qubit(BENCH, 2, "y", -math.pi / 2, 0.0),
     ))
     cases = [(compile_cnot(BENCH), build_cnot_word()), (layer, layer_word("X", 1, "Y", -4))]
     for seq, w in cases:
-        calls.clear()
-        rep = gate_fidelity(gate_unitary(seq, StepPolicy(steps_per_period=800)), w)
+        u = gate_unitary(seq, StepPolicy(steps_per_period=800))
+        calls.clear()  # only the alignment's solves
+        rep = gate_fidelity(u, w)
         assert rep.process > 0.98
         assert 1 <= len(calls) <= 20
         assert max(calls) <= 8

@@ -396,17 +396,22 @@ def test_step_total_beyond_the_budget_exits_2(command, tmp_path, capsys, monkeyp
 
 def test_grid_beyond_the_cap_exits_2_or_is_nan_row(tmp_path, capsys, monkeypatch):
     # the paper device's CNOT spans 208 grid intervals, more than the rows
-    # of a step budget lowered to 64 rows: simulate exits 2 and sweep writes
-    # a nan row and exits 4, refused before the grid is built
+    # of a step budget lowered to 64 rows: simulate and fidelity exit 2,
+    # naming the sequence file rather than the step flag, as the cap
+    # depends on total_time alone, and sweep writes a nan row and exits 4,
+    # refused before the grid is built
     monkeypatch.setattr(integrator, "_STEP_BUDGET", 64 * integrator._BATCH_STEPS)
     monkeypatch.setattr(integrator, "_window_origins", mock.Mock(side_effect=AssertionError))
     message = "208 grid intervals exceed the 64 rows of 32768 steps"
     _, seq_json, _ = run(capsys, "compile", "cnot")
     seq_file = tmp_path / "cnot.json"
     seq_file.write_text(seq_json)
-    code, out, err = run(capsys, "simulate", str(seq_file), "--out", str(tmp_path / "t.csv"))
-    assert (code, out) == (2, "")
-    assert message in err
+    for args in (("simulate", str(seq_file), "--out", str(tmp_path / "t.csv")),
+                 ("fidelity", str(seq_file), "--word", CNOT_WORD)):
+        code, out, err = run(capsys, *args, "--steps-per-period", "1600")
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: sequence file {seq_file}: {message}")
+        assert "--steps-per-period" not in err
     assert not (tmp_path / "t.csv").exists()
     grid = tmp_path / "grid.json"
     grid.write_text('[{"delta": 0.1, "wxx": 0.01}]')
