@@ -198,12 +198,12 @@ def cmd_fidelity(args) -> int:
         raise SchemaError(f"bad target word: {exc}") from exc
     if _invalid(seq):
         return EXIT_VALIDATION
-    with _output(args.out) as fh:  # opened first: a bad path wastes no integration
-        try:
-            u = gate_unitary(seq, StepPolicy(steps_per_period=args.steps_per_period))
-        except ValueError as exc:
-            raise _refusal(args, exc) from exc
-        report = gate_fidelity(u, word, align_local_z=not args.no_align)
+    try:
+        u = gate_unitary(seq, StepPolicy(steps_per_period=args.steps_per_period))
+    except ValueError as exc:
+        raise _refusal(args, exc) from exc
+    report = gate_fidelity(u, word, align_local_z=not args.no_align)
+    with _output(args.out) as fh:  # opened last: a failed run keeps an earlier result
         _emit(report_to_json(report), fh)
     if args.min is not None and report.process < args.min:
         print(

@@ -14,11 +14,10 @@ One pipeline serves both: an interval cut into n equal steps has the time
 ordered product of its step matrices as propagator.  A call's intervals are
 cut into rows of at most 512 steps, and the rows, longest first, into
 rectangular batches: 512 // w rows, each padded to the first one's length
-w with identity steps.  A chunk of batches, at most 8192 padded steps,
-shares one sampling of H.  Each row's product goes into an (interval, row)
-stack of identities, whose pairwise product gives every interval's
-propagator.  The two differ only in where they sample H and how they make
-a step:
+w with identity steps.  A chunk, a run of 16 batches, shares one sampling
+of H.  Each row's product goes into an (interval, row) stack of
+identities, whose pairwise product gives every interval's propagator.  The
+two differ only in where they sample H and how they make a step:
 
 - RK4 (``evolve``, ``propagator_of_sequence``) samples the half-step grid
   and makes classic fixed-step 4th-order Runge-Kutta steps, each
@@ -437,16 +436,17 @@ def _time_ordered_product(mats: np.ndarray) -> np.ndarray:
 
 # Figures: warm calls on a 2-core Xeon host, and medians of host-adjusted
 # ops_per_s from `perfbench/run.py --seconds 8` (seeds 3001-3006, variants
-# alternating).  Most padded steps one chunk samples at once.  One
-# _hamiltonians call took 175 us for one 450-step interval and 399 us for
-# four; sampling once per batch, with no chunk level, took gate_fidelity
-# 235.8 -> 185.8 ops/s and oracle_verify 63.7 -> 47.8 (6/6 pairs slower).
-# The cap bounds memory: an unmemoized CNOT on the paper's device would
-# sample 208 x 4203 H matrices (~112 MB) at once.  A chunk's samples are
-# also the largest array, and glibc trims the heap above twice the largest
-# it has freed: with the oracle's chunk cut to one batch of 512 substeps
-# (196 KB of samples, 2 MB of build temporaries), a warm D evolve_oracle on
-# the paper's device took 53144 minor faults per call, against none.
+# alternating).  Most padded steps one chunk samples at once: a chunk is a
+# run of _CHUNK_STEPS // _BATCH_STEPS = 16 batches.  One _hamiltonians
+# call took 175 us for one 450-step interval and 399 us for four; sampling
+# once per batch, with no chunk level, took gate_fidelity 235.8 -> 185.8
+# ops/s and oracle_verify 63.7 -> 47.8 (6/6 pairs slower).  The cap bounds
+# memory: an unmemoized CNOT on the paper's device would sample 208 x 4203
+# H matrices (~112 MB) at once.  A chunk's samples are also the largest
+# array, and glibc trims the heap above twice the largest it has freed:
+# with the oracle's chunk cut to one batch of 512 substeps (196 KB of
+# samples, 2 MB of build temporaries), a warm D evolve_oracle on the
+# paper's device took 53144 minor faults per call, against none.
 _CHUNK_STEPS = 8192
 # Most padded steps of a batch, a rectangle of rows built and multiplied
 # at once, and the longest row: a power of two, so that a full row is a
@@ -465,18 +465,18 @@ def _interval_products(seq: PulseSequence, a: np.ndarray, b: np.ndarray, counts:
 
     Each interval is cut into rows of at most _BATCH_STEPS steps.  The
     rows, longest first, go in rectangular batches of _BATCH_STEPS // w
-    rows, w the first one's length, and runs of batches in chunks of at
-    most _CHUNK_STEPS padded steps (one batch at least).  nodes(a, h, j, w)
-    gives the sample times of w steps h from step j of each row's interval
-    from a, each of shape (k, 1): a (k, s) grid whose steps share samples,
-    or (k, w, q), each step's own, taken for real steps only, one step a
-    row; one _hamiltonians call samples a chunk's times.  steps(hs, h)
-    makes k rows' (k, w) step matrices from their (k, s) samples, h as
-    (k, 1, 1, 1); steps past a row's end are the identity.  Each row's
-    product goes into an identity-initialised (interval, row) stack, whose
-    pairwise product is the result.  Identity padding multiplies exactly,
-    and each full row is a subtree of its interval's pairwise product, so
-    every product has the bits of building its interval alone."""
+    rows, w the first one's length, and the batches in chunks, runs of
+    _CHUNK_STEPS // _BATCH_STEPS.  nodes(a, h, j, w) gives the sample times
+    of w steps h from step j of each row's interval from a, each of shape
+    (k, 1): a (k, s) grid whose steps share samples, or (k, w, q), each
+    step's own, taken for real steps only, one step a row; one _hamiltonians
+    call samples a chunk's times.  steps(hs, h) makes k rows' (k, w) step
+    matrices from their (k, s) samples, h as (k, 1, 1, 1); steps past a
+    row's end are the identity.  Each row's product goes into an
+    identity-initialised (interval, row) stack, whose pairwise product is
+    the result.  Identity padding multiplies exactly, and each full row is
+    a subtree of its interval's pairwise product, so every product has the
+    bits of building its interval alone."""
     total = counts.sum(dtype=float)  # a float, which cannot wrap
     if total > _STEP_BUDGET:
         raise ValueError(f"{total:.3g} steps exceed the budget of {_STEP_BUDGET} steps a call")
@@ -487,19 +487,15 @@ def _interval_products(seq: PulseSequence, a: np.ndarray, b: np.ndarray, counts:
                    for first in range(0, n, size)), key=lambda row: -row[2])
     iv, first, n = np.array(rows, dtype=int).reshape(-1, 3).T
     a_r, h_r, j_r = a[iv, None], hs[iv, None], first[:, None]
-    chunks, area, lo = [], _CHUNK_STEPS, 0  # per chunk, its batches: rows (a slice), width
+    batches, lo = [], 0  # per batch: its rows (a slice) and width
     while lo < len(rows):
         w = rows[lo][2]
-        hi = min(lo + size // w, len(rows))
-        area += (hi - lo) * w
-        if area > _CHUNK_STEPS:
-            chunks.append([])
-            area = (hi - lo) * w
-        chunks[-1].append((slice(lo, hi), w))
-        lo = hi
+        batches.append((slice(lo, min(lo + size // w, len(rows))), w))
+        lo = batches[-1][0].stop
     stack = np.empty((counts.size, (counts.max(initial=1) - 1) // size + 1, 8, 8))
     stack[...] = np.eye(8)
-    for chunk in chunks:
+    run = _CHUNK_STEPS // size  # batches a chunk
+    for chunk in (batches[c:c + run] for c in range(0, len(batches), run)):
         cells = []  # per batch: its real steps, the rows its samples are taken as, their times
         for r, w in chunk:
             t, real = nodes(a_r[r], h_r[r], j_r[r], w), np.arange(w) < n[r, None]
@@ -544,11 +540,11 @@ _QUBIT_SIGNS = [(abs(s).argmax(axis=1), np.outer(s.sum(1), s.sum(1)) * _CONJ_MAS
 
 
 def _window_origins(seq: PulseSequence, bps: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Per breakpoint interval, its origin, the group element
-    g = f1 + 2 f2 + 4 f_m of the memo's relations (module docstring: f_q
-    qubit q's sign, f_m the mirror) that takes the origin's propagator to
-    its own, whether it is a full flat grid interval, its key's amplitudes
-    and its element relative to the key, one row each.
+    """Per breakpoint interval, its origin, whether it is a full flat grid
+    interval, its key's amplitudes and its group element g = f1 + 2 f2 + 4 f_m
+    of the memo's relations (module docstring: f_q qubit q's sign, f_m the
+    mirror) relative to a reference its orbit shares, the key for a full grid
+    interval, one row each.  g ^ g[origin] relates an interval to its origin.
 
     A full flat grid interval (module docstring) at window w = k // 8 and
     position p = k mod 8 under amplitudes a gets a key in closed form.  The
@@ -561,8 +557,7 @@ def _window_origins(seq: PulseSequence, bps: np.ndarray) -> tuple[np.ndarray, ..
     the other qubit's (both clear where neither is driven): the two signs
     together are the exact Z1Z2, where one alone moves the interval by
     up to 3e-14 (module docstring).  So intervals share a key exactly when
-    one orbit holds them; the first is the origin, and as the relations are
-    commuting involutions the element relative to it is an XOR.
+    one orbit holds them; the first is the origin.
 
     Sequence mirror: if an interval is not full and every breakpoint,
     segment and flip of a driven qubit is centred on total_time/2 =
@@ -598,7 +593,6 @@ def _window_origins(seq: PulseSequence, bps: np.ndarray) -> tuple[np.ndarray, ..
     first: dict = {}
     keys = enumerate(zip(full.tolist(), np.minimum(pos, 7 - pos).tolist(), amps.tolist()))
     origin = np.array([first.setdefault((p, *n), i) if f else i for i, (f, p, n) in keys], int)
-    g = element ^ element[origin]
     span, n, t0 = seq.total_time, a.size, seq.params.t0_sync
     m = round(span / t0)  # the sequence mirror's centre span/2 is m t0/2
     if full.all() or not periodic or m < 1 or np.any(abs(np.concatenate([
@@ -606,7 +600,7 @@ def _window_origins(seq: PulseSequence, bps: np.ndarray) -> tuple[np.ndarray, ..
             [2.0 * seg.flip_at for seg in seq.segments  # the flips that act
              if seg.flip_at is not None and seg.drives_qubit(seg.flip_qubit)]])
             - span) > _SYNC_RTOL * span):
-        return origin, g, full, amps, element
+        return origin, full, amps, element
     # per driven channel, its qubit and whether the mirror negates its term
     bits = {(k // 2 + 1, k % 2 ^ m % 2 ^ (seg.flip_qubit == k // 2 + 1))
             for seg in seq.segments for k, amp in enumerate(seg.amplitudes) if amp != 0.0}
@@ -614,8 +608,8 @@ def _window_origins(seq: PulseSequence, bps: np.ndarray) -> tuple[np.ndarray, ..
         f = dict(bits)  # an idle qubit's bit follows the other's
         sigma = f.get(1, f.get(2, 0)) + 2 * f.get(2, f.get(1, 0))
         i = n // 2 + np.flatnonzero(~full[n // 2:])  # n is even: span/2 is a grid point
-        origin[i], g[i] = origin[n - 1 - i], g[n - 1 - i] ^ 4 ^ sigma
-    return origin, g, full, amps, element
+        origin[i], element[i] = origin[n - 1 - i], element[n - 1 - i] ^ 4 ^ sigma
+    return origin, full, amps, element
 
 
 class _IntervalStore:
@@ -668,22 +662,22 @@ def _running_propagators(seq: PulseSequence, policy: StepPolicy,
 
     Only the intervals that are their own origin (_window_origins) are
     built, the full ones unless stored (_stored_products).  Every other
-    interval's real form is its origin's under the relations its group
-    element sets (module docstring): each qubit's sign, a permutation of
+    interval's real form is its origin's under the relations of the XOR of
+    their elements (module docstring): each qubit's sign, a permutation of
     rows and columns times signs, and the mirror, a transpose times conj's
     mask; an origin read from its Z1Z2 twin's slot adds both qubits' signs.
     Raises StepTooCoarse if the unitarity defect of any U(t_k), not only the
     final one (on the CNOT an earlier one is up to 1.3 times larger),
     exceeds max_defect or is not finite."""
     bps = _breakpoints(seq)
-    origin, g, full, amps, elements = _window_origins(seq, bps)
+    origin, full, amps, elements = _window_origins(seq, bps)
     todo = np.flatnonzero(origin == np.arange(origin.size))  # the intervals to build
     a, b = bps[todo], bps[todo + 1]
     with np.errstate(over="ignore", invalid="ignore"):  # divergence is checked below
         counts = _interval_steps(a, b, policy.step_target(seq.params))
         built, z = _stored_products(seq, a, b, counts, full[todo], amps[todo], elements[todo])
         member = np.searchsorted(todo, origin)
-        prods, g = built[member], g ^ z[member]
+        prods, g = built[member], elements ^ elements[origin] ^ z[member]
         for q, (perm, signs) in enumerate(_QUBIT_SIGNS):
             f = (g >> q & 1) == 1
             prods[f] = prods[f][:, perm[:, None], perm] * signs

@@ -296,8 +296,10 @@ def test_non_positive_counts_exit_2(argv, capsys):
 @pytest.mark.parametrize("command", ["compile", "simulate", "fidelity", "sweep", "resonance"])
 def test_unwritable_out_exits_2(command, tmp_path, capsys, monkeypatch):
     # every subcommand fails to write its result: exit 2 with the path
-    # named, never a traceback or an integrator failure; fidelity and sweep
-    # open it first, so a bad path wastes no integration
+    # named, never a traceback or an integrator failure; only sweep opens
+    # it first, so a bad path wastes no integration, and fidelity, which
+    # scores first so that a failed run keeps an earlier result, integrates
+    # once
     _, seq_json, _ = run(capsys, "compile", "x90")
     seq_file = tmp_path / "x90.json"
     seq_file.write_text(seq_json)
@@ -320,7 +322,7 @@ def test_unwritable_out_exits_2(command, tmp_path, capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert f"cannot write {bad}" in err
-    assert calls == []
+    assert calls == (["gate_unitary"] if command == "fidelity" else [])
 
 
 def test_simulate_diverged_propagator_exits_4(tmp_path, capsys):
@@ -351,6 +353,27 @@ def test_fidelity_diverged_propagator_exits_4(tmp_path, capsys):
     assert code == 4
     assert "integrator failure" in err and "diverged" in err
     assert out == ""
+
+
+@pytest.mark.parametrize("steps, exit_code", [(str(10**23), 2), ("3", 4)],
+                         ids=["refused", "diverged"])
+def test_failed_fidelity_writes_no_out_file(steps, exit_code, tmp_path, capsys):
+    # a refused (exit 2) or failed (exit 4) integration writes no result:
+    # an earlier one at --out keeps its bytes, and a new path gets no file
+    _, seq_json, _ = run(capsys, "compile", "x90")
+    seq_file = tmp_path / "x90.json"
+    seq_file.write_text(seq_json)
+    earlier, fresh = tmp_path / "fid.json", tmp_path / "new.json"
+    args = ("fidelity", str(seq_file), "--word", "X1^1/2", "--out")
+    assert run(capsys, *args, str(earlier))[0] == 0
+    before = earlier.read_bytes()
+    assert before
+    for path in (earlier, fresh):
+        code, out, err = run(capsys, *args, str(path), "--steps-per-period", steps)
+        assert (code, out) == (exit_code, "")
+        assert err.startswith("error: --steps-per-period" if code == 2 else "integrator failure")
+    assert earlier.read_bytes() == before
+    assert not fresh.exists()
 
 
 @pytest.mark.parametrize("steps", [str(10**21), str(10**400)],

@@ -987,8 +987,8 @@ def test_window_memo_applies_its_relations(seq):
     # built form, each entry of a reused one is still + or - one entry of
     # its origin's, none of them nan, where the matmuls above would make
     # 0 inf a nan
-    origin, g, *_ = integrator._window_origins(seq, _breakpoints(seq))
-    reused = np.flatnonzero(origin != np.arange(origin.size))
+    origin, _, _, element = integrator._window_origins(seq, _breakpoints(seq))
+    reused, g = np.flatnonzero(origin != np.arange(origin.size)), element ^ element[origin]
     (forms,), (planted,) = memo_forms([seq], False), memo_forms([seq], True)
     for i in reused.tolist():
         u = _complex_of(forms[origin[i]])
@@ -1020,7 +1020,7 @@ def test_window_memo_applies_z1z2_from_a_twins_slot(seq):
     # twin's times the Z1Z2 mask where it is driven, and the twin's where it
     # is not, bit for bit, also with an inf and a -0.0 planted in every
     # built form: element 3 only moves entries and flips signs
-    _, _, full, amps, _ = integrator._window_origins(seq, _breakpoints(seq))
+    _, full, amps, _ = integrator._window_origins(seq, _breakpoints(seq))
     mask = np.where(amps[full].any(axis=1)[:, None, None], Z1Z2_MASK, 1.0)
     for plant in (False, True):
         theirs, ours = memo_forms([negated(seq), seq], plant)
@@ -1114,7 +1114,8 @@ def orbit_table_origins(seq, bps):
 
 def assert_plan_matches_orbit_table(seq):
     bps = _breakpoints(seq)
-    got, want = integrator._window_origins(seq, bps), orbit_table_origins(seq, bps)
+    origin, _, _, element = integrator._window_origins(seq, bps)
+    got, want = (origin, element ^ element[origin]), orbit_table_origins(seq, bps)
     for name, g, w in zip(("origin", "g"), got, want):
         assert g.dtype == w.dtype and np.array_equal(g, w), name
 
@@ -1303,7 +1304,7 @@ def stored(p, seg, a, b, n):
     is read with (the Z1Z2 mask for 3); its folded amplitudes and element
     are the memo's for [a, b], a grid interval's at window position 0."""
     seq = PulseSequence(params=p, segments=(seg,))
-    _, _, _, amps, elements = integrator._window_origins(seq, np.array([a, b]))
+    _, _, amps, elements = integrator._window_origins(seq, np.array([a, b]))
     form, z = integrator._stored_products(seq, np.array([a]), np.array([b]), np.array([n]),
                                           np.array([True]), amps, elements)
     return form[0] * Z1Z2_MASK if z[0] else form[0]
@@ -1457,7 +1458,8 @@ def test_interval_store_shared_by_threads():
 def test_window_origins_with_empty_memo(seq):
     # with nothing to reuse every interval is its own origin under the
     # identity, in integer columns, also when there is no interval at all
-    origin, g, *_ = integrator._window_origins(seq, _breakpoints(seq))
+    origin, _, _, element = integrator._window_origins(seq, _breakpoints(seq))
+    g = element ^ element[origin]
     assert origin.dtype.kind == "i" and g.dtype.kind == "i"
     assert np.array_equal(origin, np.arange(origin.size))
     assert not g.any()
@@ -1640,33 +1642,48 @@ def test_drive_samples_bounded_by_chunk_cap(route, p, seq, policy, monkeypatch):
 
 
 def test_one_h_sampling_per_chunk(monkeypatch):
-    # H is sampled once per chunk, not once per batch: the bench gate
-    # layer's distinct intervals (4 of 450 steps, 4 batches) fit one chunk,
-    # and so does each oracle pass over one pulse length, with ramped and
-    # square pulses, while its steps fit the cap.
+    # H is sampled once per chunk, not once per batch, and a chunk is a run
+    # of 16 batches: the bench gate layer's distinct intervals (4 of 450
+    # steps, 4 batches) fit one chunk, 17 such intervals take two (16
+    # batches, then 1) though their 7650 padded steps fit 8192, and the
+    # paper's CNOT at StepPolicy() (50 batches) takes four.  Each oracle
+    # pass over one pulse length, with ramped and square pulses, takes one
+    # while its steps fit the cap.
     layer = gate_layer(BENCH)
     ramped = replace(compile_one_qubit(BENCH, 1, "x", 1.1, 0.0),
                      envelope=Envelope("raised-cosine-ramp", 0.3 * 4 * math.pi / BENCH.delta))
     pulse = PulseSequence(params=BENCH, segments=(
         ramped, compile_one_qubit(BENCH, 2, "y", -0.7, 0.0)))
-    passes = []  # per call, its total steps and its H samplings
+    passes = []  # per call, its total steps and the batches of each H sampling
     real_pass, real_ham = integrator._interval_products, integrator._hamiltonians
 
-    def spy_pass(seq, a, b, counts, *scheme):
-        passes.append([int(counts.sum()), 0])
-        return real_pass(seq, a, b, counts, *scheme)
+    def spy_pass(seq, a, b, counts, nodes, steps):
+        passes.append([int(counts.sum()), []])
+        return real_pass(seq, a, b, counts, nodes, lambda *args: spy_batch(steps, *args))
+
+    def spy_batch(steps, *args):
+        passes[-1][1][-1] += 1
+        return steps(*args)
 
     def spy_ham(*args):
-        passes[-1][1] += 1
+        passes[-1][1].append(0)
         return real_ham(*args)
 
     monkeypatch.setattr(integrator, "_interval_products", spy_pass)
     monkeypatch.setattr(integrator, "_hamiltonians", spy_ham)
     propagator_of_sequence(BENCH, layer, BENCH_POLICY)
-    assert passes == [[1800, 1]]
+    assert passes == [[1800, [4]]]
+    passes.clear()
+    a = np.arange(17.0)
+    integrator._interval_products(PIPELINE_SEQ, a, a + 1.0, np.full(17, 450),
+                                  integrator._half_steps, _rk4_steps)
+    assert passes == [[7650, [16, 1]]]
+    passes.clear()
+    propagator_of_sequence(DEFAULT_PARAMS, compile_cnot(DEFAULT_PARAMS), StepPolicy())
+    assert passes == [[25200, [16, 16, 16, 2]]]
     passes.clear()
     evolve_oracle(BENCH, pulse, random_state(np.random.default_rng(18)))
-    fitting = [samplings for steps, samplings in passes if steps <= integrator._CHUNK_STEPS]
+    fitting = [len(chunks) for steps, chunks in passes if steps <= integrator._CHUNK_STEPS]
     assert len(fitting) >= 2
     assert fitting == [1] * len(fitting)
 

@@ -523,15 +523,26 @@ def test_json_schema_version():
         sequence_from_json("[]")
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
 def test_readme_schema_round_trips():
     # the documented schema is the one the parser reads and the writer writes
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    section = readme.split("### Sequence JSON schema", 1)[1]
+    section = README.read_text().split("### Sequence JSON schema", 1)[1]
     block = section.split("```json\n", 1)[1].split("```", 1)[0]
     seq = sequence_from_json(block)
     assert json.loads(sequence_to_json(seq)) == json.loads(block)
     assert seq.segments[0].flip_qubit == 2
     assert seq.segments[1].envelope == Envelope("raised-cosine-ramp", 12.5)
+
+
+def test_readme_quick_start_runs(capsys):
+    # the library example runs as written and prints the paper CNOT's
+    # process fidelity, which its comment gives as ~0.997
+    section = README.read_text().split("## Library quick start", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    assert round(float(capsys.readouterr().out), 3) == 0.997
 
 
 @st.composite
